@@ -39,8 +39,8 @@ from .graphops import (
     classify,
     connected_packages,
     dependency_depth,
+    dependency_depths,
     direct_dependencies,
-    direct_dependents,
     indirect_dependencies,
     top_level_packages,
     transitive_dependencies,

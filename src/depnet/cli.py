@@ -14,6 +14,7 @@ import io
 import json
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 from . import __version__
@@ -30,7 +31,7 @@ from .evolution import (
 )
 from .fixtures import GeneratorConfig, generate, write_dataset, write_tiny
 from .graphops import (
-    dependency_depth,
+    dependency_depths,
     transitive_dependency_counts,
     transitive_dependent_counts,
 )
@@ -67,7 +68,11 @@ def _default_jobs() -> int:
 
 def _add_dataset_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dataset", required=True, help="directory with packages.csv, releases.csv, dependencies.csv")
-    parser.add_argument("--cutoff", help="observation cutoff (YYYY-MM-DD or YYYY-MM); default: last release timestamp")
+    parser.add_argument(
+        "--cutoff",
+        help="observation cutoff (YYYY-MM-DD or YYYY-MM); default: the cutoff in the "
+        "dataset's manifest.json, else the last release timestamp",
+    )
     parser.add_argument("--ecosystem", help="ecosystem identifier; default: dataset directory name")
     parser.add_argument(
         "--kinds",
@@ -311,19 +316,11 @@ def _cmd_distribution(args) -> int:
         g = build_snapshot(d, at)
         forward = transitive_dependency_counts(g)
         reverse = transitive_dependent_counts(g)
-        rev_adj = g._reverse()
-        rows = []
-        for pkg in sorted(g.latest):
-            rows.append(
-                (
-                    pkg,
-                    len(g._out.get(pkg, ())),
-                    forward[pkg],
-                    len(rev_adj.get(pkg, ())),
-                    reverse[pkg],
-                    dependency_depth(g, pkg),
-                )
-            )
+        depths = dependency_depths(g)
+        rows = [
+            (pkg, g.out_degree(pkg), forward[pkg], g.in_degree(pkg), reverse[pkg], depths[pkg])
+            for pkg in sorted(g.latest)
+        ]
         _emit(
             args,
             ["package", "n_direct", "n_transitive", "n_rev_direct", "n_rev_transitive", "depth"],
@@ -556,9 +553,28 @@ def run(argv: list[str]) -> int:
     except DatasetError as exc:
         sys.stderr.write(f"depnet: {exc}\n")
         return 1
+    except BrokenPipeError:
+        # The reader went away (e.g. `| head -1`). Point stdout at devnull so
+        # the interpreter's final flush cannot raise a second time.
+        _discard_stdout()
+        sys.stderr.write("depnet: output closed before it was fully written\n")
+        return 1
+    except BrokenProcessPool as exc:
+        sys.stderr.write(f"depnet: a worker process died: {exc}\n")
+        return 1
     except (ValueError, KeyError, OSError) as exc:
         sys.stderr.write(f"depnet: {exc}\n")
         return 1
+
+
+def _discard_stdout() -> None:
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def main() -> None:

@@ -16,7 +16,7 @@ from datetime import datetime, timedelta
 from typing import Optional
 
 from .graphops import (
-    dependency_depth,
+    dependency_depths,
     top_level_packages,
     transitive_dependent_counts,
 )
@@ -498,7 +498,6 @@ def survival_dataset(d: Dataset, split_by_required: bool = False):
 def depth_distribution(g: SnapshotGraph) -> dict[int, int]:
     """Dependency-tree depth histogram over top-level packages."""
     hist: dict[int, int] = {}
-    for pkg in top_level_packages(g):
-        depth = dependency_depth(g, pkg)
+    for depth in dependency_depths(g, top_level_packages(g)).values():
         hist[depth] = hist.get(depth, 0) + 1
     return hist

@@ -7,6 +7,9 @@ into strongly connected components, then reachability bitsets (arbitrary
 precision integers, one bit per node) are merged bottom-up in reverse
 topological order. Bitsets of exhausted components are released eagerly to
 keep peak memory proportional to the frontier, not the whole closure.
+Batch depths run one breadth-first search for many sources at once, one
+bit per source. Both batch computations read the graph's cached integer
+view.
 
 All results are pure values of the graph; they do not depend on traversal
 order, so concurrent or parallel evaluation yields identical numbers.
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -90,10 +93,6 @@ def direct_dependencies(g: SnapshotGraph, package: str) -> set[str]:
     return set(g.out_neighbors(package))
 
 
-def direct_dependents(g: SnapshotGraph, package: str) -> set[str]:
-    return set(g.in_neighbors(package))
-
-
 def _bfs_set(start: str, neighbors) -> set[str]:
     # Reachable set excluding the start node, even when start is on a cycle.
     seen: set[str] = {start}
@@ -137,22 +136,88 @@ def dependency_depth(g: SnapshotGraph, package: str) -> int:
     Levels are shortest-path distances, which keeps the depth well defined
     on cyclic graphs; a package with no dependencies has depth 0.
     """
-    if not g.has_node(package):
-        raise KeyError(package)
-    seen: set[str] = {package}
-    frontier = [q for q in g.out_neighbors(package) if q != package]
-    seen.update(frontier)
+    _, ids, adj = g.int_view()
+    start = ids[package]
+    seen = bytearray(len(adj))
+    seen[start] = 1
+    frontier = [start]
     depth = 0
-    while frontier:
+    while True:
+        nxt: list[int] = []
+        for u in frontier:
+            for w in adj[u]:
+                if not seen[w]:
+                    seen[w] = 1
+                    nxt.append(w)
+        if not nxt:
+            return depth
         depth += 1
-        nxt: list[str] = []
-        for node in frontier:
-            for q in g.out_neighbors(node):
-                if q not in seen:
-                    seen.add(q)
-                    nxt.append(q)
         frontier = nxt
-    return depth
+
+
+# Sources per multi-source BFS pass. Each node holds a seen-bitset of up to
+# this many bits during a pass, so memory is O(nodes * _DEPTH_BATCH / 8).
+_DEPTH_BATCH = 4096
+
+
+def dependency_depths(
+    g: SnapshotGraph, packages: Optional[Iterable[str]] = None
+) -> dict[str, int]:
+    """:func:`dependency_depth` for each of ``packages`` (default: every
+    node), keyed in the order given.
+
+    Multi-source BFS (Then et al., "The More the Merrier: Efficient
+    Multi-Source Graph Traversal", PVLDB 8(4), 2014): each source owns one
+    bit of an integer, and a node's frontier bitset carries every source
+    that reached it at the current level, so sources sharing a subgraph
+    traverse it once per level together. An unknown package raises
+    ``KeyError``.
+    """
+    names, ids, adj = g.int_view()
+    wanted = [ids[p] for p in (names if packages is None else packages)]
+    # Batches are cut in id order, so their make-up (and the work) does not
+    # depend on the caller's iteration order, e.g. that of a set.
+    sources = sorted(set(wanted))
+    depth_of = [0] * len(adj)
+    for lo in range(0, len(sources), _DEPTH_BATCH):
+        batch = sources[lo:lo + _DEPTH_BATCH]
+        for src, depth in zip(batch, _batch_depths(adj, batch)):
+            depth_of[src] = depth
+    return {names[i]: depth_of[i] for i in wanted}
+
+
+def _batch_depths(adj: list[list[int]], sources: list[int]) -> list[int]:
+    """BFS eccentricity of each of ``sources`` (distinct ids), together."""
+    seen = [0] * len(adj)
+    frontier: dict[int, int] = {}
+    for bit, s in enumerate(sources):
+        seen[s] = frontier[s] = 1 << bit
+    # reached[k] holds the sources that reach a new node at level k + 1.
+    reached: list[int] = []
+    while True:
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for u, bits in frontier.items():
+            for w in adj[u]:
+                nxt[w] = get(w, 0) | bits
+        frontier = {}
+        level = 0
+        for w, bits in nxt.items():
+            bits &= ~seen[w]
+            if bits:
+                seen[w] |= bits
+                frontier[w] = bits
+                level |= bits
+        if not frontier:
+            break
+        reached.append(level)
+    depths = [0] * len(sources)
+    for depth, bits in enumerate(reached, start=1):
+        # bin() lists bits most significant first; reversed, index = bit.
+        for bit, digit in enumerate(bin(bits)[:1:-1]):
+            if digit == "1":
+                depths[bit] = depth
+    return depths
 
 
 def top_level_packages(g: SnapshotGraph) -> set[str]:
@@ -224,17 +289,6 @@ def weakly_connected_components(g: SnapshotGraph) -> WccResult:
 
 # ---------------------------------------------------------------------------
 # Batch closure
-
-
-def _int_adjacency(g: SnapshotGraph) -> tuple[list[str], list[list[int]]]:
-    names = list(g.latest)
-    ids = {name: i for i, name in enumerate(names)}
-    adj: list[list[int]] = [[] for _ in names]
-    for src, targets in g._out.items():
-        row = adj[ids[src]]
-        for dst in targets:
-            row.append(ids[dst])
-    return names, adj
 
 
 def _tarjan_sccs(adj: list[list[int]]) -> list[list[int]]:
@@ -372,7 +426,7 @@ def _closure_sizes(adj: list[list[int]]) -> list[int]:
 
 def transitive_dependency_counts(g: SnapshotGraph) -> dict[str, int]:
     """|transitive_dependencies(p)| for every node, in one batch pass."""
-    names, adj = _int_adjacency(g)
+    names, _, adj = g.int_view()
     sizes = _closure_sizes(adj)
     return dict(zip(names, sizes))
 
@@ -384,7 +438,7 @@ def transitive_dependent_counts(g: SnapshotGraph) -> dict[str, int]:
     newer (higher-id) packages, and the flip maps them to low bit
     positions, keeping the reachability integers short.
     """
-    names, adj = _int_adjacency(g)
+    names, _, adj = g.int_view()
     n = len(names)
     last = n - 1
     rev: list[list[int]] = [[] for _ in range(n)]

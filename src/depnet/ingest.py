@@ -12,6 +12,7 @@ references to packages hosted outside the registry.
 from __future__ import annotations
 
 import csv
+import json
 import statistics
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -335,10 +336,17 @@ def parse_dataset(
 def load_dataset_dir(
     directory, cutoff: Optional[datetime] = None, ecosystem: Optional[str] = None
 ) -> Dataset:
-    """Parse ``packages.csv``, ``releases.csv``, ``dependencies.csv`` from a directory."""
+    """Parse ``packages.csv``, ``releases.csv``, ``dependencies.csv`` from a directory.
+
+    Without an explicit ``cutoff``, the one recorded in ``manifest.json``
+    (as :func:`depnet.fixtures.write_dataset` writes it) is used when that
+    file exists; otherwise the last release timestamp.
+    """
     directory = Path(directory)
     if ecosystem is None:
         ecosystem = directory.name or "default"
+    if cutoff is None:
+        cutoff = _manifest_cutoff(directory / "manifest.json")
     return parse_dataset(
         directory / "packages.csv",
         directory / "releases.csv",
@@ -346,6 +354,18 @@ def load_dataset_dir(
         cutoff,
         ecosystem=ecosystem,
     )
+
+
+def _manifest_cutoff(path: Path) -> Optional[datetime]:
+    try:
+        text = path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        return None
+    try:
+        raw = json.loads(text).get("cutoff")
+        return None if raw is None else parse_timestamp(raw)
+    except (ValueError, AttributeError, TypeError) as exc:
+        raise DatasetError(f"{path}: unreadable cutoff: {exc}") from None
 
 
 def load_exclusions(path) -> set[str]:

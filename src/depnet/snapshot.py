@@ -9,10 +9,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .ingest import Dataset, ReleaseRecord
 from .timeutil import Month, iter_months, month_of, month_start
+
+
+class IntView(NamedTuple):
+    """Integer-id form of a snapshot for whole-graph algorithms.
+
+    Node ``i`` is ``names[i]`` (ids follow ``latest`` order) and
+    ``ids`` inverts ``names``; ``adj[i]`` lists the ids of node ``i``'s
+    out-neighbours. The view is cached on the graph and shared by every
+    caller, so it must not be mutated.
+    """
+
+    names: list[str]
+    ids: dict[str, int]
+    adj: list[list[int]]
 
 
 class SnapshotGraph:
@@ -24,7 +38,9 @@ class SnapshotGraph:
     did not exist at the snapshot instant.
     """
 
-    __slots__ = ("at", "latest", "ecosystem", "dropped_deps", "_out", "_in", "_edge_count")
+    __slots__ = (
+        "at", "latest", "ecosystem", "dropped_deps", "_out", "_in", "_int", "_edge_count",
+    )
 
     def __init__(
         self,
@@ -40,6 +56,7 @@ class SnapshotGraph:
         self.dropped_deps = dropped_deps
         self._out = out_edges
         self._in: Optional[dict[str, tuple[str, ...]]] = None
+        self._int: Optional[IntView] = None
         self._edge_count = sum(len(ts) for ts in out_edges.values())
 
     @property
@@ -85,6 +102,21 @@ class SnapshotGraph:
             rev = {dst: tuple(srcs) for dst, srcs in acc.items()}
             self._in = rev
         return rev
+
+    def int_view(self) -> IntView:
+        """The graph with integer node ids, built on first use and cached."""
+        # Same benign race as _reverse: a second build yields an equal view.
+        view = self._int
+        if view is None:
+            names = list(self.latest)
+            ids = {name: i for i, name in enumerate(names)}
+            adj: list[list[int]] = [[] for _ in names]
+            for src, targets in self._out.items():
+                row = adj[ids[src]]
+                for dst in targets:
+                    row.append(ids[dst])
+            view = self._int = IntView(names, ids, adj)
+        return view
 
     def out_degree(self, package: str) -> int:
         return len(self.out_neighbors(package))

@@ -1,11 +1,24 @@
 from __future__ import annotations
 
 import json
+import sys
+from collections import Counter
+from concurrent.futures.process import BrokenProcessPool
+from datetime import datetime
 
 import pytest
 
+from depnet import evolution
 from depnet.cli import run
 from depnet.fixtures import write_tiny
+from depnet.graphops import (
+    dependency_depth,
+    top_level_packages,
+    transitive_dependencies,
+    transitive_dependents,
+)
+from depnet.ingest import filter_dependencies, load_dataset_dir
+from depnet.snapshot import build_snapshot
 
 
 @pytest.fixture()
@@ -48,6 +61,36 @@ class TestExitCodes:
             *tiny_args(tiny_dir),
         )
         assert code == 1
+
+
+class _ClosedStdout:
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestFailureMessages:
+    # capsys comes before monkeypatch so that sys.stdout is restored to
+    # the capture before the capture itself is torn down.
+    def test_closed_stdout(self, capsys, monkeypatch, tiny_dir):
+        monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+        code, _, err = invoke(
+            capsys, "distribution", "deps", "--at", "2020-04-01", *tiny_args(tiny_dir)
+        )
+        assert code == 1
+        assert err.startswith("depnet: ") and err.count("\n") == 1
+
+    def test_dead_worker(self, capsys, monkeypatch, tiny_dir):
+        def dead_pool(*args, **kwargs):
+            raise BrokenProcessPool("a worker was terminated abruptly")
+
+        monkeypatch.setattr(evolution, "_map_months", dead_pool)
+        code, out, err = invoke(
+            capsys, "series", "growth", "--from", "2020-02", "--to", "2020-04",
+            "--jobs", "2", *tiny_args(tiny_dir),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("depnet: ") and err.count("\n") == 1
 
 
 class TestSeries:
@@ -158,6 +201,43 @@ class TestSnapshotAndDistributions:
         rows = {line.split(",")[0]: line for line in lines[1:]}
         assert rows["d"] == "d,1,3,0,0,2"
         assert rows["b"] == "b,0,0,2,3,0"
+
+    @pytest.mark.parametrize("source", ["tiny", "generated"])
+    def test_depth_outputs_match_per_package_queries(self, capsys, tmp_path, source):
+        data = tmp_path / source
+        if source == "tiny":
+            write_tiny(data)
+            at, cutoff = "2020-04-01", "2020-04-01"
+        else:
+            invoke(
+                capsys, "fixture", "generate", "--out-dir", data,
+                "--n-packages", "400", "--months", "12", "--seed", "7",
+            )
+            at, cutoff = "2015-11-01", "2016-01-01"
+        args = ("--at", at, "--dataset", data, "--cutoff", cutoff)
+        g = build_snapshot(
+            filter_dependencies(load_dataset_dir(data, cutoff=datetime.fromisoformat(cutoff))),
+            datetime.fromisoformat(at),
+        )
+
+        hist = Counter(dependency_depth(g, p) for p in top_level_packages(g))
+        total = sum(hist.values())
+        want = ["bin,count,proportion"]
+        want += [f"{depth},{count},{count / total!r}" for depth, count in sorted(hist.items())]
+        assert invoke(capsys, "distribution", "depth", *args)[1] == "\n".join(want) + "\n"
+
+        want = ["package,n_direct,n_transitive,n_rev_direct,n_rev_transitive,depth"]
+        for p in sorted(g.latest):
+            row = (
+                p,
+                len(g.out_neighbors(p)),
+                len(transitive_dependencies(g, p)),
+                len(g.in_neighbors(p)),
+                len(transitive_dependents(g, p)),
+                dependency_depth(g, p),
+            )
+            want.append(",".join(str(v) for v in row))
+        assert invoke(capsys, "distribution", "deps", *args)[1] == "\n".join(want) + "\n"
 
 
 class TestSurvivalCli:
@@ -322,6 +402,20 @@ class TestFixtureCli:
         assert code == 0
         manifest = json.loads((tmp_path / "g" / "manifest.json").read_text())
         assert manifest["rows"]["packages"] == 50
+
+    def test_generated_cutoff_from_manifest(self, capsys, tmp_path):
+        invoke(
+            capsys,
+            "fixture", "generate", "--out-dir", tmp_path / "g",
+            "--n-packages", "50", "--months", "12", "--seed", "5",
+        )
+        growth = ("series", "growth", "--from", "2015-12", "--dataset", tmp_path / "g")
+        code, out, err = invoke(capsys, *growth, "--to", "2016-01")
+        assert code == 0, err
+        assert out.splitlines()[-1].startswith("2016-01,50,")
+        # An explicit --cutoff still wins over the manifest.
+        assert invoke(capsys, *growth, "--to", "2016-02")[0] == 1
+        assert invoke(capsys, *growth, "--to", "2016-02", "--cutoff", "2016-02-01")[0] == 0
 
     def test_validate_on_generated(self, capsys, tmp_path):
         invoke(

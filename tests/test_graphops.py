@@ -1,15 +1,18 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 from datetime import datetime
 
 import numpy as np
 import pytest
 
+from depnet import graphops
 from depnet.graphops import (
     classify,
     connected_packages,
     dependency_depth,
+    dependency_depths,
     direct_dependencies,
     indirect_dependencies,
     top_level_packages,
@@ -50,6 +53,19 @@ def closure_matrix(nodes, edges):
             break
         reach = nxt
     return idx, reach
+
+
+def bfs_eccentricity(g, start):
+    """Largest shortest-path distance from ``start``, by plain BFS."""
+    dist = {start: 0}
+    queue = deque([start])
+    while queue:
+        node = queue.popleft()
+        for nxt in g.out_neighbors(node):
+            if nxt not in dist:
+                dist[nxt] = dist[node] + 1
+                queue.append(nxt)
+    return max(dist.values())
 
 
 class UnionFind:
@@ -130,6 +146,35 @@ class TestDepth:
     def test_cycle_depth_finite(self):
         g = make_graph(["x", "y", "z"], [("x", "y"), ("y", "z"), ("z", "x")])
         assert dependency_depth(g, "x") == 2
+
+    def test_batch_tiny(self, tiny_graph):
+        assert dependency_depths(tiny_graph) == {"a": 1, "b": 0, "c": 1, "d": 2, "e": 0}
+
+    def test_batch_subset_keeps_given_order(self):
+        nodes = ["p1", "p2", "p3", "q"]
+        g = make_graph(nodes, [("p1", "p2"), ("p2", "p3"), ("q", "p1")])
+        got = dependency_depths(g, ["p3", "q", "p2", "q"])
+        assert list(got.items()) == [("p3", 0), ("q", 3), ("p2", 1)]
+        assert dependency_depths(g, []) == {}
+
+    def test_unknown_package(self, tiny_graph):
+        with pytest.raises(KeyError):
+            dependency_depth(tiny_graph, "zzz")
+        with pytest.raises(KeyError):
+            dependency_depths(tiny_graph, ["d", "zzz"])
+
+    @pytest.mark.parametrize("batch", [None, 3])
+    def test_matches_bfs_oracle(self, monkeypatch, batch):
+        # A width of 3 splits most graphs into several batches.
+        if batch is not None:
+            monkeypatch.setattr(graphops, "_DEPTH_BATCH", batch)
+        rng = random.Random(19)
+        for _ in range(500):
+            nodes, edges = random_graph(rng)
+            g = make_graph(nodes, edges)
+            want = {p: bfs_eccentricity(g, p) for p in nodes}
+            assert dependency_depths(g) == want
+            assert {p: dependency_depth(g, p) for p in nodes} == want
 
 
 class TestRoles:

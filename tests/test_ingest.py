@@ -12,6 +12,7 @@ from depnet.ingest import (
     PackageRecord,
     ReleaseRecord,
     filter_dependencies,
+    load_dataset_dir,
     load_exclusions,
     parse_dataset,
     validate_dataset,
@@ -208,6 +209,16 @@ class TestRoundTrip:
             ecosystem="tiny",
         )
         assert again == tiny
+
+    def test_load_takes_cutoff_from_manifest(self, tiny, tmp_path):
+        write_dataset(tiny, tmp_path / "out")
+        assert load_dataset_dir(tmp_path / "out", ecosystem="tiny") == tiny
+
+    def test_unreadable_manifest_cutoff(self, tiny, tmp_path):
+        write_dataset(tiny, tmp_path / "out")
+        (tmp_path / "out" / "manifest.json").write_text('{"cutoff": "soon"}', encoding="utf-8")
+        with pytest.raises(DatasetError, match="manifest.json"):
+            load_dataset_dir(tmp_path / "out")
 
 
 class TestValidate:
