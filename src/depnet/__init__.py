@@ -28,7 +28,6 @@ from .snapshot import (
     SnapshotGraph,
     SnapshotSeries,
     build_snapshot,
-    iter_monthly_snapshots,
     latest_releases_at,
     monthly_snapshots,
 )

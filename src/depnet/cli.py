@@ -93,7 +93,8 @@ def _add_output_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _load(args):
+def _load_raw_and_filtered(args):
+    """The dataset as parsed, and as filtered by --kinds and --exclude-file."""
     cutoff = parse_instant(args.cutoff) if args.cutoff else None
     dataset = load_dataset_dir(args.dataset, cutoff=cutoff, ecosystem=args.ecosystem)
     kinds = (
@@ -102,7 +103,11 @@ def _load(args):
         else DEFAULT_INCLUDED_KINDS
     )
     excluded = load_exclusions(args.exclude_file) if args.exclude_file else ()
-    return filter_dependencies(dataset, kinds, excluded)
+    return dataset, filter_dependencies(dataset, kinds, excluded)
+
+
+def _load(args):
+    return _load_raw_and_filtered(args)[1]
 
 
 def _fmt(value) -> str:
@@ -166,16 +171,8 @@ def _write_manifest(args) -> None:
 
 
 def _cmd_validate(args) -> int:
-    cutoff = parse_instant(args.cutoff) if args.cutoff else None
-    dataset = load_dataset_dir(args.dataset, cutoff=cutoff, ecosystem=args.ecosystem)
+    dataset, filtered = _load_raw_and_filtered(args)
     report = validate_dataset(dataset, burst_factor=args.burst_factor)
-    kinds = (
-        {k.strip().lower() for k in args.kinds.split(",") if k.strip()}
-        if args.kinds
-        else DEFAULT_INCLUDED_KINDS
-    )
-    excluded = load_exclusions(args.exclude_file) if args.exclude_file else ()
-    filtered = filter_dependencies(dataset, kinds, excluded)
     fr = filtered.filter_report
 
     rows = [
@@ -380,13 +377,9 @@ def _cmd_inequality(args) -> int:
         if not args.at:
             raise ValueError("inequality dependents requires --at DATE")
         g = build_snapshot(d, parse_instant(args.at))
-        in_counts: dict[str, int] = {}
-        for targets in g._out.values():
-            for q in targets:
-                in_counts[q] = in_counts.get(q, 0) + 1
-        if not in_counts:
+        values = list(g.in_degree_counts().values())
+        if not values:
             raise ValueError("no required packages in the snapshot")
-        values = list(in_counts.values())
         curve = lorenz_points(values, inverted=True)
         gini_value = gini(values)
         norm_value = normalized_gini(values) if len(values) >= 2 else 0.0

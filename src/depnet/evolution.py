@@ -9,11 +9,13 @@ count. Forked workers share the parsed dataset read-only.
 from __future__ import annotations
 
 import multiprocessing
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from typing import Optional
+from functools import partial
+from itertools import accumulate
+from typing import Callable, Optional
 
 from .graphops import (
     dependency_depths,
@@ -21,14 +23,13 @@ from .graphops import (
     transitive_dependent_counts,
 )
 from .indices import h_index, p_impact_index, reusability_index, update_counts_in_window
-from .ingest import Dataset, version_sort_key
-from .snapshot import SnapshotGraph, build_snapshot
+from .ingest import Dataset
+from .snapshot import SnapshotGraph, build_snapshot, checked_months
 from .stats import LorenzCurve, SurvivalSample, gini, lorenz_points, normalized_gini
 from .timeutil import (
     DAYS_PER_MONTH,
     Month,
     days_between,
-    format_month,
     iter_months,
     month_of,
     month_start,
@@ -109,94 +110,75 @@ class MonthlyMetrics:
 # ---------------------------------------------------------------------------
 # Parallel month fan-out
 
-_SHARED: Optional[tuple] = None
+_DATASET: Optional[Dataset] = None  # the dataset, in each forked worker
 
 
-def _pool_entry(month: Month):
-    dataset, fn_name, args = _SHARED
-    return _MONTH_WORKERS[fn_name](dataset, month, args)
+def _share_dataset(d: Dataset) -> None:
+    global _DATASET
+    _DATASET = d
 
 
-def _map_months(d: Dataset, months: list[Month], fn_name: str, args: tuple, jobs: int) -> list:
-    worker = _MONTH_WORKERS[fn_name]
-    if jobs <= 1 or len(months) <= 1:
-        return [worker(d, m, args) for m in months]
-    try:
+def _measure_month(measure: Callable[[SnapshotGraph], object], month: Month):
+    return measure(build_snapshot(_DATASET, month_start(month)))
+
+
+def _map_months(
+    d: Dataset, months: list[Month], measure: Callable[[SnapshotGraph], object], jobs: int
+) -> list:
+    """``measure`` of the snapshot at the start of each month, in month order.
+
+    With ``jobs`` > 1 the months fan out over forked workers that inherit
+    ``d``; ``measure`` then has to pickle, so it is a module-level function
+    or a ``functools.partial`` of one.
+    """
+    if jobs > 1 and len(months) > 1 and "fork" in multiprocessing.get_all_start_methods():
+        d.index()  # build once in the parent so forked workers share it
         ctx = multiprocessing.get_context("fork")
-    except ValueError:
-        return [worker(d, m, args) for m in months]
-    d.index()  # build once in the parent so forked workers share it
-    global _SHARED
-    _SHARED = (d, fn_name, args)
-    try:
-        with ProcessPoolExecutor(max_workers=jobs, mp_context=ctx) as pool:
-            return list(pool.map(_pool_entry, months, chunksize=1))
-    finally:
-        _SHARED = None
+        with ProcessPoolExecutor(
+            max_workers=jobs, mp_context=ctx, initializer=_share_dataset, initargs=(d,)
+        ) as pool:
+            return list(pool.map(partial(_measure_month, measure), months, chunksize=1))
+    return [measure(build_snapshot(d, month_start(m))) for m in months]
 
 
-def _size_month(d: Dataset, month: Month, args: tuple):
-    g = build_snapshot(d, month_start(month))
+def _sizes(g: SnapshotGraph) -> tuple[int, int]:
     return g.n_nodes, g.n_edges
 
 
-def _transitive_month(d: Dataset, month: Month, args: tuple):
-    g = build_snapshot(d, month_start(month))
+def _transitive_total(g: SnapshotGraph) -> tuple[int, int]:
     return sum(transitive_dependent_counts(g).values()), g.n_edges
 
 
-def _reusability_month(d: Dataset, month: Month, args: tuple):
-    return reusability_index(build_snapshot(d, month_start(month))).value
+def _reusability(g: SnapshotGraph) -> int:
+    return reusability_index(g).value
 
 
-def _p_impact_month(d: Dataset, month: Month, args: tuple):
-    (p_percent,) = args
-    g = build_snapshot(d, month_start(month))
+def _p_impact(
+    g: SnapshotGraph, p_percent: float, dependent_counts: Optional[dict[str, int]] = None
+) -> int:
     if g.n_nodes == 0:
         return 0
-    return p_impact_index(g, p_percent).value
+    return p_impact_index(g, p_percent, dependent_counts=dependent_counts).value
 
 
-def _scan_month(d: Dataset, month: Month, args: tuple):
-    p_percent, window_days = args
-    t = month_start(month)
-    g = build_snapshot(d, t)
+def _graph_metrics(g: SnapshotGraph, p_percent: float) -> tuple[int, int, int, int, int]:
+    # One batch closure shared by the transitive total and p_impact.
     dep_counts = transitive_dependent_counts(g)
-    if g.n_nodes:
-        p_impact = p_impact_index(g, p_percent, dependent_counts=dep_counts).value
-    else:
-        p_impact = 0
-    return MonthlyMetrics(
-        month=month,
-        n_packages=g.n_nodes,
-        n_dependencies=g.n_edges,
-        n_transitive=sum(dep_counts.values()),
-        changeability=h_index(update_counts_in_window(d, t, window_days).values()),
-        reusability=reusability_index(g).value,
-        p_impact=p_impact,
+    return (
+        g.n_nodes,
+        g.n_edges,
+        sum(dep_counts.values()),
+        _reusability(g),
+        _p_impact(g, p_percent, dep_counts),
     )
 
 
-_MONTH_WORKERS = {
-    "size": _size_month,
-    "transitive": _transitive_month,
-    "reusability": _reusability_month,
-    "p_impact": _p_impact_month,
-    "scan": _scan_month,
-}
-
-
-def _month_range(d: Dataset, first: Month, last: Month) -> list[Month]:
-    if first > last:
-        raise ValueError(
-            f"inverted month range: {format_month(first)} > {format_month(last)}"
-        )
-    if last > month_of(d.cutoff):
-        raise ValueError(
-            f"month {format_month(last)} is beyond the dataset cutoff "
-            f"{d.cutoff.isoformat()}"
-        )
-    return list(iter_months(first, last))
+def _changeability(d: Dataset, months: list[Month], window_days: int) -> list[int]:
+    # Computed from the dataset alone, so no snapshot and no worker needed.
+    return [
+        h_index(update_counts_in_window(d, month_start(m), window_days).values())
+        for m in months
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +189,8 @@ def growth_series(
     d: Dataset, first: Month, last: Month, jobs: int = 1
 ) -> tuple[TimeSeries, TimeSeries]:
     """Monthly node and edge counts of the dependency network."""
-    months = _month_range(d, first, last)
-    sizes = _map_months(d, months, "size", (), jobs)
+    months = checked_months(d, first, last)
+    sizes = _map_months(d, months, _sizes, jobs)
     packages = TimeSeries("packages", [(m, float(n)) for m, (n, _) in zip(months, sizes)])
     dependencies = TimeSeries(
         "dependencies", [(m, float(e)) for m, (_, e) in zip(months, sizes)]
@@ -218,8 +200,8 @@ def growth_series(
 
 def dependency_ratio_series(d: Dataset, first: Month, last: Month, jobs: int = 1) -> TimeSeries:
     """Edges per node by month; months with no packages emit no point."""
-    months = _month_range(d, first, last)
-    sizes = _map_months(d, months, "size", (), jobs)
+    months = checked_months(d, first, last)
+    sizes = _map_months(d, months, _sizes, jobs)
     points = [(m, e / n) for m, (n, e) in zip(months, sizes) if n > 0]
     return TimeSeries("dependency_ratio", points)
 
@@ -231,8 +213,8 @@ def transitive_ratio_series(d: Dataset, first: Month, last: Month, jobs: int = 1
     |transitive dependencies| over all packages, which by closure symmetry
     equals the summed transitive dependent counts actually computed.
     """
-    months = _month_range(d, first, last)
-    results = _map_months(d, months, "transitive", (), jobs)
+    months = checked_months(d, first, last)
+    results = _map_months(d, months, _transitive_total, jobs)
     points = [
         (m, total / edges) for m, (total, edges) in zip(months, results) if edges > 0
     ]
@@ -253,18 +235,15 @@ def index_series(
     (default 30) and the percentage threshold for p_impact (default 5).
     Months where the network is empty yield 0.
     """
-    months = _month_range(d, first, last)
+    months = checked_months(d, first, last)
     if which == "changeability":
         window_days = int(parameter) if parameter is not None else 30
-        values = [
-            h_index(update_counts_in_window(d, month_start(m), window_days).values())
-            for m in months
-        ]
+        values = _changeability(d, months, window_days)
     elif which == "reusability":
-        values = _map_months(d, months, "reusability", (), jobs)
+        values = _map_months(d, months, _reusability, jobs)
     elif which == "p_impact":
         p_percent = float(parameter) if parameter is not None else 5.0
-        values = _map_months(d, months, "p_impact", (p_percent,), jobs)
+        values = _map_months(d, months, partial(_p_impact, p_percent=p_percent), jobs)
     else:
         raise ValueError(f"unknown index name: {which!r}")
     return TimeSeries(which, [(m, float(v)) for m, v in zip(months, values)])
@@ -280,8 +259,21 @@ def ecosystem_scan(
 ) -> list[MonthlyMetrics]:
     """Single pass computing sizes, closure totals, and all three indices
     per month, sharing one snapshot and one batch closure per month."""
-    months = _month_range(d, first, last)
-    return _map_months(d, months, "scan", (p_percent, window_days), jobs)
+    months = checked_months(d, first, last)
+    graph = _map_months(d, months, partial(_graph_metrics, p_percent=p_percent), jobs)
+    changeability = _changeability(d, months, window_days)
+    return [
+        MonthlyMetrics(
+            month=m,
+            n_packages=n,
+            n_dependencies=e,
+            n_transitive=total,
+            changeability=c,
+            reusability=r,
+            p_impact=p,
+        )
+        for m, (n, e, total, r, p), c in zip(months, graph, changeability)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -335,31 +327,17 @@ def update_distribution(d: Dataset, t: datetime) -> UpdateBins:
 
 def active_packages(d: Dataset, window_start: datetime, window_end: datetime) -> set[str]:
     """Packages with at least one update in [window_start, window_end)."""
-    if window_start > window_end:
-        raise ValueError("inverted window")
-    idx = d.index()
-    lo = bisect_left(idx.update_times, window_start)
-    hi = bisect_left(idx.update_times, window_end)
-    return {pkg for _, pkg in idx.updates_sorted[lo:hi]}
-
-
-def _update_counts_in_range(d: Dataset, window_start: datetime, window_end: datetime):
-    idx = d.index()
-    lo = bisect_left(idx.update_times, window_start)
-    hi = bisect_left(idx.update_times, window_end)
-    counts: dict[str, int] = {}
-    for _, pkg in idx.updates_sorted[lo:hi]:
-        counts[pkg] = counts.get(pkg, 0) + 1
-    return counts
+    return {pkg for _, pkg in d.index().updates_during(window_start, window_end)}
 
 
 def update_inequality(
     d: Dataset, window_start: datetime, window_end: datetime
 ) -> UpdateInequality:
-    """Inequality of update counts across packages active in the window."""
-    if window_start > window_end:
-        raise ValueError("inverted window")
-    counts = _update_counts_in_range(d, window_start, window_end)
+    """Inequality of update counts across packages active in
+    [window_start, window_end)."""
+    counts: dict[str, int] = {}
+    for _, pkg in d.index().updates_during(window_start, window_end):
+        counts[pkg] = counts.get(pkg, 0) + 1
     if not counts:
         raise ValueError("no active packages in the window")
     values = list(counts.values())
@@ -380,13 +358,9 @@ def updates_by_age(
     mean-length months; bins are half-open, so an age exactly on a
     boundary falls in the higher bin.
     """
-    if window_start > window_end:
-        raise ValueError("inverted window")
     idx = d.index()
     counts = {label: 0 for label in AGE_BIN_LABELS}
-    lo = bisect_left(idx.update_times, window_start)
-    hi = bisect_left(idx.update_times, window_end)
-    for ts, pkg in idx.updates_sorted[lo:hi]:
+    for ts, pkg in idx.updates_during(window_start, window_end):
         age = ts - idx.first_release[pkg].timestamp
         bin_idx = bisect_right(_AGE_BOUNDS, age)
         counts[AGE_BIN_LABELS[bin_idx]] += 1
@@ -399,61 +373,32 @@ def updates_by_age(
 
 def _required_at_release(d: Dataset) -> dict[tuple[str, str], bool]:
     """Whether each release's package had a direct dependent in the network
-    at the release's own timestamp.
+    at the release's own timestamp: ``build_snapshot(d, ts).in_degree(q) > 0``.
 
-    Implemented as one chronological sweep maintaining the evolving edge
-    set: equivalent to probing build_snapshot at every release instant,
-    without rebuilding anything. Releases sharing a timestamp see the
-    state after the whole instant has been applied.
+    Release k of package p is p's latest release on [ts_k, ts_{k+1}), the
+    last one without end; a successor at the same instant leaves the interval
+    empty. A release of q at ts is required iff ts lies in the interval of
+    a release of some other package that declares q. q itself exists at
+    ts, so that interval carries an edge to q.
     """
     idx = d.index()
-    order = sorted(
-        d.releases, key=lambda r: (r.timestamp, r.package, version_sort_key(r.version))
-    )
-    exists: set[str] = set()
-    cur_raw: dict[str, set[str]] = {}  # declared targets of current latest
-    cur_valid: dict[str, set[str]] = {}  # resolvable, deduped, non-self targets
-    in_deg: dict[str, int] = {}
-    pending: dict[str, set[str]] = {}  # missing target -> waiting sources
+    spans: dict[str, list[tuple[datetime, datetime]]] = {}
+    for p, rels in idx.releases_by_package.items():
+        times = idx.release_times[p]
+        for rel, start, end in zip(rels, times, times[1:] + [datetime.max]):
+            for q in idx.targets_by_release.get((p, rel.version), ()):
+                if q != p:
+                    spans.setdefault(q, []).append((start, end))
     flags: dict[tuple[str, str], bool] = {}
-
-    def set_latest(rel) -> None:
-        pkg = rel.package
-        for q in cur_valid.get(pkg, ()):
-            in_deg[q] -= 1
-        raw = set(idx.targets_by_release.get((pkg, rel.version), ()))
-        valid: set[str] = set()
-        for q in raw:
-            if q == pkg:
-                continue
-            if q in exists:
-                valid.add(q)
-                in_deg[q] = in_deg.get(q, 0) + 1
-            else:
-                pending.setdefault(q, set()).add(pkg)
-        cur_raw[pkg] = raw
-        cur_valid[pkg] = valid
-
-    i = 0
-    n = len(order)
-    while i < n:
-        j = i
-        ts = order[i].timestamp
-        while j < n and order[j].timestamp == ts:
-            j += 1
-        group = order[i:j]
-        newly = [r.package for r in group if r.package not in exists]
-        exists.update(newly)
-        for rel in group:
-            set_latest(rel)
-        for q in newly:
-            for src in pending.pop(q, ()):
-                if q in cur_raw.get(src, ()) and src != q and q not in cur_valid[src]:
-                    cur_valid[src].add(q)
-                    in_deg[q] = in_deg.get(q, 0) + 1
-        for rel in group:
-            flags[(rel.package, rel.version)] = in_deg.get(rel.package, 0) > 0
-        i = j
+    for q, rels in idx.releases_by_package.items():
+        # ts is covered iff the intervals starting at or before it reach
+        # past it; an empty interval [s, s) never reaches past any ts >= s.
+        found = sorted(spans.get(q, ()))
+        starts = [start for start, _ in found]
+        reach = list(accumulate((end for _, end in found), max))
+        for rel in rels:
+            i = bisect_right(starts, rel.timestamp)
+            flags[(q, rel.version)] = i > 0 and reach[i - 1] > rel.timestamp
     return flags
 
 

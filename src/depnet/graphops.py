@@ -222,22 +222,22 @@ def _batch_depths(adj: list[list[int]], sources: list[int]) -> list[int]:
 
 def top_level_packages(g: SnapshotGraph) -> set[str]:
     """Packages with dependencies that nothing else depends on."""
-    rev = g._reverse()
-    return {p for p in g._out if p not in rev}
+    required = g.in_degree_counts()
+    return {p for p, _ in g.out_items() if p not in required}
 
 
 def connected_packages(g: SnapshotGraph) -> set[str]:
     """Packages with at least one edge in either direction."""
-    connected = set(g._out)
-    connected.update(g._reverse())
+    connected = {p for p, _ in g.out_items()}
+    connected.update(g.in_degree_counts())
     return connected
 
 
 def classify(g: SnapshotGraph) -> Classification:
-    out = g._out
-    rev = g._reverse()
+    dependent = {p for p, _ in g.out_items()}
+    required = g.in_degree_counts()
     flags = {
-        p: RoleFlags(dependent=p in out, required=p in rev) for p in g.latest
+        p: RoleFlags(dependent=p in dependent, required=p in required) for p in g.latest
     }
     return Classification(flags=flags)
 
@@ -256,7 +256,7 @@ class WccResult:
 
 def weakly_connected_components(g: SnapshotGraph) -> WccResult:
     undirected: dict[str, list[str]] = {p: [] for p in g.latest}
-    for src, targets in g._out.items():
+    for src, targets in g.out_items():
         for dst in targets:
             undirected[src].append(dst)
             undirected[dst].append(src)

@@ -87,11 +87,7 @@ def reusability_index(g: SnapshotGraph, transitive: bool = False) -> IndexReport
     if transitive:
         counts = [c for c in transitive_dependent_counts(g).values() if c > 0]
     else:
-        in_counts: dict[str, int] = {}
-        for targets in g._out.values():
-            for q in targets:
-                in_counts[q] = in_counts.get(q, 0) + 1
-        counts = list(in_counts.values())
+        counts = list(g.in_degree_counts().values())
     return IndexReport(
         ecosystem=g.ecosystem,
         at=g.at,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import statistics
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
@@ -25,22 +25,6 @@ from .timeutil import Month, iter_months, month_of, parse_timestamp
 # Dependency kinds that denote install/run-time requirements. Everything
 # else (dev, test, build, optional, ...) is excluded by default.
 DEFAULT_INCLUDED_KINDS = frozenset({"runtime", "imports", "depends", "normal"})
-
-# Kinds commonly seen in registry dumps; anything else is "unknown" but
-# still carried through parsing (the include-list decides what survives).
-KNOWN_KINDS = DEFAULT_INCLUDED_KINDS | frozenset(
-    {
-        "development",
-        "optional",
-        "enhances",
-        "suggests",
-        "build",
-        "configure",
-        "test",
-        "develop",
-        "dev",
-    }
-)
 
 
 class DatasetError(ValueError):
@@ -83,10 +67,6 @@ class DependencyRecord:
     constraint: str
     kind: str
 
-    @property
-    def kind_is_known(self) -> bool:
-        return self.kind in KNOWN_KINDS
-
 
 @dataclass(slots=True)
 class FilterReport:
@@ -114,6 +94,12 @@ class _DatasetIndex:
 
     All containers are populated in a deterministic order that depends only
     on record order in the Dataset, never on string hashing.
+
+    Update windows come in two conventions. A trailing window ending at an
+    instant, (start, end], counts an update made at that very instant:
+    :meth:`updates_in_window`, used by changeability. A span of calendar
+    time, [start, end), lets consecutive spans tile without overlap:
+    :meth:`updates_during`, used by activity, inequality and age.
     """
 
     def __init__(self, dataset: "Dataset"):
@@ -154,9 +140,21 @@ class _DatasetIndex:
         return self.releases_by_package[package][pos - 1]
 
     def updates_in_window(self, start: datetime, end: datetime) -> list[tuple[datetime, str]]:
-        """Updates with timestamp in the half-open interval (start, end]."""
+        """(timestamp, package) of the updates in (start, end]; none when
+        start >= end."""
         lo = bisect_right(self.update_times, start)
         hi = bisect_right(self.update_times, end)
+        return self.updates_sorted[lo:hi]
+
+    def updates_during(self, start: datetime, end: datetime) -> list[tuple[datetime, str]]:
+        """(timestamp, package) of the updates in [start, end).
+
+        Raises ``ValueError`` when start > end.
+        """
+        if start > end:
+            raise ValueError("inverted window")
+        lo = bisect_left(self.update_times, start)
+        hi = bisect_left(self.update_times, end)
         return self.updates_sorted[lo:hi]
 
 

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime
-from typing import Iterator, NamedTuple, Optional
+from typing import ItemsView, Iterator, NamedTuple, Optional
 
 from .ingest import Dataset, ReleaseRecord
-from .timeutil import Month, iter_months, month_of, month_start
+from .timeutil import Month, format_month, iter_months, month_of, month_start
 
 
 class IntView(NamedTuple):
@@ -84,6 +84,19 @@ class SnapshotGraph:
         if package not in self.latest:
             raise KeyError(package)
         return self._out.get(package, ())
+
+    def out_items(self) -> ItemsView[str, tuple[str, ...]]:
+        """(package, out-neighbours) of every package with an out-edge."""
+        return self._out.items()
+
+    def in_degree_counts(self) -> dict[str, int]:
+        """In-degree of every package with an in-edge, keyed in the order
+        the packages first appear as targets in :meth:`out_items`."""
+        counts: dict[str, int] = {}
+        for targets in self._out.values():
+            for q in targets:
+                counts[q] = counts.get(q, 0) + 1
+        return counts
 
     def in_neighbors(self, package: str) -> tuple[str, ...]:
         if package not in self.latest:
@@ -157,6 +170,21 @@ class SnapshotSeries:
         return len(self.snapshots)
 
 
+def checked_months(d: Dataset, first: Month, last: Month) -> list[Month]:
+    """Months first..last, endpoints included; ``ValueError`` when the
+    range is inverted or ends after the dataset cutoff's month."""
+    if first > last:
+        raise ValueError(
+            f"inverted month range: {format_month(first)} > {format_month(last)}"
+        )
+    if last > month_of(d.cutoff):
+        raise ValueError(
+            f"month {format_month(last)} is beyond the dataset cutoff "
+            f"{d.cutoff.isoformat()}"
+        )
+    return list(iter_months(first, last))
+
+
 def _check_instant(d: Dataset, t: datetime) -> None:
     if t > d.cutoff:
         raise ValueError(
@@ -183,9 +211,8 @@ def latest_releases_at(d: Dataset, t: datetime) -> dict[str, ReleaseRecord]:
 
 def build_snapshot(d: Dataset, t: datetime) -> SnapshotGraph:
     """Construct the dependency network at time t."""
-    _check_instant(d, t)
-    idx = d.index()
     latest = latest_releases_at(d, t)
+    idx = d.index()
     out_edges: dict[str, tuple[str, ...]] = {}
     dropped = 0
     for pkg, rel in latest.items():
@@ -211,22 +238,8 @@ def build_snapshot(d: Dataset, t: datetime) -> SnapshotGraph:
     )
 
 
-def iter_monthly_snapshots(d: Dataset, first: Month, last: Month) -> Iterator[SnapshotGraph]:
-    """Yield one snapshot per calendar month boundary, endpoints included.
-
-    Streaming counterpart of :func:`monthly_snapshots` for long series
-    where holding every graph would be wasteful.
-    """
-    if first > last:
-        raise ValueError("inverted month range")
-    if last > month_of(d.cutoff):
-        raise ValueError(
-            f"month {last} is beyond the dataset cutoff {d.cutoff.isoformat()}"
-        )
-    for month in iter_months(first, last):
-        yield build_snapshot(d, month_start(month))
-
-
 def monthly_snapshots(d: Dataset, first: Month, last: Month) -> SnapshotSeries:
     """Snapshots at the first instant of every month in [first, last]."""
-    return SnapshotSeries(snapshots=list(iter_monthly_snapshots(d, first, last)))
+    return SnapshotSeries(
+        snapshots=[build_snapshot(d, month_start(m)) for m in checked_months(d, first, last)]
+    )

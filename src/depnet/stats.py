@@ -44,14 +44,6 @@ class SurvivalCurve:
     steps: list[tuple[float, float]]
     label: str = ""
 
-    def survival_at(self, t: float) -> float:
-        value = 1.0
-        for time, surv in self.steps:
-            if time > t:
-                break
-            value = surv
-        return value
-
 
 @dataclass
 class LorenzCurve:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import random
 from datetime import datetime, timedelta
+from functools import partial
 
 import pytest
 
@@ -27,6 +29,28 @@ from depnet.timeutil import DAYS_PER_MONTH
 from conftest import make_graph
 
 TINY_CUTOFF = datetime(2020, 4, 1)
+
+
+def random_release_dataset(rng: random.Random) -> Dataset:
+    """Up to six packages with up to four releases each over ten days."""
+    names = [f"p{i}" for i in range(rng.randint(1, 6))]
+    releases = []
+    dependencies = []
+    for name in names:
+        days = sorted(rng.randint(0, 9) for _ in range(rng.randint(1, 4)))
+        for k, day in enumerate(days):
+            version = f"1.{k}"
+            releases.append(ReleaseRecord(name, version, datetime(2020, 1, 1 + day)))
+            for _ in range(rng.randint(0, 3)):
+                target = rng.choice(names)
+                dependencies.append(DependencyRecord(name, version, target, "*", "runtime"))
+    rng.shuffle(releases)
+    return Dataset(
+        packages={PackageRecord(n, "x") for n in names},
+        releases=releases,
+        dependencies=dependencies,
+        cutoff=datetime(2020, 1, 15),
+    )
 
 
 def single_package_dataset():
@@ -297,6 +321,26 @@ class TestSurvival:
         assert req_durations == [31.0]  # q@1.1.0 censored at cutoff
         assert notreq_durations == [60.0, 60.0]  # q@1.0.0 event, p@1.0.0 censored
 
+    def test_required_matches_snapshot_in_degree(self):
+        # Oracle: a release is required iff its package has an in-edge in
+        # the snapshot at the release instant. The random datasets have
+        # timestamp ties, self-dependencies, duplicate rows and targets
+        # whose first release comes later.
+        rng = random.Random(20170401)
+        for _ in range(400):
+            d = random_release_dataset(rng)
+            observations = survival_dataset(d).observations
+            expected = {True: [], False: []}
+            releases = (
+                rel for rels in d.index().releases_by_package.values() for rel in rels
+            )
+            for rel, obs in zip(releases, observations, strict=True):
+                required = build_snapshot(d, rel.timestamp).in_degree(rel.package) > 0
+                expected[required].append(obs)
+            required, not_required = survival_dataset(d, split_by_required=True)
+            assert required.observations == expected[True], d
+            assert not_required.observations == expected[False], d
+
     def test_same_instant_dependency_counts(self):
         # p and q released at the same instant; p -> q is visible to both
         # observations taken at that instant.
@@ -403,9 +447,14 @@ class TestScanAndParallel:
             n_packages=300, months=12, seed=99, mean_deps=2.0, update_rate=0.2
         )
         d = generate(cfg)
-        serial = ecosystem_scan(d, (2015, 1), (2016, 1), jobs=1)
-        parallel = ecosystem_scan(d, (2015, 1), (2016, 1), jobs=4)
-        assert serial == parallel
-        s1 = transitive_ratio_series(d, (2015, 1), (2016, 1), jobs=1)
-        s4 = transitive_ratio_series(d, (2015, 1), (2016, 1), jobs=4)
-        assert s1 == s4
+        drivers = [
+            ecosystem_scan,
+            transitive_ratio_series,
+            growth_series,
+            dependency_ratio_series,
+            partial(index_series, which="reusability"),
+            partial(index_series, which="p_impact"),
+        ]
+        for driver in drivers:
+            serial = driver(d, (2015, 1), (2016, 1), jobs=1)
+            assert driver(d, (2015, 1), (2016, 1), jobs=4) == serial, driver
