@@ -30,7 +30,6 @@ from .timeutil import (
     DAYS_PER_MONTH,
     Month,
     days_between,
-    iter_months,
     month_of,
     month_start,
 )
@@ -175,6 +174,8 @@ def _graph_metrics(g: SnapshotGraph, p_percent: float) -> tuple[int, int, int, i
 
 def _changeability(d: Dataset, months: list[Month], window_days: int) -> list[int]:
     # Computed from the dataset alone, so no snapshot and no worker needed.
+    if window_days <= 0:
+        raise ValueError("window_days must be positive")
     return [
         h_index(update_counts_in_window(d, month_start(m), window_days).values())
         for m in months
@@ -288,8 +289,7 @@ def update_counts_series(
     First releases are not updates; ``include_first`` switches to counting
     all releases instead.
     """
-    if first > last:
-        raise ValueError("inverted month range")
+    months = checked_months(d, first, last)
     idx = d.index()
     counts: dict[Month, int] = {}
     if include_first:
@@ -300,7 +300,7 @@ def update_counts_series(
         for ts, _ in idx.updates_sorted:
             m = month_of(ts)
             counts[m] = counts.get(m, 0) + 1
-    points = [(m, float(counts.get(m, 0))) for m in iter_months(first, last)]
+    points = [(m, float(counts.get(m, 0))) for m in months]
     return TimeSeries("updates", points)
 
 

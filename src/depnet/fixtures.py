@@ -236,7 +236,12 @@ def write_dataset(d: Dataset, directory, config: Optional[GeneratorConfig] = Non
         for dep in d.dependencies
     )
     (directory / "dependencies.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_manifest(d, directory, config)
 
+
+def _write_manifest(d: Dataset, directory: Path, config: Optional[GeneratorConfig]) -> None:
+    """``manifest.json`` for the three CSV files already in ``directory``:
+    row counts, cutoff, ecosystem, generator settings and a content hash."""
     digest = hashlib.sha256()
     for name in ("packages.csv", "releases.csv", "dependencies.csv"):
         digest.update((directory / name).read_bytes())
@@ -272,9 +277,11 @@ def tiny_dataset() -> Dataset:
 
 
 def write_tiny(directory) -> None:
-    """Copy the TINY fixture files into a directory."""
+    """Copy the TINY fixture files into a directory, with a manifest that
+    carries TINY's cutoff."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     root = resources.files("depnet").joinpath("data/tiny")
     for name in ("packages.csv", "releases.csv", "dependencies.csv"):
         (directory / name).write_bytes(root.joinpath(name).read_bytes())
+    _write_manifest(tiny_dataset(), directory, None)

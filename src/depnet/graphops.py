@@ -3,10 +3,12 @@
 Per-package queries (direct/transitive dependencies and dependents, tree
 depth) run on demand. The batch closure used by the longitudinal drivers
 computes reachable-set sizes for every node at once: nodes are condensed
-into strongly connected components, then reachability bitsets (arbitrary
-precision integers, one bit per node) are merged bottom-up in reverse
-topological order. Bitsets of exhausted components are released eagerly to
-keep peak memory proportional to the frontier, not the whole closure.
+into strongly connected components by one Tarjan pass, which serves both
+directions, then each component's reach is merged from its successors' in
+reverse topological order: a set of node ids while sparse, an int bitset
+once dense (Nuutila, "Efficient transitive closure computation in large
+digraphs", 1995). Its last consumer releases or takes over each reach,
+keeping peak memory proportional to the frontier, not the whole closure.
 Batch depths run one breadth-first search for many sources at once, one
 bit per source. Both batch computations read the graph's cached integer
 view.
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Optional
 
 import numpy as np
@@ -348,12 +351,23 @@ def _tarjan_sccs(adj: list[list[int]]) -> list[list[int]]:
     return sccs
 
 
-def _closure_sizes(adj: list[list[int]]) -> list[int]:
-    """Size of the reachable set, excluding the start node, for every node."""
+# A component's reach is a set of node ids while it is sparse, that is while
+# len(reach) * _SPARSE_RATIO <= max(reach), and an int bitset once dense: an
+# int costs its highest set bit, a set its population.
+_SPARSE_RATIO = 1024
+
+
+def _closure_sizes(adj: list[list[int]], reverse: bool = False) -> list[int]:
+    """Size of the reachable set, excluding the start node, for every node;
+    with ``reverse``, of the set of nodes that reach it."""
     n = len(adj)
     if n == 0:
         return []
     sccs = _tarjan_sccs(adj)
+    if reverse:
+        # Tarjan's order walked backwards is a reverse topological order of
+        # the reversed graph.
+        sccs.reverse()
     n_comp = len(sccs)
     comp = np.empty(n, dtype=np.int64)
     for ci, members in enumerate(sccs):
@@ -361,90 +375,79 @@ def _closure_sizes(adj: list[list[int]]) -> list[int]:
             comp[v] = ci
 
     # Distinct condensation edges, grouped by source component, and a use
-    # count per target so its bitset can be dropped once the last
-    # predecessor has merged it.
-    n_edges = sum(len(row) for row in adj)
-    if n_edges:
-        src = np.fromiter(
-            (v for v, row in enumerate(adj) for _ in row), dtype=np.int64, count=n_edges
-        )
-        dst = np.fromiter((w for row in adj for w in row), dtype=np.int64, count=n_edges)
-        c_src = comp[src]
-        c_dst = comp[dst]
-        keep = c_src != c_dst
-        pairs = np.unique(c_src[keep] * n_comp + c_dst[keep])
-        flat_succ = (pairs % n_comp).tolist()
-        counts = np.bincount(pairs // n_comp, minlength=n_comp)
-        offsets = np.concatenate(([0], np.cumsum(counts))).tolist()
-        pending_uses = np.bincount(pairs % n_comp, minlength=n_comp).tolist()
-    else:
-        flat_succ = []
-        offsets = [0] * (n_comp + 1)
-        pending_uses = [0] * n_comp
+    # count per target so its reach can be dropped (or taken over) once the
+    # last predecessor merges it.
+    degree = np.fromiter(map(len, adj), dtype=np.int64, count=n)
+    c_src = np.repeat(comp, degree)
+    c_dst = comp[np.fromiter(chain.from_iterable(adj), dtype=np.int64, count=degree.sum())]
+    if reverse:
+        c_src, c_dst = c_dst, c_src
+    keep = c_src != c_dst
+    pairs = np.unique(c_src[keep] * n_comp + c_dst[keep])
+    succ = pairs % n_comp
+    flat_succ = succ.tolist()
+    offsets = np.searchsorted(pairs // n_comp, np.arange(n_comp + 1)).tolist()
+    pending_uses = np.bincount(succ, minlength=n_comp).tolist()
 
-    # reach[ci] is a bitset over node ids; popcounts are tracked so chains
-    # (single successor, disjoint by construction) avoid bit_count calls.
-    reach: list[int] = [0] * n_comp
-    popcount = [0] * n_comp
+    reach: list = [None] * n_comp
     sizes = [0] * n
     for ci in range(n_comp):
         members = sccs[ci]
-        if len(members) == 1:
-            acc = 1 << members[0]
-            own = 1
-        else:
-            acc = 0
-            for v in members:
-                acc |= 1 << v
-            own = len(members)
-        lo = offsets[ci]
-        hi = offsets[ci + 1]
-        if lo == hi:
-            count = own
-        elif hi - lo == 1:
-            cw = flat_succ[lo]
-            acc |= reach[cw]
-            count = own + popcount[cw]
+        dense = 0
+        acc = None
+        for k in range(offsets[ci], offsets[ci + 1]):
+            cw = flat_succ[k]
+            r = reach[cw]
             pending_uses[cw] -= 1
-            if pending_uses[cw] == 0:
-                reach[cw] = 0
+            if r.__class__ is int:
+                dense |= r
+            elif acc is not None:
+                acc.update(r)
+            elif pending_uses[cw]:
+                acc = set(r)
+            else:
+                acc = r  # its last use: taken over, not copied
+            if not pending_uses[cw]:
+                reach[cw] = None
+        if acc is None:
+            acc = set(members)
         else:
-            for k in range(lo, hi):
-                cw = flat_succ[k]
-                acc |= reach[cw]
-                pending_uses[cw] -= 1
-                if pending_uses[cw] == 0:
-                    reach[cw] = 0
+            acc.update(members)
+        # A union that takes in a bitset stays a bitset.
+        if dense or len(acc) * _SPARSE_RATIO > max(acc):
+            acc = _or_ids(dense, acc)
             count = acc.bit_count()
-        reach[ci] = acc
-        popcount[ci] = count
+        else:
+            count = len(acc)
+        if pending_uses[ci]:
+            reach[ci] = acc
         size = count - 1
         for v in members:
             sizes[v] = size
     return sizes
 
 
+def _or_ids(bits: int, ids: set[int]) -> int:
+    """``bits`` with the bit of every id in ``ids`` set: one by one for up
+    to 16 ids, otherwise through one byte buffer."""
+    if len(ids) <= 16:
+        for v in ids:
+            bits |= 1 << v
+        return bits
+    at = np.fromiter(ids, dtype=np.int64, count=len(ids))
+    flags = np.zeros(int(at.max()) + 1, dtype=bool)
+    flags[at] = True
+    return bits | int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+
 def transitive_dependency_counts(g: SnapshotGraph) -> dict[str, int]:
     """|transitive_dependencies(p)| for every node, in one batch pass."""
     names, _, adj = g.int_view()
-    sizes = _closure_sizes(adj)
-    return dict(zip(names, sizes))
+    return dict(zip(names, _closure_sizes(adj)))
 
 
 def transitive_dependent_counts(g: SnapshotGraph) -> dict[str, int]:
-    """|transitive_dependents(p)| for every node, in one batch pass.
-
-    Node ids are flipped when reversing: dependents concentrate among
-    newer (higher-id) packages, and the flip maps them to low bit
-    positions, keeping the reachability integers short.
-    """
+    """|transitive_dependents(p)| for every node, in one batch pass over
+    the same integer view, walked against its edges."""
     names, _, adj = g.int_view()
-    n = len(names)
-    last = n - 1
-    rev: list[list[int]] = [[] for _ in range(n)]
-    for v, row in enumerate(adj):
-        flipped_source = last - v
-        for w in row:
-            rev[last - w].append(flipped_source)
-    sizes = _closure_sizes(rev)
-    return {names[last - i]: size for i, size in enumerate(sizes)}
+    return dict(zip(names, _closure_sizes(adj, reverse=True)))

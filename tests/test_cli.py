@@ -62,6 +62,27 @@ class TestExitCodes:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("window", ["0", "-3"])
+    def test_series_changeability_rejects_non_positive_window(self, capsys, tiny_dir, window):
+        code, out, err = invoke(
+            capsys,
+            "series", "index", "--index", "changeability", "--window-days", window,
+            "--from", "2020-02", "--to", "2020-04", *tiny_args(tiny_dir),
+        )
+        assert code == 1
+        assert out == ""
+        assert "window_days must be positive" in err
+
+    def test_series_updates_beyond_cutoff_is_data_error(self, capsys, tiny_dir):
+        code, out, err = invoke(
+            capsys,
+            "series", "updates", "--from", "2020-02", "--to", "2021-02",
+            *tiny_args(tiny_dir),
+        )
+        assert code == 1
+        assert out == ""
+        assert "beyond the dataset cutoff" in err
+
 
 class _ClosedStdout:
     def write(self, text):
@@ -392,6 +413,16 @@ class TestFixtureCli:
         code, out, err = invoke(capsys, "fixture", "tiny", "--out-dir", tmp_path / "t")
         assert code == 0
         assert (tmp_path / "t" / "packages.csv").exists()
+
+    def test_tiny_copy_keeps_tiny_cutoff(self, capsys, tmp_path, tiny_dir):
+        code, _, _ = invoke(capsys, "fixture", "tiny", "--out-dir", tmp_path / "t")
+        assert code == 0
+        growth = ["series", "growth", "--from", "2020-02", "--to", "2020-04"]
+        code, out, err = invoke(capsys, *growth, "--dataset", tmp_path / "t")
+        assert (code, err) == (0, "")
+        _, want, _ = invoke(capsys, *growth, *tiny_args(tiny_dir))
+        assert out == want
+        assert out.splitlines()[-1] == "2020-04,5,4"
 
     def test_generate_write(self, capsys, tmp_path):
         code, _, _ = invoke(

@@ -68,6 +68,53 @@ def bfs_eccentricity(g, start):
     return max(dist.values())
 
 
+def bfs_closure_sizes(adj):
+    """Reachable-set size, excluding the start node, of every node of an
+    integer adjacency, by one plain search per node."""
+    sizes = []
+    for start in range(len(adj)):
+        seen = {start}
+        stack = [start]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        sizes.append(len(seen) - 1)
+    return sizes
+
+
+def reversed_adjacency(adj):
+    rev = [[] for _ in adj]
+    for v, row in enumerate(adj):
+        for w in row:
+            rev[w].append(v)
+    return rev
+
+
+def shaped_adjacency(shape, n=2500, seed=0):
+    """Integer adjacency of a few thousand nodes in one of the shapes the
+    closure must handle: a chain, a ladder (i depends on i-1 and i-2), or a
+    random DAG with zero, one or two giant strongly connected components.
+    Random graphs get shuffled ids, so id order is not topological."""
+    if shape == "chain":
+        return [[i - 1] if i else [] for i in range(n)]
+    if shape == "ladder":
+        return [[w for w in (i - 1, i - 2) if w >= 0] for i in range(n)]
+    rng = random.Random(seed)
+    edges = {(i, rng.randrange(i)) for i in range(1, n) for _ in range(rng.randint(1, 3))}
+    blocks = {"dag": [], "one_giant": [(800, 1400)], "two_giants": [(300, 700), (1500, 1900)]}
+    for lo, hi in blocks[shape]:
+        edges.update((i, i - 1) for i in range(lo + 1, hi))
+        edges.add((lo, hi - 1))
+    label = list(range(n))
+    rng.shuffle(label)
+    adj = [[] for _ in range(n)]
+    for v, w in sorted(edges):
+        adj[label[v]].append(label[w])
+    return adj
+
+
 class UnionFind:
     def __init__(self, items):
         self.parent = {x: x for x in items}
@@ -276,6 +323,33 @@ class TestClosureOracle:
             for p in nodes:
                 assert fwd[p] == len(transitive_dependencies(g, p))
                 assert rev[p] == len(transitive_dependents(g, p))
+
+    @pytest.fixture(scope="class")
+    def shaped_cases(self):
+        cases = []
+        for shape in ("dag", "one_giant", "two_giants", "chain", "ladder"):
+            adj = shaped_adjacency(shape)
+            cases.append((shape, adj, bfs_closure_sizes(adj),
+                          bfs_closure_sizes(reversed_adjacency(adj))))
+        return cases
+
+    # The default ratio, 1 (sets almost everywhere) and one above any node
+    # count (bitsets everywhere).
+    @pytest.mark.parametrize("ratio", [None, 1, 10**9])
+    def test_closure_sizes_match_bfs_oracle(self, monkeypatch, shaped_cases, ratio):
+        if ratio is not None:
+            monkeypatch.setattr(graphops, "_SPARSE_RATIO", ratio)
+        for shape, adj, forward, backward in shaped_cases:
+            assert graphops._closure_sizes(adj) == forward, shape
+            assert graphops._closure_sizes(adj, reverse=True) == backward, shape
+        rng = random.Random(31)
+        for _ in range(300):
+            nodes, edges = random_graph(rng)
+            adj = make_graph(nodes, edges).int_view().adj
+            assert graphops._closure_sizes(adj) == bfs_closure_sizes(adj)
+            assert graphops._closure_sizes(adj, reverse=True) == bfs_closure_sizes(
+                reversed_adjacency(adj)
+            )
 
     def test_closure_symmetry(self):
         rng = random.Random(9)
