@@ -5,7 +5,13 @@ from datetime import datetime
 
 import pytest
 
-from depnet.ingest import Dataset, PackageRecord, ReleaseRecord, DependencyRecord
+from depnet.ingest import (
+    Dataset,
+    DependencyRecord,
+    PackageRecord,
+    ReleaseRecord,
+    version_sort_key,
+)
 from depnet.snapshot import (
     build_snapshot,
     latest_releases_at,
@@ -158,3 +164,79 @@ class TestMonthlySeries:
         )
         g = build_snapshot(d, datetime(2020, 2, 1))
         assert g.nodes == {"p"}
+
+
+def _random_dataset(rng: random.Random) -> Dataset:
+    """Releases on a coarse day grid (so timestamps tie within and across
+    packages), self-dependencies, one target under two kinds, targets
+    released only after their source, and targets never released."""
+    names = [f"p{i}" for i in range(rng.randint(1, 9))]
+    releases = []
+    for name in names[: rng.randint(0, len(names))]:
+        for k in range(rng.randint(1, 4)):
+            day = rng.randint(1, 12)
+            version = f"1.{k}.{rng.randint(0, 10)}"
+            releases.append(ReleaseRecord(name, version, datetime(2020, 1, day)))
+    unique = {(r.package, r.version): r for r in releases}
+    releases = list(unique.values())
+    rng.shuffle(releases)
+    deps = []
+    for rel in releases:
+        for _ in range(rng.randint(0, 4)):
+            target = rng.choice(names)
+            for kind in rng.sample(["runtime", "depends"], rng.randint(1, 2)):
+                deps.append(DependencyRecord(rel.package, rel.version, target, "*", kind))
+    rng.shuffle(deps)
+    return Dataset(
+        packages={PackageRecord(n, "x") for n in names},
+        releases=releases,
+        dependencies=deps,
+        cutoff=datetime(2020, 2, 1),
+    )
+
+
+def _reference_snapshot(d: Dataset, t: datetime):
+    """(package order, out-neighbours, in-neighbours, dropped rows) at t,
+    from the dataset's release and dependency rows alone."""
+    latest: dict[str, ReleaseRecord] = {}
+    for rel in d.releases:  # keys in first-release-row order
+        if rel.timestamp <= t:
+            cur = latest.get(rel.package)
+            if cur is None or (rel.timestamp, version_sort_key(rel.version)) > (
+                cur.timestamp, version_sort_key(cur.version)
+            ):
+                latest[rel.package] = rel
+        elif rel.package not in latest:
+            latest[rel.package] = None
+    latest = {p: r for p, r in latest.items() if r is not None}
+    out = {p: [] for p in latest}
+    dropped = 0
+    for dep in d.dependencies:
+        src, q = dep.source_package, dep.target_package
+        rel = latest.get(src)
+        if rel is None or rel.version != dep.source_version:
+            continue
+        if q not in latest:
+            dropped += 1
+        elif q != src and q not in out[src]:
+            out[src].append(q)
+    incoming = {q: tuple(s for s in latest if q in out[s]) for q in latest}
+    return latest, {p: tuple(ts) for p, ts in out.items()}, incoming, dropped
+
+
+class TestBuildSnapshotOracle:
+    def test_matches_reference_on_random_datasets(self):
+        rng = random.Random(17)
+        for _ in range(300):
+            d = _random_dataset(rng)
+            instants = [datetime(2020, 1, day) for day in (1, 3, 6, 9, 12)]
+            instants += [datetime(2020, 1, 4, 12), d.cutoff]
+            for t in instants:
+                latest, out, incoming, dropped = _reference_snapshot(d, t)
+                g = build_snapshot(d, t)
+                assert g.latest == latest
+                assert g.nodes == set(latest)
+                assert {p: g.out_neighbors(p) for p in g.nodes} == out
+                assert {p: g.in_neighbors(p) for p in g.nodes} == incoming
+                assert g.dropped_deps == dropped
+                assert g.n_edges == sum(map(len, out.values()))
