@@ -9,6 +9,7 @@ on identical inputs produce byte-identical output. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import io
 import json
@@ -125,9 +126,9 @@ def _emit(args, header: list[str], rows: list[tuple], metric: str = "output",
         text = json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n"
     else:
         buf = io.StringIO()
-        buf.write(",".join(header) + "\n")
-        for row in rows:
-            buf.write(",".join(_fmt(v) for v in row) + "\n")
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
         text = buf.getvalue()
     out = args.out
     if out and Path(out).is_dir():

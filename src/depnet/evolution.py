@@ -126,15 +126,15 @@ def _map_months(
 ) -> list:
     """``measure`` of the snapshot at the start of each month, in month order.
 
-    With ``jobs`` > 1 the months fan out over forked workers that inherit
-    ``d``; ``measure`` then has to pickle, so it is a module-level function
+    With ``jobs`` > 1 the months fan out over forked workers, at most one
+    per month, that inherit ``d``; ``measure`` then has to pickle, so it is a module-level function
     or a ``functools.partial`` of one.
     """
     if jobs > 1 and len(months) > 1 and "fork" in multiprocessing.get_all_start_methods():
         d.index()  # build once in the parent so forked workers share it
         ctx = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(
-            max_workers=jobs, mp_context=ctx, initializer=_share_dataset, initargs=(d,)
+            max_workers=min(jobs, len(months)), mp_context=ctx, initializer=_share_dataset, initargs=(d,)
         ) as pool:
             return list(pool.map(partial(_measure_month, measure), months, chunksize=1))
     return [measure(build_snapshot(d, month_start(m))) for m in months]

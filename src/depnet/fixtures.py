@@ -20,6 +20,7 @@ procedure so that fixture content never drifts between releases:
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import math
@@ -218,24 +219,26 @@ def write_dataset(d: Dataset, directory, config: Optional[GeneratorConfig] = Non
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
 
-    def fmt(ts: datetime) -> str:
-        return ts.isoformat()
+    def write(name: str, header: str, rows) -> None:
+        with open(directory / name, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(header.split(","))
+            writer.writerows(rows)
 
-    lines = ["name"]
-    lines.extend(sorted(p.name for p in d.packages))
-    (directory / "packages.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    lines = ["package,version,timestamp"]
-    lines.extend(f"{r.package},{r.version},{fmt(r.timestamp)}" for r in d.releases)
-    (directory / "releases.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    lines = ["source_package,source_version,target_package,constraint,kind"]
-    lines.extend(
-        f"{dep.source_package},{dep.source_version},{dep.target_package},"
-        f"{dep.constraint},{dep.kind}"
-        for dep in d.dependencies
+    write("packages.csv", "name", ([name] for name in sorted(p.name for p in d.packages)))
+    write(
+        "releases.csv",
+        "package,version,timestamp",
+        ((r.package, r.version, r.timestamp.isoformat()) for r in d.releases),
     )
-    (directory / "dependencies.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write(
+        "dependencies.csv",
+        "source_package,source_version,target_package,constraint,kind",
+        (
+            (dep.source_package, dep.source_version, dep.target_package, dep.constraint, dep.kind)
+            for dep in d.dependencies
+        ),
+    )
     _write_manifest(d, directory, config)
 
 

@@ -103,7 +103,6 @@ class _DatasetIndex:
     """
 
     def __init__(self, dataset: "Dataset"):
-        self.package_names = {p.name for p in dataset.packages}
         by_package: dict[str, list[ReleaseRecord]] = {}
         for rel in dataset.releases:
             by_package.setdefault(rel.package, []).append(rel)
@@ -202,7 +201,20 @@ def _open_csv(path: Path, required: list[str]):
     if missing:
         handle.close()
         raise DatasetError(f"{path}: missing column(s) {', '.join(missing)}")
-    return handle, reader
+    return handle, _numbered_rows(path, reader)
+
+
+def _numbered_rows(path: Path, reader: csv.DictReader):
+    """(line, row) of each data row; a row with more fields than the
+    header is an error, not a row whose surplus is dropped."""
+    width = len(reader.fieldnames)
+    for line, row in enumerate(reader, start=2):
+        if None in row:
+            raise DatasetError(
+                f"{path}, line {line}: {width + len(row[None])} fields, "
+                f"more fields than the {width} of the header"
+            )
+        yield line, row
 
 
 def _cell(row: dict, path: Path, line: int, column: str) -> str:
@@ -230,9 +242,9 @@ def parse_dataset(
 
     packages: set[PackageRecord] = set()
     package_lines: dict[str, int] = {}
-    handle, reader = _open_csv(packages_path, ["name"])
+    handle, rows = _open_csv(packages_path, ["name"])
     with handle:
-        for line, row in enumerate(reader, start=2):
+        for line, row in rows:
             name = _cell(row, packages_path, line, "name")
             if not name:
                 raise DatasetError(
@@ -249,9 +261,9 @@ def parse_dataset(
     releases: list[ReleaseRecord] = []
     release_lines: dict[tuple[str, str], int] = {}
     max_ts: Optional[datetime] = None
-    handle, reader = _open_csv(releases_path, ["package", "version", "timestamp"])
+    handle, rows = _open_csv(releases_path, ["package", "version", "timestamp"])
     with handle:
-        for line, row in enumerate(reader, start=2):
+        for line, row in rows:
             pkg = _cell(row, releases_path, line, "package")
             version = _cell(row, releases_path, line, "version")
             raw_ts = _cell(row, releases_path, line, "timestamp")
@@ -292,12 +304,12 @@ def parse_dataset(
         )
 
     dependencies: list[DependencyRecord] = []
-    handle, reader = _open_csv(
+    handle, rows = _open_csv(
         dependencies_path,
         ["source_package", "source_version", "target_package", "constraint", "kind"],
     )
     with handle:
-        for line, row in enumerate(reader, start=2):
+        for line, row in rows:
             src = _cell(row, dependencies_path, line, "source_package")
             src_ver = _cell(row, dependencies_path, line, "source_version")
             target = _cell(row, dependencies_path, line, "target_package")

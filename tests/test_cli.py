@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import io
 import json
 import sys
 from collections import Counter
@@ -19,6 +21,8 @@ from depnet.graphops import (
 )
 from depnet.ingest import filter_dependencies, load_dataset_dir
 from depnet.snapshot import build_snapshot
+
+from conftest import write_dataset_csvs
 
 
 @pytest.fixture()
@@ -357,6 +361,34 @@ class TestFormatsAndDeterminism:
         assert manifest["tool"]["name"] == "depnet"
         assert manifest["dataset"]["sha256"]
         assert "--out" in manifest["arguments"]
+
+    def test_csv_fields_with_commas_read_back(self, capsys, tmp_path):
+        data = write_dataset_csvs(
+            tmp_path / "quoted",
+            ['"a,b"', '"q""uote"'],
+            ['"a,b",1.0.0,2020-01-01', '"q""uote",1.0.0,2020-01-02'],
+            ['"a,b",1.0.0,"q""uote",">=1.0,<2.0",runtime'],
+        )
+        code, out, _ = invoke(capsys, "distribution", "deps", "--at", "2020-01-02",
+                              "--dataset", data)
+        assert code == 0
+        assert list(csv.reader(io.StringIO(out))) == [
+            ["package", "n_direct", "n_transitive", "n_rev_direct", "n_rev_transitive",
+             "depth"],
+            ["a,b", "1", "1", "0", "0", "1"],
+            ['q"uote', "0", "0", "1", "1", "0"],
+        ]
+
+    def test_surplus_field_is_data_error(self, capsys, tiny_dir):
+        releases = tiny_dir / "releases.csv"
+        text = releases.read_text().replace(
+            "e,1.0.0,2020-01-05", "e,1.0.0,2020-01-05T00:00:00,surplus"
+        )
+        releases.write_text(text)
+        code, out, err = invoke(capsys, "validate", *tiny_args(tiny_dir))
+        assert code == 1
+        assert out == ""
+        assert "releases.csv, line 2" in err
 
     def test_jobs_flag_same_output(self, capsys, tiny_dir):
         base = (

@@ -6,6 +6,7 @@ from functools import partial
 
 import pytest
 
+from depnet import evolution
 from depnet.evolution import (
     active_packages,
     dependency_ratio_series,
@@ -458,3 +459,26 @@ class TestScanAndParallel:
         for driver in drivers:
             serial = driver(d, (2015, 1), (2016, 1), jobs=1)
             assert driver(d, (2015, 1), (2016, 1), jobs=4) == serial, driver
+
+    def test_pool_capped_at_month_count(self, monkeypatch, tiny):
+        started = []
+
+        class InProcessPool:
+            def __init__(self, max_workers, initializer, initargs, **kwargs):
+                started.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(evolution, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(evolution, "_DATASET", None)
+        packages, _ = growth_series(tiny, (2020, 3), (2020, 4), jobs=64)
+        assert started == [2]
+        assert packages.values() == [4.0, 5.0]

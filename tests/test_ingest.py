@@ -110,6 +110,12 @@ class TestParse:
         d = parse_tiny(tmp_path, packages, releases, deps)
         assert d.dependencies[0].kind == "runtime"
 
+    def test_surplus_field_names_line(self, tmp_path):
+        packages, releases, deps = tiny_rows()
+        releases[0] = "e,1.0.0,2020-01-05T00:00:00,surplus"
+        with pytest.raises(DatasetError, match=r"releases\.csv, line 2: .*more fields"):
+            parse_tiny(tmp_path, packages, releases, deps)
+
     def test_timezone_normalized_to_utc(self, tmp_path):
         packages = ["a"]
         releases = ["a,1.0.0,2020-01-10T06:00:00+02:00"]
@@ -209,6 +215,24 @@ class TestRoundTrip:
             ecosystem="tiny",
         )
         assert again == tiny
+
+    def test_fields_with_commas_and_quotes(self, tmp_path):
+        d = Dataset(
+            packages={PackageRecord("a,b", "x"), PackageRecord('q"uote', "x")},
+            releases=[
+                ReleaseRecord("a,b", "1.0.0", datetime(2020, 1, 1)),
+                ReleaseRecord('q"uote', "2.0.0", datetime(2020, 1, 2)),
+            ],
+            dependencies=[
+                DependencyRecord("a,b", "1.0.0", 'q"uote', ">=1.0,<2.0", "runtime"),
+            ],
+            cutoff=datetime(2020, 2, 1),
+            ecosystem="x",
+        )
+        write_dataset(d, tmp_path / "x")
+        again = load_dataset_dir(tmp_path / "x")
+        assert again == d
+        assert filter_dependencies(again).dependencies == d.dependencies
 
     def test_load_takes_cutoff_from_manifest(self, tiny, tmp_path):
         write_dataset(tiny, tmp_path / "out")
