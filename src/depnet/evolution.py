@@ -134,7 +134,8 @@ def _map_months(
         d.index()  # build once in the parent so forked workers share it
         ctx = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(
-            max_workers=min(jobs, len(months)), mp_context=ctx, initializer=_share_dataset, initargs=(d,)
+            max_workers=min(jobs, len(months)), mp_context=ctx,
+            initializer=_share_dataset, initargs=(d,),
         ) as pool:
             return list(pool.map(partial(_measure_month, measure), months, chunksize=1))
     return [measure(build_snapshot(d, month_start(m))) for m in months]

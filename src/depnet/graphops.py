@@ -1,8 +1,10 @@
 """Structural queries over a snapshot graph.
 
 Per-package queries (direct/transitive dependencies and dependents, tree
-depth) run on demand. The batch closure used by the longitudinal drivers
-computes reachable-set sizes for every node at once: nodes are condensed
+depth) run on demand, as one level-by-level BFS over the graph's integer
+adjacency: forward, or on the reverse adjacency that the graph builds on
+the first in-neighbour query. The batch closure used by the longitudinal
+drivers computes reachable-set sizes for every node at once: nodes are condensed
 into strongly connected components by one Tarjan pass, which serves both
 directions, then each component's reach is merged from its successors' in
 reverse topological order: a set of node ids while sparse, an int bitset
@@ -10,8 +12,8 @@ once dense (Nuutila, "Efficient transitive closure computation in large
 digraphs", 1995). Its last consumer releases or takes over each reach,
 keeping peak memory proportional to the frontier, not the whole closure.
 Batch depths run one breadth-first search for many sources at once, one
-bit per source. Both batch computations read the graph's cached integer
-view.
+bit per source. Both batch computations read the graph's integer
+adjacency.
 
 All results are pure values of the graph; they do not depend on traversal
 order, so concurrent or parallel evaluation yields identical numbers.
@@ -19,14 +21,13 @@ order, so concurrent or parallel evaluation yields identical numbers.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Optional
 
 import numpy as np
 
-from .snapshot import SnapshotGraph
+from .snapshot import SnapshotGraph, in_degrees
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,37 +97,36 @@ def direct_dependencies(g: SnapshotGraph, package: str) -> set[str]:
     return set(g.out_neighbors(package))
 
 
-def _bfs_set(start: str, neighbors) -> set[str]:
-    # Reachable set excluding the start node, even when start is on a cycle.
-    seen: set[str] = {start}
-    queue = deque(neighbors(start))
-    result: set[str] = set()
-    for n in queue:
-        seen.add(n)
-        result.add(n)
-    while queue:
-        node = queue.popleft()
-        for nxt in neighbors(node):
-            if nxt not in seen:
-                seen.add(nxt)
-                result.add(nxt)
-                queue.append(nxt)
-    result.discard(start)
-    return result
+def _bfs_levels(adj, start: int) -> list[list[int]]:
+    """Breadth-first levels from ``start`` over ``adj``: level k holds the
+    ids at shortest distance k + 1. ``start`` is in none, even on a cycle."""
+    seen = bytearray(len(adj))
+    seen[start] = 1
+    levels: list[list[int]] = []
+    frontier = [start]
+    while True:
+        nxt: list[int] = []
+        for u in frontier:
+            for w in adj[u]:
+                if not seen[w]:
+                    seen[w] = 1
+                    nxt.append(w)
+        if not nxt:
+            return levels
+        levels.append(nxt)
+        frontier = nxt
 
 
 def transitive_dependencies(g: SnapshotGraph, package: str) -> set[str]:
     """All packages reachable from ``package``, excluding itself."""
-    if not g.has_node(package):
-        raise KeyError(package)
-    return _bfs_set(package, g.out_neighbors)
+    names, ids, adj = g.int_view()
+    return {names[v] for level in _bfs_levels(adj, ids[package]) for v in level}
 
 
 def transitive_dependents(g: SnapshotGraph, package: str) -> set[str]:
     """All packages that reach ``package``, excluding itself."""
-    if not g.has_node(package):
-        raise KeyError(package)
-    return _bfs_set(package, g.in_neighbors)
+    names, ids, _ = g.int_view()
+    return {names[v] for level in _bfs_levels(g.in_adjacency(), ids[package]) for v in level}
 
 
 def indirect_dependencies(g: SnapshotGraph, package: str) -> set[str]:
@@ -140,22 +140,7 @@ def dependency_depth(g: SnapshotGraph, package: str) -> int:
     on cyclic graphs; a package with no dependencies has depth 0.
     """
     _, ids, adj = g.int_view()
-    start = ids[package]
-    seen = bytearray(len(adj))
-    seen[start] = 1
-    frontier = [start]
-    depth = 0
-    while True:
-        nxt: list[int] = []
-        for u in frontier:
-            for w in adj[u]:
-                if not seen[w]:
-                    seen[w] = 1
-                    nxt.append(w)
-        if not nxt:
-            return depth
-        depth += 1
-        frontier = nxt
+    return len(_bfs_levels(adj, ids[package]))
 
 
 # Sources per multi-source BFS pass. Each node holds a seen-bitset of up to
@@ -225,22 +210,24 @@ def _batch_depths(adj: list[list[int]], sources: list[int]) -> list[int]:
 
 def top_level_packages(g: SnapshotGraph) -> set[str]:
     """Packages with dependencies that nothing else depends on."""
-    required = g.in_degree_counts()
-    return {p for p, _ in g.out_items() if p not in required}
+    names, _, adj = g.int_view()
+    in_deg = in_degrees(adj)
+    return {names[i] for i, row in enumerate(adj) if row and not in_deg[i]}
 
 
 def connected_packages(g: SnapshotGraph) -> set[str]:
     """Packages with at least one edge in either direction."""
-    connected = {p for p, _ in g.out_items()}
-    connected.update(g.in_degree_counts())
-    return connected
+    names, _, adj = g.int_view()
+    in_deg = in_degrees(adj)
+    return {names[i] for i, row in enumerate(adj) if row or in_deg[i]}
 
 
 def classify(g: SnapshotGraph) -> Classification:
-    dependent = {p for p, _ in g.out_items()}
-    required = g.in_degree_counts()
+    names, _, adj = g.int_view()
+    in_deg = in_degrees(adj)
     flags = {
-        p: RoleFlags(dependent=p in dependent, required=p in required) for p in g.latest
+        names[i]: RoleFlags(dependent=bool(row), required=bool(in_deg[i]))
+        for i, row in enumerate(adj)
     }
     return Classification(flags=flags)
 
@@ -258,35 +245,26 @@ class WccResult:
 
 
 def weakly_connected_components(g: SnapshotGraph) -> WccResult:
-    undirected: dict[str, list[str]] = {p: [] for p in g.latest}
-    for src, targets in g.out_items():
-        for dst in targets:
-            undirected[src].append(dst)
-            undirected[dst].append(src)
-
+    names, _, adj = g.int_view()
+    preds = g.in_adjacency()
+    seen = bytearray(len(adj))
     components: list[set[str]] = []
-    seen: set[str] = set()
-    for start in g.latest:
-        if start in seen:
+    for start in range(len(adj)):
+        if seen[start]:
             continue
-        comp = {start}
-        seen.add(start)
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            for nxt in undirected[node]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    comp.add(nxt)
-                    stack.append(nxt)
-        components.append(comp)
+        seen[start] = 1
+        members = [start]
+        for u in members:  # grows while it is walked
+            for w in chain(adj[u], preds[u]):
+                if not seen[w]:
+                    seen[w] = 1
+                    members.append(w)
+        components.append({names[v] for v in members})
 
-    connected = connected_packages(g)
-    if connected:
-        largest = max(len(comp & connected) for comp in components)
-        fraction = largest / len(connected)
-    else:
-        fraction = None
+    # Self-edges are dropped, so a package is connected exactly when its
+    # component has another member.
+    sizes = [len(comp) for comp in components if len(comp) > 1]
+    fraction = max(sizes) / sum(sizes) if sizes else None
     return WccResult(components=components, largest_connected_fraction=fraction)
 
 

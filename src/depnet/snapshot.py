@@ -2,31 +2,42 @@
 
 A snapshot at time t contains every package with at least one release at
 or before t, and a directed edge p -> q whenever the latest release of p
-declares a dependency on q and q also exists at t.
+declares a dependency on q and q also exists at t. The graph stores those
+edges once, as integer adjacency over node ids; the reverse adjacency is
+built on the first in-neighbour query.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime
-from typing import ItemsView, Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .ingest import Dataset, ReleaseRecord
 from .timeutil import Month, format_month, iter_months, month_of, month_start
 
 
 class IntView(NamedTuple):
-    """Integer-id form of a snapshot for whole-graph algorithms.
+    """A snapshot's edges over integer node ids: the graph's edge storage.
 
-    Node ``i`` is ``names[i]`` (ids follow ``latest`` order) and
-    ``ids`` inverts ``names``; ``adj[i]`` lists the ids of node ``i``'s
-    out-neighbours. The view is cached on the graph and shared by every
-    caller, so it must not be mutated.
+    Node ``i`` is ``names[i]`` (ids follow ``latest`` order) and ``ids``
+    inverts ``names``; ``adj[i]`` holds the ids of node ``i``'s
+    out-neighbours in declaration order. Every caller shares the view, so
+    it must not be mutated.
     """
 
     names: list[str]
     ids: dict[str, int]
-    adj: list[list[int]]
+    adj: list[tuple[int, ...]]
+
+
+def in_degrees(adj: list[tuple[int, ...]]) -> list[int]:
+    """In-degree of every node id, counted over the adjacency rows."""
+    counts = [0] * len(adj)
+    for row in adj:
+        for j in row:
+            counts[j] += 1
+    return counts
 
 
 class SnapshotGraph:
@@ -35,18 +46,18 @@ class SnapshotGraph:
     ``latest`` maps each existing package to the release chosen for it
     (maximum timestamp <= at, version order breaking timestamp ties).
     ``dropped_deps`` counts dependency rows of latest releases whose target
-    did not exist at the snapshot instant.
+    did not exist at the snapshot instant. Edges are stored once, as the
+    integer adjacency of :meth:`int_view`; the reverse adjacency is built on
+    the first in-neighbour query.
     """
 
-    __slots__ = (
-        "at", "latest", "ecosystem", "dropped_deps", "_out", "_in", "_int", "_edge_count",
-    )
+    __slots__ = ("at", "latest", "ecosystem", "dropped_deps", "n_edges", "_view", "_preds")
 
     def __init__(
         self,
         at: datetime,
         latest: dict[str, ReleaseRecord],
-        out_edges: dict[str, tuple[str, ...]],
+        view: IntView,
         dropped_deps: int = 0,
         ecosystem: str = "default",
     ):
@@ -54,10 +65,9 @@ class SnapshotGraph:
         self.latest = latest
         self.ecosystem = ecosystem
         self.dropped_deps = dropped_deps
-        self._out = out_edges
-        self._in: Optional[dict[str, tuple[str, ...]]] = None
-        self._int: Optional[IntView] = None
-        self._edge_count = sum(len(ts) for ts in out_edges.values())
+        self.n_edges = sum(map(len, view.adj))
+        self._view = view
+        self._preds: Optional[list[tuple[int, ...]]] = None
 
     @property
     def nodes(self) -> frozenset[str]:
@@ -65,77 +75,51 @@ class SnapshotGraph:
 
     @property
     def edges(self) -> frozenset[tuple[str, str]]:
-        return frozenset(
-            (src, dst) for src, targets in self._out.items() for dst in targets
-        )
+        names, _, adj = self._view
+        return frozenset((names[i], names[j]) for i, row in enumerate(adj) for j in row)
 
     @property
     def n_nodes(self) -> int:
         return len(self.latest)
 
-    @property
-    def n_edges(self) -> int:
-        return self._edge_count
-
     def has_node(self, package: str) -> bool:
         return package in self.latest
 
+    def int_view(self) -> IntView:
+        return self._view
+
+    def in_adjacency(self) -> list[tuple[int, ...]]:
+        """In-neighbour ids of every node, each in id order; built on first
+        use and cached."""
+        # Benign data race: a second build yields an equal list, so no lock
+        # is needed for concurrent readers.
+        preds = self._preds
+        if preds is None:
+            acc: list[list[int]] = [[] for _ in self._view.adj]
+            for i, row in enumerate(self._view.adj):
+                for j in row:
+                    acc[j].append(i)
+            preds = self._preds = list(map(tuple, acc))
+        return preds
+
     def out_neighbors(self, package: str) -> tuple[str, ...]:
-        if package not in self.latest:
-            raise KeyError(package)
-        return self._out.get(package, ())
-
-    def out_items(self) -> ItemsView[str, tuple[str, ...]]:
-        """(package, out-neighbours) of every package with an out-edge."""
-        return self._out.items()
-
-    def in_degree_counts(self) -> dict[str, int]:
-        """In-degree of every package with an in-edge, keyed in the order
-        the packages first appear as targets in :meth:`out_items`."""
-        counts: dict[str, int] = {}
-        for targets in self._out.values():
-            for q in targets:
-                counts[q] = counts.get(q, 0) + 1
-        return counts
+        names, ids, adj = self._view
+        return tuple(names[j] for j in adj[ids[package]])
 
     def in_neighbors(self, package: str) -> tuple[str, ...]:
-        if package not in self.latest:
-            raise KeyError(package)
-        return self._reverse().get(package, ())
-
-    def _reverse(self) -> dict[str, tuple[str, ...]]:
-        # Benign data race: building the reverse map twice yields the same
-        # object value, so no lock is needed for concurrent readers.
-        rev = self._in
-        if rev is None:
-            acc: dict[str, list[str]] = {}
-            for src, targets in self._out.items():
-                for dst in targets:
-                    acc.setdefault(dst, []).append(src)
-            rev = {dst: tuple(srcs) for dst, srcs in acc.items()}
-            self._in = rev
-        return rev
-
-    def int_view(self) -> IntView:
-        """The graph with integer node ids, built on first use and cached."""
-        # Same benign race as _reverse: a second build yields an equal view.
-        view = self._int
-        if view is None:
-            names = list(self.latest)
-            ids = {name: i for i, name in enumerate(names)}
-            adj: list[list[int]] = [[] for _ in names]
-            for src, targets in self._out.items():
-                row = adj[ids[src]]
-                for dst in targets:
-                    row.append(ids[dst])
-            view = self._int = IntView(names, ids, adj)
-        return view
+        names = self._view.names
+        return tuple(names[j] for j in self.in_adjacency()[self._view.ids[package]])
 
     def out_degree(self, package: str) -> int:
-        return len(self.out_neighbors(package))
+        return len(self._view.adj[self._view.ids[package]])
 
     def in_degree(self, package: str) -> int:
-        return len(self.in_neighbors(package))
+        return len(self.in_adjacency()[self._view.ids[package]])
+
+    def in_degree_counts(self) -> dict[str, int]:
+        """In-degree of every package with an in-edge, in id order."""
+        names = self._view.names
+        return {names[j]: n for j, n in enumerate(in_degrees(self._view.adj)) if n}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SnapshotGraph):
@@ -210,29 +194,35 @@ def latest_releases_at(d: Dataset, t: datetime) -> dict[str, ReleaseRecord]:
 
 
 def build_snapshot(d: Dataset, t: datetime) -> SnapshotGraph:
-    """Construct the dependency network at time t."""
+    """Construct the dependency network at time t.
+
+    Each latest release's targets become node ids, in declaration order:
+    targets that do not exist yet are dropped and counted, self-edges and
+    repeats are dropped.
+    """
     latest = latest_releases_at(d, t)
-    idx = d.index()
-    out_edges: dict[str, tuple[str, ...]] = {}
+    targets_by_release = d.index().targets_by_release
+    names = list(latest)
+    ids = {name: i for i, name in enumerate(names)}
+    adj: list[tuple[int, ...]] = []
     dropped = 0
-    for pkg, rel in latest.items():
-        targets = idx.targets_by_release.get((pkg, rel.version))
+    for i, (pkg, rel) in enumerate(latest.items()):
+        targets = targets_by_release.get((pkg, rel.version))
         if not targets:
+            adj.append(())
             continue
-        kept: list[str] = []
-        seen: set[str] = set()
+        row: list[int] = []
         for q in targets:
-            if q not in latest:
+            j = ids.get(q)
+            if j is None:
                 dropped += 1
-            elif q != pkg and q not in seen:
-                seen.add(q)
-                kept.append(q)
-        if kept:
-            out_edges[pkg] = tuple(kept)
+            elif j != i and j not in row:
+                row.append(j)
+        adj.append(tuple(row))
     return SnapshotGraph(
         at=t,
         latest=latest,
-        out_edges=out_edges,
+        view=IntView(names, ids, adj),
         dropped_deps=dropped,
         ecosystem=d.ecosystem,
     )

@@ -6,7 +6,7 @@ from datetime import datetime
 import pytest
 
 from depnet.ingest import ReleaseRecord
-from depnet.snapshot import SnapshotGraph
+from depnet.snapshot import IntView, SnapshotGraph
 from depnet.fixtures import tiny_dataset
 
 
@@ -20,13 +20,14 @@ def make_graph(nodes, edges, at=datetime(2020, 1, 1)) -> SnapshotGraph:
     latest = {
         n: ReleaseRecord(package=n, version="1.0.0", timestamp=at) for n in nodes
     }
-    out: dict[str, list[str]] = {}
+    names = list(latest)
+    ids = {n: i for i, n in enumerate(names)}
+    adj: list[list[int]] = [[] for _ in names]
     for src, dst in edges:
-        if src == dst:
-            continue
-        out.setdefault(src, []).append(dst)
-    out_edges = {s: tuple(dict.fromkeys(ts)) for s, ts in out.items()}
-    return SnapshotGraph(at=at, latest=latest, out_edges=out_edges)
+        if src != dst:
+            adj[ids[src]].append(ids[dst])
+    view = IntView(names, ids, [tuple(dict.fromkeys(row)) for row in adj])
+    return SnapshotGraph(at=at, latest=latest, view=view)
 
 
 def random_graph(rng: random.Random, max_nodes: int = 50, density: float = 0.3):

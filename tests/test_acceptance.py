@@ -262,8 +262,8 @@ def test_performance_at_scale():
         # Generator regression baseline: heavy-tailed in-degrees.
         g = build_snapshot(d, d.cutoff)
         in_counts: dict[str, int] = {}
-        for targets in g._out.values():
-            for q in targets:
+        for p in g.latest:
+            for q in g.out_neighbors(p):
                 in_counts[q] = in_counts.get(q, 0) + 1
         degrees = [in_counts.get(p, 0) for p in g.latest]
         observed = normalized_gini(degrees)

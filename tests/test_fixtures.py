@@ -71,8 +71,8 @@ class TestGenerate:
         d = generate(cfg)
         g = build_snapshot(d, d.cutoff)
         in_counts: dict[str, int] = {}
-        for targets in g._out.values():
-            for q in targets:
+        for p in g.latest:
+            for q in g.out_neighbors(p):
                 in_counts[q] = in_counts.get(q, 0) + 1
         degrees = [in_counts.get(p, 0) for p in g.latest]
         assert normalized_gini(degrees) > 0.5
