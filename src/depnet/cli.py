@@ -128,7 +128,7 @@ def _emit(args, header: list[str], rows: list[tuple], metric: str = "output",
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows([_fmt(v) for v in row] for row in rows)
+        writer.writerows(map(_fmt, row) for row in rows)
         text = buf.getvalue()
     out = args.out
     if out and Path(out).is_dir():

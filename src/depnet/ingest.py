@@ -188,12 +188,15 @@ class Dataset:
 
 
 def _open_csv(path: Path, required: list[str]):
+    """The open file and its data rows, each as (line, stripped values of
+    the ``required`` columns). A row whose field count differs from the
+    header's is an error, never shifted into other columns."""
     try:
         handle = open(path, newline="", encoding="utf-8")
     except FileNotFoundError:
         raise DatasetError(f"{path}: file not found") from None
-    reader = csv.DictReader(handle)
-    header = reader.fieldnames
+    reader = csv.reader(handle)
+    header = next(reader, None)
     if header is None:
         handle.close()
         raise DatasetError(f"{path}: missing header row")
@@ -201,27 +204,20 @@ def _open_csv(path: Path, required: list[str]):
     if missing:
         handle.close()
         raise DatasetError(f"{path}: missing column(s) {', '.join(missing)}")
-    return handle, _numbered_rows(path, reader)
+    return handle, _rows(path, reader, len(header), [header.index(col) for col in required])
 
 
-def _numbered_rows(path: Path, reader: csv.DictReader):
-    """(line, row) of each data row; a row with more fields than the
-    header is an error, not a row whose surplus is dropped."""
-    width = len(reader.fieldnames)
-    for line, row in enumerate(reader, start=2):
-        if None in row:
+def _rows(path: Path, reader, width: int, columns: list[int]):
+    # line_num counts physical lines, so a quoted field holding a newline
+    # does not shift the line numbers of later rows.
+    for row in reader:
+        if len(row) != width:
+            if not row:  # a blank line
+                continue
             raise DatasetError(
-                f"{path}, line {line}: {width + len(row[None])} fields, "
-                f"more fields than the {width} of the header"
+                f"{path}, line {reader.line_num}: {len(row)} fields, the header has {width}"
             )
-        yield line, row
-
-
-def _cell(row: dict, path: Path, line: int, column: str) -> str:
-    value = row.get(column)
-    if value is None:
-        raise DatasetError(f"{path}, line {line}: missing value in column '{column}'")
-    return value.strip()
+        yield reader.line_num, [row[i].strip() for i in columns]
 
 
 def parse_dataset(
@@ -244,8 +240,7 @@ def parse_dataset(
     package_lines: dict[str, int] = {}
     handle, rows = _open_csv(packages_path, ["name"])
     with handle:
-        for line, row in rows:
-            name = _cell(row, packages_path, line, "name")
+        for line, (name,) in rows:
             if not name:
                 raise DatasetError(
                     f"{packages_path}, line {line}: empty value in column 'name'"
@@ -263,10 +258,7 @@ def parse_dataset(
     max_ts: Optional[datetime] = None
     handle, rows = _open_csv(releases_path, ["package", "version", "timestamp"])
     with handle:
-        for line, row in rows:
-            pkg = _cell(row, releases_path, line, "package")
-            version = _cell(row, releases_path, line, "version")
-            raw_ts = _cell(row, releases_path, line, "timestamp")
+        for line, (pkg, version, raw_ts) in rows:
             if pkg not in package_lines:
                 raise DatasetError(
                     f"{releases_path}, line {line}: release of unknown package '{pkg}'"
@@ -309,12 +301,8 @@ def parse_dataset(
         ["source_package", "source_version", "target_package", "constraint", "kind"],
     )
     with handle:
-        for line, row in rows:
-            src = _cell(row, dependencies_path, line, "source_package")
-            src_ver = _cell(row, dependencies_path, line, "source_version")
-            target = _cell(row, dependencies_path, line, "target_package")
-            constraint = _cell(row, dependencies_path, line, "constraint")
-            kind = _cell(row, dependencies_path, line, "kind").lower()
+        for line, (src, src_ver, target, constraint, kind) in rows:
+            kind = kind.lower()
             if (src, src_ver) not in release_lines:
                 raise DatasetError(
                     f"{dependencies_path}, line {line}: dependency of unknown "

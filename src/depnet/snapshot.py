@@ -82,9 +82,6 @@ class SnapshotGraph:
     def n_nodes(self) -> int:
         return len(self.latest)
 
-    def has_node(self, package: str) -> bool:
-        return package in self.latest
-
     def int_view(self) -> IntView:
         return self._view
 

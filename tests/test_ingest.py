@@ -110,10 +110,22 @@ class TestParse:
         d = parse_tiny(tmp_path, packages, releases, deps)
         assert d.dependencies[0].kind == "runtime"
 
-    def test_surplus_field_names_line(self, tmp_path):
+    @pytest.mark.parametrize(
+        "row, fields", [("e,1.0.0,2020-01-05T00:00:00,surplus", 4), ("e,1.0.0", 2)]
+    )
+    def test_field_count_off_names_line(self, tmp_path, row, fields):
         packages, releases, deps = tiny_rows()
-        releases[0] = "e,1.0.0,2020-01-05T00:00:00,surplus"
-        with pytest.raises(DatasetError, match=r"releases\.csv, line 2: .*more fields"):
+        releases[0] = row
+        with pytest.raises(
+            DatasetError, match=rf"releases\.csv, line 2: {fields} fields, the header has 3"
+        ):
+            parse_tiny(tmp_path, packages, releases, deps)
+
+    def test_line_numbers_count_quoted_newlines(self, tmp_path):
+        packages, releases, deps = tiny_rows()
+        deps[0] = 'a,1.1.0,b,"*\n",runtime'  # lines 2 and 3
+        deps.append("a,9.9.9,b,*,runtime")
+        with pytest.raises(DatasetError, match=r"dependencies\.csv, line 8: .*unknown"):
             parse_tiny(tmp_path, packages, releases, deps)
 
     def test_timezone_normalized_to_utc(self, tmp_path):
