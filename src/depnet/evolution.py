@@ -127,8 +127,8 @@ def _map_months(
     """``measure`` of the snapshot at the start of each month, in month order.
 
     With ``jobs`` > 1 the months fan out over forked workers, at most one
-    per month, that inherit ``d``; ``measure`` then has to pickle, so it is a module-level function
-    or a ``functools.partial`` of one.
+    per month, that inherit ``d``; ``measure`` then has to pickle, so it is
+    a module-level function or a ``functools.partial`` of one.
     """
     if jobs > 1 and len(months) > 1 and "fork" in multiprocessing.get_all_start_methods():
         d.index()  # build once in the parent so forked workers share it
