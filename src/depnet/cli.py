@@ -4,6 +4,11 @@ Subcommands bind the library operations into reproducible runs: data rows
 go to stdout (or --out), diagnostics to stderr, and identical invocations
 on identical inputs produce byte-identical output. Exit codes: 0 success,
 1 data error, 2 usage error.
+
+Each subcommand computes one table and returns it; ``run`` writes it
+through ``_emit``, the one output path, which formats CSV or JSON, names
+the file under ``--out DIR`` and writes the ``--manifest`` record.
+``fixture`` writes dataset files instead and returns no table.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from pathlib import Path
 
 from . import __version__
 from .evolution import (
+    TimeSeries,
     dependency_ratio_series,
     depth_distribution,
     growth_series,
@@ -137,30 +143,24 @@ def _emit(args, header: list[str], rows: list[tuple], metric: str = "output",
         out = Path(out) / name
     if out:
         Path(out).write_text(text, encoding="utf-8")
-        args._manifest_target = str(out)
     else:
         sys.stdout.write(text)
-    if getattr(args, "manifest", False):
-        _write_manifest(args)
+    if args.manifest:
+        _write_manifest(args, out)
 
 
-def _write_manifest(args) -> None:
-    dataset_dir = getattr(args, "dataset", None)
-    dataset_info = None
-    if dataset_dir:
-        digest = hashlib.sha256()
-        for name in _DATASET_FILES:
-            path = Path(dataset_dir) / name
-            if path.exists():
-                digest.update(path.read_bytes())
-        dataset_info = {"path": str(dataset_dir), "sha256": digest.hexdigest()}
+def _write_manifest(args, target) -> None:
+    digest = hashlib.sha256()
+    for name in _DATASET_FILES:
+        path = Path(args.dataset) / name
+        if path.exists():
+            digest.update(path.read_bytes())
     record = {
         "tool": {"name": "depnet", "version": __version__},
         "arguments": args.raw_argv,
-        "dataset": dataset_info,
+        "dataset": {"path": str(args.dataset), "sha256": digest.hexdigest()},
     }
     text = json.dumps(record, indent=2, sort_keys=True) + "\n"
-    target = getattr(args, "_manifest_target", None) or args.out
     if target:
         Path(str(target) + ".manifest.json").write_text(text, encoding="utf-8")
     else:
@@ -171,7 +171,24 @@ def _write_manifest(args) -> None:
 # Subcommands
 
 
-def _cmd_validate(args) -> int:
+# What a subcommand returns for run() to emit: ecosystem, metric, header, rows.
+Table = tuple[str, str, list[str], list[tuple]]
+
+
+def _month_rows(series: TimeSeries, value=lambda v: v) -> list[tuple]:
+    """One ``(month, value)`` row per point of a monthly series."""
+    return [(format_month(m), value(v)) for m, v in series.points]
+
+
+def _index_table(ecosystem: str, name: str, parameter, month_rows) -> Table:
+    """One ``(month, index_name, parameter, value)`` row per ``(month, value)``
+    row; an index without a parameter leaves that column blank."""
+    parameter = _fmt(parameter) if parameter is not None else ""
+    rows = [(month, name, parameter, value) for month, value in month_rows]
+    return ecosystem, f"index_{name}", ["month", "index_name", "parameter", "value"], rows
+
+
+def _cmd_validate(args) -> Table:
     dataset, filtered = _load_raw_and_filtered(args)
     report = validate_dataset(dataset, burst_factor=args.burst_factor)
     fr = filtered.filter_report
@@ -201,28 +218,20 @@ def _cmd_validate(args) -> int:
                 f"{format_month(warn.month)} count={warn.count} median={warn.trailing_median:g}",
             )
         )
-    _emit(args, ["check", "value"], rows, metric="validate", ecosystem=dataset.ecosystem)
-    return 0
+    return dataset.ecosystem, "validate", ["check", "value"], rows
 
 
-def _cmd_snapshot(args) -> int:
+def _cmd_snapshot(args) -> Table:
     d = _load(args)
     g = build_snapshot(d, parse_instant(args.at))
-    _emit(
-        args,
-        ["at", "packages", "dependencies", "dropped_deps"],
-        [(g.at.isoformat(), g.n_nodes, g.n_edges, g.dropped_deps)],
-        metric="snapshot",
-        ecosystem=d.ecosystem,
-    )
-    return 0
+    row = (g.at.isoformat(), g.n_nodes, g.n_edges, g.dropped_deps)
+    return d.ecosystem, "snapshot", ["at", "packages", "dependencies", "dropped_deps"], [row]
 
 
-def _cmd_series(args) -> int:
+def _cmd_series(args) -> Table:
     d = _load(args)
     first = parse_month(getattr(args, "from"))
     last = parse_month(args.to)
-    eco = d.ecosystem
     if args.what == "growth":
         packages, deps = growth_series(d, first, last, jobs=args.jobs)
         if args.fit:
@@ -245,37 +254,25 @@ def _cmd_series(args) -> int:
                 rows.append(row)
             if not rows:
                 raise ValueError(f"no series could be fitted with the {args.fit} model")
-            _emit(args, header, rows, metric=f"growth_fit_{args.fit}", ecosystem=eco)
-        else:
-            rows = [
-                (format_month(m), int(p), int(e))
-                for (m, p), (_, e) in zip(packages.points, deps.points)
-            ]
-            _emit(args, ["month", "packages", "dependencies"], rows,
-                  metric="growth", ecosystem=eco)
-    elif args.what == "ratio":
-        series = dependency_ratio_series(d, first, last, jobs=args.jobs)
-        _emit(args, ["month", "value"], [(format_month(m), v) for m, v in series.points],
-              metric="dependency_ratio", ecosystem=eco)
-    elif args.what == "updates":
-        series = update_counts_series(d, first, last, include_first=args.include_first)
-        _emit(args, ["month", "value"], [(format_month(m), int(v)) for m, v in series.points],
-              metric="updates", ecosystem=eco)
-    elif args.what == "transitive-ratio":
-        series = transitive_ratio_series(d, first, last, jobs=args.jobs)
-        _emit(args, ["month", "value"], [(format_month(m), v) for m, v in series.points],
-              metric="transitive_ratio", ecosystem=eco)
-    else:  # index
-        name = _index_name(args.index)
-        parameter = _index_parameter(name, args)
-        series = index_series(d, first, last, name, parameter, jobs=args.jobs)
+            return d.ecosystem, f"growth_fit_{args.fit}", header, rows
         rows = [
-            (format_month(m), name, _fmt(parameter) if parameter is not None else "", int(v))
-            for m, v in series.points
+            (format_month(m), int(p), int(e))
+            for (m, p), (_, e) in zip(packages.points, deps.points)
         ]
-        _emit(args, ["month", "index_name", "parameter", "value"], rows,
-              metric=f"index_{name}", ecosystem=eco)
-    return 0
+        return d.ecosystem, "growth", ["month", "packages", "dependencies"], rows
+    if args.what == "ratio":
+        series = dependency_ratio_series(d, first, last, jobs=args.jobs)
+        return d.ecosystem, "dependency_ratio", ["month", "value"], _month_rows(series)
+    if args.what == "updates":
+        series = update_counts_series(d, first, last, include_first=args.include_first)
+        return d.ecosystem, "updates", ["month", "value"], _month_rows(series, int)
+    if args.what == "transitive-ratio":
+        series = transitive_ratio_series(d, first, last, jobs=args.jobs)
+        return d.ecosystem, "transitive_ratio", ["month", "value"], _month_rows(series)
+    name = _index_name(args.index)
+    parameter = _index_parameter(name, args)
+    series = index_series(d, first, last, name, parameter, jobs=args.jobs)
+    return _index_table(d.ecosystem, name, parameter, _month_rows(series, int))
 
 
 def _index_name(raw: str) -> str:
@@ -290,27 +287,11 @@ def _index_parameter(name: str, args):
     return None
 
 
-def _cmd_distribution(args) -> int:
+def _cmd_distribution(args) -> Table:
     d = _load(args)
     at = parse_instant(args.at)
-    if args.what == "updates":
-        bins = update_distribution(d, at)
-        total = bins.total or 1
-        rows = [
-            ("0", bins.never, bins.never / total),
-            ("1-4", bins.low, bins.low / total),
-            ("5+", bins.high, bins.high / total),
-        ]
-        _emit(args, ["bin", "count", "proportion"], rows,
-              metric="distribution_updates", ecosystem=d.ecosystem)
-    elif args.what == "depth":
-        g = build_snapshot(d, at)
-        hist = depth_distribution(g)
-        total = sum(hist.values()) or 1
-        rows = [(str(depth), count, count / total) for depth, count in sorted(hist.items())]
-        _emit(args, ["bin", "count", "proportion"], rows,
-              metric="distribution_depth", ecosystem=d.ecosystem)
-    else:  # deps
+    metric = f"distribution_{args.what}"
+    if args.what == "deps":
         g = build_snapshot(d, at)
         forward = transitive_dependency_counts(g)
         reverse = transitive_dependent_counts(g)
@@ -319,17 +300,20 @@ def _cmd_distribution(args) -> int:
             (pkg, g.out_degree(pkg), forward[pkg], g.in_degree(pkg), reverse[pkg], depths[pkg])
             for pkg in sorted(g.latest)
         ]
-        _emit(
-            args,
-            ["package", "n_direct", "n_transitive", "n_rev_direct", "n_rev_transitive", "depth"],
-            rows,
-            metric="distribution_deps",
-            ecosystem=d.ecosystem,
-        )
-    return 0
+        header = ["package", "n_direct", "n_transitive", "n_rev_direct", "n_rev_transitive", "depth"]
+        return d.ecosystem, metric, header, rows
+    if args.what == "updates":
+        bins = update_distribution(d, at)
+        counts = [("0", bins.never), ("1-4", bins.low), ("5+", bins.high)]
+    else:  # depth
+        hist = depth_distribution(build_snapshot(d, at))
+        counts = [(str(depth), count) for depth, count in sorted(hist.items())]
+    total = sum(count for _, count in counts) or 1
+    rows = [(label, count, count / total) for label, count in counts]
+    return d.ecosystem, metric, ["bin", "count", "proportion"], rows
 
 
-def _cmd_survival(args) -> int:
+def _cmd_survival(args) -> Table:
     d = _load(args)
     split = args.split_required or args.logrank
     samples = survival_dataset(d, split_by_required=split)
@@ -338,31 +322,23 @@ def _cmd_survival(args) -> int:
     if args.logrank:
         required, not_required = samples
         result = log_rank(required, not_required, alpha=args.alpha)
-        _emit(
-            args,
-            ["statistic", "significant", "alpha", "critical_value"],
-            [(result.statistic, result.significant, result.alpha, result.critical_value)],
-            metric="survival_logrank",
-            ecosystem=d.ecosystem,
-        )
-    elif args.km:
+        row = (result.statistic, result.significant, result.alpha, result.critical_value)
+        header = ["statistic", "significant", "alpha", "critical_value"]
+        return d.ecosystem, "survival_logrank", header, [row]
+    if args.km:
         rows = []
         for sample in samples:
             curve = kaplan_meier(sample)
             rows.extend((sample.label, float(t), s) for t, s in curve.steps)
-        _emit(args, ["label", "time", "survival"], rows,
-              metric="survival_km", ecosystem=d.ecosystem)
-    else:
-        rows = [
-            (s.label, len(s), s.n_events, s.n_censored)
-            for s in samples
-        ]
-        _emit(args, ["label", "observations", "events", "censored"], rows,
-              metric="survival", ecosystem=d.ecosystem)
-    return 0
+        return d.ecosystem, "survival_km", ["label", "time", "survival"], rows
+    rows = [
+        (s.label, len(s), s.n_events, s.n_censored)
+        for s in samples
+    ]
+    return d.ecosystem, "survival", ["label", "observations", "events", "censored"], rows
 
 
-def _cmd_inequality(args) -> int:
+def _cmd_inequality(args) -> Table:
     d = _load(args)
     if args.what == "updates":
         if not args.window:
@@ -386,19 +362,16 @@ def _cmd_inequality(args) -> int:
         norm_value = normalized_gini(values) if len(values) >= 2 else 0.0
     name = f"inequality_{args.what}"
     if args.lorenz:
-        _emit(args, ["cum_pop", "cum_val"], [(x, y) for x, y in curve.points],
-              metric=f"{name}_lorenz", ecosystem=d.ecosystem)
-    else:
-        rows = [
-            ("n", len(values)),
-            ("gini", gini_value),
-            ("normalized_gini", norm_value),
-        ]
-        _emit(args, ["metric", "value"], rows, metric=name, ecosystem=d.ecosystem)
-    return 0
+        return d.ecosystem, f"{name}_lorenz", ["cum_pop", "cum_val"], curve.points
+    rows = [
+        ("n", len(values)),
+        ("gini", gini_value),
+        ("normalized_gini", norm_value),
+    ]
+    return d.ecosystem, name, ["metric", "value"], rows
 
 
-def _cmd_index(args) -> int:
+def _cmd_index(args) -> Table:
     d = _load(args)
     at = parse_instant(args.at)
     name = _index_name(args.name)
@@ -408,24 +381,11 @@ def _cmd_index(args) -> int:
         report = reusability_index(build_snapshot(d, at))
     else:
         report = p_impact_index(build_snapshot(d, at), args.p)
-    _emit(
-        args,
-        ["month", "index_name", "parameter", "value"],
-        [
-            (
-                format_month(month_of(report.at)),
-                report.index_name,
-                _fmt(report.parameter) if report.parameter is not None else "",
-                report.value,
-            )
-        ],
-        metric=f"index_{report.index_name}",
-        ecosystem=d.ecosystem,
-    )
-    return 0
+    row = (format_month(month_of(report.at)), report.value)
+    return _index_table(d.ecosystem, report.index_name, report.parameter, [row])
 
 
-def _cmd_fixture(args) -> int:
+def _cmd_fixture(args) -> None:
     out_dir = Path(args.out_dir)
     if args.action == "tiny":
         write_tiny(out_dir)
@@ -440,7 +400,6 @@ def _cmd_fixture(args) -> int:
         )
         write_dataset(generate(cfg), out_dir, config=cfg)
     sys.stderr.write(f"dataset written to {out_dir}\n")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +502,10 @@ def run(argv: list[str]) -> int:
         return 2
     args.raw_argv = list(argv)
     try:
-        return args.func(args)
+        table = args.func(args)
+        if table is not None:
+            ecosystem, metric, header, rows = table
+            _emit(args, header, rows, metric=metric, ecosystem=ecosystem)
     except DatasetError as exc:
         sys.stderr.write(f"depnet: {exc}\n")
         return 1
@@ -559,6 +521,7 @@ def run(argv: list[str]) -> int:
     except (ValueError, KeyError, OSError) as exc:
         sys.stderr.write(f"depnet: {exc}\n")
         return 1
+    return 0
 
 
 def _discard_stdout() -> None:
