@@ -66,13 +66,6 @@ from .timeutil import format_month, month_of, parse_instant, parse_month
 _DATASET_FILES = ("packages.csv", "releases.csv", "dependencies.csv")
 
 
-def _default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("DEPNET_JOBS", "1")))
-    except ValueError:
-        return 1
-
-
 def _add_dataset_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dataset", required=True, help="directory with packages.csv, releases.csv, dependencies.csv")
     parser.add_argument(
@@ -80,7 +73,7 @@ def _add_dataset_options(parser: argparse.ArgumentParser) -> None:
         help="observation cutoff (YYYY-MM-DD or YYYY-MM); default: the cutoff in the "
         "dataset's manifest.json, else the last release timestamp",
     )
-    parser.add_argument("--ecosystem", help="ecosystem identifier; default: dataset directory name")
+    parser.add_argument("--ecosystem", help="ecosystem identifier; default: the one in manifest.json, else the directory name")
     parser.add_argument(
         "--kinds",
         help="comma-separated dependency kinds to keep (default: %s)" % ",".join(sorted(DEFAULT_INCLUDED_KINDS)),
@@ -95,8 +88,8 @@ def _add_output_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs",
         type=int,
-        default=_default_jobs(),
-        help="worker processes for monthly computations (default: $DEPNET_JOBS or 1)",
+        default=1,
+        help="worker processes for monthly computations (default: 1)",
     )
 
 
@@ -410,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="depnet",
         description="Temporal package dependency network analytics.",
-        epilog="DEPNET_JOBS sets the default for --jobs.",
     )
     parser.add_argument("--version", action="version", version=f"depnet {__version__}")
     sub = parser.add_subparsers(dest="command")

@@ -24,7 +24,7 @@ from .graphops import (
 )
 from .indices import h_index, p_impact_index, reusability_index, update_counts_in_window
 from .ingest import Dataset
-from .snapshot import SnapshotGraph, build_snapshot, checked_months
+from .snapshot import SnapshotGraph, build_snapshot, check_instant, checked_months
 from .stats import LorenzCurve, SurvivalSample, gini, lorenz_points, normalized_gini
 from .timeutil import (
     DAYS_PER_MONTH,
@@ -307,8 +307,7 @@ def update_counts_series(
 
 def update_distribution(d: Dataset, t: datetime) -> UpdateBins:
     """Lifetime update counts at time t, bucketed never / 1-4 / 5+."""
-    if t > d.cutoff:
-        raise ValueError(f"instant {t.isoformat()} is after the dataset cutoff")
+    check_instant(d, t)
     idx = d.index()
     never = low = high = total = 0
     for pkg, times in idx.release_times.items():

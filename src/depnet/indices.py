@@ -15,7 +15,7 @@ from typing import Iterable, Optional
 
 from .graphops import transitive_dependent_counts
 from .ingest import Dataset
-from .snapshot import SnapshotGraph
+from .snapshot import SnapshotGraph, check_instant
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,8 +66,7 @@ def changeability_index(d: Dataset, t: datetime, window_days: int = 30) -> Index
     """h-index of per-package update counts in the trailing window."""
     if window_days <= 0:
         raise ValueError("window_days must be positive")
-    if t > d.cutoff:
-        raise ValueError(f"instant {t.isoformat()} is after the dataset cutoff")
+    check_instant(d, t)
     counts = update_counts_in_window(d, t, window_days)
     return IndexReport(
         ecosystem=d.ecosystem,

@@ -336,34 +336,39 @@ def load_dataset_dir(
 ) -> Dataset:
     """Parse ``packages.csv``, ``releases.csv``, ``dependencies.csv`` from a directory.
 
-    Without an explicit ``cutoff``, the one recorded in ``manifest.json``
-    (as :func:`depnet.fixtures.write_dataset` writes it) is used when that
-    file exists; otherwise the last release timestamp.
+    An explicit ``cutoff`` or ``ecosystem`` wins. Otherwise each comes from
+    ``manifest.json`` (as :func:`depnet.fixtures.write_dataset` writes it)
+    when that file records it; failing that, the cutoff is the last release
+    timestamp and the ecosystem is the directory name.
     """
     directory = Path(directory)
-    if ecosystem is None:
-        ecosystem = directory.name or "default"
-    if cutoff is None:
-        cutoff = _manifest_cutoff(directory / "manifest.json")
+    manifest_cutoff, manifest_ecosystem = _read_manifest(directory / "manifest.json")
     return parse_dataset(
         directory / "packages.csv",
         directory / "releases.csv",
         directory / "dependencies.csv",
-        cutoff,
-        ecosystem=ecosystem,
+        cutoff or manifest_cutoff,
+        ecosystem=ecosystem or manifest_ecosystem or directory.name or "default",
     )
 
 
-def _manifest_cutoff(path: Path) -> Optional[datetime]:
+def _read_manifest(path: Path) -> tuple[Optional[datetime], Optional[str]]:
+    """The cutoff and the ecosystem that ``manifest.json`` records, each
+    ``None`` when absent; both ``None`` when there is no such file."""
     try:
         text = path.read_text(encoding="utf-8")
     except FileNotFoundError:
-        return None
+        return None, None
     try:
-        raw = json.loads(text).get("cutoff")
-        return None if raw is None else parse_timestamp(raw)
+        manifest = json.loads(text)
+        raw = manifest.get("cutoff")
+        cutoff = None if raw is None else parse_timestamp(raw)
     except (ValueError, AttributeError, TypeError) as exc:
         raise DatasetError(f"{path}: unreadable cutoff: {exc}") from None
+    ecosystem = manifest.get("ecosystem")
+    if ecosystem is not None and not isinstance(ecosystem, str):
+        raise DatasetError(f"{path}: ecosystem is not a string: {ecosystem!r}")
+    return cutoff, ecosystem
 
 
 def load_exclusions(path) -> set[str]:

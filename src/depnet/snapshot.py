@@ -166,11 +166,11 @@ def checked_months(d: Dataset, first: Month, last: Month) -> list[Month]:
     return list(iter_months(first, last))
 
 
-def _check_instant(d: Dataset, t: datetime) -> None:
+def check_instant(d: Dataset, t: datetime) -> None:
+    """``ValueError`` when ``t`` is after the dataset cutoff."""
     if t > d.cutoff:
         raise ValueError(
-            f"snapshot instant {t.isoformat()} is after the dataset cutoff "
-            f"{d.cutoff.isoformat()}"
+            f"instant {t.isoformat()} is after the dataset cutoff {d.cutoff.isoformat()}"
         )
 
 
@@ -180,7 +180,7 @@ def latest_releases_at(d: Dataset, t: datetime) -> dict[str, ReleaseRecord]:
     Packages with no release at or before t are absent. Among releases
     sharing the maximal timestamp the greatest version wins.
     """
-    _check_instant(d, t)
+    check_instant(d, t)
     idx = d.index()
     latest: dict[str, ReleaseRecord] = {}
     for pkg in idx.releases_by_package:

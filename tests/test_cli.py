@@ -87,6 +87,13 @@ class TestExitCodes:
         assert out == ""
         assert "beyond the dataset cutoff" in err
 
+    @pytest.mark.parametrize("command", [("distribution", "updates"), ("index", "changeability")])
+    def test_instant_beyond_cutoff_names_the_cutoff(self, capsys, tiny_dir, command):
+        code, out, err = invoke(capsys, *command, "--at", "2021-01", *tiny_args(tiny_dir))
+        assert code == 1
+        assert out == ""
+        assert "2020-04-01T00:00:00" in err
+
 
 class _ClosedStdout:
     def write(self, text):

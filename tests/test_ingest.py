@@ -250,6 +250,19 @@ class TestRoundTrip:
         write_dataset(tiny, tmp_path / "out")
         assert load_dataset_dir(tmp_path / "out", ecosystem="tiny") == tiny
 
+    def test_load_takes_ecosystem_from_manifest(self, tiny, tmp_path):
+        write_dataset(tiny, tmp_path / "out")
+        assert load_dataset_dir(tmp_path / "out") == tiny
+        assert load_dataset_dir(tmp_path / "out", ecosystem="npm").ecosystem == "npm"
+        (tmp_path / "out" / "manifest.json").unlink()
+        assert load_dataset_dir(tmp_path / "out").ecosystem == "out"
+
+    def test_non_string_manifest_ecosystem(self, tiny, tmp_path):
+        write_dataset(tiny, tmp_path / "out")
+        (tmp_path / "out" / "manifest.json").write_text('{"ecosystem": 7}', encoding="utf-8")
+        with pytest.raises(DatasetError, match="manifest.json"):
+            load_dataset_dir(tmp_path / "out")
+
     def test_unreadable_manifest_cutoff(self, tiny, tmp_path):
         write_dataset(tiny, tmp_path / "out")
         (tmp_path / "out" / "manifest.json").write_text('{"cutoff": "soon"}', encoding="utf-8")
