@@ -10,10 +10,10 @@ tests/test_golden.py``.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
-import argparse
 import json
 import sys
 import tempfile
