@@ -14,7 +14,6 @@ the file under ``--out DIR`` and writes the ``--manifest`` record.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import io
 import json
@@ -50,6 +49,7 @@ from .ingest import (
     load_dataset_dir,
     load_exclusions,
     validate_dataset,
+    write_csv,
 )
 from .snapshot import build_snapshot
 from .stats import (
@@ -125,9 +125,7 @@ def _emit(args, header: list[str], rows: list[tuple], metric: str = "output",
         text = json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n"
     else:
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(map(_fmt, row) for row in rows)
+        write_csv(buf, header, ([_fmt(v) for v in row] for row in rows))
         text = buf.getvalue()
     out = args.out
     if out and Path(out).is_dir():

@@ -361,7 +361,7 @@ def updates_by_age(
     idx = d.index()
     counts = {label: 0 for label in AGE_BIN_LABELS}
     for ts, pkg in idx.updates_during(window_start, window_end):
-        age = ts - idx.first_release[pkg].timestamp
+        age = ts - idx.release_times[pkg][0]
         bin_idx = bisect_right(_AGE_BOUNDS, age)
         counts[AGE_BIN_LABELS[bin_idx]] += 1
     return AgeHistogram(counts=counts)

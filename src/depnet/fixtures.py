@@ -20,7 +20,6 @@ procedure so that fixture content never drifts between releases:
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
@@ -37,6 +36,7 @@ from .ingest import (
     PackageRecord,
     ReleaseRecord,
     parse_dataset,
+    write_csv,
 )
 from .timeutil import add_months, month_start
 
@@ -221,9 +221,7 @@ def write_dataset(d: Dataset, directory, config: Optional[GeneratorConfig] = Non
 
     def write(name: str, header: str, rows) -> None:
         with open(directory / name, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(header.split(","))
-            writer.writerows(rows)
+            write_csv(handle, header.split(","), rows)
 
     write("packages.csv", "name", ([name] for name in sorted(p.name for p in d.packages)))
     write(

@@ -18,7 +18,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .timeutil import Month, iter_months, month_of, parse_timestamp
 
@@ -111,7 +111,6 @@ class _DatasetIndex:
         self.releases_by_package = by_package
         # Parallel timestamp arrays for bisect-based latest-release lookup.
         self.release_times = {p: [r.timestamp for r in rels] for p, rels in by_package.items()}
-        self.first_release = {p: rels[0] for p, rels in by_package.items()}
 
         deps: dict[tuple[str, str], list[str]] = {}
         for dep in dataset.dependencies:
@@ -128,15 +127,6 @@ class _DatasetIndex:
         updates.sort(key=lambda item: (item[0], item[1]))
         self.updates_sorted = updates
         self.update_times = [ts for ts, _ in updates]
-
-    def latest_at(self, package: str, t: datetime) -> Optional[ReleaseRecord]:
-        times = self.release_times.get(package)
-        if not times:
-            return None
-        pos = bisect_right(times, t)
-        if pos == 0:
-            return None
-        return self.releases_by_package[package][pos - 1]
 
     def updates_in_window(self, start: datetime, end: datetime) -> list[tuple[datetime, str]]:
         """(timestamp, package) of the updates in (start, end]; none when
@@ -187,37 +177,47 @@ class Dataset:
         return {p.name for p in self.packages}
 
 
-def _open_csv(path: Path, required: list[str]):
-    """The open file and its data rows, each as (line, stripped values of
-    the ``required`` columns). A row whose field count differs from the
-    header's is an error, never shifted into other columns."""
+def _rows(path: Path, required: list[str]):
+    """Each data row of the CSV file at ``path`` as (line, values of the
+    ``required`` columns); the file is open only while rows are read. A
+    row whose field count differs from the header's is an error, never
+    shifted into other columns."""
     try:
         handle = open(path, newline="", encoding="utf-8")
     except FileNotFoundError:
         raise DatasetError(f"{path}: file not found") from None
-    reader = csv.reader(handle)
-    header = next(reader, None)
-    if header is None:
-        handle.close()
-        raise DatasetError(f"{path}: missing header row")
-    missing = [col for col in required if col not in header]
-    if missing:
-        handle.close()
-        raise DatasetError(f"{path}: missing column(s) {', '.join(missing)}")
-    return handle, _rows(path, reader, len(header), [header.index(col) for col in required])
+    with handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
+            raise DatasetError(f"{path}: missing header row")
+        missing = [col for col in required if col not in header]
+        if missing:
+            raise DatasetError(f"{path}: missing column(s) {', '.join(missing)}")
+        width = len(header)
+        columns = [header.index(col) for col in required]
+        # line_num counts physical lines, so a quoted field holding a newline
+        # does not shift the line numbers of later rows.
+        for row in reader:
+            if len(row) != width:
+                if not row:  # a blank line
+                    continue
+                raise DatasetError(
+                    f"{path}, line {reader.line_num}: {len(row)} fields, the header has {width}"
+                )
+            yield reader.line_num, [row[i] for i in columns]
 
 
-def _rows(path: Path, reader, width: int, columns: list[int]):
-    # line_num counts physical lines, so a quoted field holding a newline
-    # does not shift the line numbers of later rows.
-    for row in reader:
-        if len(row) != width:
-            if not row:  # a blank line
-                continue
-            raise DatasetError(
-                f"{path}, line {reader.line_num}: {len(row)} fields, the header has {width}"
-            )
-        yield reader.line_num, [row[i].strip() for i in columns]
+def write_csv(handle, header: list[str], rows: Iterable[Sequence[str]]) -> None:
+    """Write a header and rows of strings as CSV that reads back field for
+    field. ``csv.writer`` quotes a field holding a newline but not one
+    holding a bare carriage return, where ``csv.reader`` would split the
+    row, so a row with a carriage return is written with every field quoted."""
+    plain = csv.writer(handle, lineterminator="\n")
+    quoted = csv.writer(handle, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    plain.writerow(header)
+    for row in rows:
+        (quoted if "\r" in "".join(row) else plain).writerow(row)
 
 
 def parse_dataset(
@@ -238,52 +238,48 @@ def parse_dataset(
 
     packages: set[PackageRecord] = set()
     package_lines: dict[str, int] = {}
-    handle, rows = _open_csv(packages_path, ["name"])
-    with handle:
-        for line, (name,) in rows:
-            if not name:
-                raise DatasetError(
-                    f"{packages_path}, line {line}: empty value in column 'name'"
-                )
-            if name in package_lines:
-                raise DatasetError(
-                    f"{packages_path}: duplicate package '{name}' "
-                    f"(lines {package_lines[name]} and {line})"
-                )
-            package_lines[name] = line
-            packages.add(PackageRecord(name=name, ecosystem=ecosystem))
+    for line, (name,) in _rows(packages_path, ["name"]):
+        if not name:
+            raise DatasetError(
+                f"{packages_path}, line {line}: empty value in column 'name'"
+            )
+        if name in package_lines:
+            raise DatasetError(
+                f"{packages_path}: duplicate package '{name}' "
+                f"(lines {package_lines[name]} and {line})"
+            )
+        package_lines[name] = line
+        packages.add(PackageRecord(name=name, ecosystem=ecosystem))
 
     releases: list[ReleaseRecord] = []
     release_lines: dict[tuple[str, str], int] = {}
     max_ts: Optional[datetime] = None
-    handle, rows = _open_csv(releases_path, ["package", "version", "timestamp"])
-    with handle:
-        for line, (pkg, version, raw_ts) in rows:
-            if pkg not in package_lines:
-                raise DatasetError(
-                    f"{releases_path}, line {line}: release of unknown package '{pkg}'"
-                )
-            if not version:
-                raise DatasetError(
-                    f"{releases_path}, line {line}: empty value in column 'version'"
-                )
-            try:
-                ts = parse_timestamp(raw_ts)
-            except ValueError:
-                raise DatasetError(
-                    f"{releases_path}, line {line}: column 'timestamp' "
-                    f"has unparseable value {raw_ts!r}"
-                ) from None
-            key = (pkg, version)
-            if key in release_lines:
-                raise DatasetError(
-                    f"{releases_path}: duplicate release {pkg} {version} "
-                    f"(lines {release_lines[key]} and {line})"
-                )
-            release_lines[key] = line
-            releases.append(ReleaseRecord(package=pkg, version=version, timestamp=ts))
-            if max_ts is None or ts > max_ts:
-                max_ts = ts
+    for line, (pkg, version, raw_ts) in _rows(releases_path, ["package", "version", "timestamp"]):
+        if pkg not in package_lines:
+            raise DatasetError(
+                f"{releases_path}, line {line}: release of unknown package '{pkg}'"
+            )
+        if not version:
+            raise DatasetError(
+                f"{releases_path}, line {line}: empty value in column 'version'"
+            )
+        try:
+            ts = parse_timestamp(raw_ts)
+        except ValueError:
+            raise DatasetError(
+                f"{releases_path}, line {line}: column 'timestamp' "
+                f"has unparseable value {raw_ts!r}"
+            ) from None
+        key = (pkg, version)
+        if key in release_lines:
+            raise DatasetError(
+                f"{releases_path}: duplicate release {pkg} {version} "
+                f"(lines {release_lines[key]} and {line})"
+            )
+        release_lines[key] = line
+        releases.append(ReleaseRecord(package=pkg, version=version, timestamp=ts))
+        if max_ts is None or ts > max_ts:
+            max_ts = ts
 
     if cutoff is None:
         if max_ts is None:
@@ -296,31 +292,27 @@ def parse_dataset(
         )
 
     dependencies: list[DependencyRecord] = []
-    handle, rows = _open_csv(
-        dependencies_path,
-        ["source_package", "source_version", "target_package", "constraint", "kind"],
-    )
-    with handle:
-        for line, (src, src_ver, target, constraint, kind) in rows:
-            kind = kind.lower()
-            if (src, src_ver) not in release_lines:
-                raise DatasetError(
-                    f"{dependencies_path}, line {line}: dependency of unknown "
-                    f"release {src} {src_ver}"
-                )
-            if not target:
-                raise DatasetError(
-                    f"{dependencies_path}, line {line}: empty value in column 'target_package'"
-                )
-            dependencies.append(
-                DependencyRecord(
-                    source_package=src,
-                    source_version=src_ver,
-                    target_package=target,
-                    constraint=constraint,
-                    kind=kind,
-                )
+    columns = ["source_package", "source_version", "target_package", "constraint", "kind"]
+    for line, (src, src_ver, target, constraint, kind) in _rows(dependencies_path, columns):
+        kind = kind.lower()
+        if (src, src_ver) not in release_lines:
+            raise DatasetError(
+                f"{dependencies_path}, line {line}: dependency of unknown "
+                f"release {src} {src_ver}"
             )
+        if not target:
+            raise DatasetError(
+                f"{dependencies_path}, line {line}: empty value in column 'target_package'"
+            )
+        dependencies.append(
+            DependencyRecord(
+                source_package=src,
+                source_version=src_ver,
+                target_package=target,
+                constraint=constraint,
+                kind=kind,
+            )
+        )
 
     return Dataset(
         packages=packages,
@@ -389,59 +381,52 @@ def filter_dependencies(
 ) -> Dataset:
     """Apply the dependency-kind, noise-package, and resolvability filters.
 
-    Three removal rules, applied in order:
+    The releases and package records of ``excluded_packages`` are removed.
+    Each dependency row is then dropped by the first of these rules it
+    breaks, and kept otherwise:
 
-    1. dependency rows whose kind is not in ``included_kinds``;
-    2. all releases and dependency rows of ``excluded_packages`` (the
-       package records themselves are removed too);
-    3. dependency rows whose target package does not exist in the dataset,
-       also reported as a fraction of the pre-filter dependency rows.
+    1. its kind is not in ``included_kinds``;
+    2. its source is an excluded package;
+    3. its target package does not exist in the filtered dataset, also
+       reported as a fraction of the pre-filter dependency rows;
+    4. an earlier kept row has the same (source release, target, kind).
 
-    Duplicate rows for the same (source release, target, kind) are then
-    collapsed, first occurrence winning. Filtering is total and idempotent.
+    A row whose target is an excluded package therefore counts as
+    unresolved, not excluded: the filter removes noise packages as if
+    the registry never had them. Filtering is total and idempotent.
     """
     include = {k.strip().lower() for k in included_kinds}
     excluded = set(excluded_packages)
-    report = FilterReport()
-    pre_dep_count = len(d.dependencies)
-
-    deps = []
-    for dep in d.dependencies:
-        if dep.kind not in include:
-            report.kind_dropped += 1
-        else:
-            deps.append(dep)
-
     packages = {p for p in d.packages if p.name not in excluded}
-    report.excluded_packages_dropped = len(d.packages) - len(packages)
     releases = [r for r in d.releases if r.package not in excluded]
-    report.excluded_releases_dropped = len(d.releases) - len(releases)
-    kept = [dep for dep in deps if dep.source_package not in excluded]
-    report.excluded_deps_dropped = len(deps) - len(kept)
-    deps = kept
-
     names = {p.name for p in packages}
-    kept = [dep for dep in deps if dep.target_package in names]
-    report.unresolved_deps_dropped = len(deps) - len(kept)
-    report.unresolved_fraction = (
-        report.unresolved_deps_dropped / pre_dep_count if pre_dep_count else 0.0
+    report = FilterReport(
+        excluded_packages_dropped=len(d.packages) - len(packages),
+        excluded_releases_dropped=len(d.releases) - len(releases),
     )
-    deps = kept
 
     seen: set[tuple[str, str, str, str]] = set()
-    unique: list[DependencyRecord] = []
-    for dep in deps:
+    deps: list[DependencyRecord] = []
+    for dep in d.dependencies:
         key = (dep.source_package, dep.source_version, dep.target_package, dep.kind)
-        if key in seen:
+        if dep.kind not in include:
+            report.kind_dropped += 1
+        elif dep.source_package in excluded:
+            report.excluded_deps_dropped += 1
+        elif dep.target_package not in names:
+            report.unresolved_deps_dropped += 1
+        elif key in seen:
             report.duplicate_deps_dropped += 1
         else:
             seen.add(key)
-            unique.append(dep)
+            deps.append(dep)
+    if d.dependencies:
+        report.unresolved_fraction = report.unresolved_deps_dropped / len(d.dependencies)
 
     return Dataset(
         packages=packages,
         releases=releases,
-        dependencies=unique,
+        dependencies=deps,
         cutoff=d.cutoff,
         ecosystem=d.ecosystem,
         filter_report=report,

@@ -9,6 +9,7 @@ built on the first in-neighbour query.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import datetime
 from typing import Iterator, NamedTuple, Optional
@@ -183,10 +184,10 @@ def latest_releases_at(d: Dataset, t: datetime) -> dict[str, ReleaseRecord]:
     check_instant(d, t)
     idx = d.index()
     latest: dict[str, ReleaseRecord] = {}
-    for pkg in idx.releases_by_package:
-        rel = idx.latest_at(pkg, t)
-        if rel is not None:
-            latest[pkg] = rel
+    for pkg, times in idx.release_times.items():
+        pos = bisect_right(times, t)
+        if pos:
+            latest[pkg] = idx.releases_by_package[pkg][pos - 1]
     return latest
 
 

@@ -12,14 +12,21 @@ import pytest
 
 from depnet import evolution
 from depnet.cli import run
-from depnet.fixtures import write_tiny
+from depnet.fixtures import write_dataset, write_tiny
 from depnet.graphops import (
     dependency_depth,
     top_level_packages,
     transitive_dependencies,
     transitive_dependents,
 )
-from depnet.ingest import filter_dependencies, load_dataset_dir
+from depnet.ingest import (
+    Dataset,
+    DependencyRecord,
+    PackageRecord,
+    ReleaseRecord,
+    filter_dependencies,
+    load_dataset_dir,
+)
 from depnet.snapshot import build_snapshot
 
 from conftest import write_dataset_csvs
@@ -385,6 +392,37 @@ class TestFormatsAndDeterminism:
             ["a,b", "1", "1", "0", "0", "1"],
             ['q"uote', "0", "0", "1", "1", "0"],
         ]
+
+    def test_adversarial_names_read_back(self, capsys, tmp_path):
+        names = ["a,b", 'q"uote', "new\nline", "cr\rname", "cr\r\nlf", " padded ", "ünï😀"]
+        d = Dataset(
+            packages={PackageRecord(name, "x") for name in names},
+            releases=[ReleaseRecord(name, "1.0", datetime(2020, 1, 1)) for name in names],
+            dependencies=[
+                DependencyRecord(src, "1.0", dst, "*", "runtime")
+                for src, dst in zip(names, names[1:])
+            ],
+            cutoff=datetime(2020, 2, 1),
+            ecosystem="x",
+        )
+        write_dataset(d, tmp_path / "x")
+        code, out, _ = invoke(capsys, "distribution", "deps", "--at", "2020-01-02",
+                              "--dataset", tmp_path / "x", "--format", "csv")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out, newline="")))
+        assert [row[0] for row in rows[1:]] == sorted(names)
+
+    def test_padded_target_counts_as_unresolved(self, capsys, tmp_path):
+        data = write_dataset_csvs(
+            tmp_path / "padded", ["a", "b"],
+            ["a,1.0.0,2020-01-01", "b,1.0.0,2020-01-02"],
+            ["a,1.0.0, b,*,runtime", "b,1.0.0,a,*,runtime"],
+        )
+        code, out, _ = invoke(capsys, "validate", "--dataset", data)
+        assert code == 0
+        rows = dict(line.split(",", 1) for line in out.splitlines()[1:])
+        assert rows["dependencies"] == "1"
+        assert rows["deps_dropped_unresolved"] == "1"
 
     def test_surplus_field_is_data_error(self, capsys, tiny_dir):
         releases = tiny_dir / "releases.csv"

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import io
 import random
+from dataclasses import asdict
 from datetime import datetime
 
 import pytest
@@ -9,6 +11,7 @@ from depnet.ingest import (
     Dataset,
     DatasetError,
     DependencyRecord,
+    FilterReport,
     PackageRecord,
     ReleaseRecord,
     filter_dependencies,
@@ -17,6 +20,7 @@ from depnet.ingest import (
     parse_dataset,
     validate_dataset,
     version_sort_key,
+    write_csv,
 )
 from depnet.fixtures import write_dataset
 
@@ -44,6 +48,67 @@ def tiny_rows():
         "d,1.0.0,c,*,runtime",
     ]
     return packages, releases, dependencies
+
+
+def _random_filter_dataset(rng: random.Random, kinds: list[str]) -> Dataset:
+    """Packages p0.., some never released; dependency rows that target
+    them, a ghost that is no package, and repeats of earlier rows under
+    the same kind or another one."""
+    names = [f"p{i}" for i in range(rng.randint(1, 7))]
+    releases = [
+        ReleaseRecord(name, f"1.{v}", datetime(2020, 1, 1 + v))
+        for name in names
+        for v in range(rng.randint(0, 3))
+    ]
+    deps: list[DependencyRecord] = []
+    for _ in range(rng.randint(0, 30) if releases else 0):
+        if deps and rng.random() < 0.3:
+            old = rng.choice(deps)
+            kind = old.kind if rng.random() < 0.5 else rng.choice(kinds)
+            deps.append(DependencyRecord(
+                old.source_package, old.source_version, old.target_package, ">=1", kind
+            ))
+            continue
+        rel = rng.choice(releases)
+        target = rng.choice(names + ["ghost"])
+        deps.append(DependencyRecord(rel.package, rel.version, target, "*", rng.choice(kinds)))
+    return Dataset(
+        packages={PackageRecord(name, "x") for name in names},
+        releases=releases,
+        dependencies=deps,
+        cutoff=datetime(2020, 2, 1),
+        ecosystem="x",
+    )
+
+
+def _reference_filter(d: Dataset, included: set[str], excluded: set[str]):
+    """Row by row: each dependency row is dropped by the first rule it
+    breaks (kind, excluded source, unresolved target, repeated
+    (source, version, target, kind)) and kept otherwise."""
+    report = FilterReport()
+    packages = {p for p in d.packages if p.name not in excluded}
+    names = {p.name for p in packages}
+    releases = [r for r in d.releases if r.package not in excluded]
+    report.excluded_packages_dropped = len(d.packages) - len(packages)
+    report.excluded_releases_dropped = len(d.releases) - len(releases)
+    seen = []
+    kept = []
+    for dep in d.dependencies:
+        key = (dep.source_package, dep.source_version, dep.target_package, dep.kind)
+        if dep.kind not in included:
+            report.kind_dropped += 1
+        elif dep.source_package in excluded:
+            report.excluded_deps_dropped += 1
+        elif dep.target_package not in names:
+            report.unresolved_deps_dropped += 1
+        elif key in seen:
+            report.duplicate_deps_dropped += 1
+        else:
+            seen.append(key)
+            kept.append(dep)
+    if d.dependencies:
+        report.unresolved_fraction = report.unresolved_deps_dropped / len(d.dependencies)
+    return packages, releases, kept, report
 
 
 def parse_tiny(tmp_path, packages, releases, dependencies, cutoff=TINY_CUTOFF):
@@ -210,6 +275,21 @@ class TestFilter:
         assert len(filtered.releases) == len(d.releases) - fr.excluded_releases_dropped
         assert len(filtered.packages) == len(d.packages) - fr.excluded_packages_dropped
 
+    def test_matches_row_by_row_reference(self):
+        rng = random.Random(20170401)
+        kinds = ["runtime", "imports", "normal", "dev", "test"]
+        for _ in range(400):
+            d = _random_filter_dataset(rng, kinds)
+            included = set(rng.sample(kinds, rng.randint(1, len(kinds))))
+            names = sorted(d.package_names) + ["ghost"]
+            excluded = set(rng.sample(names, rng.randint(0, min(3, len(names)))))
+            filtered = filter_dependencies(d, included, excluded)
+            packages, releases, deps, report = _reference_filter(d, included, excluded)
+            assert filtered.packages == packages
+            assert filtered.releases == releases
+            assert filtered.dependencies == deps
+            assert asdict(filtered.filter_report) == asdict(report)
+
     def test_load_exclusions(self, tmp_path):
         f = tmp_path / "excl.txt"
         f.write_text("noise-pkg\n\nother-pkg\n", encoding="utf-8")
@@ -245,6 +325,26 @@ class TestRoundTrip:
         again = load_dataset_dir(tmp_path / "x")
         assert again == d
         assert filter_dependencies(again).dependencies == d.dependencies
+
+    @pytest.mark.parametrize("name", ["a\rb", "a\r\nb", " a", "a\t", " "])
+    def test_carriage_returns_and_padding_round_trip(self, tmp_path, name):
+        d = Dataset(
+            packages={PackageRecord(name, "x"), PackageRecord("c", "x")},
+            releases=[
+                ReleaseRecord(name, " 1.0\r", datetime(2020, 1, 1)),
+                ReleaseRecord("c", "1.0", datetime(2020, 1, 2)),
+            ],
+            dependencies=[DependencyRecord("c", "1.0", name, "\r", "runtime ")],
+            cutoff=datetime(2020, 2, 1),
+            ecosystem="x",
+        )
+        write_dataset(d, tmp_path / "x")
+        assert load_dataset_dir(tmp_path / "x") == d
+
+    def test_write_csv_quotes_only_rows_with_carriage_returns(self):
+        buf = io.StringIO()
+        write_csv(buf, ["h1", "h2"], [["a,b", "c"], ["d\re", "f"], ["g\nh", " i "]])
+        assert buf.getvalue() == 'h1,h2\n"a,b",c\n"d\re","f"\n"g\nh", i \n'
 
     def test_load_takes_cutoff_from_manifest(self, tiny, tmp_path):
         write_dataset(tiny, tmp_path / "out")
