@@ -17,6 +17,7 @@ import argparse
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 from concurrent.futures.process import BrokenProcessPool
@@ -289,7 +290,7 @@ def _cmd_distribution(args) -> Table:
         depths = dependency_depths(g)
         rows = [
             (pkg, g.out_degree(pkg), forward[pkg], g.in_degree(pkg), reverse[pkg], depths[pkg])
-            for pkg in sorted(g.latest)
+            for pkg in sorted(g.nodes)
         ]
         header = ["package", "n_direct", "n_transitive", "n_rev_direct", "n_rev_transitive", "depth"]
         return d.ecosystem, metric, header, rows
@@ -490,6 +491,10 @@ def run(argv: list[str]) -> int:
     if not getattr(args, "command", None):
         parser.print_usage(sys.stderr)
         return 2
+    problem = _bad_value(args)
+    if problem:
+        sys.stderr.write(f"depnet: {problem}\n")
+        return 2
     args.raw_argv = list(argv)
     try:
         table = args.func(args)
@@ -512,6 +517,17 @@ def run(argv: list[str]) -> int:
         sys.stderr.write(f"depnet: {exc}\n")
         return 1
     return 0
+
+
+def _bad_value(args) -> str:
+    """Why a numeric option is out of range, or "" when none is."""
+    jobs = getattr(args, "jobs", 1)
+    if jobs < 1:
+        return f"--jobs must be at least 1, not {jobs}"
+    burst = getattr(args, "burst_factor", 1.0)
+    if not (math.isfinite(burst) and burst > 0):
+        return f"--burst-factor must be a positive finite number, not {burst}"
+    return ""
 
 
 def _discard_stdout() -> None:

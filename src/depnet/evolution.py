@@ -291,16 +291,10 @@ def update_counts_series(
     all releases instead.
     """
     months = checked_months(d, first, last)
-    idx = d.index()
     counts: dict[Month, int] = {}
-    if include_first:
-        for rel in d.releases:
-            m = month_of(rel.timestamp)
-            counts[m] = counts.get(m, 0) + 1
-    else:
-        for ts, _ in idx.updates_sorted:
-            m = month_of(ts)
-            counts[m] = counts.get(m, 0) + 1
+    for ts in d.release_time if include_first else d.index().update_times:
+        m = month_of(ts)
+        counts[m] = counts.get(m, 0) + 1
     points = [(m, float(counts.get(m, 0))) for m in months]
     return TimeSeries("updates", points)
 
@@ -309,9 +303,10 @@ def update_distribution(d: Dataset, t: datetime) -> UpdateBins:
     """Lifetime update counts at time t, bucketed never / 1-4 / 5+."""
     check_instant(d, t)
     idx = d.index()
+    times, offsets = idx.times, idx.offsets
     never = low = high = total = 0
-    for pkg, times in idx.release_times.items():
-        n_rel = bisect_right(times, t)
+    for lo, hi in zip(offsets, offsets[1:]):
+        n_rel = bisect_right(times, t, lo, hi) - lo
         if n_rel == 0:
             continue
         total += 1
@@ -361,7 +356,7 @@ def updates_by_age(
     idx = d.index()
     counts = {label: 0 for label in AGE_BIN_LABELS}
     for ts, pkg in idx.updates_during(window_start, window_end):
-        age = ts - idx.release_times[pkg][0]
+        age = ts - idx.times[idx.offsets[idx.positions[pkg]]]
         bin_idx = bisect_right(_AGE_BOUNDS, age)
         counts[AGE_BIN_LABELS[bin_idx]] += 1
     return AgeHistogram(counts=counts)
@@ -371,9 +366,10 @@ def updates_by_age(
 # Release survival
 
 
-def _required_at_release(d: Dataset) -> dict[tuple[str, str], bool]:
-    """Whether each release's package had a direct dependent in the network
-    at the release's own timestamp: ``build_snapshot(d, ts).in_degree(q) > 0``.
+def _required_at_release(d: Dataset) -> list[bool]:
+    """Whether each release, in index order, had a direct dependent in the
+    network at its own timestamp: ``build_snapshot(d, ts).in_degree(q) > 0``
+    for a release of q at ts.
 
     Release k of package p is p's latest release on [ts_k, ts_{k+1}), the
     last one without end; a successor at the same instant leaves the interval
@@ -382,23 +378,26 @@ def _required_at_release(d: Dataset) -> dict[tuple[str, str], bool]:
     ts, so that interval carries an edge to q.
     """
     idx = d.index()
-    spans: dict[str, list[tuple[datetime, datetime]]] = {}
-    for p, rels in idx.releases_by_package.items():
-        times = idx.release_times[p]
-        for rel, start, end in zip(rels, times, times[1:] + [datetime.max]):
-            for q in idx.targets_by_release.get((p, rel.version), ()):
+    releases, times, offsets = idx.releases, idx.times, idx.offsets
+    targets, target_offsets = idx.targets, idx.target_offsets
+    spans: dict[int, list[tuple[datetime, datetime]]] = {}
+    for p, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
+        ends = times[lo + 1 : hi] + [datetime.max]
+        for j, end in zip(range(lo, hi), ends):
+            r = releases[j]
+            for q in targets[target_offsets[r] : target_offsets[r + 1]]:
                 if q != p:
-                    spans.setdefault(q, []).append((start, end))
-    flags: dict[tuple[str, str], bool] = {}
-    for q, rels in idx.releases_by_package.items():
+                    spans.setdefault(q, []).append((times[j], end))
+    flags: list[bool] = []
+    for q, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
         # ts is covered iff the intervals starting at or before it reach
         # past it; an empty interval [s, s) never reaches past any ts >= s.
         found = sorted(spans.get(q, ()))
         starts = [start for start, _ in found]
         reach = list(accumulate((end for _, end in found), max))
-        for rel in rels:
-            i = bisect_right(starts, rel.timestamp)
-            flags[(q, rel.version)] = i > 0 and reach[i - 1] > rel.timestamp
+        for ts in times[lo:hi]:
+            i = bisect_right(starts, ts)
+            flags.append(i > 0 and reach[i - 1] > ts)
     return flags
 
 
@@ -407,33 +406,27 @@ def survival_dataset(d: Dataset, split_by_required: bool = False):
 
     The duration of a release is the time until the next release of the
     same package; each package's last release is censored at the dataset
-    cutoff. With ``split_by_required``, observations are divided by
-    whether the package had any direct dependent at the release instant,
-    returning (required, not_required) samples; otherwise a single sample.
+    cutoff. Observations come package by package, in the order of each
+    package's first release row. With ``split_by_required``, observations
+    are divided by whether the package had any direct dependent at the
+    release instant, returning (required, not_required) samples; otherwise
+    a single sample.
     """
     idx = d.index()
-    if split_by_required:
-        flags = _required_at_release(d)
-        required = SurvivalSample(observations=[], label="required")
-        not_required = SurvivalSample(observations=[], label="not_required")
-    else:
-        allsample = SurvivalSample(observations=[], label="all")
+    times, offsets = idx.times, idx.offsets
+    observations = []
+    for lo, hi in zip(offsets, offsets[1:]):
+        for j in range(lo, hi - 1):
+            observations.append((days_between(times[j], times[j + 1]), False))
+        observations.append((days_between(times[hi - 1], d.cutoff), True))
 
-    for pkg, rels in idx.releases_by_package.items():
-        for k, rel in enumerate(rels):
-            if k + 1 < len(rels):
-                obs = (days_between(rel.timestamp, rels[k + 1].timestamp), False)
-            else:
-                obs = (days_between(rel.timestamp, d.cutoff), True)
-            if split_by_required:
-                target = required if flags[(pkg, rel.version)] else not_required
-                target.observations.append(obs)
-            else:
-                allsample.observations.append(obs)
-
-    if split_by_required:
-        return required, not_required
-    return allsample
+    if not split_by_required:
+        return SurvivalSample(observations=observations, label="all")
+    required = SurvivalSample(observations=[], label="required")
+    not_required = SurvivalSample(observations=[], label="not_required")
+    for obs, flag in zip(observations, _required_at_release(d)):
+        (required if flag else not_required).observations.append(obs)
+    return required, not_required
 
 
 # ---------------------------------------------------------------------------

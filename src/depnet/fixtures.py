@@ -30,14 +30,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional
 
-from .ingest import (
-    Dataset,
-    DependencyRecord,
-    PackageRecord,
-    ReleaseRecord,
-    parse_dataset,
-    write_csv,
-)
+from .ingest import Dataset, parse_dataset, write_csv
 from .timeutil import add_months, month_start
 
 GENERATOR_NAME = "depnet-fixture-v1"
@@ -155,24 +148,23 @@ def generate(cfg: GeneratorConfig) -> Dataset:
             chosen.append(target)
         return chosen
 
-    releases: list[ReleaseRecord] = []
-    dependencies: list[DependencyRecord] = []
+    # The dataset's columns (see Dataset): package id i is names[i].
+    release_package: list[int] = []
+    release_version: list[str] = []
+    release_time: list[datetime] = []
+    dependency_source: list[int] = []
+    dependency_target: list[str] = []
     release_count = [0] * n
 
     def emit_release(pkg: int, ts: datetime, targets: list[int]) -> None:
+        rid = len(release_package)
         release_count[pkg] += 1
-        version = f"1.0.{release_count[pkg] - 1}"
-        releases.append(ReleaseRecord(package=names[pkg], version=version, timestamp=ts))
+        release_package.append(pkg)
+        release_version.append(f"1.0.{release_count[pkg] - 1}")
+        release_time.append(ts)
         for target in targets:
-            dependencies.append(
-                DependencyRecord(
-                    source_package=names[pkg],
-                    source_version=version,
-                    target_package=names[target],
-                    constraint="*",
-                    kind="runtime",
-                )
-            )
+            dependency_source.append(rid)
+            dependency_target.append(names[target])
             bump_in_degree(target)
 
     for month in range(cfg.months):
@@ -203,13 +195,14 @@ def generate(cfg: GeneratorConfig) -> Dataset:
                 emit_release(pkg, start + timedelta(seconds=offset), draw_targets(pkg))
 
     cutoff = month_start(add_months(_EPOCH_MONTH, cfg.months))
-    packages = {PackageRecord(name=name, ecosystem="synthetic") for name in names}
-    return Dataset(
-        packages=packages,
-        releases=releases,
-        dependencies=dependencies,
-        cutoff=cutoff,
-        ecosystem="synthetic",
+    n_deps = len(dependency_source)
+    return Dataset._from_columns(
+        names,
+        {name: pid for pid, name in enumerate(names)},
+        (release_package, release_version, release_time),
+        (dependency_source, dependency_target, ["*"] * n_deps, ["runtime"] * n_deps),
+        cutoff,
+        "synthetic",
     )
 
 
@@ -223,18 +216,25 @@ def write_dataset(d: Dataset, directory, config: Optional[GeneratorConfig] = Non
         with open(directory / name, "w", newline="", encoding="utf-8") as handle:
             write_csv(handle, header.split(","), rows)
 
-    write("packages.csv", "name", ([name] for name in sorted(p.name for p in d.packages)))
+    names, package, version = d.names, d.release_package, d.release_version
+    write("packages.csv", "name", ([name] for name in sorted(names)))
     write(
         "releases.csv",
         "package,version,timestamp",
-        ((r.package, r.version, r.timestamp.isoformat()) for r in d.releases),
+        (
+            (names[pid], ver, ts.isoformat())
+            for pid, ver, ts in zip(package, version, d.release_time)
+        ),
     )
     write(
         "dependencies.csv",
         "source_package,source_version,target_package,constraint,kind",
         (
-            (dep.source_package, dep.source_version, dep.target_package, dep.constraint, dep.kind)
-            for dep in d.dependencies
+            (names[package[rid]], version[rid], target, constraint, kind)
+            for rid, target, constraint, kind in zip(
+                d.dependency_source, d.dependency_target,
+                d.dependency_constraint, d.dependency_kind,
+            )
         ),
     )
     _write_manifest(d, directory, config)

@@ -14,11 +14,14 @@ from __future__ import annotations
 import csv
 import json
 import statistics
+import sys
 from bisect import bisect_left, bisect_right
+from collections.abc import Callable, Iterable, Sequence, Set as AbstractSet
 from dataclasses import dataclass, field
 from datetime import datetime
+from itertools import accumulate
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 from .timeutil import Month, iter_months, month_of, parse_timestamp
 
@@ -90,10 +93,21 @@ class FilterReport:
 
 
 class _DatasetIndex:
-    """Derived lookup structures for a Dataset, built once and shared.
+    """Flat lookup arrays over a Dataset's columns, built once and shared.
 
-    All containers are populated in a deterministic order that depends only
-    on record order in the Dataset, never on string hashing.
+    A package's *position* is its place in ``packages``: the packages with
+    a release, in the order of each one's first release row. Every array is
+    filled in an order that depends only on row order in the Dataset,
+    never on string hashing.
+
+    * ``releases`` holds release ids in (position, timestamp, version)
+      order; position k's releases are ``releases[offsets[k]:offsets[k + 1]]``
+      and ``times`` holds the timestamp of each entry.
+    * Release r's dependency rows resolve, in declaration order, to the
+      target positions ``targets[target_offsets[r]:target_offsets[r + 1]]``;
+      a target with no release resolves to ``len(packages)``.
+    * ``update_times`` and ``update_packages`` list the updates (non-first
+      releases) in (timestamp, package name) order.
 
     Update windows come in two conventions. A trailing window ending at an
     instant, (start, end], counts an update made at that very instant:
@@ -103,37 +117,55 @@ class _DatasetIndex:
     """
 
     def __init__(self, dataset: "Dataset"):
-        by_package: dict[str, list[ReleaseRecord]] = {}
-        for rel in dataset.releases:
-            by_package.setdefault(rel.package, []).append(rel)
-        for rels in by_package.values():
-            rels.sort(key=lambda r: (r.timestamp, version_sort_key(r.version)))
-        self.releases_by_package = by_package
-        # Parallel timestamp arrays for bisect-based latest-release lookup.
-        self.release_times = {p: [r.timestamp for r in rels] for p, rels in by_package.items()}
+        names = dataset.names
+        release_package = dataset.release_package
+        release_time = dataset.release_time
+        packages = list(dict.fromkeys(release_package))
+        unreleased = len(packages)
+        place = [unreleased] * len(names)
+        for k, pid in enumerate(packages):
+            place[pid] = k
+        position = [place[pid] for pid in release_package]
 
-        deps: dict[tuple[str, str], list[str]] = {}
-        for dep in dataset.dependencies:
-            deps.setdefault((dep.source_package, dep.source_version), []).append(
-                dep.target_package
+        # Two stable sorts order the releases by (position, timestamp, row);
+        # runs that tie on (position, timestamp) are then put in version order.
+        releases = sorted(range(len(release_time)), key=release_time.__getitem__)
+        releases.sort(key=position.__getitem__)
+        times = [release_time[r] for r in releases]
+        versions = dataset.release_version
+        for lo, hi in _tied_runs(times, [position[r] for r in releases]):
+            releases[lo:hi] = sorted(
+                releases[lo:hi], key=lambda r: version_sort_key(versions[r])
             )
-        self.targets_by_release = deps
+        offsets = _offsets(position, unreleased)
 
-        # All updates (non-first releases), time-ordered, for window queries.
-        updates: list[tuple[datetime, str]] = []
-        for pkg, rels in by_package.items():
-            for rel in rels[1:]:
-                updates.append((rel.timestamp, pkg))
-        updates.sort(key=lambda item: (item[0], item[1]))
-        self.updates_sorted = updates
-        self.update_times = [ts for ts, _ in updates]
+        source = dataset.dependency_source
+        rows = sorted(range(len(source)), key=source.__getitem__)
+        self.positions = {names[pid]: k for k, pid in enumerate(packages)}
+        target = dataset.dependency_target
+        lookup = self.positions.get
+        self.targets = [lookup(target[i], unreleased) for i in rows]
+        self.target_offsets = _offsets(source, len(release_package))
+
+        # Updates in (timestamp, name) order: each package's non-first
+        # releases, packages taken by name, then a stable sort by timestamp.
+        by_name = sorted(range(unreleased), key=lambda k: names[packages[k]])
+        updates = [r for k in by_name for r in releases[offsets[k] + 1 : offsets[k + 1]]]
+        updates.sort(key=release_time.__getitem__)
+        self.update_times = [release_time[r] for r in updates]
+        self.update_packages = [names[release_package[r]] for r in updates]
+
+        self.packages = packages
+        self.releases = releases
+        self.offsets = offsets
+        self.times = times
 
     def updates_in_window(self, start: datetime, end: datetime) -> list[tuple[datetime, str]]:
         """(timestamp, package) of the updates in (start, end]; none when
         start >= end."""
         lo = bisect_right(self.update_times, start)
         hi = bisect_right(self.update_times, end)
-        return self.updates_sorted[lo:hi]
+        return list(zip(self.update_times[lo:hi], self.update_packages[lo:hi]))
 
     def updates_during(self, start: datetime, end: datetime) -> list[tuple[datetime, str]]:
         """(timestamp, package) of the updates in [start, end).
@@ -144,26 +176,182 @@ class _DatasetIndex:
             raise ValueError("inverted window")
         lo = bisect_left(self.update_times, start)
         hi = bisect_left(self.update_times, end)
-        return self.updates_sorted[lo:hi]
+        return list(zip(self.update_times[lo:hi], self.update_packages[lo:hi]))
 
 
-@dataclass
+def _offsets(keys: list[int], n: int) -> list[int]:
+    """Once entries are sorted by key, those with key k are the entries
+    offsets[k]:offsets[k + 1]; keys are ints in range(n)."""
+    counts = [0] * n
+    for k in keys:
+        counts[k] += 1
+    return [0, *accumulate(counts)]
+
+
+def _tied_runs(times: list, positions: list[int]):
+    """(lo, hi) of each run of two or more consecutive entries that share
+    both their timestamp and their position."""
+    lo = 0
+    for j in range(1, len(times) + 1):
+        if j == len(times) or times[j] != times[lo] or positions[j] != positions[lo]:
+            if j - lo > 1:
+                yield lo, j
+            lo = j
+
+
+class RecordView(Sequence):
+    """Records built from a Dataset's columns as they are read; ``len``
+    reads the column's length. Equal to a list of the same records."""
+
+    __slots__ = ("_ids", "_record")
+
+    def __init__(self, n: int, record: Callable[[int], object]):
+        self._ids = range(n)
+        self._record = record
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(map(self._record, self._ids[i]))
+        return self._record(self._ids[i])
+
+    def __iter__(self):
+        return map(self._record, self._ids)
+
+    def __eq__(self, other):
+        if isinstance(other, (list, RecordView)):
+            return len(self) == len(other) and list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
+class PackageView(AbstractSet):
+    """The package records of a Dataset, built as they are read; each one
+    carries the dataset's ecosystem. Equal to a set of the same records."""
+
+    __slots__ = ("_dataset",)
+
+    def __init__(self, dataset: "Dataset"):
+        self._dataset = dataset
+
+    def __len__(self) -> int:
+        return len(self._dataset.names)
+
+    def __iter__(self):
+        ecosystem = self._dataset.ecosystem
+        return (PackageRecord(name, ecosystem) for name in self._dataset.names)
+
+    def __contains__(self, record) -> bool:
+        return (
+            isinstance(record, PackageRecord)
+            and record.ecosystem == self._dataset.ecosystem
+            and record.name in self._dataset.package_ids
+        )
+
+    def __repr__(self) -> str:
+        return repr(set(self))
+
+
 class Dataset:
     """A validated collection of packages, releases, and dependencies.
+
+    The data is kept as columns of strings, ints and datetimes, which the
+    cyclic garbage collector does not track:
+
+    * ``names`` is the package name table and ``package_ids`` maps a name
+      to its package id, its place in ``names``;
+    * release r is (``release_package[r]``, ``release_version[r]``,
+      ``release_time[r]``), a package id, a version and a timestamp;
+    * dependency row i is (``dependency_source[i]``,
+      ``dependency_target[i]``, ``dependency_constraint[i]``,
+      ``dependency_kind[i]``), the id of its source release and the name
+      of its target package.
+
+    Releases and dependency rows keep the order in which they were given.
+    ``packages``, ``releases`` and ``dependencies`` are record views, built
+    as a caller reads them. The constructor takes records and converts
+    them once, with package ids in name order. It raises ``DatasetError``
+    for a package record of another ecosystem, a release of an unlisted
+    package and a dependency of an unknown release. Releases may repeat a
+    (package, version), which :func:`validate_dataset` reports; a dependency
+    row then belongs to the first of them, and the later ones have none.
 
     Immutable by convention after construction; the lazy index makes
     concurrent read access safe (rebuilding it is idempotent).
     """
 
-    packages: set[PackageRecord]
-    releases: list[ReleaseRecord]
-    dependencies: list[DependencyRecord]
-    cutoff: datetime
-    ecosystem: str = "default"
-    filter_report: FilterReport = field(default_factory=FilterReport, compare=False)
-    _index: Optional[_DatasetIndex] = field(
-        default=None, repr=False, compare=False, init=False
+    __slots__ = (
+        "names", "package_ids",
+        "release_package", "release_version", "release_time",
+        "dependency_source", "dependency_target", "dependency_constraint", "dependency_kind",
+        "cutoff", "ecosystem", "filter_report", "_index",
     )
+
+    def __init__(
+        self,
+        packages: Iterable[PackageRecord],
+        releases: Iterable[ReleaseRecord],
+        dependencies: Iterable[DependencyRecord],
+        cutoff: datetime,
+        ecosystem: str = "default",
+        filter_report: Optional[FilterReport] = None,
+    ):
+        packages = set(packages)
+        foreign = {p.ecosystem for p in packages} - {ecosystem}
+        if foreign:
+            raise DatasetError(
+                f"package records of ecosystem(s) {sorted(foreign)} in a {ecosystem!r} dataset"
+            )
+        names = sorted({p.name for p in packages})
+        package_ids = {name: pid for pid, name in enumerate(names)}
+        releases = list(releases)
+        release_ids: dict[tuple[str, str], int] = {}
+        for rid, rel in enumerate(releases):
+            release_ids.setdefault((rel.package, rel.version), rid)
+        dependencies = list(dependencies)
+        try:
+            release_package = [package_ids[rel.package] for rel in releases]
+            source = [release_ids[dep.source_package, dep.source_version] for dep in dependencies]
+        except KeyError as exc:
+            raise DatasetError(f"no package or release {exc}") from None
+        self._set(
+            names, package_ids,
+            (release_package, [r.version for r in releases], [r.timestamp for r in releases]),
+            (
+                source,
+                [dep.target_package for dep in dependencies],
+                [dep.constraint for dep in dependencies],
+                [dep.kind for dep in dependencies],
+            ),
+            cutoff, ecosystem, filter_report,
+        )
+
+    @classmethod
+    def _from_columns(
+        cls, names, package_ids, releases, dependencies, cutoff, ecosystem, filter_report=None
+    ) -> "Dataset":
+        d = cls.__new__(cls)
+        d._set(names, package_ids, releases, dependencies, cutoff, ecosystem, filter_report)
+        return d
+
+    def _set(self, names, package_ids, releases, dependencies, cutoff, ecosystem, filter_report):
+        self.names = names
+        self.package_ids = package_ids
+        self.release_package, self.release_version, self.release_time = releases
+        (
+            self.dependency_source, self.dependency_target,
+            self.dependency_constraint, self.dependency_kind,
+        ) = dependencies
+        self.cutoff = cutoff
+        self.ecosystem = ecosystem
+        self.filter_report = filter_report if filter_report is not None else FilterReport()
+        self._index: Optional[_DatasetIndex] = None
 
     def index(self) -> _DatasetIndex:
         idx = self._index
@@ -173,8 +361,57 @@ class Dataset:
         return idx
 
     @property
+    def packages(self) -> PackageView:
+        return PackageView(self)
+
+    @property
+    def releases(self) -> RecordView:
+        return RecordView(len(self.release_package), self._release)
+
+    @property
+    def dependencies(self) -> RecordView:
+        return RecordView(len(self.dependency_source), self._dependency)
+
+    def _release(self, rid: int) -> ReleaseRecord:
+        return ReleaseRecord(
+            self.names[self.release_package[rid]],
+            self.release_version[rid],
+            self.release_time[rid],
+        )
+
+    def _dependency(self, i: int) -> DependencyRecord:
+        rid = self.dependency_source[i]
+        return DependencyRecord(
+            self.names[self.release_package[rid]],
+            self.release_version[rid],
+            self.dependency_target[i],
+            self.dependency_constraint[i],
+            self.dependency_kind[i],
+        )
+
+    @property
     def package_names(self) -> set[str]:
-        return {p.name for p in self.packages}
+        return set(self.names)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return (
+            self.cutoff == other.cutoff
+            and self.ecosystem == other.ecosystem
+            and self.packages == other.packages
+            and self.releases == other.releases
+            and self.dependencies == other.dependencies
+        )
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (
+            f"Dataset(packages={self.packages!r}, releases={self.releases!r}, "
+            f"dependencies={self.dependencies!r}, cutoff={self.cutoff!r}, "
+            f"ecosystem={self.ecosystem!r})"
+        )
 
 
 def _rows(path: Path, required: list[str]):
@@ -236,26 +473,31 @@ def parse_dataset(
     releases_path = Path(releases_path)
     dependencies_path = Path(dependencies_path)
 
-    packages: set[PackageRecord] = set()
-    package_lines: dict[str, int] = {}
+    names: list[str] = []
+    package_ids: dict[str, int] = {}
+    package_lines: list[int] = []
     for line, (name,) in _rows(packages_path, ["name"]):
         if not name:
             raise DatasetError(
                 f"{packages_path}, line {line}: empty value in column 'name'"
             )
-        if name in package_lines:
+        pid = package_ids.setdefault(name, len(names))
+        if pid != len(names):
             raise DatasetError(
                 f"{packages_path}: duplicate package '{name}' "
-                f"(lines {package_lines[name]} and {line})"
+                f"(lines {package_lines[pid]} and {line})"
             )
-        package_lines[name] = line
-        packages.add(PackageRecord(name=name, ecosystem=ecosystem))
+        names.append(name)
+        package_lines.append(line)
 
-    releases: list[ReleaseRecord] = []
-    release_lines: dict[tuple[str, str], int] = {}
-    max_ts: Optional[datetime] = None
+    release_package: list[int] = []
+    release_version: list[str] = []
+    release_time: list[datetime] = []
+    release_ids: dict[tuple[str, str], int] = {}
+    release_lines: list[int] = []
     for line, (pkg, version, raw_ts) in _rows(releases_path, ["package", "version", "timestamp"]):
-        if pkg not in package_lines:
+        pid = package_ids.get(pkg)
+        if pid is None:
             raise DatasetError(
                 f"{releases_path}, line {line}: release of unknown package '{pkg}'"
             )
@@ -270,17 +512,18 @@ def parse_dataset(
                 f"{releases_path}, line {line}: column 'timestamp' "
                 f"has unparseable value {raw_ts!r}"
             ) from None
-        key = (pkg, version)
-        if key in release_lines:
+        rid = release_ids.setdefault((pkg, version), len(release_lines))
+        if rid != len(release_lines):
             raise DatasetError(
                 f"{releases_path}: duplicate release {pkg} {version} "
-                f"(lines {release_lines[key]} and {line})"
+                f"(lines {release_lines[rid]} and {line})"
             )
-        release_lines[key] = line
-        releases.append(ReleaseRecord(package=pkg, version=version, timestamp=ts))
-        if max_ts is None or ts > max_ts:
-            max_ts = ts
+        release_lines.append(line)
+        release_package.append(pid)
+        release_version.append(version)
+        release_time.append(ts)
 
+    max_ts = max(release_time, default=None)
     if cutoff is None:
         if max_ts is None:
             raise DatasetError(f"{releases_path}: empty dataset requires an explicit cutoff")
@@ -291,11 +534,14 @@ def parse_dataset(
             f"is after the cutoff {cutoff.isoformat()}"
         )
 
-    dependencies: list[DependencyRecord] = []
+    source: list[int] = []
+    targets: list[str] = []
+    constraints: list[str] = []
+    kinds: list[str] = []
     columns = ["source_package", "source_version", "target_package", "constraint", "kind"]
     for line, (src, src_ver, target, constraint, kind) in _rows(dependencies_path, columns):
-        kind = kind.lower()
-        if (src, src_ver) not in release_lines:
+        rid = release_ids.get((src, src_ver))
+        if rid is None:
             raise DatasetError(
                 f"{dependencies_path}, line {line}: dependency of unknown "
                 f"release {src} {src_ver}"
@@ -304,22 +550,16 @@ def parse_dataset(
             raise DatasetError(
                 f"{dependencies_path}, line {line}: empty value in column 'target_package'"
             )
-        dependencies.append(
-            DependencyRecord(
-                source_package=src,
-                source_version=src_ver,
-                target_package=target,
-                constraint=constraint,
-                kind=kind,
-            )
-        )
+        source.append(rid)
+        targets.append(target)
+        constraints.append(constraint)
+        kinds.append(sys.intern(kind.lower()))  # one string per distinct kind
 
-    return Dataset(
-        packages=packages,
-        releases=releases,
-        dependencies=dependencies,
-        cutoff=cutoff,
-        ecosystem=ecosystem,
+    return Dataset._from_columns(
+        names, package_ids,
+        (release_package, release_version, release_time),
+        (source, targets, constraints, kinds),
+        cutoff, ecosystem,
     )
 
 
@@ -397,39 +637,54 @@ def filter_dependencies(
     """
     include = {k.strip().lower() for k in included_kinds}
     excluded = set(excluded_packages)
-    packages = {p for p in d.packages if p.name not in excluded}
-    releases = [r for r in d.releases if r.package not in excluded]
-    names = {p.name for p in packages}
+    names = [name for name in d.names if name not in excluded]
+    package_ids = {name: pid for pid, name in enumerate(names)}
+    # The new id of each old package id; None for an excluded package.
+    new_pid = [package_ids.get(name) for name in d.names]
+    release_package = d.release_package
+    kept = [rid for rid, pid in enumerate(release_package) if new_pid[pid] is not None]
+    releases = (
+        [new_pid[release_package[rid]] for rid in kept],
+        [d.release_version[rid] for rid in kept],
+        [d.release_time[rid] for rid in kept],
+    )
+    # The new id of each old release id; None for a release of an excluded package.
+    release_ids: list[Optional[int]] = [None] * len(release_package)
+    for new, rid in enumerate(kept):
+        release_ids[rid] = new
     report = FilterReport(
-        excluded_packages_dropped=len(d.packages) - len(packages),
-        excluded_releases_dropped=len(d.releases) - len(releases),
+        excluded_packages_dropped=len(d.names) - len(names),
+        excluded_releases_dropped=len(release_package) - len(kept),
     )
 
-    seen: set[tuple[str, str, str, str]] = set()
-    deps: list[DependencyRecord] = []
-    for dep in d.dependencies:
-        key = (dep.source_package, dep.source_version, dep.target_package, dep.kind)
-        if dep.kind not in include:
+    seen: set[tuple[int, str, str]] = set()
+    source: list[int] = []
+    targets: list[str] = []
+    constraints: list[str] = []
+    kinds: list[str] = []
+    for rid, target, constraint, kind in zip(
+        d.dependency_source, d.dependency_target, d.dependency_constraint, d.dependency_kind
+    ):
+        if kind not in include:
             report.kind_dropped += 1
-        elif dep.source_package in excluded:
+        elif release_ids[rid] is None:
             report.excluded_deps_dropped += 1
-        elif dep.target_package not in names:
+        elif target not in package_ids:
             report.unresolved_deps_dropped += 1
-        elif key in seen:
+        elif (key := (rid, target, kind)) in seen:
             report.duplicate_deps_dropped += 1
         else:
             seen.add(key)
-            deps.append(dep)
-    if d.dependencies:
-        report.unresolved_fraction = report.unresolved_deps_dropped / len(d.dependencies)
+            source.append(release_ids[rid])
+            targets.append(target)
+            constraints.append(constraint)
+            kinds.append(kind)
+    if d.dependency_source:
+        report.unresolved_fraction = report.unresolved_deps_dropped / len(d.dependency_source)
 
-    return Dataset(
-        packages=packages,
-        releases=releases,
-        dependencies=deps,
-        cutoff=d.cutoff,
-        ecosystem=d.ecosystem,
-        filter_report=report,
+    return Dataset._from_columns(
+        names, package_ids, releases, (source, targets, constraints, kinds),
+        d.cutoff, d.ecosystem, report,
     )
 
 
@@ -463,25 +718,26 @@ def validate_dataset(d: Dataset, burst_factor: float = 10.0) -> ValidationReport
     """
     report = ValidationReport()
 
-    seen: set[tuple[str, str]] = set()
-    by_package: dict[str, list[ReleaseRecord]] = {}
-    for rel in d.releases:
-        key = (rel.package, rel.version)
+    names = d.names
+    seen: set[tuple[int, str]] = set()
+    by_package: dict[str, list[tuple[str, datetime]]] = {}
+    for pid, version, ts in zip(d.release_package, d.release_version, d.release_time):
+        key = (pid, version)
         if key in seen:
-            report.duplicate_releases.append(key)
+            report.duplicate_releases.append((names[pid], version))
         seen.add(key)
-        by_package.setdefault(rel.package, []).append(rel)
+        by_package.setdefault(names[pid], []).append((version, ts))
 
     for pkg in sorted(by_package):
-        rels = sorted(by_package[pkg], key=lambda r: version_sort_key(r.version))
-        times = [r.timestamp for r in rels]
+        rels = sorted(by_package[pkg], key=lambda r: version_sort_key(r[0]))
+        times = [ts for _, ts in rels]
         if any(b <= a for a, b in zip(times, times[1:])):
             report.ordering_flags.append(pkg)
 
-    if d.releases:
+    if d.release_time:
         counts: dict[Month, int] = {}
-        for rel in d.releases:
-            m = month_of(rel.timestamp)
+        for ts in d.release_time:
+            m = month_of(ts)
             counts[m] = counts.get(m, 0) + 1
         first = min(counts)
         last = max(counts)

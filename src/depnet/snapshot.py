@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import datetime
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .ingest import Dataset, ReleaseRecord
 from .timeutil import Month, format_month, iter_months, month_of, month_start
@@ -45,34 +45,50 @@ class SnapshotGraph:
     """Immutable dependency network at a single instant.
 
     ``latest`` maps each existing package to the release chosen for it
-    (maximum timestamp <= at, version order breaking timestamp ties).
+    (maximum timestamp <= at, version order breaking timestamp ties); it is
+    built from the release ids the graph keeps on first access, and cached.
     ``dropped_deps`` counts dependency rows of latest releases whose target
     did not exist at the snapshot instant. Edges are stored once, as the
     integer adjacency of :meth:`int_view`; the reverse adjacency is built on
     the first in-neighbour query.
     """
 
-    __slots__ = ("at", "latest", "ecosystem", "dropped_deps", "n_edges", "_view", "_preds")
+    __slots__ = (
+        "at", "ecosystem", "dropped_deps", "n_edges",
+        "_releases", "_latest_ids", "_latest", "_view", "_preds",
+    )
 
     def __init__(
         self,
         at: datetime,
-        latest: dict[str, ReleaseRecord],
+        releases: Sequence[ReleaseRecord],
+        latest_ids: Sequence[int],
         view: IntView,
         dropped_deps: int = 0,
         ecosystem: str = "default",
     ):
+        """``releases[latest_ids[i]]`` is the latest release of node ``i``."""
         self.at = at
-        self.latest = latest
         self.ecosystem = ecosystem
         self.dropped_deps = dropped_deps
         self.n_edges = sum(map(len, view.adj))
+        self._releases = releases
+        self._latest_ids = latest_ids
+        self._latest: Optional[dict[str, ReleaseRecord]] = None
         self._view = view
         self._preds: Optional[list[tuple[int, ...]]] = None
 
     @property
+    def latest(self) -> dict[str, ReleaseRecord]:
+        latest = self._latest
+        if latest is None:
+            records = map(self._releases.__getitem__, self._latest_ids)
+            latest = self._latest = dict(zip(self._view.names, records))
+        return latest
+
+    @property
     def nodes(self) -> frozenset[str]:
-        return frozenset(self.latest)
+        return frozenset(self._view.names)
 
     @property
     def edges(self) -> frozenset[tuple[str, str]]:
@@ -81,7 +97,7 @@ class SnapshotGraph:
 
     @property
     def n_nodes(self) -> int:
-        return len(self.latest)
+        return len(self._view.names)
 
     def int_view(self) -> IntView:
         return self._view
@@ -175,20 +191,32 @@ def check_instant(d: Dataset, t: datetime) -> None:
         )
 
 
+def _latest_ids(d: Dataset, t: datetime) -> tuple[list[int], list[int]]:
+    """The id of the latest release at t of each package that has one, in
+    position order, and the node id of every position (-1 for a package
+    without release at t, and for the unreleased-target sentinel)."""
+    check_instant(d, t)
+    idx = d.index()
+    releases, times, offsets = idx.releases, idx.times, idx.offsets
+    node = [-1] * (len(idx.packages) + 1)
+    latest: list[int] = []
+    for k in range(len(idx.packages)):
+        lo = offsets[k]
+        pos = bisect_right(times, t, lo, offsets[k + 1])
+        if pos > lo:
+            node[k] = len(latest)
+            latest.append(releases[pos - 1])
+    return latest, node
+
+
 def latest_releases_at(d: Dataset, t: datetime) -> dict[str, ReleaseRecord]:
     """Latest release of each package at time t.
 
     Packages with no release at or before t are absent. Among releases
     sharing the maximal timestamp the greatest version wins.
     """
-    check_instant(d, t)
-    idx = d.index()
-    latest: dict[str, ReleaseRecord] = {}
-    for pkg, times in idx.release_times.items():
-        pos = bisect_right(times, t)
-        if pos:
-            latest[pkg] = idx.releases_by_package[pkg][pos - 1]
-    return latest
+    releases = d.releases
+    return {rel.package: rel for rel in map(releases.__getitem__, _latest_ids(d, t)[0])}
 
 
 def build_snapshot(d: Dataset, t: datetime) -> SnapshotGraph:
@@ -198,29 +226,31 @@ def build_snapshot(d: Dataset, t: datetime) -> SnapshotGraph:
     targets that do not exist yet are dropped and counted, self-edges and
     repeats are dropped.
     """
-    latest = latest_releases_at(d, t)
-    targets_by_release = d.index().targets_by_release
-    names = list(latest)
-    ids = {name: i for i, name in enumerate(names)}
+    latest, node = _latest_ids(d, t)
+    idx = d.index()
+    targets, offsets = idx.targets, idx.target_offsets
+    package_names, release_package = d.names, d.release_package
+    names = [package_names[release_package[r]] for r in latest]
     adj: list[tuple[int, ...]] = []
     dropped = 0
-    for i, (pkg, rel) in enumerate(latest.items()):
-        targets = targets_by_release.get((pkg, rel.version))
-        if not targets:
+    for i, r in enumerate(latest):
+        lo, hi = offsets[r], offsets[r + 1]
+        if lo == hi:
             adj.append(())
             continue
         row: list[int] = []
-        for q in targets:
-            j = ids.get(q)
-            if j is None:
+        for k in targets[lo:hi]:
+            j = node[k]
+            if j < 0:
                 dropped += 1
             elif j != i and j not in row:
                 row.append(j)
         adj.append(tuple(row))
     return SnapshotGraph(
         at=t,
-        latest=latest,
-        view=IntView(names, ids, adj),
+        releases=d.releases,
+        latest_ids=latest,
+        view=IntView(names, dict(zip(names, range(len(names)))), adj),
         dropped_deps=dropped,
         ecosystem=d.ecosystem,
     )

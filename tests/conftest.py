@@ -5,9 +5,9 @@ from datetime import datetime
 
 import pytest
 
-from depnet.ingest import ReleaseRecord
+from depnet.ingest import Dataset, ReleaseRecord, load_dataset_dir
 from depnet.snapshot import IntView, SnapshotGraph
-from depnet.fixtures import tiny_dataset
+from depnet.fixtures import tiny_dataset, write_dataset
 
 
 @pytest.fixture(scope="session")
@@ -17,17 +17,15 @@ def tiny():
 
 def make_graph(nodes, edges, at=datetime(2020, 1, 1)) -> SnapshotGraph:
     """Build a SnapshotGraph directly from a node list and edge pairs."""
-    latest = {
-        n: ReleaseRecord(package=n, version="1.0.0", timestamp=at) for n in nodes
-    }
-    names = list(latest)
+    names = list(dict.fromkeys(nodes))
+    releases = [ReleaseRecord(package=n, version="1.0.0", timestamp=at) for n in names]
     ids = {n: i for i, n in enumerate(names)}
     adj: list[list[int]] = [[] for _ in names]
     for src, dst in edges:
         if src != dst:
             adj[ids[src]].append(ids[dst])
     view = IntView(names, ids, [tuple(dict.fromkeys(row)) for row in adj])
-    return SnapshotGraph(at=at, latest=latest, view=view)
+    return SnapshotGraph(at=at, releases=releases, latest_ids=range(len(names)), view=view)
 
 
 def random_graph(rng: random.Random, max_nodes: int = 50, density: float = 0.3):
@@ -41,6 +39,13 @@ def random_graph(rng: random.Random, max_nodes: int = 50, density: float = 0.3):
             if i != j and rng.random() < p:
                 edges.append((nodes[i], nodes[j]))
     return nodes, edges
+
+
+def constructed_and_reloaded(d: Dataset, directory) -> tuple[Dataset, Dataset]:
+    """``d`` as constructed, and ``d`` after ``write_dataset`` and
+    ``load_dataset_dir``, so that an oracle covers the parse path too."""
+    write_dataset(d, directory)
+    return d, load_dataset_dir(directory)
 
 
 def write_dataset_csvs(directory, packages, releases, dependencies):

@@ -58,6 +58,26 @@ class TestExitCodes:
         code, _, _ = invoke(capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_usage_error(self, capsys, tiny_dir, jobs):
+        code, out, err = invoke(
+            capsys, "series", "growth", "--from", "2020-01", "--to", "2020-03",
+            "--jobs", jobs, *tiny_args(tiny_dir),
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"depnet: --jobs must be at least 1, not {jobs}\n"
+
+    @pytest.mark.parametrize("factor", ["0", "-1", "nan", "inf"])
+    def test_burst_factor_not_positive_finite_is_usage_error(self, capsys, tiny_dir, factor):
+        code, out, err = invoke(
+            capsys, "validate", "--burst-factor", factor, *tiny_args(tiny_dir)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("depnet: --burst-factor must be a positive finite number")
+        assert err.count("\n") == 1
+
     def test_missing_dataset_is_data_error(self, capsys, tmp_path):
         code, _, err = invoke(
             capsys, "snapshot", "--at", "2020-01-01", "--dataset", tmp_path / "nope"

@@ -22,12 +22,18 @@ from depnet.evolution import (
     updates_by_age,
 )
 from depnet.fixtures import GeneratorConfig, generate
-from depnet.ingest import Dataset, DependencyRecord, PackageRecord, ReleaseRecord
+from depnet.ingest import (
+    Dataset,
+    DependencyRecord,
+    PackageRecord,
+    ReleaseRecord,
+    version_sort_key,
+)
 from depnet.snapshot import build_snapshot
 from depnet.stats import kaplan_meier
 from depnet.timeutil import DAYS_PER_MONTH
 
-from conftest import make_graph
+from conftest import constructed_and_reloaded, make_graph
 
 TINY_CUTOFF = datetime(2020, 4, 1)
 
@@ -47,16 +53,30 @@ def random_release_dataset(rng: random.Random) -> Dataset:
                 dependencies.append(DependencyRecord(name, version, target, "*", "runtime"))
     rng.shuffle(releases)
     return Dataset(
-        packages={PackageRecord(n, "x") for n in names},
+        packages={PackageRecord(n, "default") for n in names},
         releases=releases,
         dependencies=dependencies,
         cutoff=datetime(2020, 1, 15),
     )
 
 
+def _survival_order(d: Dataset) -> list[ReleaseRecord]:
+    """The releases in the order of survival observations: packages in the
+    order of their first release row, each package's releases by timestamp
+    with version order breaking ties."""
+    by_package: dict[str, list[ReleaseRecord]] = {}
+    for rel in d.releases:
+        by_package.setdefault(rel.package, []).append(rel)
+    return [
+        rel
+        for rels in by_package.values()
+        for rel in sorted(rels, key=lambda r: (r.timestamp, version_sort_key(r.version)))
+    ]
+
+
 def single_package_dataset():
     return Dataset(
-        packages={PackageRecord("solo", "x")},
+        packages={PackageRecord("solo", "default")},
         releases=[ReleaseRecord("solo", "1.0.0", datetime(2020, 1, 10))],
         dependencies=[],
         cutoff=datetime(2020, 3, 1),
@@ -126,7 +146,7 @@ class TestUpdateCounts:
 
     def test_three_releases_in_one_month(self):
         d = Dataset(
-            packages={PackageRecord("p", "x")},
+            packages={PackageRecord("p", "default")},
             releases=[
                 ReleaseRecord("p", "1.0.0", datetime(2020, 1, 5)),
                 ReleaseRecord("p", "1.1.0", datetime(2020, 1, 12)),
@@ -163,7 +183,7 @@ class TestUpdateDistribution:
             ReleaseRecord("p", f"1.{i}.0", datetime(2020, 1, 1 + i)) for i in range(6)
         ]
         d = Dataset(
-            packages={PackageRecord("p", "x")},
+            packages={PackageRecord("p", "default")},
             releases=releases,
             dependencies=[],
             cutoff=datetime(2020, 2, 1),
@@ -203,7 +223,7 @@ class TestUpdateInequality:
         releases.append(ReleaseRecord("q", "1.0.0", datetime(2020, 1, 2)))
         releases.append(ReleaseRecord("q", "1.1.0", datetime(2020, 1, 9)))
         d = Dataset(
-            packages={PackageRecord("p", "x"), PackageRecord("q", "x")},
+            packages={PackageRecord("p", "default"), PackageRecord("q", "default")},
             releases=releases,
             dependencies=[],
             cutoff=datetime(2020, 3, 1),
@@ -228,7 +248,7 @@ class TestUpdateInequality:
             ReleaseRecord("q", "1.1.0", datetime(2020, 1, 20)),
         ]
         d = Dataset(
-            packages={PackageRecord("p", "x"), PackageRecord("q", "x")},
+            packages={PackageRecord("p", "default"), PackageRecord("q", "default")},
             releases=releases,
             dependencies=[],
             cutoff=datetime(2020, 2, 1),
@@ -255,7 +275,7 @@ class TestUpdatesByAge:
         first = datetime(2020, 1, 1)
         boundary_age = timedelta(days=3 * DAYS_PER_MONTH)
         d = Dataset(
-            packages={PackageRecord("p", "x")},
+            packages={PackageRecord("p", "default")},
             releases=[
                 ReleaseRecord("p", "1.0.0", first),
                 ReleaseRecord("p", "1.1.0", first + boundary_age),
@@ -307,7 +327,7 @@ class TestSurvival:
         # q is depended on by p from 2020-02-01; q's first release predates
         # that edge, its second comes after.
         d = Dataset(
-            packages={PackageRecord("p", "x"), PackageRecord("q", "x")},
+            packages={PackageRecord("p", "default"), PackageRecord("q", "default")},
             releases=[
                 ReleaseRecord("q", "1.0.0", datetime(2020, 1, 1)),
                 ReleaseRecord("p", "1.0.0", datetime(2020, 2, 1)),
@@ -322,32 +342,29 @@ class TestSurvival:
         assert req_durations == [31.0]  # q@1.1.0 censored at cutoff
         assert notreq_durations == [60.0, 60.0]  # q@1.0.0 event, p@1.0.0 censored
 
-    def test_required_matches_snapshot_in_degree(self):
+    def test_required_matches_snapshot_in_degree(self, tmp_path):
         # Oracle: a release is required iff its package has an in-edge in
         # the snapshot at the release instant. The random datasets have
         # timestamp ties, self-dependencies, duplicate rows and targets
         # whose first release comes later.
         rng = random.Random(20170401)
         for _ in range(400):
-            d = random_release_dataset(rng)
-            observations = survival_dataset(d).observations
-            expected = {True: [], False: []}
-            releases = (
-                rel for rels in d.index().releases_by_package.values() for rel in rels
-            )
-            for rel, obs in zip(releases, observations, strict=True):
-                required = build_snapshot(d, rel.timestamp).in_degree(rel.package) > 0
-                expected[required].append(obs)
-            required, not_required = survival_dataset(d, split_by_required=True)
-            assert required.observations == expected[True], d
-            assert not_required.observations == expected[False], d
+            for d in constructed_and_reloaded(random_release_dataset(rng), tmp_path / "d"):
+                observations = survival_dataset(d).observations
+                expected = {True: [], False: []}
+                for rel, obs in zip(_survival_order(d), observations, strict=True):
+                    required = build_snapshot(d, rel.timestamp).in_degree(rel.package) > 0
+                    expected[required].append(obs)
+                required, not_required = survival_dataset(d, split_by_required=True)
+                assert required.observations == expected[True], d
+                assert not_required.observations == expected[False], d
 
     def test_same_instant_dependency_counts(self):
         # p and q released at the same instant; p -> q is visible to both
         # observations taken at that instant.
         ts = datetime(2020, 1, 15)
         d = Dataset(
-            packages={PackageRecord("p", "x"), PackageRecord("q", "x")},
+            packages={PackageRecord("p", "default"), PackageRecord("q", "default")},
             releases=[
                 ReleaseRecord("p", "1.0.0", ts),
                 ReleaseRecord("q", "1.0.0", ts),
@@ -368,7 +385,7 @@ class TestTransitiveRatio:
 
     def test_single_edge(self):
         d = Dataset(
-            packages={PackageRecord("p", "x"), PackageRecord("q", "x")},
+            packages={PackageRecord("p", "default"), PackageRecord("q", "default")},
             releases=[
                 ReleaseRecord("p", "1.0.0", datetime(2020, 1, 1)),
                 ReleaseRecord("q", "1.0.0", datetime(2020, 1, 2)),
@@ -381,7 +398,7 @@ class TestTransitiveRatio:
 
     def test_chain(self):
         d = Dataset(
-            packages={PackageRecord(n, "x") for n in "xyz"},
+            packages={PackageRecord(n, "default") for n in "xyz"},
             releases=[
                 ReleaseRecord("x", "1.0.0", datetime(2020, 1, 1)),
                 ReleaseRecord("y", "1.0.0", datetime(2020, 1, 2)),

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import io
 import random
 from dataclasses import asdict
@@ -22,9 +23,10 @@ from depnet.ingest import (
     version_sort_key,
     write_csv,
 )
-from depnet.fixtures import write_dataset
+from depnet.fixtures import GeneratorConfig, generate, write_dataset
+from depnet.snapshot import build_snapshot
 
-from conftest import write_dataset_csvs
+from conftest import constructed_and_reloaded, write_dataset_csvs
 
 TINY_CUTOFF = datetime(2020, 4, 1)
 
@@ -275,20 +277,21 @@ class TestFilter:
         assert len(filtered.releases) == len(d.releases) - fr.excluded_releases_dropped
         assert len(filtered.packages) == len(d.packages) - fr.excluded_packages_dropped
 
-    def test_matches_row_by_row_reference(self):
+    def test_matches_row_by_row_reference(self, tmp_path):
         rng = random.Random(20170401)
         kinds = ["runtime", "imports", "normal", "dev", "test"]
         for _ in range(400):
-            d = _random_filter_dataset(rng, kinds)
+            built = _random_filter_dataset(rng, kinds)
             included = set(rng.sample(kinds, rng.randint(1, len(kinds))))
-            names = sorted(d.package_names) + ["ghost"]
+            names = sorted(built.package_names) + ["ghost"]
             excluded = set(rng.sample(names, rng.randint(0, min(3, len(names)))))
-            filtered = filter_dependencies(d, included, excluded)
-            packages, releases, deps, report = _reference_filter(d, included, excluded)
-            assert filtered.packages == packages
-            assert filtered.releases == releases
-            assert filtered.dependencies == deps
-            assert asdict(filtered.filter_report) == asdict(report)
+            for d in constructed_and_reloaded(built, tmp_path / "d"):
+                filtered = filter_dependencies(d, included, excluded)
+                packages, releases, deps, report = _reference_filter(d, included, excluded)
+                assert filtered.packages == packages
+                assert filtered.releases == releases
+                assert filtered.dependencies == deps
+                assert asdict(filtered.filter_report) == asdict(report)
 
     def test_load_exclusions(self, tmp_path):
         f = tmp_path / "excl.txt"
@@ -370,6 +373,55 @@ class TestRoundTrip:
             load_dataset_dir(tmp_path / "out")
 
 
+class TestLoadFootprint:
+    def test_load_leaves_fewer_tracked_objects_than_packages(self, tmp_path):
+        # The loaded dataset keeps its rows as columns of strings, ints and
+        # datetimes, which the cyclic collector does not track; per-row
+        # objects would show up here, and every full collection would walk
+        # them again.
+        cfg = GeneratorConfig(n_packages=5000, months=24, seed=3, mean_deps=2.5)
+        write_dataset(generate(cfg), tmp_path / "d", cfg)
+        gc.collect()
+        before = len(gc.get_objects())
+        d = filter_dependencies(load_dataset_dir(tmp_path / "d"))
+        d.index()
+        assert len(gc.get_objects()) - before < cfg.n_packages
+
+
+class TestDatasetRecords:
+    def test_record_views_slice_like_lists(self, tiny):
+        assert tiny.releases[:3] == list(tiny.releases)[:3]
+        assert tiny.dependencies[-2:] == list(tiny.dependencies)[-2:]
+        assert tiny.releases[-1] == list(tiny.releases)[-1]
+
+    def test_package_record_of_other_ecosystem_rejected(self):
+        with pytest.raises(DatasetError, match="'npm'"):
+            Dataset(
+                packages={PackageRecord("p", "npm"), PackageRecord("q", "cran")},
+                releases=[],
+                dependencies=[],
+                cutoff=datetime(2020, 1, 1),
+                ecosystem="npm",
+            )
+
+    def test_repeated_release_dependencies_belong_to_first(self):
+        # validate_dataset reports the repeat; until the data is mended, the
+        # later copy has no dependency rows of its own.
+        d = Dataset(
+            packages={PackageRecord("p", "default"), PackageRecord("q", "default")},
+            releases=[
+                ReleaseRecord("q", "1", datetime(2020, 1, 1)),
+                ReleaseRecord("p", "1", datetime(2020, 1, 2)),
+                ReleaseRecord("p", "1", datetime(2020, 1, 3)),
+            ],
+            dependencies=[DependencyRecord("p", "1", "q", "*", "runtime")],
+            cutoff=datetime(2020, 2, 1),
+        )
+        assert d.dependency_source == [1]
+        assert build_snapshot(d, datetime(2020, 1, 2)).out_degree("p") == 1
+        assert build_snapshot(d, datetime(2020, 1, 3)).out_degree("p") == 0
+
+
 class TestValidate:
     def test_tiny_clean(self, tiny):
         report = validate_dataset(tiny)
@@ -377,7 +429,7 @@ class TestValidate:
 
     def test_burst_warning_flags_mass_import(self):
         # ~20 releases/month for 18 months, then a 25k spike.
-        packages = {PackageRecord(f"p{i}", "x") for i in range(25100)}
+        packages = {PackageRecord(f"p{i}", "default") for i in range(18 * 20 + 25000)}
         releases = []
         k = 0
         for month in range(18):
@@ -395,7 +447,7 @@ class TestValidate:
         assert report.burst_warnings[0].trailing_median == 20.0
 
     def test_ordering_flag_on_version_time_conflict(self):
-        packages = {PackageRecord("p", "x")}
+        packages = {PackageRecord("p", "default")}
         releases = [
             ReleaseRecord("p", "2.0.0", datetime(2020, 1, 1)),
             ReleaseRecord("p", "1.9.0", datetime(2020, 2, 1)),
@@ -405,7 +457,7 @@ class TestValidate:
         assert report.ordering_flags == ["p"]
 
     def test_duplicate_release_reported(self):
-        packages = {PackageRecord("p", "x")}
+        packages = {PackageRecord("p", "default")}
         releases = [
             ReleaseRecord("p", "1.0.0", datetime(2020, 1, 1)),
             ReleaseRecord("p", "1.0.0", datetime(2020, 2, 1)),

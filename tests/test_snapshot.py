@@ -18,6 +18,8 @@ from depnet.snapshot import (
     monthly_snapshots,
 )
 
+from conftest import constructed_and_reloaded
+
 TINY_CUTOFF = datetime(2020, 4, 1)
 
 
@@ -50,7 +52,7 @@ class TestLatestReleases:
     def test_timestamp_tie_broken_by_version(self):
         ts = datetime(2020, 1, 1)
         d = Dataset(
-            packages={PackageRecord("p", "x")},
+            packages={PackageRecord("p", "default")},
             releases=[
                 ReleaseRecord("p", "1.10.0", ts),
                 ReleaseRecord("p", "1.9.0", ts),
@@ -81,7 +83,7 @@ class TestBuildSnapshot:
     def test_missing_target_counted(self):
         # q's only release comes after t, so p -> q is dropped and counted.
         d = Dataset(
-            packages={PackageRecord("p", "x"), PackageRecord("q", "x")},
+            packages={PackageRecord("p", "default"), PackageRecord("q", "default")},
             releases=[
                 ReleaseRecord("p", "1.0.0", datetime(2020, 1, 1)),
                 ReleaseRecord("q", "1.0.0", datetime(2020, 3, 1)),
@@ -101,7 +103,7 @@ class TestBuildSnapshot:
 
     def test_self_loop_and_duplicates_removed(self):
         d = Dataset(
-            packages={PackageRecord("p", "x"), PackageRecord("q", "x")},
+            packages={PackageRecord("p", "default"), PackageRecord("q", "default")},
             releases=[
                 ReleaseRecord("p", "1.0.0", datetime(2020, 1, 1)),
                 ReleaseRecord("q", "1.0.0", datetime(2020, 1, 1)),
@@ -157,7 +159,7 @@ class TestMonthlySeries:
     def test_boundary_release_included(self):
         # A release at exactly the month boundary belongs to that snapshot.
         d = Dataset(
-            packages={PackageRecord("p", "x")},
+            packages={PackageRecord("p", "default")},
             releases=[ReleaseRecord("p", "1.0.0", datetime(2020, 2, 1))],
             dependencies=[],
             cutoff=datetime(2020, 3, 1),
@@ -188,7 +190,7 @@ def _random_dataset(rng: random.Random) -> Dataset:
                 deps.append(DependencyRecord(rel.package, rel.version, target, "*", kind))
     rng.shuffle(deps)
     return Dataset(
-        packages={PackageRecord(n, "x") for n in names},
+        packages={PackageRecord(n, "default") for n in names},
         releases=releases,
         dependencies=deps,
         cutoff=datetime(2020, 2, 1),
@@ -225,18 +227,19 @@ def _reference_snapshot(d: Dataset, t: datetime):
 
 
 class TestBuildSnapshotOracle:
-    def test_matches_reference_on_random_datasets(self):
+    def test_matches_reference_on_random_datasets(self, tmp_path):
         rng = random.Random(17)
         for _ in range(300):
-            d = _random_dataset(rng)
-            instants = [datetime(2020, 1, day) for day in (1, 3, 6, 9, 12)]
-            instants += [datetime(2020, 1, 4, 12), d.cutoff]
-            for t in instants:
-                latest, out, incoming, dropped = _reference_snapshot(d, t)
-                g = build_snapshot(d, t)
-                assert g.latest == latest
-                assert g.nodes == set(latest)
-                assert {p: g.out_neighbors(p) for p in g.nodes} == out
-                assert {p: g.in_neighbors(p) for p in g.nodes} == incoming
-                assert g.dropped_deps == dropped
-                assert g.n_edges == sum(map(len, out.values()))
+            for d in constructed_and_reloaded(_random_dataset(rng), tmp_path / "d"):
+                instants = [datetime(2020, 1, day) for day in (1, 3, 6, 9, 12)]
+                instants += [datetime(2020, 1, 4, 12), d.cutoff]
+                for t in instants:
+                    latest, out, incoming, dropped = _reference_snapshot(d, t)
+                    g = build_snapshot(d, t)
+                    assert g.latest == latest
+                    assert list(g.latest) == list(latest)  # node id order
+                    assert g.nodes == set(latest)
+                    assert {p: g.out_neighbors(p) for p in g.nodes} == out
+                    assert {p: g.in_neighbors(p) for p in g.nodes} == incoming
+                    assert g.dropped_deps == dropped
+                    assert g.n_edges == sum(map(len, out.values()))
