@@ -14,7 +14,6 @@ the file under ``--out DIR`` and writes the ``--manifest`` record.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import io
 import json
 import math
@@ -46,6 +45,10 @@ from .indices import changeability_index, p_impact_index, reusability_index
 from .ingest import (
     DEFAULT_INCLUDED_KINDS,
     DatasetError,
+    _column_key,
+    _dataset_digest,
+    _read_columns,
+    _write_columns,
     filter_dependencies,
     load_dataset_dir,
     load_exclusions,
@@ -63,8 +66,6 @@ from .stats import (
     normalized_gini,
 )
 from .timeutil import format_month, month_of, parse_instant, parse_month
-
-_DATASET_FILES = ("packages.csv", "releases.csv", "dependencies.csv")
 
 
 def _add_dataset_options(parser: argparse.ArgumentParser) -> None:
@@ -94,21 +95,43 @@ def _add_output_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _load_raw_and_filtered(args):
-    """The dataset as parsed, and as filtered by --kinds and --exclude-file."""
+def _dataset_options(args):
+    """The dataset directory, the cutoff, the kinds and the excluded names
+    that the dataset options give, and the key of the column file for them."""
+    directory = Path(args.dataset)
     cutoff = parse_instant(args.cutoff) if args.cutoff else None
-    dataset = load_dataset_dir(args.dataset, cutoff=cutoff, ecosystem=args.ecosystem)
     kinds = (
         {k.strip().lower() for k in args.kinds.split(",") if k.strip()}
         if args.kinds
         else DEFAULT_INCLUDED_KINDS
     )
-    excluded = load_exclusions(args.exclude_file) if args.exclude_file else ()
-    return dataset, filter_dependencies(dataset, kinds, excluded)
+    excluded = load_exclusions(args.exclude_file) if args.exclude_file else set()
+    return directory, cutoff, kinds, excluded, _column_key(directory, kinds, excluded)
+
+
+def _load_raw_and_filtered(args):
+    """The dataset as parsed, and as filtered by --kinds and --exclude-file.
+    Writes the column file that later commands load."""
+    directory, cutoff, kinds, excluded, key = _dataset_options(args)
+    dataset = load_dataset_dir(directory, cutoff=cutoff, ecosystem=args.ecosystem)
+    filtered = filter_dependencies(dataset, kinds, excluded)
+    _write_columns(directory, key, filtered, max(dataset.release_time, default=None))
+    return dataset, filtered
 
 
 def _load(args):
-    return _load_raw_and_filtered(args)[1]
+    """The dataset as filtered by --kinds and --exclude-file: from the
+    column file when its key matches, else parsed and filtered, which
+    writes the column file."""
+    directory, cutoff, kinds, excluded, key = _dataset_options(args)
+    filtered = _read_columns(directory, key, cutoff, args.ecosystem)
+    if filtered is None:
+        dataset = load_dataset_dir(directory, cutoff=cutoff, ecosystem=args.ecosystem)
+        filtered = filter_dependencies(dataset, kinds, excluded)
+        last_release = max(dataset.release_time, default=None)
+        del dataset  # so that the write adds no memory to the parse's peak
+        _write_columns(directory, key, filtered, last_release)
+    return filtered
 
 
 def _fmt(value) -> str:
@@ -142,15 +165,11 @@ def _emit(args, header: list[str], rows: list[tuple], metric: str = "output",
 
 
 def _write_manifest(args, target) -> None:
-    digest = hashlib.sha256()
-    for name in _DATASET_FILES:
-        path = Path(args.dataset) / name
-        if path.exists():
-            digest.update(path.read_bytes())
+    digest, _ = _dataset_digest(Path(args.dataset))
     record = {
         "tool": {"name": "depnet", "version": __version__},
         "arguments": args.raw_argv,
-        "dataset": {"path": str(args.dataset), "sha256": digest.hexdigest()},
+        "dataset": {"path": str(args.dataset), "sha256": digest},
     }
     text = json.dumps(record, indent=2, sort_keys=True) + "\n"
     if target:

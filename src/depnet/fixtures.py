@@ -20,7 +20,6 @@ procedure so that fixture content never drifts between releases:
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import random
@@ -30,7 +29,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional
 
-from .ingest import Dataset, parse_dataset, write_csv
+from .ingest import Dataset, _dataset_digest, parse_dataset, write_csv
 from .timeutil import add_months, month_start
 
 GENERATOR_NAME = "depnet-fixture-v1"
@@ -243,9 +242,7 @@ def write_dataset(d: Dataset, directory, config: Optional[GeneratorConfig] = Non
 def _write_manifest(d: Dataset, directory: Path, config: Optional[GeneratorConfig]) -> None:
     """``manifest.json`` for the three CSV files already in ``directory``:
     row counts, cutoff, ecosystem, generator settings and a content hash."""
-    digest = hashlib.sha256()
-    for name in ("packages.csv", "releases.csv", "dependencies.csv"):
-        digest.update((directory / name).read_bytes())
+    digest, _ = _dataset_digest(directory)
     manifest = {
         "generator": GENERATOR_NAME,
         "rows": {
@@ -257,7 +254,7 @@ def _write_manifest(d: Dataset, directory: Path, config: Optional[GeneratorConfi
         "ecosystem": d.ecosystem,
         "seed": config.seed if config else None,
         "config": asdict(config) if config else None,
-        "sha256": digest.hexdigest(),
+        "sha256": digest,
     }
     (directory / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"

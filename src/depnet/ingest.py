@@ -12,16 +12,22 @@ references to packages hosted outside the registry.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
+import os
 import statistics
 import sys
+import zipfile
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from collections.abc import Callable, Iterable, Sequence, Set as AbstractSet
-from dataclasses import dataclass, field
-from datetime import datetime
+from dataclasses import asdict, dataclass, field
+from datetime import datetime, timedelta
 from itertools import accumulate
 from pathlib import Path
 from typing import Optional
+
+import numpy as np
 
 from .timeutil import Month, iter_months, month_of, parse_timestamp
 
@@ -523,16 +529,7 @@ def parse_dataset(
         release_version.append(version)
         release_time.append(ts)
 
-    max_ts = max(release_time, default=None)
-    if cutoff is None:
-        if max_ts is None:
-            raise DatasetError(f"{releases_path}: empty dataset requires an explicit cutoff")
-        cutoff = max_ts
-    elif max_ts is not None and max_ts > cutoff:
-        raise DatasetError(
-            f"{releases_path}: release timestamp {max_ts.isoformat()} "
-            f"is after the cutoff {cutoff.isoformat()}"
-        )
+    cutoff = _checked_cutoff(cutoff, max(release_time, default=None), releases_path)
 
     source: list[int] = []
     targets: list[str] = []
@@ -563,6 +560,24 @@ def parse_dataset(
     )
 
 
+def _checked_cutoff(
+    cutoff: Optional[datetime], last_release: Optional[datetime], releases_path
+) -> datetime:
+    """``cutoff``, or the last release timestamp when it is ``None``. Raises
+    ``DatasetError`` for a cutoff before the last release, and for no cutoff
+    on a dataset without releases."""
+    if cutoff is None:
+        if last_release is None:
+            raise DatasetError(f"{releases_path}: empty dataset requires an explicit cutoff")
+        return last_release
+    if last_release is not None and last_release > cutoff:
+        raise DatasetError(
+            f"{releases_path}: release timestamp {last_release.isoformat()} "
+            f"is after the cutoff {cutoff.isoformat()}"
+        )
+    return cutoff
+
+
 def load_dataset_dir(
     directory, cutoff: Optional[datetime] = None, ecosystem: Optional[str] = None
 ) -> Dataset:
@@ -574,13 +589,25 @@ def load_dataset_dir(
     timestamp and the ecosystem is the directory name.
     """
     directory = Path(directory)
-    manifest_cutoff, manifest_ecosystem = _read_manifest(directory / "manifest.json")
+    cutoff, ecosystem = _dataset_settings(directory, cutoff, ecosystem)
     return parse_dataset(
         directory / "packages.csv",
         directory / "releases.csv",
         directory / "dependencies.csv",
+        cutoff,
+        ecosystem=ecosystem,
+    )
+
+
+def _dataset_settings(
+    directory: Path, cutoff: Optional[datetime], ecosystem: Optional[str]
+) -> tuple[Optional[datetime], str]:
+    """The cutoff (``None`` for the last release) and the ecosystem of the
+    dataset in ``directory``, resolved as :func:`load_dataset_dir` describes."""
+    manifest_cutoff, manifest_ecosystem = _read_manifest(directory / "manifest.json")
+    return (
         cutoff or manifest_cutoff,
-        ecosystem=ecosystem or manifest_ecosystem or directory.name or "default",
+        ecosystem or manifest_ecosystem or directory.name or "default",
     )
 
 
@@ -688,6 +715,188 @@ def filter_dependencies(
     )
 
 
+_DATASET_FILES = ("packages.csv", "releases.csv", "dependencies.csv")
+
+
+def _dataset_digest(directory: Path) -> tuple[str, list[Optional[int]]]:
+    """The SHA-256 of the dataset's CSV files read one after another, and
+    the size of each, ``None`` for one that cannot be read (which adds no
+    bytes, and is left for the parse to report). Files are read in small
+    blocks: freeing one large read raises glibc's mmap threshold, and a
+    parse that follows then peaks about 20 MiB higher on the 100k-package
+    fixture."""
+    digest = hashlib.sha256()
+    sizes: list[Optional[int]] = []
+    block = bytearray(1 << 16)
+    for name in _DATASET_FILES:
+        size = 0
+        try:
+            with open(directory / name, "rb") as handle:
+                while n := handle.readinto(block):
+                    digest.update(memoryview(block)[:n])
+                    size += n
+        except OSError:
+            size = None
+        sizes.append(size)
+    return digest.hexdigest(), sizes
+
+
+# The column file holds a filtered Dataset's columns beside its CSVs; the
+# CLI writes it after a parse and reads it in place of the next parse and
+# filter. It is laid out as an uncompressed ``np.savez`` archive of plain
+# arrays, read back with ``np.load(..., allow_pickle=False)``, so loading
+# it runs no code: ids as int64, release times as int64 microseconds since
+# the epoch, and each string column as one UTF-8 blob with int64 offsets
+# into the decoded text. The ``meta`` member is JSON: the key, the filter
+# report and the raw dataset's last release timestamp, which the cutoff
+# rule needs. The cutoff and the ecosystem are not stored.
+COLUMN_FILE = ".depnet-columns.npz"
+_COLUMN_FORMAT = 1
+_STRING_COLUMNS = (
+    "names", "release_version",
+    "dependency_target", "dependency_constraint", "dependency_kind",
+)
+_EPOCH = datetime(1970, 1, 1)
+_MICROSECOND = timedelta(microseconds=1)
+# Stored release times lie in this range, which datetime can hold.
+_TIME_RANGE = (
+    (datetime.min - _EPOCH) // _MICROSECOND,
+    (datetime.max - _EPOCH) // _MICROSECOND + 1,
+)
+# Reading a column file that is damaged, truncated or not a column file at
+# all fails with one of these, and the caller parses the CSVs instead.
+_UNUSABLE = (OSError, ValueError, KeyError, TypeError, zipfile.BadZipFile, EOFError)
+
+
+def _column_key(directory: Path, kinds: AbstractSet[str], excluded: AbstractSet[str]) -> str:
+    """The key of the column file for the CSVs in ``directory`` filtered by
+    ``kinds`` and ``excluded``: the SHA-256 of the format version, the
+    digest and the sizes of the CSVs (so that moving bytes from one file to
+    the next changes it), the kinds and the excluded names."""
+    digest, sizes = _dataset_digest(directory)
+    record = [_COLUMN_FORMAT, digest, sizes, sorted(kinds), sorted(excluded)]
+    return hashlib.sha256(json.dumps(record).encode()).hexdigest()
+
+
+def _write_columns(
+    directory: Path, key: str, d: Dataset, last_release: Optional[datetime]
+) -> None:
+    """Store the columns of ``d`` in the column file of ``directory`` under
+    ``key``. The file is written under a temporary name and then moved into
+    place; a write that fails leaves no file behind and raises nothing.
+    Members are made and written one at a time, as ``np.savez`` would lay
+    them out, so that at most one column's arrays exist at once."""
+    meta = {
+        "key": key,
+        "filter_report": asdict(d.filter_report),
+        "last_release": None if last_release is None else last_release.isoformat(),
+    }
+    tmp = directory / f"{COLUMN_FILE}.{os.getpid()}.tmp"
+    try:
+        with zipfile.ZipFile(tmp, "w") as archive:
+            for name, array in _column_arrays(d, meta):
+                with archive.open(name + ".npy", "w", force_zip64=True) as member:
+                    np.lib.format.write_array(member, array, allow_pickle=False)
+        os.replace(tmp, directory / COLUMN_FILE)
+    except (OSError, ValueError):
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+
+
+def _column_arrays(d: Dataset, meta: dict):
+    """(member name, array) of each member of the column file of ``d``."""
+    yield "meta", np.frombuffer(json.dumps(meta).encode(), np.uint8)
+    for name in _STRING_COLUMNS:
+        values = getattr(d, name)
+        yield name, np.frombuffer("".join(values).encode("utf-8"), np.uint8)
+        offsets = np.zeros(len(values) + 1, np.int64)
+        np.cumsum(np.fromiter(map(len, values), np.int64, len(values)), out=offsets[1:])
+        yield name + "_offsets", offsets
+    yield "release_package", np.array(d.release_package, np.int64)
+    yield "dependency_source", np.array(d.dependency_source, np.int64)
+    yield "release_time", np.array(
+        [(t - _EPOCH) // _MICROSECOND for t in d.release_time], np.int64
+    )
+
+
+def _read_columns(
+    directory: Path, key: str, cutoff: Optional[datetime], ecosystem: Optional[str]
+) -> Optional[Dataset]:
+    """The Dataset stored by :func:`_write_columns` in the column file of
+    ``directory`` under ``key``, with its cutoff and ecosystem resolved as
+    :func:`load_dataset_dir` resolves them, and the same ``DatasetError``
+    for a cutoff before the last release. ``None`` when the file is
+    missing or unreadable, holds another key, or fails a check of its
+    lengths and id ranges."""
+    cutoff, ecosystem = _dataset_settings(directory, cutoff, ecosystem)
+    try:
+        # np.load leaves a file it opened itself open when the archive is
+        # damaged, so it is given an open file.
+        with open(directory / COLUMN_FILE, "rb") as handle, np.load(
+            handle, allow_pickle=False
+        ) as archive:
+            meta = json.loads(archive["meta"].tobytes())
+            if meta["key"] != key:
+                return None
+            names, versions, targets, constraints, kinds = (
+                _stored_strings(archive, name) for name in _STRING_COLUMNS
+            )
+            release_package = _stored_ids(archive["release_package"], len(names))
+            source = _stored_ids(archive["dependency_source"], len(release_package))
+            times = _in_range(archive["release_time"], *_TIME_RANGE)
+            times = times.astype("datetime64[us]").tolist()
+        report = FilterReport(**meta["filter_report"])
+        last_release = meta["last_release"]
+        if last_release is not None:
+            last_release = datetime.fromisoformat(last_release)
+        package_ids = {name: pid for pid, name in enumerate(names)}
+        if not (
+            len(package_ids) == len(names)
+            and len(release_package) == len(versions) == len(times)
+            and len(source) == len(targets) == len(constraints) == len(kinds)
+        ):
+            return None
+    except _UNUSABLE:
+        return None
+    return Dataset._from_columns(
+        names, package_ids,
+        (release_package, versions, times),
+        (source, targets, constraints, list(map(sys.intern, kinds))),
+        _checked_cutoff(cutoff, last_release, directory / "releases.csv"),
+        ecosystem, report,
+    )
+
+
+def _in_range(array: np.ndarray, low: int, high: int) -> np.ndarray:
+    """A stored int64 column whose values all lie in range(low, high);
+    ``ValueError`` otherwise."""
+    if array.dtype != np.int64 or array.ndim != 1:
+        raise ValueError("not an int64 column")
+    if len(array) and (array.min() < low or array.max() >= high):
+        raise ValueError("value out of range")
+    return array
+
+
+def _stored_ids(array: np.ndarray, n: int) -> list[int]:
+    """A stored column of ids in range(n). Equal ids share one int object,
+    as they do in a parsed Dataset."""
+    ids = list(range(n))
+    return [ids[i] for i in _in_range(array, 0, n).tolist()]
+
+
+def _stored_strings(archive, name: str) -> list[str]:
+    """A string column stored as a UTF-8 blob and the offsets of its values
+    in the decoded text; ``ValueError`` when the offsets do not fit it."""
+    text = archive[name].tobytes().decode("utf-8")
+    offsets = archive[name + "_offsets"]
+    bounds = _in_range(offsets, 0, len(text) + 1).tolist()
+    if not bounds or bounds[0] != 0 or bounds[-1] != len(text) or (np.diff(offsets) < 0).any():
+        raise ValueError(f"offsets of {name} do not fit its text")
+    return [text[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
 @dataclass(frozen=True, slots=True)
 class BurstWarning:
     month: Month
@@ -719,20 +928,25 @@ def validate_dataset(d: Dataset, burst_factor: float = 10.0) -> ValidationReport
     report = ValidationReport()
 
     names = d.names
+    # A package with one release can have neither a duplicate release nor
+    # an ordering conflict, so only packages with two or more are grouped.
+    n_releases = Counter(d.release_package)
     seen: set[tuple[int, str]] = set()
-    by_package: dict[str, list[tuple[str, datetime]]] = {}
+    by_package: dict[int, list[tuple[str, datetime]]] = {}
     for pid, version, ts in zip(d.release_package, d.release_version, d.release_time):
+        if n_releases[pid] == 1:
+            continue
         key = (pid, version)
         if key in seen:
             report.duplicate_releases.append((names[pid], version))
         seen.add(key)
-        by_package.setdefault(names[pid], []).append((version, ts))
+        by_package.setdefault(pid, []).append((version, ts))
 
-    for pkg in sorted(by_package):
-        rels = sorted(by_package[pkg], key=lambda r: version_sort_key(r[0]))
+    for pid in sorted(by_package, key=names.__getitem__):
+        rels = sorted(by_package[pid], key=lambda r: version_sort_key(r[0]))
         times = [ts for _, ts in rels]
         if any(b <= a for a, b in zip(times, times[1:])):
-            report.ordering_flags.append(pkg)
+            report.ordering_flags.append(names[pid])
 
     if d.release_time:
         counts: dict[Month, int] = {}

@@ -1,16 +1,20 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
+import os
 import sys
+import zipfile
 from collections import Counter
 from concurrent.futures.process import BrokenProcessPool
 from datetime import datetime
 
+import numpy as np
 import pytest
 
-from depnet import evolution
+from depnet import cli, evolution, ingest
 from depnet.cli import run
 from depnet.fixtures import write_dataset, write_tiny
 from depnet.graphops import (
@@ -20,6 +24,7 @@ from depnet.graphops import (
     transitive_dependents,
 )
 from depnet.ingest import (
+    COLUMN_FILE,
     Dataset,
     DependencyRecord,
     PackageRecord,
@@ -393,7 +398,11 @@ class TestFormatsAndDeterminism:
         assert out_file.read_text().startswith("month,packages,dependencies")
         manifest = json.loads((tmp_path / "growth.csv.manifest.json").read_text())
         assert manifest["tool"]["name"] == "depnet"
-        assert manifest["dataset"]["sha256"]
+        csvs = b"".join(
+            (tiny_dir / name).read_bytes()
+            for name in ("packages.csv", "releases.csv", "dependencies.csv")
+        )
+        assert manifest["dataset"]["sha256"] == hashlib.sha256(csvs).hexdigest()
         assert "--out" in manifest["arguments"]
 
     def test_csv_fields_with_commas_read_back(self, capsys, tmp_path):
@@ -558,3 +567,144 @@ class TestFixtureCli:
         )
         assert rows["packages"] == "40"
         assert rows["ordering_flags"] == "0"
+
+
+def _increment_last_value_byte(path) -> None:
+    """Change one byte of a CSV: the last one before its final newline."""
+    data = bytearray(path.read_bytes())
+    assert data[-1:] == b"\n"
+    data[-2] += 1
+    path.write_bytes(bytes(data))
+
+
+def _flip_low_time_bit(path) -> None:
+    """Flip the lowest bit of the last stored release time: a value still
+    in range, which only the member's CRC tells from the one written."""
+    with zipfile.ZipFile(path) as archive:
+        info = archive.getinfo("release_time.npy")
+    data = bytearray(path.read_bytes())
+    start = data.index(b"\x93NUMPY", info.header_offset)
+    data[start + info.file_size - 8] ^= 0x01
+    path.write_bytes(bytes(data))
+
+
+def _refuse(*args, **kwargs):
+    raise PermissionError(13, "Permission denied")
+
+
+def _no_parse(*args, **kwargs):
+    raise AssertionError("the CSVs were parsed")
+
+
+class TestColumnFile:
+    """A command that parses a dataset leaves its filtered columns in one
+    file beside the CSVs, and a later command with the same key reads them.
+    Whatever is wrong with that file, the output is the CSVs' output."""
+
+    GROWTH = ("series", "growth", "--from", "2020-01", "--to", "2020-04")
+    DATASET = ["dependencies.csv", "manifest.json", "packages.csv", "releases.csv"]
+
+    @staticmethod
+    def key(tiny_dir, *options) -> str:
+        args = cli.build_parser().parse_args(
+            [*TestColumnFile.GROWTH, *map(str, options), "--dataset", str(tiny_dir)]
+        )
+        return cli._dataset_options(args)[-1]
+
+    @staticmethod
+    def listing(directory) -> list[str]:
+        return sorted(os.listdir(directory))
+
+    @pytest.mark.parametrize(
+        "change", ["packages.csv", "releases.csv", "dependencies.csv", "kinds", "exclusions"]
+    )
+    def test_changed_input_makes_the_file_stale(self, capsys, tiny_dir, change):
+        exclude = tiny_dir.parent / "exclude.txt"
+        exclude.write_text("b\n", encoding="utf-8")
+        options = ["--kinds", "runtime", "--exclude-file", exclude]
+        argv = [*self.GROWTH, *tiny_args(tiny_dir)]
+        invoke(capsys, *argv, *options)
+        old_key = self.key(tiny_dir, *options)
+        assert ingest._read_columns(tiny_dir, old_key, None, None) is not None
+        if change == "kinds":
+            options[1] = "runtime,dev"
+        elif change == "exclusions":
+            exclude.write_text("c\n", encoding="utf-8")
+        else:
+            _increment_last_value_byte(tiny_dir / change)
+        new_key = self.key(tiny_dir, *options)
+        assert new_key != old_key
+        assert ingest._read_columns(tiny_dir, new_key, None, None) is None
+        stale = invoke(capsys, *argv, *options)
+        (tiny_dir / COLUMN_FILE).unlink(missing_ok=True)
+        assert invoke(capsys, *argv, *options) == stale
+
+    @pytest.mark.parametrize(
+        "damage", ["truncated", "flipped byte", "other format", "directory", "id out of range"]
+    )
+    def test_unusable_file_falls_back_to_the_csvs(self, capsys, tiny_dir, monkeypatch, damage):
+        argv = [*self.GROWTH, *tiny_args(tiny_dir)]
+        expected = invoke(capsys, *argv)
+        assert expected[0] == 0 and expected[2] == ""
+        path = tiny_dir / COLUMN_FILE
+        key = self.key(tiny_dir)
+        if damage == "truncated":
+            path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        elif damage == "flipped byte":
+            _flip_low_time_bit(path)
+        elif damage == "other format":
+            path.unlink()
+            with monkeypatch.context() as patch:
+                patch.setattr(ingest, "_COLUMN_FORMAT", ingest._COLUMN_FORMAT + 1)
+                assert invoke(capsys, *argv) == expected
+        elif damage == "directory":
+            path.unlink()
+            path.mkdir()
+        else:
+            d = ingest._read_columns(tiny_dir, key, None, None)
+            packages = list(d.release_package)
+            packages[-1] = len(d.names)
+            bad = Dataset._from_columns(
+                d.names, d.package_ids,
+                (packages, d.release_version, d.release_time),
+                (d.dependency_source, d.dependency_target,
+                 d.dependency_constraint, d.dependency_kind),
+                d.cutoff, d.ecosystem, d.filter_report,
+            )
+            ingest._write_columns(tiny_dir, key, bad, max(d.release_time))
+        assert path.exists()
+        assert ingest._read_columns(tiny_dir, key, None, None) is None
+        assert invoke(capsys, *argv) == expected
+        assert self.listing(tiny_dir) == sorted([*self.DATASET, COLUMN_FILE])
+
+    @pytest.mark.parametrize("failing", [(os, "replace"), (np.lib.format, "write_array")])
+    def test_failed_write_leaves_no_file(self, capsys, tiny_dir, monkeypatch, failing):
+        argv = [*self.GROWTH, *tiny_args(tiny_dir)]
+        with monkeypatch.context() as patch:
+            patch.setattr(*failing, _refuse)
+            failed = invoke(capsys, *argv)
+        assert failed[0] == 0 and failed[2] == ""
+        assert self.listing(tiny_dir) == self.DATASET
+        assert invoke(capsys, *argv) == failed
+        assert self.listing(tiny_dir) == sorted([*self.DATASET, COLUMN_FILE])
+
+    @pytest.mark.parametrize("empty", [False, True])
+    def test_cutoff_rule_is_the_same_on_both_paths(self, capsys, tmp_path, monkeypatch, empty):
+        if empty:
+            data = write_dataset_csvs(tmp_path / "empty", ["a"], [], [])
+            written = ["--cutoff", "2020-02-01"]
+            wrong = []
+            message = "empty dataset requires an explicit cutoff"
+        else:
+            write_tiny(data := tmp_path / "tiny")
+            written = ["--cutoff", "2020-04-01"]
+            wrong = ["--cutoff", "2020-02-01"]
+            message = "is after the cutoff 2020-02-01T00:00:00"
+        snapshot = ("snapshot", "--at", "2020-01-15", "--dataset", data)
+        assert invoke(capsys, *snapshot, *written)[0] == 0
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "load_dataset_dir", _no_parse)
+            warm = invoke(capsys, *snapshot, *wrong)
+        (data / COLUMN_FILE).unlink()
+        assert invoke(capsys, *snapshot, *wrong) == warm
+        assert warm[0] == 1 and message in warm[2] and warm[2].count("\n") == 1

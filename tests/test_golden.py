@@ -3,9 +3,10 @@
 ``tests/data/golden/cli.json`` holds, for every command below on TINY and
 on a small generated fixture, in CSV and JSON, the exit code and the
 SHA-256 of stdout and of stderr. Each command runs at ``--jobs 1`` and
-``--jobs 4`` against the same record. After a deliberate change of
-output, record the file again with ``PYTHONPATH=src python
-tests/test_golden.py``.
+``--jobs 4`` against the same record, each time both cold, with no column
+file beside the CSVs, and warm, reading the column file that the same
+command wrote. After a deliberate change of output, record the file again
+with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 from __future__ import annotations
@@ -15,14 +16,17 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 
+from depnet import cli
 from depnet.cli import build_parser, run
 from depnet.fixtures import GeneratorConfig, generate, write_dataset, write_tiny
+from depnet.ingest import COLUMN_FILE
 
 GOLDEN = Path(__file__).parent / "data" / "golden" / "cli.json"
 GENERATED_CFG = GeneratorConfig(n_packages=400, months=12, seed=5, mean_deps=2.5)
@@ -156,10 +160,37 @@ def test_coverage_guard_names_what_is_missing():
     assert uncovered_commands(build_parser(), commands) == ["snapshot", "series ratio"]
 
 
+def _no_parse(*args, **kwargs):
+    raise AssertionError("a warm command parsed the CSVs")
+
+
+def check_case(dirs: dict[str, Path], golden: dict, case: str, jobs: int) -> None:
+    """The case's outcome is the recorded one, and the dataset directory
+    holds its own files and the one column file afterwards."""
+    assert outcome(dirs, case, jobs) == golden[case]
+    assert sorted(os.listdir(dirs[case.split("/")[0]])) == sorted(
+        ["packages.csv", "releases.csv", "dependencies.csv", "manifest.json",
+         EXCLUDE_FILE, COLUMN_FILE]
+    )
+
+
 @pytest.mark.parametrize("jobs", [1, 4])
 @pytest.mark.parametrize("case", CASES)
 def test_cli_output_matches_golden(fixture_dirs, golden, case, jobs):
-    assert outcome(fixture_dirs, case, jobs) == golden[case]
+    """Cold: no column file before the case, so the command parses."""
+    (fixture_dirs[case.split("/")[0]] / COLUMN_FILE).unlink(missing_ok=True)
+    check_case(fixture_dirs, golden, case, jobs)
+
+
+@pytest.mark.parametrize("jobs", [1, 4])
+@pytest.mark.parametrize("case", CASES)
+def test_cli_output_matches_golden_warm(fixture_dirs, golden, case, jobs, monkeypatch):
+    """Warm: the case runs once to write the column file, then again on it;
+    every command but validate, which needs the raw rows, skips the parse."""
+    outcome(fixture_dirs, case, jobs)
+    if not case.split("/")[1].startswith("validate"):
+        monkeypatch.setattr(cli, "load_dataset_dir", _no_parse)
+    check_case(fixture_dirs, golden, case, jobs)
 
 
 if __name__ == "__main__":

@@ -466,6 +466,42 @@ class TestValidate:
         report = validate_dataset(d)
         assert report.duplicate_releases == [("p", "1.0.0")]
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_sorting_every_package(self, seed):
+        # Packages with one to four releases, interleaved; "1.0" and "1.00"
+        # tie on the version key, so release order breaks the tie.
+        rng = random.Random(seed)
+        names = [f"p{i}" for i in range(40)]
+        releases = [
+            ReleaseRecord(name, rng.choice(["1.0", "1.00", "1.1", "2.0", "1.0.a"]),
+                          datetime(2020, 1, rng.randint(1, 5)))
+            for name in names
+            for _ in range(rng.choice([1, 1, 2, 3, 4]))
+        ]
+        rng.shuffle(releases)
+        d = Dataset(
+            packages={PackageRecord(name, "default") for name in names},
+            releases=releases, dependencies=[], cutoff=datetime(2020, 2, 1),
+        )
+        seen = set()
+        duplicates = []
+        by_package: dict[str, list] = {}
+        for r in releases:
+            if (r.package, r.version) in seen:
+                duplicates.append((r.package, r.version))
+            seen.add((r.package, r.version))
+            by_package.setdefault(r.package, []).append((r.version, r.timestamp))
+        flags = []
+        for name in sorted(by_package):
+            ordered = sorted(by_package[name], key=lambda r: version_sort_key(r[0]))
+            times = [ts for _, ts in ordered]
+            if any(b <= a for a, b in zip(times, times[1:])):
+                flags.append(name)
+        report = validate_dataset(d)
+        assert duplicates and flags
+        assert report.duplicate_releases == duplicates
+        assert report.ordering_flags == flags
+
 
 class TestVersionKey:
     @pytest.mark.parametrize(

@@ -1,4 +1,6 @@
-"""Property test: a Dataset written by ``write_dataset`` loads back equal.
+"""Property tests: a Dataset written by ``write_dataset`` loads back equal,
+and the CLI's load gives equal Datasets from the CSVs and from the column
+file.
 
 Every string column draws on commas, quotes, newlines, carriage returns,
 padding and non-ASCII text. Examples are derandomized so that the suite
@@ -9,6 +11,7 @@ from __future__ import annotations
 
 import tempfile
 from datetime import datetime
+from unittest import mock
 from pathlib import Path
 
 import pytest
@@ -16,8 +19,10 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from depnet import cli  # noqa: E402
 from depnet.fixtures import write_dataset  # noqa: E402
 from depnet.ingest import (  # noqa: E402
+    COLUMN_FILE,
     Dataset,
     DependencyRecord,
     PackageRecord,
@@ -75,3 +80,38 @@ def test_write_then_load_is_identity(d):
     with tempfile.TemporaryDirectory() as tmp:
         write_dataset(d, Path(tmp) / "d")
         assert load_dataset_dir(Path(tmp) / "d") == d
+
+
+def _columns(d: Dataset) -> dict:
+    """Every column of ``d`` and its filter report, cutoff and ecosystem."""
+    return {name: getattr(d, name) for name in Dataset.__slots__ if name != "_index"}
+
+
+def _option_value(value: str) -> bool:
+    """True when ``value`` reads back unchanged from --kinds or an
+    exclusion file line."""
+    return value != "" and value == value.strip() and not any(c in value for c in ",\n\r")
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(datasets(), st.booleans(), st.booleans(), st.sampled_from([None, "2020-06-01"]))
+def test_cold_and_warm_loads_are_equal(d, filter_kinds, exclude, cutoff):
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp) / "d"
+        write_dataset(d, directory)
+        argv = ["snapshot", "--at", "2019-01", "--dataset", str(directory)]
+        if filter_kinds:
+            kinds = sorted(k for k in set(d.dependency_kind) if _option_value(k))
+            argv.append("--kinds=" + (",".join(kinds) or "runtime"))
+        if exclude:
+            names = [name for name in d.names if _option_value(name)][:1]
+            (Path(tmp) / "exclude.txt").write_text("".join(n + "\n" for n in names), "utf-8")
+            argv += ["--exclude-file", str(Path(tmp) / "exclude.txt")]
+        if cutoff:
+            argv += ["--cutoff", cutoff]
+        args = cli.build_parser().parse_args(argv)
+        cold = cli._load(args)
+        assert (directory / COLUMN_FILE).is_file()
+        with mock.patch.object(cli, "load_dataset_dir", side_effect=AssertionError):
+            warm = cli._load(args)
+        assert _columns(warm) == _columns(cold)
