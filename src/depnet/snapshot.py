@@ -14,7 +14,9 @@ from dataclasses import dataclass
 from datetime import datetime
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .ingest import Dataset, ReleaseRecord
+import numpy as np
+
+from .ingest import _EPOCH, _MICROSECOND, Dataset, ReleaseRecord
 from .timeutil import Month, format_month, iter_months, month_of, month_start
 
 
@@ -254,6 +256,120 @@ def build_snapshot(d: Dataset, t: datetime) -> SnapshotGraph:
         dropped_deps=dropped,
         ecosystem=d.ecosystem,
     )
+
+
+_OPEN = np.iinfo(np.int64).max  # the end of a span that never ends
+
+
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of ``keys`` in ascending order, as ``np.unique``
+    returns them; ``keys`` is sorted in place. On a few hundred thousand
+    int64 keys a sort and a neighbour mask take milliseconds, where
+    ``np.unique`` takes tens of them."""
+    keys.sort()
+    distinct = np.empty(len(keys), dtype=bool)
+    distinct[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+    return keys[distinct]
+
+
+def _micros(times: Sequence[datetime]) -> np.ndarray:
+    """Datetimes as int64 microseconds since the epoch."""
+    return np.fromiter(((t - _EPOCH) // _MICROSECOND for t in times), np.int64, len(times))
+
+
+class _EdgeSpans:
+    """Every edge of every snapshot of a dataset, with the span of time on
+    which it is alive, so that snapshot sizes and in-degrees are read
+    without building the snapshots.
+
+    Index entry j, a release of the package at position p, is p's latest
+    release on [t_j, t_{j+1}), t_{j+1} being the time of p's next entry:
+    p's last entry has no end, and an entry followed by one at the same
+    instant has an empty interval. Each distinct target q of that release
+    that resolves and is not p gives the edge p -> q, alive on
+    [max(t_j, first(q)), t_{j+1}), where first(q) is q's first release
+    time. Empty spans are dropped. Times are int64 microseconds since the
+    epoch; ids are int32.
+    """
+
+    __slots__ = ("times", "offsets", "target", "start", "end")
+
+    def __init__(self, d: Dataset):
+        idx = d.index()
+        n, n_entries = len(idx.packages), len(idx.releases)
+        self.times = times = _micros(idx.times)
+        self.offsets = offsets = np.array(idx.offsets, np.int64)
+        owner = np.repeat(np.arange(n, dtype=np.int32), np.diff(offsets))
+
+        # Each dependency row's entry, rows in release id order, packed with
+        # its target into one key so that repeated targets collapse.
+        entry = np.empty(n_entries, np.int32)
+        entry[np.array(idx.releases, np.int64)] = np.arange(n_entries, dtype=np.int32)
+        entry = np.repeat(entry, np.diff(np.array(idx.target_offsets, np.int64)))
+        target = np.fromiter(idx.targets, np.int32, len(idx.targets))
+        keep = target != n
+        keep &= target != owner[entry]
+        del owner
+        key = entry[keep].astype(np.int64)
+        del entry
+        key *= n + 1
+        key += target[keep]
+        del target, keep
+        key = _sorted_unique(key)
+        entry, target = np.divmod(key, n + 1)
+        del key
+        entry = entry.astype(np.int32)
+        self.target = target.astype(np.int32)
+        del target
+
+        end_of = np.empty(n_entries, np.int64)
+        end_of[:-1] = times[1:]
+        end_of[offsets[1:] - 1] = _OPEN
+        start = times[offsets[:-1]][self.target]
+        np.maximum(start, times[entry], out=start)
+        end = end_of[entry]
+        del end_of, entry
+        alive = start < end
+        self.target = self.target[alive]
+        self.start = start[alive]
+        self.end = end[alive]
+
+    def sizes(self, instants: Sequence[datetime]) -> tuple[list[int], list[int]]:
+        """``n_nodes`` and ``n_edges`` of ``build_snapshot(d, t)`` for each
+        t in ``instants``: the packages first released at or before t, and
+        the spans that start at or before t and end after it."""
+        at = _micros(instants)
+        nodes = np.searchsorted(np.sort(self.times[self.offsets[:-1]]), at, "right")
+        edges = np.searchsorted(np.sort(self.start), at, "right")
+        edges -= np.searchsorted(np.sort(self.end), at, "right")
+        return nodes.tolist(), edges.tolist()
+
+    def required(self) -> list[bool]:
+        """For each index entry, whether its package has a direct dependent
+        at the entry's own time: ``build_snapshot(d, t).in_degree(q) > 0``
+        for a release of q at t."""
+        # q has one iff more of q's spans start at or before t than end at or
+        # before t. Every start and end is a release time, or open, so one
+        # int64 key, q and the rank of the time among the release times,
+        # orders each comparison exactly and keeps q's spans together.
+        ranks = _sorted_unique(self.times.copy())
+        width = len(ranks) + 1
+        at = np.repeat(np.arange(len(self.offsets) - 1, dtype=np.int64), np.diff(self.offsets))
+        at *= width
+        at += np.searchsorted(ranks, self.times)
+        key = self.target.astype(np.int64)
+        key *= width
+        key += np.searchsorted(ranks, self.start)
+        key.sort()
+        alive = np.searchsorted(key, at, "right")
+        del key
+        key = self.target.astype(np.int64)
+        key *= width
+        key += np.searchsorted(ranks, self.end)
+        key.sort()
+        alive -= np.searchsorted(key, at, "right")
+        return (alive > 0).tolist()
 
 
 def monthly_snapshots(d: Dataset, first: Month, last: Month) -> SnapshotSeries:

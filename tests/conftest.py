@@ -1,11 +1,17 @@
 from __future__ import annotations
 
 import random
-from datetime import datetime
+from datetime import datetime, timedelta
 
 import pytest
 
-from depnet.ingest import Dataset, ReleaseRecord, load_dataset_dir
+from depnet.ingest import (
+    Dataset,
+    DependencyRecord,
+    PackageRecord,
+    ReleaseRecord,
+    load_dataset_dir,
+)
 from depnet.snapshot import IntView, SnapshotGraph
 from depnet.fixtures import tiny_dataset, write_dataset
 
@@ -46,6 +52,40 @@ def constructed_and_reloaded(d: Dataset, directory) -> tuple[Dataset, Dataset]:
     ``load_dataset_dir``, so that an oracle covers the parse path too."""
     write_dataset(d, directory)
     return d, load_dataset_dir(directory)
+
+
+def edge_case_dataset(rng: random.Random) -> Dataset:
+    """A random dataset of up to seven packages over three months with the
+    cases a snapshot rule can get wrong: releases of one package at one
+    instant, some with versions that tie in version order; versions whose
+    order disagrees with time; self-dependencies; repeated dependency rows,
+    not always next to each other; targets first released later; listed
+    packages without releases; targets without a package row; and, now and
+    then, no package at all."""
+    names = [f"p{i}" for i in range(rng.randint(0, 7))]
+    instants = [datetime(2020, 2, 1), datetime(2020, 3, 1)]
+    instants += [datetime(2020, 1, 1) + timedelta(hours=36 * k) for k in range(56)]
+    releases = []
+    for name in names:
+        if rng.random() < 0.2:
+            continue  # listed, never released
+        own = rng.sample(instants, rng.randint(1, 3))
+        for version in rng.sample(["0.9", "1.0", "1.00", "1.1", "2.0", "10.0"], rng.randint(1, 5)):
+            releases.append(ReleaseRecord(name, version, rng.choice(own)))
+    deps = []
+    for rel in releases:
+        for _ in range(rng.randint(0, 4)):
+            target = rel.package if rng.random() < 0.15 else rng.choice(names + ["ghost"])
+            for _ in range(rng.choice((1, 1, 2))):
+                deps.append(DependencyRecord(rel.package, rel.version, target, "*", "runtime"))
+    rng.shuffle(releases)
+    rng.shuffle(deps)
+    return Dataset(
+        packages={PackageRecord(n, "default") for n in names},
+        releases=releases,
+        dependencies=deps,
+        cutoff=datetime(2020, 4, 1),
+    )
 
 
 def write_dataset_csvs(directory, packages, releases, dependencies):

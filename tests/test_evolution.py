@@ -33,7 +33,7 @@ from depnet.snapshot import build_snapshot
 from depnet.stats import kaplan_meier
 from depnet.timeutil import DAYS_PER_MONTH
 
-from conftest import constructed_and_reloaded, make_graph
+from conftest import constructed_and_reloaded, edge_case_dataset, make_graph
 
 TINY_CUTOFF = datetime(2020, 4, 1)
 
@@ -350,6 +350,22 @@ class TestSurvival:
         rng = random.Random(20170401)
         for _ in range(400):
             for d in constructed_and_reloaded(random_release_dataset(rng), tmp_path / "d"):
+                observations = survival_dataset(d).observations
+                expected = {True: [], False: []}
+                for rel, obs in zip(_survival_order(d), observations, strict=True):
+                    required = build_snapshot(d, rel.timestamp).in_degree(rel.package) > 0
+                    expected[required].append(obs)
+                required, not_required = survival_dataset(d, split_by_required=True)
+                assert required.observations == expected[True], d
+                assert not_required.observations == expected[False], d
+
+    def test_required_matches_snapshot_in_degree_on_edge_cases(self, tmp_path):
+        # The same oracle on datasets with version ties at one instant,
+        # listed packages without releases, targets without a package row
+        # and the empty dataset.
+        rng = random.Random(20170402)
+        for _ in range(300):
+            for d in constructed_and_reloaded(edge_case_dataset(rng), tmp_path / "d"):
                 observations = survival_dataset(d).observations
                 expected = {True: [], False: []}
                 for rel, obs in zip(_survival_order(d), observations, strict=True):

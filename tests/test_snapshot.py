@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import random
-from datetime import datetime
+from datetime import datetime, timedelta
 
 import pytest
 
@@ -13,12 +13,14 @@ from depnet.ingest import (
     version_sort_key,
 )
 from depnet.snapshot import (
+    _EdgeSpans,
     build_snapshot,
     latest_releases_at,
     monthly_snapshots,
 )
+from depnet.timeutil import iter_months, month_start
 
-from conftest import constructed_and_reloaded
+from conftest import constructed_and_reloaded, edge_case_dataset
 
 TINY_CUTOFF = datetime(2020, 4, 1)
 
@@ -243,3 +245,22 @@ class TestBuildSnapshotOracle:
                     assert {p: g.in_neighbors(p) for p in g.nodes} == incoming
                     assert g.dropped_deps == dropped
                     assert g.n_edges == sum(map(len, out.values()))
+
+
+class TestEdgeSpansOracle:
+    def test_sizes_match_snapshots(self, tmp_path):
+        # Oracle: node and edge counts of the span table equal those of the
+        # snapshot at every release instant, a microsecond either side of it,
+        # and every month start.
+        rng = random.Random(20170402)
+        tick = timedelta(microseconds=1)
+        for _ in range(300):
+            for d in constructed_and_reloaded(edge_case_dataset(rng), tmp_path / "d"):
+                instants = [month_start(m) for m in iter_months((2019, 12), (2020, 4))]
+                for ts in set(d.release_time):
+                    instants += [ts - tick, ts, ts + tick]
+                instants.sort()
+                expected = [build_snapshot(d, t) for t in instants]
+                nodes, edges = _EdgeSpans(d).sizes(instants)
+                assert nodes == [g.n_nodes for g in expected], d
+                assert edges == [g.n_edges for g in expected], d
