@@ -91,7 +91,10 @@ def _add_output_options(parser: argparse.ArgumentParser) -> None:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes for monthly computations (default: 1)",
+        help=(
+            "worker processes over the months of series transitive-ratio and of "
+            "series index --index reusability or impact (default: 1)"
+        ),
     )
 
 
@@ -244,7 +247,7 @@ def _cmd_series(args) -> Table:
     first = parse_month(getattr(args, "from"))
     last = parse_month(args.to)
     if args.what == "growth":
-        packages, deps = growth_series(d, first, last, jobs=args.jobs)
+        packages, deps = growth_series(d, first, last)
         if args.fit:
             rows = []
             header = ["series", "model", "a", "b", "r2"]
@@ -272,7 +275,7 @@ def _cmd_series(args) -> Table:
         ]
         return d.ecosystem, "growth", ["month", "packages", "dependencies"], rows
     if args.what == "ratio":
-        series = dependency_ratio_series(d, first, last, jobs=args.jobs)
+        series = dependency_ratio_series(d, first, last)
         return d.ecosystem, "dependency_ratio", ["month", "value"], _month_rows(series)
     if args.what == "updates":
         series = update_counts_series(d, first, last, include_first=args.include_first)

@@ -1,6 +1,8 @@
 """Longitudinal drivers: every metric series swept over monthly snapshots.
 
-Months are mutually independent, so the heavy series (anything touching
+Growth, the dependency ratio and the required split of survival need only
+counts, which they read from the dataset's edge spans without building a
+snapshot. For the rest, months are mutually independent, so the heavy series (anything touching
 the transitive closure) can fan out over worker processes; results are
 merged back in month order and are bit-identical regardless of the worker
 count. Forked workers share the parsed dataset read-only.
@@ -14,7 +16,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from functools import partial
-from itertools import accumulate
 from typing import Callable, Optional
 
 from .graphops import (
@@ -24,7 +25,7 @@ from .graphops import (
 )
 from .indices import h_index, p_impact_index, reusability_index, update_counts_in_window
 from .ingest import Dataset
-from .snapshot import SnapshotGraph, build_snapshot, check_instant, checked_months
+from .snapshot import SnapshotGraph, _EdgeSpans, build_snapshot, check_instant, checked_months
 from .stats import LorenzCurve, SurvivalSample, gini, lorenz_points, normalized_gini
 from .timeutil import (
     DAYS_PER_MONTH,
@@ -141,10 +142,6 @@ def _map_months(
     return [measure(build_snapshot(d, month_start(m))) for m in months]
 
 
-def _sizes(g: SnapshotGraph) -> tuple[int, int]:
-    return g.n_nodes, g.n_edges
-
-
 def _transitive_total(g: SnapshotGraph) -> tuple[int, int]:
     return sum(transitive_dependent_counts(g).values()), g.n_edges
 
@@ -187,24 +184,22 @@ def _changeability(d: Dataset, months: list[Month], window_days: int) -> list[in
 # Series over snapshots
 
 
-def growth_series(
-    d: Dataset, first: Month, last: Month, jobs: int = 1
-) -> tuple[TimeSeries, TimeSeries]:
-    """Monthly node and edge counts of the dependency network."""
+def growth_series(d: Dataset, first: Month, last: Month) -> tuple[TimeSeries, TimeSeries]:
+    """Monthly node and edge counts of the dependency network: those of
+    the snapshot at each month start, read from the dataset's edge spans
+    for all months at once, without building the snapshots."""
     months = checked_months(d, first, last)
-    sizes = _map_months(d, months, _sizes, jobs)
-    packages = TimeSeries("packages", [(m, float(n)) for m, (n, _) in zip(months, sizes)])
-    dependencies = TimeSeries(
-        "dependencies", [(m, float(e)) for m, (_, e) in zip(months, sizes)]
-    )
+    nodes, edges = _EdgeSpans(d).sizes([month_start(m) for m in months])
+    packages = TimeSeries("packages", [(m, float(n)) for m, n in zip(months, nodes)])
+    dependencies = TimeSeries("dependencies", [(m, float(e)) for m, e in zip(months, edges)])
     return packages, dependencies
 
 
-def dependency_ratio_series(d: Dataset, first: Month, last: Month, jobs: int = 1) -> TimeSeries:
+def dependency_ratio_series(d: Dataset, first: Month, last: Month) -> TimeSeries:
     """Edges per node by month; months with no packages emit no point."""
     months = checked_months(d, first, last)
-    sizes = _map_months(d, months, _sizes, jobs)
-    points = [(m, e / n) for m, (n, e) in zip(months, sizes) if n > 0]
+    nodes, edges = _EdgeSpans(d).sizes([month_start(m) for m in months])
+    points = [(m, e / n) for m, n, e in zip(months, nodes, edges) if n > 0]
     return TimeSeries("dependency_ratio", points)
 
 
@@ -366,41 +361,6 @@ def updates_by_age(
 # Release survival
 
 
-def _required_at_release(d: Dataset) -> list[bool]:
-    """Whether each release, in index order, had a direct dependent in the
-    network at its own timestamp: ``build_snapshot(d, ts).in_degree(q) > 0``
-    for a release of q at ts.
-
-    Release k of package p is p's latest release on [ts_k, ts_{k+1}), the
-    last one without end; a successor at the same instant leaves the interval
-    empty. A release of q at ts is required iff ts lies in the interval of
-    a release of some other package that declares q. q itself exists at
-    ts, so that interval carries an edge to q.
-    """
-    idx = d.index()
-    releases, times, offsets = idx.releases, idx.times, idx.offsets
-    targets, target_offsets = idx.targets, idx.target_offsets
-    spans: dict[int, list[tuple[datetime, datetime]]] = {}
-    for p, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
-        ends = times[lo + 1 : hi] + [datetime.max]
-        for j, end in zip(range(lo, hi), ends):
-            r = releases[j]
-            for q in targets[target_offsets[r] : target_offsets[r + 1]]:
-                if q != p:
-                    spans.setdefault(q, []).append((times[j], end))
-    flags: list[bool] = []
-    for q, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
-        # ts is covered iff the intervals starting at or before it reach
-        # past it; an empty interval [s, s) never reaches past any ts >= s.
-        found = sorted(spans.get(q, ()))
-        starts = [start for start, _ in found]
-        reach = list(accumulate((end for _, end in found), max))
-        for ts in times[lo:hi]:
-            i = bisect_right(starts, ts)
-            flags.append(i > 0 and reach[i - 1] > ts)
-    return flags
-
-
 def survival_dataset(d: Dataset, split_by_required: bool = False):
     """Time-to-next-release observations, one per release.
 
@@ -408,9 +368,10 @@ def survival_dataset(d: Dataset, split_by_required: bool = False):
     same package; each package's last release is censored at the dataset
     cutoff. Observations come package by package, in the order of each
     package's first release row. With ``split_by_required``, observations
-    are divided by whether the package had any direct dependent at the
-    release instant, returning (required, not_required) samples; otherwise
-    a single sample.
+    are divided by whether the package had any direct dependent in the
+    snapshot at the release instant, returning (required, not_required)
+    samples; otherwise a single sample. The split reads the dataset's edge
+    spans and builds no snapshot.
     """
     idx = d.index()
     times, offsets = idx.times, idx.offsets
@@ -424,7 +385,7 @@ def survival_dataset(d: Dataset, split_by_required: bool = False):
         return SurvivalSample(observations=observations, label="all")
     required = SurvivalSample(observations=[], label="required")
     not_required = SurvivalSample(observations=[], label="not_required")
-    for obs, flag in zip(observations, _required_at_release(d)):
+    for obs, flag in zip(observations, _EdgeSpans(d).required()):
         (required if flag else not_required).observations.append(obs)
     return required, not_required
 

@@ -27,7 +27,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .snapshot import SnapshotGraph, in_degrees
+from .snapshot import SnapshotGraph, _sorted_unique, in_degrees
 
 
 @dataclass(frozen=True, slots=True)
@@ -361,7 +361,7 @@ def _closure_sizes(adj: list[list[int]], reverse: bool = False) -> list[int]:
     if reverse:
         c_src, c_dst = c_dst, c_src
     keep = c_src != c_dst
-    pairs = np.unique(c_src[keep] * n_comp + c_dst[keep])
+    pairs = _sorted_unique(c_src[keep] * n_comp + c_dst[keep])
     succ = pairs % n_comp
     flat_succ = succ.tolist()
     offsets = np.searchsorted(pairs // n_comp, np.arange(n_comp + 1)).tolist()

@@ -149,7 +149,7 @@ class TestFailureMessages:
 
         monkeypatch.setattr(evolution, "_map_months", dead_pool)
         code, out, err = invoke(
-            capsys, "series", "growth", "--from", "2020-02", "--to", "2020-04",
+            capsys, "series", "transitive-ratio", "--from", "2020-02", "--to", "2020-04",
             "--jobs", "2", *tiny_args(tiny_dir),
         )
         assert code == 1

@@ -484,8 +484,6 @@ class TestScanAndParallel:
         drivers = [
             ecosystem_scan,
             transitive_ratio_series,
-            growth_series,
-            dependency_ratio_series,
             partial(index_series, which="reusability"),
             partial(index_series, which="p_impact"),
         ]
@@ -512,6 +510,6 @@ class TestScanAndParallel:
 
         monkeypatch.setattr(evolution, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(evolution, "_DATASET", None)
-        packages, _ = growth_series(tiny, (2020, 3), (2020, 4), jobs=64)
+        scan = ecosystem_scan(tiny, (2020, 3), (2020, 4), jobs=64)
         assert started == [2]
-        assert packages.values() == [4.0, 5.0]
+        assert [float(m.n_packages) for m in scan] == [4.0, 5.0]
