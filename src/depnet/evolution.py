@@ -2,10 +2,11 @@
 
 Growth, the dependency ratio and the required split of survival need only
 counts, which they read from the dataset's edge spans without building a
-snapshot. For the rest, months are mutually independent, so the heavy series (anything touching
-the transitive closure) can fan out over worker processes; results are
-merged back in month order and are bit-identical regardless of the worker
-count. Forked workers share the parsed dataset read-only.
+snapshot. For the rest, months are mutually independent, so the heavy
+series (anything touching the transitive closure) can fan out over worker
+processes; results are merged back in month order and are bit-identical
+regardless of the worker count. Forked workers share the parsed dataset
+read-only.
 """
 
 from __future__ import annotations

@@ -763,6 +763,13 @@ _TIME_RANGE = (
     (datetime.min - _EPOCH) // _MICROSECOND,
     (datetime.max - _EPOCH) // _MICROSECOND + 1,
 )
+
+
+def _micros(times: Sequence[datetime]) -> np.ndarray:
+    """Datetimes as int64 microseconds since the epoch."""
+    return np.fromiter(((t - _EPOCH) // _MICROSECOND for t in times), np.int64, len(times))
+
+
 # Reading a column file that is damaged, truncated or not a column file at
 # all fails with one of these, and the caller parses the CSVs instead.
 _UNUSABLE = (OSError, ValueError, KeyError, TypeError, zipfile.BadZipFile, EOFError)
@@ -816,9 +823,7 @@ def _column_arrays(d: Dataset, meta: dict):
         yield name + "_offsets", offsets
     yield "release_package", np.array(d.release_package, np.int64)
     yield "dependency_source", np.array(d.dependency_source, np.int64)
-    yield "release_time", np.array(
-        [(t - _EPOCH) // _MICROSECOND for t in d.release_time], np.int64
-    )
+    yield "release_time", _micros(d.release_time)
 
 
 def _read_columns(

@@ -16,7 +16,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .ingest import _EPOCH, _MICROSECOND, Dataset, ReleaseRecord
+from .ingest import Dataset, ReleaseRecord, _micros
 from .timeutil import Month, format_month, iter_months, month_of, month_start
 
 
@@ -273,11 +273,6 @@ def _sorted_unique(keys: np.ndarray) -> np.ndarray:
     return keys[distinct]
 
 
-def _micros(times: Sequence[datetime]) -> np.ndarray:
-    """Datetimes as int64 microseconds since the epoch."""
-    return np.fromiter(((t - _EPOCH) // _MICROSECOND for t in times), np.int64, len(times))
-
-
 class _EdgeSpans:
     """Every edge of every snapshot of a dataset, with the span of time on
     which it is alive, so that snapshot sizes and in-degrees are read
@@ -320,18 +315,17 @@ class _EdgeSpans:
         entry, target = np.divmod(key, n + 1)
         del key
         entry = entry.astype(np.int32)
-        self.target = target.astype(np.int32)
-        del target
+        target = target.astype(np.int32)
 
         end_of = np.empty(n_entries, np.int64)
         end_of[:-1] = times[1:]
         end_of[offsets[1:] - 1] = _OPEN
-        start = times[offsets[:-1]][self.target]
+        start = times[offsets[:-1]][target]
         np.maximum(start, times[entry], out=start)
         end = end_of[entry]
         del end_of, entry
         alive = start < end
-        self.target = self.target[alive]
+        self.target = target[alive]
         self.start = start[alive]
         self.end = end[alive]
 
@@ -358,17 +352,16 @@ class _EdgeSpans:
         at = np.repeat(np.arange(len(self.offsets) - 1, dtype=np.int64), np.diff(self.offsets))
         at *= width
         at += np.searchsorted(ranks, self.times)
-        key = self.target.astype(np.int64)
-        key *= width
-        key += np.searchsorted(ranks, self.start)
-        key.sort()
-        alive = np.searchsorted(key, at, "right")
-        del key
-        key = self.target.astype(np.int64)
-        key *= width
-        key += np.searchsorted(ranks, self.end)
-        key.sort()
-        alive -= np.searchsorted(key, at, "right")
+
+        def at_or_before(bounds: np.ndarray) -> np.ndarray:
+            key = self.target.astype(np.int64)
+            key *= width
+            key += np.searchsorted(ranks, bounds)
+            key.sort()
+            return np.searchsorted(key, at, "right")
+
+        alive = at_or_before(self.start)
+        alive -= at_or_before(self.end)
         return (alive > 0).tolist()
 
 
