@@ -374,6 +374,9 @@ def survival_dataset(d: Dataset, split_by_required: bool = False):
     samples; otherwise a single sample. The split reads the dataset's edge
     spans and builds no snapshot.
     """
+    # The flags come first, so that the table's arrays are freed before the
+    # observation lists are built: that keeps the peak resident set down.
+    flags = _EdgeSpans(d).required() if split_by_required else None
     idx = d.index()
     times, offsets = idx.times, idx.offsets
     observations = []
@@ -386,7 +389,7 @@ def survival_dataset(d: Dataset, split_by_required: bool = False):
         return SurvivalSample(observations=observations, label="all")
     required = SurvivalSample(observations=[], label="required")
     not_required = SurvivalSample(observations=[], label="not_required")
-    for obs, flag in zip(observations, _EdgeSpans(d).required()):
+    for obs, flag in zip(observations, flags):
         (required if flag else not_required).observations.append(obs)
     return required, not_required
 
