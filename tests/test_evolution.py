@@ -31,7 +31,7 @@ from depnet.ingest import (
 )
 from depnet.snapshot import build_snapshot
 from depnet.stats import kaplan_meier
-from depnet.timeutil import DAYS_PER_MONTH
+from depnet.timeutil import DAYS_PER_MONTH, days_between
 
 from conftest import constructed_and_reloaded, edge_case_dataset, make_graph
 
@@ -374,6 +374,21 @@ class TestSurvival:
                 required, not_required = survival_dataset(d, split_by_required=True)
                 assert required.observations == expected[True], d
                 assert not_required.observations == expected[False], d
+
+    def test_durations_match_days_between(self, tmp_path):
+        # Each release lasts until its package's next entry in survival
+        # order; the last one is censored at the cutoff.
+        rng = random.Random(20170404)
+        for _ in range(200):
+            for d in constructed_and_reloaded(edge_case_dataset(rng), tmp_path / "d"):
+                order = _survival_order(d)
+                expected = [
+                    (days_between(rel.timestamp, nxt.timestamp), False)
+                    if nxt is not None and nxt.package == rel.package
+                    else (days_between(rel.timestamp, d.cutoff), True)
+                    for rel, nxt in zip(order, [*order[1:], None])
+                ]
+                assert survival_dataset(d).observations == expected, d
 
     def test_same_instant_dependency_counts(self):
         # p and q released at the same instant; p -> q is visible to both

@@ -26,7 +26,7 @@ from depnet.ingest import (
 from depnet.fixtures import GeneratorConfig, generate, write_dataset
 from depnet.snapshot import build_snapshot
 
-from conftest import constructed_and_reloaded, write_dataset_csvs
+from conftest import constructed_and_reloaded, edge_case_dataset, write_dataset_csvs
 
 TINY_CUTOFF = datetime(2020, 4, 1)
 
@@ -386,6 +386,72 @@ class TestLoadFootprint:
         d = filter_dependencies(load_dataset_dir(tmp_path / "d"))
         d.index()
         assert len(gc.get_objects()) - before < cfg.n_packages
+
+
+def reference_index(d: Dataset) -> dict:
+    """The index of ``d`` by plain sorts over its columns: releases in
+    (position, timestamp, version, row) order, dependency rows in (source,
+    row) order, updates in (timestamp, package name, entry) order."""
+    names, package, times = d.names, d.release_package, d.release_time
+    packages = list(dict.fromkeys(package))
+    position = {pid: k for k, pid in enumerate(packages)}
+    releases = sorted(
+        range(len(package)),
+        key=lambda r: (position[package[r]], times[r], version_sort_key(d.release_version[r]), r),
+    )
+    offsets = [sum(position[package[r]] < k for r in releases) for k in range(len(packages) + 1)]
+    positions = {names[pid]: k for k, pid in enumerate(packages)}
+    source = d.dependency_source
+    rows = sorted(range(len(source)), key=lambda i: (source[i], i))
+    first = set(offsets[:-1])
+    updates = sorted(
+        (j for j in range(len(releases)) if j not in first),
+        key=lambda j: (times[releases[j]], names[package[releases[j]]], j),
+    )
+    return {
+        "packages": packages,
+        "releases": releases,
+        "offsets": offsets,
+        "times": [times[r] for r in releases],
+        "positions": positions,
+        "targets": [positions.get(d.dependency_target[i], len(packages)) for i in rows],
+        "target_offsets": [sum(s < r for s in source) for r in range(len(package) + 1)],
+        "update_times": [times[releases[j]] for j in updates],
+        "update_packages": [names[package[releases[j]]] for j in updates],
+    }
+
+
+def _packages_reversed(directory) -> Dataset:
+    """The dataset in ``directory`` parsed with its package rows in reverse
+    order, so that package ids no longer follow name order."""
+    path = directory / "packages.csv"
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join([header, *reversed(rows)]) + "\n", encoding="utf-8")
+    return load_dataset_dir(directory)
+
+
+class TestIndex:
+    def test_index_matches_reference_sorts(self, tmp_path):
+        # Edge cases: version ties at one instant, versions against time,
+        # updates of several packages at one instant, listed packages
+        # without releases, targets without a package row, no package.
+        rng = random.Random(20170403)
+        for _ in range(300):
+            datasets = constructed_and_reloaded(edge_case_dataset(rng), tmp_path / "d")
+            for d in (*datasets, _packages_reversed(tmp_path / "d")):
+                expected = reference_index(d)
+                idx = d.index()
+                assert {name: getattr(idx, name) for name in expected} == expected, d
+
+    def test_updates_at_one_instant_follow_name_order(self, tmp_path):
+        # Package rows out of name order give ids out of name order.
+        d = parse_tiny(
+            tmp_path, ["b", "a"],
+            ["b,1.0,2020-01-01", "a,1.0,2020-01-01", "b,1.1,2020-02-01", "a,1.1,2020-02-01"],
+            [],
+        )
+        assert d.names == ["b", "a"]
+        assert d.index().update_packages == ["a", "b"]
 
 
 class TestDatasetRecords:

@@ -37,6 +37,78 @@ def lorenz_area_gini(curve):
     return abs(2.0 * area)
 
 
+def grouped_reference(observations):
+    """Distinct times ascending with (events, censorings) counts."""
+    acc = {}
+    for duration, censored in observations:
+        slot = acc.setdefault(duration, [0, 0])
+        slot[1 if censored else 0] += 1
+    return sorted(acc.items())
+
+
+def kaplan_meier_reference(observations):
+    """The product-limit steps by one loop over the grouped times."""
+    at_risk = len(observations)
+    survival = 1.0
+    steps = [(0.0, 1.0)]
+    for time, (events, censorings) in grouped_reference(observations):
+        if events:
+            survival *= 1.0 - events / at_risk
+        if time > 0.0 or events:
+            steps.append((time, survival))
+        at_risk -= events + censorings
+    return steps
+
+
+def log_rank_reference(obs_a, obs_b):
+    """The log-rank statistic by one loop over the union of grouped times."""
+    times_a = dict(grouped_reference(obs_a))
+    times_b = dict(grouped_reference(obs_b))
+    n_a, n_b = len(obs_a), len(obs_b)
+    o_minus_e = variance = 0.0
+    for time in sorted(set(times_a) | set(times_b)):
+        ev_a, cen_a = times_a.get(time, (0, 0))
+        ev_b, cen_b = times_b.get(time, (0, 0))
+        n_total = n_a + n_b
+        d_total = ev_a + ev_b
+        if d_total and n_total > 1:
+            o_minus_e += ev_a - d_total * n_a / n_total
+            variance += (
+                d_total * (n_total - d_total) * n_a * n_b / (n_total * n_total * (n_total - 1))
+            )
+        n_a -= ev_a + cen_a
+        n_b -= ev_b + cen_b
+    return o_minus_e * o_minus_e / variance if variance > 0.0 else 0.0
+
+
+def random_observations(rng: random.Random) -> list:
+    """A sample with tied times, zero durations, int or float durations,
+    and now and then no event at all."""
+    scale = rng.choice([1, 3, 7.5])
+    censoring = rng.choice([0.0, 0.3, 0.8, 1.0])
+    return [
+        (rng.randint(0, 12) if scale == 1 else rng.randint(0, 12) / scale, rng.random() < censoring)
+        for _ in range(rng.randint(1, 60))
+    ]
+
+
+class TestAgainstReferenceLoops:
+    """The estimators equal their loop versions to the last bit."""
+
+    def test_kaplan_meier(self):
+        rng = random.Random(1958)
+        for _ in range(500):
+            obs = random_observations(rng)
+            assert kaplan_meier(SurvivalSample(obs)).steps == kaplan_meier_reference(obs), obs
+
+    def test_log_rank(self):
+        rng = random.Random(1966)
+        for _ in range(500):
+            obs_a, obs_b = random_observations(rng), random_observations(rng)
+            result = log_rank(SurvivalSample(obs_a), SurvivalSample(obs_b), 0.05)
+            assert result.statistic == log_rank_reference(obs_a, obs_b), (obs_a, obs_b)
+
+
 class TestKaplanMeier:
     def test_hand_example(self):
         curve = kaplan_meier(SurvivalSample([(2, False), (4, False), (5, True)]))
