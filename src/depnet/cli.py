@@ -36,11 +36,7 @@ from .evolution import (
     update_inequality,
 )
 from .fixtures import GeneratorConfig, generate, write_dataset, write_tiny
-from .graphops import (
-    dependency_depths,
-    transitive_dependency_counts,
-    transitive_dependent_counts,
-)
+from .graphops import _transitive_counts, dependency_depths
 from .indices import changeability_index, p_impact_index, reusability_index
 from .ingest import (
     DEFAULT_INCLUDED_KINDS,
@@ -307,8 +303,7 @@ def _cmd_distribution(args) -> Table:
     metric = f"distribution_{args.what}"
     if args.what == "deps":
         g = build_snapshot(d, at)
-        forward = transitive_dependency_counts(g)
-        reverse = transitive_dependent_counts(g)
+        forward, reverse = _transitive_counts(g)
         depths = dependency_depths(g)
         rows = [
             (pkg, g.out_degree(pkg), forward[pkg], g.in_degree(pkg), reverse[pkg], depths[pkg])
@@ -340,6 +335,9 @@ def _cmd_survival(args) -> Table:
         header = ["statistic", "significant", "alpha", "critical_value"]
         return d.ecosystem, "survival_logrank", header, [row]
     if args.km:
+        # A split may leave one sample empty, which has no curve; kaplan_meier
+        # still rejects the input when every sample is empty.
+        samples = [s for s in samples if s.observations] or samples
         rows = []
         for sample in samples:
             curve = kaplan_meier(sample)

@@ -19,22 +19,25 @@ from datetime import datetime, timedelta
 from functools import partial
 from typing import Callable, Optional
 
+import numpy as np
+
 from .graphops import (
     dependency_depths,
     top_level_packages,
     transitive_dependent_counts,
 )
 from .indices import h_index, p_impact_index, reusability_index, update_counts_in_window
-from .ingest import Dataset
+from .ingest import Dataset, _micros
 from .snapshot import SnapshotGraph, _EdgeSpans, build_snapshot, check_instant, checked_months
 from .stats import LorenzCurve, SurvivalSample, gini, lorenz_points, normalized_gini
 from .timeutil import (
     DAYS_PER_MONTH,
     Month,
-    days_between,
     month_of,
     month_start,
 )
+
+_DAY_US = 86_400_000_000  # microseconds in a day
 
 
 @dataclass
@@ -366,32 +369,40 @@ def survival_dataset(d: Dataset, split_by_required: bool = False):
     """Time-to-next-release observations, one per release.
 
     The duration of a release is the time until the next release of the
-    same package; each package's last release is censored at the dataset
-    cutoff. Observations come package by package, in the order of each
-    package's first release row. With ``split_by_required``, observations
-    are divided by whether the package had any direct dependent in the
-    snapshot at the release instant, returning (required, not_required)
-    samples; otherwise a single sample. The split reads the dataset's edge
-    spans and builds no snapshot.
+    same package, in days; each package's last release is censored at the
+    dataset cutoff. Observations come package by package, in the order of
+    each package's first release row. With ``split_by_required``,
+    observations are divided by whether the package had any direct
+    dependent in the snapshot at the release instant, returning (required,
+    not_required) samples; otherwise a single sample. The split reads the
+    dataset's edge spans and builds no snapshot.
+
+    Durations are differences of the index's int64 microsecond times over
+    the microseconds in a day. Both are exact as floats for spans under
+    2**53 microseconds (285 years), so each quotient is the correctly
+    rounded one that ``days_between`` gives.
     """
     # The flags come first, so that the table's arrays are freed before the
     # observation lists are built: that keeps the peak resident set down.
     flags = _EdgeSpans(d).required() if split_by_required else None
     idx = d.index()
-    times, offsets = idx.times, idx.offsets
-    observations = []
-    for lo, hi in zip(offsets, offsets[1:]):
-        for j in range(lo, hi - 1):
-            observations.append((days_between(times[j], times[j + 1]), False))
-        observations.append((days_between(times[hi - 1], d.cutoff), True))
+    times, last = idx.times_us, idx.offset_array[1:] - 1
+    ends = np.empty_like(times)
+    ends[:-1] = times[1:]
+    ends[last] = _micros([d.cutoff])
+    durations = (ends - times) / _DAY_US
+    censored = np.zeros(len(times), bool)
+    censored[last] = True
+    del ends, last
 
     if not split_by_required:
+        observations = list(zip(durations.tolist(), censored.tolist()))
         return SurvivalSample(observations=observations, label="all")
-    required = SurvivalSample(observations=[], label="required")
-    not_required = SurvivalSample(observations=[], label="not_required")
-    for obs, flag in zip(observations, flags):
-        (required if flag else not_required).observations.append(obs)
-    return required, not_required
+    samples = []
+    for label, mask in (("required", flags), ("not_required", ~flags)):
+        observations = list(zip(durations[mask].tolist(), censored[mask].tolist()))
+        samples.append(SurvivalSample(observations=observations, label=label))
+    return tuple(samples)
 
 
 # ---------------------------------------------------------------------------

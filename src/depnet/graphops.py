@@ -338,30 +338,52 @@ _SPARSE_RATIO = 1024
 def _closure_sizes(adj: list[list[int]], reverse: bool = False) -> list[int]:
     """Size of the reachable set, excluding the start node, for every node;
     with ``reverse``, of the set of nodes that reach it."""
+    return _closures(adj, (reverse,))[0]
+
+
+def _closures(adj: list[list[int]], directions: tuple[bool, ...]) -> list[list[int]]:
+    """:func:`_closure_sizes` for each direction in ``directions``, from
+    one Tarjan pass and one set of condensation edges."""
     n = len(adj)
     if n == 0:
-        return []
+        return [[] for _ in directions]
     sccs = _tarjan_sccs(adj)
-    if reverse:
-        # Tarjan's order walked backwards is a reverse topological order of
-        # the reversed graph.
-        sccs.reverse()
     n_comp = len(sccs)
     comp = np.empty(n, dtype=np.int64)
     for ci, members in enumerate(sccs):
         for v in members:
             comp[v] = ci
 
-    # Distinct condensation edges, grouped by source component, and a use
-    # count per target so its reach can be dropped (or taken over) once the
-    # last predecessor merges it.
+    # The condensation's edges, once; each direction keys them as source *
+    # n_comp + target in its own numbering and drops repeats.
     degree = np.fromiter(map(len, adj), dtype=np.int64, count=n)
     c_src = np.repeat(comp, degree)
     c_dst = comp[np.fromiter(chain.from_iterable(adj), dtype=np.int64, count=degree.sum())]
-    if reverse:
-        c_src, c_dst = c_dst, c_src
     keep = c_src != c_dst
-    pairs = _sorted_unique(c_src[keep] * n_comp + c_dst[keep])
+    c_src, c_dst = c_src[keep], c_dst[keep]
+    del comp, keep
+
+    sizes = []
+    for reverse in directions:
+        if reverse:
+            # Tarjan's order walked backwards is a reverse topological order
+            # of the reversed graph; components are renumbered to match.
+            last = n_comp - 1
+            keys = (last - c_dst) * n_comp + (last - c_src)
+            sizes.append(_merged_reach_sizes(sccs[::-1], _sorted_unique(keys), n))
+        else:
+            keys = c_src * n_comp + c_dst
+            sizes.append(_merged_reach_sizes(sccs, _sorted_unique(keys), n))
+    return sizes
+
+
+def _merged_reach_sizes(sccs: list[list[int]], pairs: np.ndarray, n: int) -> list[int]:
+    """The closure size of every node, with components in reverse
+    topological order and ``pairs`` their distinct edges, source * n_comp
+    + target, sorted. Each component's reach is merged from its
+    successors'; a use count per target lets its reach be dropped (or taken
+    over) once the last predecessor merges it."""
+    n_comp = len(sccs)
     succ = pairs % n_comp
     flat_succ = succ.tolist()
     offsets = np.searchsorted(pairs // n_comp, np.arange(n_comp + 1)).tolist()
@@ -429,3 +451,11 @@ def transitive_dependent_counts(g: SnapshotGraph) -> dict[str, int]:
     the same integer view, walked against its edges."""
     names, _, adj = g.int_view()
     return dict(zip(names, _closure_sizes(adj, reverse=True)))
+
+
+def _transitive_counts(g: SnapshotGraph) -> tuple[dict[str, int], dict[str, int]]:
+    """``transitive_dependency_counts(g)`` and
+    ``transitive_dependent_counts(g)``, from one SCC pass."""
+    names, _, adj = g.int_view()
+    forward, reverse = _closures(adj, (False, True))
+    return dict(zip(names, forward)), dict(zip(names, reverse))

@@ -23,7 +23,6 @@ from collections import Counter
 from collections.abc import Callable, Iterable, Sequence, Set as AbstractSet
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timedelta
-from itertools import accumulate
 from pathlib import Path
 from typing import Optional
 
@@ -115,6 +114,17 @@ class _DatasetIndex:
     * ``update_times`` and ``update_packages`` list the updates (non-first
       releases) in (timestamp, package name) order.
 
+    Those are lists, which snapshot builds and update windows bisect and
+    index. The edge-span table and the survival durations read numpy forms:
+    ``times_us``, ``times`` as int64 microseconds since the epoch;
+    ``offset_array``, ``offsets`` as int64; and, for the dependency rows in
+    ``targets`` order, ``row_entries``, the entry of each row's release,
+    and ``row_targets``, ``targets`` as int32.
+
+    The index is built with numpy sorts; ``version_sort_key`` runs only on
+    the entries that tie on (position, timestamp), and each distinct target
+    name is resolved once.
+
     Update windows come in two conventions. A trailing window ending at an
     instant, (start, end], counts an update made at that very instant:
     :meth:`updates_in_window`, used by changeability. A span of calendar
@@ -124,47 +134,73 @@ class _DatasetIndex:
 
     def __init__(self, dataset: "Dataset"):
         names = dataset.names
-        release_package = dataset.release_package
         release_time = dataset.release_time
-        packages = list(dict.fromkeys(release_package))
+        n_releases = len(release_time)
+        times_us = dataset._release_micros()
+        release_package = np.array(dataset.release_package, np.int64)
+        first_rows = np.unique(release_package, return_index=True)[1]
+        first_rows.sort()
+        packages = release_package[first_rows]
         unreleased = len(packages)
-        place = [unreleased] * len(names)
-        for k, pid in enumerate(packages):
-            place[pid] = k
-        position = [place[pid] for pid in release_package]
+        place = np.full(len(names), unreleased, np.int64)
+        place[packages] = np.arange(unreleased)
+        position = place[release_package]
+        del place, release_package
 
-        # Two stable sorts order the releases by (position, timestamp, row);
+        # One stable sort orders the releases by (position, timestamp, row);
         # runs that tie on (position, timestamp) are then put in version order.
-        releases = sorted(range(len(release_time)), key=release_time.__getitem__)
-        releases.sort(key=position.__getitem__)
-        times = [release_time[r] for r in releases]
+        releases = np.lexsort((times_us, position))
+        position = position[releases]
+        times_us = times_us[releases]
+        tied = np.equal(position[1:], position[:-1])
+        tied &= np.equal(times_us[1:], times_us[:-1])
+        # Where the tie flag turns on and off: pairs (lo, hi) such that the
+        # entries lo..hi share their (position, timestamp).
+        bounds = np.flatnonzero(np.diff(tied, prepend=False, append=False)).tolist()
         versions = dataset.release_version
-        for lo, hi in _tied_runs(times, [position[r] for r in releases]):
-            releases[lo:hi] = sorted(
-                releases[lo:hi], key=lambda r: version_sort_key(versions[r])
-            )
-        offsets = _offsets(position, unreleased)
+        for lo, hi in zip(bounds[::2], bounds[1::2]):
+            run = sorted(releases[lo : hi + 1].tolist(), key=lambda r: version_sort_key(versions[r]))
+            releases[lo : hi + 1] = run
+        offsets = np.zeros(unreleased + 1, np.int64)
+        np.cumsum(np.bincount(position, minlength=unreleased), out=offsets[1:])
 
-        source = dataset.dependency_source
-        rows = sorted(range(len(source)), key=source.__getitem__)
-        self.positions = {names[pid]: k for k, pid in enumerate(packages)}
-        target = dataset.dependency_target
-        lookup = self.positions.get
-        self.targets = [lookup(target[i], unreleased) for i in rows]
-        self.target_offsets = _offsets(source, len(release_package))
+        package_names = [names[pid] for pid in packages.tolist()]
+        self.positions = positions = dict(zip(package_names, range(unreleased)))
+        source = np.array(dataset.dependency_source, np.int64)
+        rows = np.argsort(source, kind="stable")
+        target_offsets = np.zeros(n_releases + 1, np.int64)
+        np.cumsum(np.bincount(source, minlength=n_releases), out=target_offsets[1:])
+        codes, table = dataset._coded_targets()
+        resolved = np.fromiter(
+            (positions.get(name, unreleased) for name in table), np.int32, len(table)
+        )
+        self.row_targets = targets = resolved[codes[rows]]
+        entry_of = np.empty(n_releases, np.int32)
+        entry_of[releases] = np.arange(n_releases, dtype=np.int32)
+        self.row_entries = entry_of[source[rows]]
+        del source, rows, entry_of
 
-        # Updates in (timestamp, name) order: each package's non-first
-        # releases, packages taken by name, then a stable sort by timestamp.
-        by_name = sorted(range(unreleased), key=lambda k: names[packages[k]])
-        updates = [r for k in by_name for r in releases[offsets[k] + 1 : offsets[k + 1]]]
-        updates.sort(key=release_time.__getitem__)
-        self.update_times = [release_time[r] for r in updates]
-        self.update_packages = [names[release_package[r]] for r in updates]
+        # Updates in (timestamp, name, entry) order: the non-first entries,
+        # sorted stably by timestamp and then by the rank of the package name.
+        later = np.ones(n_releases, bool)
+        later[offsets[:-1]] = False
+        updates = np.flatnonzero(later)
+        name_rank = np.empty(unreleased, np.int64)
+        name_rank[sorted(range(unreleased), key=package_names.__getitem__)] = np.arange(unreleased)
+        updates = updates[np.lexsort((name_rank[position[updates]], times_us[updates]))]
+        self.update_times = list(map(release_time.__getitem__, releases[updates].tolist()))
+        self.update_packages = list(map(package_names.__getitem__, position[updates].tolist()))
 
-        self.packages = packages
-        self.releases = releases
-        self.offsets = offsets
-        self.times = times
+        self.packages = packages.tolist()
+        self.releases = releases.tolist()
+        self.offsets = offsets.tolist()
+        self.times = list(map(release_time.__getitem__, self.releases))
+        # Equal targets share one int object, as they share one position.
+        ids = list(range(unreleased + 1))
+        self.targets = list(map(ids.__getitem__, targets.tolist()))
+        self.target_offsets = target_offsets.tolist()
+        self.times_us = times_us
+        self.offset_array = offsets
 
     def updates_in_window(self, start: datetime, end: datetime) -> list[tuple[datetime, str]]:
         """(timestamp, package) of the updates in (start, end]; none when
@@ -183,26 +219,6 @@ class _DatasetIndex:
         lo = bisect_left(self.update_times, start)
         hi = bisect_left(self.update_times, end)
         return list(zip(self.update_times[lo:hi], self.update_packages[lo:hi]))
-
-
-def _offsets(keys: list[int], n: int) -> list[int]:
-    """Once entries are sorted by key, those with key k are the entries
-    offsets[k]:offsets[k + 1]; keys are ints in range(n)."""
-    counts = [0] * n
-    for k in keys:
-        counts[k] += 1
-    return [0, *accumulate(counts)]
-
-
-def _tied_runs(times: list, positions: list[int]):
-    """(lo, hi) of each run of two or more consecutive entries that share
-    both their timestamp and their position."""
-    lo = 0
-    for j in range(1, len(times) + 1):
-        if j == len(times) or times[j] != times[lo] or positions[j] != positions[lo]:
-            if j - lo > 1:
-                yield lo, j
-            lo = j
 
 
 class RecordView(Sequence):
@@ -296,7 +312,7 @@ class Dataset:
         "names", "package_ids",
         "release_package", "release_version", "release_time",
         "dependency_source", "dependency_target", "dependency_constraint", "dependency_kind",
-        "cutoff", "ecosystem", "filter_report", "_index",
+        "cutoff", "ecosystem", "filter_report", "_index", "_times_us", "_target_codes",
     )
 
     def __init__(
@@ -358,6 +374,8 @@ class Dataset:
         self.ecosystem = ecosystem
         self.filter_report = filter_report if filter_report is not None else FilterReport()
         self._index: Optional[_DatasetIndex] = None
+        self._times_us: Optional[np.ndarray] = None
+        self._target_codes: Optional[tuple[np.ndarray, list[str]]] = None
 
     def index(self) -> _DatasetIndex:
         idx = self._index
@@ -365,6 +383,21 @@ class Dataset:
             idx = _DatasetIndex(self)
             self._index = idx
         return idx
+
+    def _release_micros(self) -> np.ndarray:
+        """``release_time`` as int64 microseconds since the epoch, converted
+        once; a loaded column file gives it as stored."""
+        if self._times_us is None:
+            self._times_us = _micros(self.release_time)
+        return self._times_us
+
+    def _coded_targets(self) -> tuple[np.ndarray, list[str]]:
+        """``dependency_target`` as int64 codes into a table of names: row
+        i's target is ``table[codes[i]]``. The filter and a loaded column
+        file give it; otherwise it is encoded once."""
+        if self._target_codes is None:
+            self._target_codes = _encoded(self.dependency_target)
+        return self._target_codes
 
     @property
     def packages(self) -> PackageView:
@@ -686,7 +719,7 @@ def filter_dependencies(
 
     seen: set[tuple[int, str, str]] = set()
     source: list[int] = []
-    targets: list[str] = []
+    target_ids: list[int] = []
     constraints: list[str] = []
     kinds: list[str] = []
     for rid, target, constraint, kind in zip(
@@ -696,23 +729,28 @@ def filter_dependencies(
             report.kind_dropped += 1
         elif release_ids[rid] is None:
             report.excluded_deps_dropped += 1
-        elif target not in package_ids:
+        elif (pid := package_ids.get(target)) is None:
             report.unresolved_deps_dropped += 1
         elif (key := (rid, target, kind)) in seen:
             report.duplicate_deps_dropped += 1
         else:
             seen.add(key)
             source.append(release_ids[rid])
-            targets.append(target)
+            target_ids.append(pid)
             constraints.append(constraint)
             kinds.append(kind)
     if d.dependency_source:
         report.unresolved_fraction = report.unresolved_deps_dropped / len(d.dependency_source)
-
-    return Dataset._from_columns(
+    # Every kept target resolves, so its package id codes it into the names;
+    # the target column is built from them once the seen set is freed.
+    del seen
+    targets = list(map(names.__getitem__, target_ids))
+    filtered = Dataset._from_columns(
         names, package_ids, releases, (source, targets, constraints, kinds),
         d.cutoff, d.ecosystem, report,
     )
+    filtered._target_codes = (np.array(target_ids, np.int64), names)
+    return filtered
 
 
 _DATASET_FILES = ("packages.csv", "releases.csv", "dependencies.csv")
@@ -746,12 +784,15 @@ def _dataset_digest(directory: Path) -> tuple[str, list[Optional[int]]]:
 # filter. It is laid out as an uncompressed ``np.savez`` archive of plain
 # arrays, read back with ``np.load(..., allow_pickle=False)``, so loading
 # it runs no code: ids as int64, release times as int64 microseconds since
-# the epoch, and each string column as one UTF-8 blob with int64 offsets
-# into the decoded text. The ``meta`` member is JSON: the key, the filter
-# report and the raw dataset's last release timestamp, which the cutoff
-# rule needs. The cutoff and the ecosystem are not stored.
+# the epoch, and each string column coded: a table of values, stored as one
+# UTF-8 blob with int64 offsets into the decoded text, and the int64 code of
+# each row's value in it. Columns repeat a few values (one kind and one
+# constraint in hundreds of thousands of rows), so the blobs stay small and
+# decoding shares one string per value. The ``meta`` member is JSON: the
+# key, the filter report and the raw dataset's last release timestamp,
+# which the cutoff rule needs. The cutoff and the ecosystem are not stored.
 COLUMN_FILE = ".depnet-columns.npz"
-_COLUMN_FORMAT = 1
+_COLUMN_FORMAT = 2
 _STRING_COLUMNS = (
     "names", "release_version",
     "dependency_target", "dependency_constraint", "dependency_kind",
@@ -768,6 +809,14 @@ _TIME_RANGE = (
 def _micros(times: Sequence[datetime]) -> np.ndarray:
     """Datetimes as int64 microseconds since the epoch."""
     return np.fromiter(((t - _EPOCH) // _MICROSECOND for t in times), np.int64, len(times))
+
+
+def _encoded(values: Sequence[str]) -> tuple[np.ndarray, list[str]]:
+    """``values`` as int64 codes into the table of their distinct values,
+    in order of first appearance."""
+    table = list(dict.fromkeys(values))
+    code = dict(zip(table, range(len(table))))
+    return np.fromiter(map(code.__getitem__, values), np.int64, len(values)), table
 
 
 # Reading a column file that is damaged, truncated or not a column file at
@@ -816,14 +865,18 @@ def _column_arrays(d: Dataset, meta: dict):
     """(member name, array) of each member of the column file of ``d``."""
     yield "meta", np.frombuffer(json.dumps(meta).encode(), np.uint8)
     for name in _STRING_COLUMNS:
-        values = getattr(d, name)
-        yield name, np.frombuffer("".join(values).encode("utf-8"), np.uint8)
-        offsets = np.zeros(len(values) + 1, np.int64)
-        np.cumsum(np.fromiter(map(len, values), np.int64, len(values)), out=offsets[1:])
+        if name == "dependency_target":
+            codes, table = d._coded_targets()
+        else:
+            codes, table = _encoded(getattr(d, name))
+        yield name, np.frombuffer("".join(table).encode("utf-8"), np.uint8)
+        offsets = np.zeros(len(table) + 1, np.int64)
+        np.cumsum(np.fromiter(map(len, table), np.int64, len(table)), out=offsets[1:])
         yield name + "_offsets", offsets
+        yield name + "_codes", codes
     yield "release_package", np.array(d.release_package, np.int64)
     yield "dependency_source", np.array(d.dependency_source, np.int64)
-    yield "release_time", _micros(d.release_time)
+    yield "release_time", d._release_micros()
 
 
 def _read_columns(
@@ -845,13 +898,16 @@ def _read_columns(
             meta = json.loads(archive["meta"].tobytes())
             if meta["key"] != key:
                 return None
+            coded = {name: _stored_coded(archive, name) for name in _STRING_COLUMNS}
             names, versions, targets, constraints, kinds = (
-                _stored_strings(archive, name) for name in _STRING_COLUMNS
+                list(map(table.__getitem__, codes.tolist())) for codes, table in coded.values()
             )
+            target_codes = coded["dependency_target"]
+            del coded
             release_package = _stored_ids(archive["release_package"], len(names))
             source = _stored_ids(archive["dependency_source"], len(release_package))
-            times = _in_range(archive["release_time"], *_TIME_RANGE)
-            times = times.astype("datetime64[us]").tolist()
+            times_us = _in_range(archive["release_time"], *_TIME_RANGE)
+            times = times_us.astype("datetime64[us]").tolist()
         report = FilterReport(**meta["filter_report"])
         last_release = meta["last_release"]
         if last_release is not None:
@@ -865,13 +921,16 @@ def _read_columns(
             return None
     except _UNUSABLE:
         return None
-    return Dataset._from_columns(
+    d = Dataset._from_columns(
         names, package_ids,
         (release_package, versions, times),
-        (source, targets, constraints, list(map(sys.intern, kinds))),
+        (source, targets, constraints, kinds),
         _checked_cutoff(cutoff, last_release, directory / "releases.csv"),
         ecosystem, report,
     )
+    d._times_us = times_us
+    d._target_codes = target_codes
+    return d
 
 
 def _in_range(array: np.ndarray, low: int, high: int) -> np.ndarray:
@@ -891,15 +950,18 @@ def _stored_ids(array: np.ndarray, n: int) -> list[int]:
     return [ids[i] for i in _in_range(array, 0, n).tolist()]
 
 
-def _stored_strings(archive, name: str) -> list[str]:
-    """A string column stored as a UTF-8 blob and the offsets of its values
-    in the decoded text; ``ValueError`` when the offsets do not fit it."""
+def _stored_coded(archive, name: str) -> tuple[np.ndarray, list[str]]:
+    """The codes and the table of a coded string column: the table stored
+    as a UTF-8 blob and the offsets of its values in the decoded text.
+    ``ValueError`` when the offsets do not fit the text or a code is not a
+    place in the table."""
     text = archive[name].tobytes().decode("utf-8")
     offsets = archive[name + "_offsets"]
     bounds = _in_range(offsets, 0, len(text) + 1).tolist()
     if not bounds or bounds[0] != 0 or bounds[-1] != len(text) or (np.diff(offsets) < 0).any():
         raise ValueError(f"offsets of {name} do not fit its text")
-    return [text[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    table = [text[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    return _in_range(archive[name + "_codes"], 0, len(table)), table
 
 
 @dataclass(frozen=True, slots=True)

@@ -293,16 +293,13 @@ class _EdgeSpans:
     def __init__(self, d: Dataset):
         idx = d.index()
         n, n_entries = len(idx.packages), len(idx.releases)
-        self.times = times = _micros(idx.times)
-        self.offsets = offsets = np.array(idx.offsets, np.int64)
+        self.times = times = idx.times_us
+        self.offsets = offsets = idx.offset_array
         owner = np.repeat(np.arange(n, dtype=np.int32), np.diff(offsets))
 
-        # Each dependency row's entry, rows in release id order, packed with
-        # its target into one key so that repeated targets collapse.
-        entry = np.empty(n_entries, np.int32)
-        entry[np.array(idx.releases, np.int64)] = np.arange(n_entries, dtype=np.int32)
-        entry = np.repeat(entry, np.diff(np.array(idx.target_offsets, np.int64)))
-        target = np.fromiter(idx.targets, np.int32, len(idx.targets))
+        # Each dependency row's entry, packed with its target into one key so
+        # that repeated targets collapse.
+        entry, target = idx.row_entries, idx.row_targets
         keep = target != n
         keep &= target != owner[entry]
         del owner
@@ -339,7 +336,7 @@ class _EdgeSpans:
         edges -= np.searchsorted(np.sort(self.end), at, "right")
         return nodes.tolist(), edges.tolist()
 
-    def required(self) -> list[bool]:
+    def required(self) -> np.ndarray:
         """For each index entry, whether its package has a direct dependent
         at the entry's own time: ``build_snapshot(d, t).in_degree(q) > 0``
         for a release of q at t."""
@@ -362,7 +359,7 @@ class _EdgeSpans:
 
         alive = at_or_before(self.start)
         alive -= at_or_before(self.end)
-        return (alive > 0).tolist()
+        return alive > 0
 
 
 def monthly_snapshots(d: Dataset, first: Month, last: Month) -> SnapshotSeries:

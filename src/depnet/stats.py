@@ -66,13 +66,33 @@ class LogRankResult(NamedTuple):
     critical_value: float
 
 
-def _grouped_times(observations: list[tuple[float, bool]]):
-    """Distinct times ascending with (events, censorings) counts."""
-    acc: dict[float, list[int]] = {}
-    for duration, censored in observations:
-        slot = acc.setdefault(duration, [0, 0])
-        slot[1 if censored else 0] += 1
-    return sorted(acc.items())
+def _arrays(observations: Sequence[tuple[float, bool]]) -> tuple[np.ndarray, np.ndarray]:
+    """The durations of ``observations`` as float64 and their censoring
+    flags."""
+    pairs = np.array(observations, dtype=float).reshape(-1, 2)
+    return pairs[:, 0], pairs[:, 1] != 0.0
+
+
+def _grouped(durations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct durations ascending, and the place of each duration
+    among them: one sort and a neighbour mask."""
+    order = np.argsort(durations, kind="stable")
+    ordered = durations[order]
+    distinct = np.empty(len(ordered), dtype=bool)
+    distinct[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=distinct[1:])
+    group = np.empty(len(ordered), dtype=np.int64)
+    group[order] = np.cumsum(distinct) - 1
+    return ordered[distinct], group
+
+
+def _counts(group: np.ndarray, censored: np.ndarray, n_times: int) -> tuple[np.ndarray, np.ndarray]:
+    """Events at each distinct time, and the number still at risk there:
+    the observations at that time or later."""
+    events = np.bincount(group[~censored], minlength=n_times)
+    leaving = np.bincount(group, minlength=n_times)
+    at_risk = len(group) - np.cumsum(leaving) + leaving
+    return events, at_risk
 
 
 def kaplan_meier(sample: SurvivalSample) -> SurvivalCurve:
@@ -84,15 +104,15 @@ def kaplan_meier(sample: SurvivalSample) -> SurvivalCurve:
     """
     if not sample.observations:
         raise ValueError("cannot estimate survival from an empty sample")
-    at_risk = len(sample.observations)
-    survival = 1.0
+    durations, censored = _arrays(sample.observations)
+    times, group = _grouped(durations)
+    events, at_risk = _counts(group, censored, len(times))
+    # accumulate multiplies in order, one factor at a time, as a loop would;
+    # a time without events multiplies by exactly 1.0.
+    survival = np.multiply.accumulate(1.0 - events / at_risk)
+    keep = (times > 0.0) | (events > 0)
     steps: list[tuple[float, float]] = [(0.0, 1.0)]
-    for time, (events, censorings) in _grouped_times(sample.observations):
-        if events:
-            survival *= 1.0 - events / at_risk
-        if time > 0.0 or events:
-            steps.append((time, survival))
-        at_risk -= events + censorings
+    steps.extend(zip(times[keep].tolist(), survival[keep].tolist()))
     return SurvivalCurve(steps=steps, label=sample.label)
 
 
@@ -110,31 +130,26 @@ def log_rank(a: SurvivalSample, b: SurvivalSample, alpha: float = 0.01) -> LogRa
         raise ValueError("log-rank requires two non-empty samples")
     critical = LOG_RANK_CRITICAL[alpha]
 
-    times_a = dict(_grouped_times(a.observations))
-    times_b = dict(_grouped_times(b.observations))
-    all_times = sorted(set(times_a) | set(times_b))
+    durations_a, censored_a = _arrays(a.observations)
+    durations_b, censored_b = _arrays(b.observations)
+    times, group = _grouped(np.concatenate((durations_a, durations_b)))
+    n_times, split = len(times), len(durations_a)
+    ev_a, n_a = _counts(group[:split], censored_a, n_times)
+    ev_b, n_b = _counts(group[split:], censored_b, n_times)
+    d_total = ev_a + ev_b
+    n_total = n_a + n_b
+    terms = np.flatnonzero((d_total > 0) & (n_total > 1))
 
-    n_a = len(a.observations)
-    n_b = len(b.observations)
+    # The terms are summed one by one, in time order, over Python ints: the
+    # variance numerator can pass 2**63, and a pairwise sum would change
+    # the last bits.
     o_minus_e = 0.0
     variance = 0.0
-    for time in all_times:
-        ev_a, cen_a = times_a.get(time, (0, 0))
-        ev_b, cen_b = times_b.get(time, (0, 0))
-        n_total = n_a + n_b
-        d_total = ev_a + ev_b
-        if d_total and n_total > 1:
-            expected_a = d_total * n_a / n_total
-            o_minus_e += ev_a - expected_a
-            variance += (
-                d_total
-                * (n_total - d_total)
-                * n_a
-                * n_b
-                / (n_total * n_total * (n_total - 1))
-            )
-        n_a -= ev_a + cen_a
-        n_b -= ev_b + cen_b
+    for ev, d, na, nb, nt in zip(
+        *(column[terms].tolist() for column in (ev_a, d_total, n_a, n_b, n_total))
+    ):
+        o_minus_e += ev - d * na / nt
+        variance += d * (nt - d) * na * nb / (nt * nt * (nt - 1))
 
     statistic = o_minus_e * o_minus_e / variance if variance > 0.0 else 0.0
     return LogRankResult(

@@ -5,11 +5,13 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import zipfile
 from collections import Counter
 from concurrent.futures.process import BrokenProcessPool
 from datetime import datetime
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -130,6 +132,18 @@ class TestExitCodes:
 class _ClosedStdout:
     def write(self, text):
         raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_runs_as_a_module(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-m", "depnet", "fixture", "tiny", "--out-dir", str(tmp_path / "t")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (0, "")
+    assert done.stderr == f"dataset written to {tmp_path / 't'}\n"
+    assert (tmp_path / "t" / "packages.csv").is_file()
 
 
 class TestFailureMessages:
@@ -332,6 +346,22 @@ class TestSurvivalCli:
         assert header == "statistic,significant,alpha,critical_value"
         fields = row.split(",")
         assert fields[1] in ("true", "false")
+
+
+    def test_km_split_with_an_empty_group(self, capsys, tiny_dir):
+        # Without dependencies no release is required: the empty group gets
+        # a summary row but no curve, and log-rank needs both groups.
+        (tiny_dir / "dependencies.csv").write_text(
+            "source_package,source_version,target_package,constraint,kind\n", encoding="utf-8"
+        )
+        _, out, _ = invoke(capsys, "survival", "--split-required", *tiny_args(tiny_dir))
+        assert out.splitlines()[1:] == ["required,0,0,0", "not_required,7,2,5"]
+        code, out, err = invoke(capsys, "survival", "--km", "--split-required", *tiny_args(tiny_dir))
+        assert (code, err) == (0, "")
+        _, unsplit, _ = invoke(capsys, "survival", "--km", *tiny_args(tiny_dir))
+        assert out == unsplit.replace("\nall,", "\nnot_required,")
+        code, _, err = invoke(capsys, "survival", "--logrank", *tiny_args(tiny_dir))
+        assert code == 1 and "two non-empty samples" in err
 
 
 class TestInequalityCli:

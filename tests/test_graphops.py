@@ -320,6 +320,7 @@ class TestClosureOracle:
             g = make_graph(nodes, edges)
             fwd = transitive_dependency_counts(g)
             rev = transitive_dependent_counts(g)
+            assert graphops._transitive_counts(g) == (fwd, rev)
             for p in nodes:
                 assert fwd[p] == len(transitive_dependencies(g, p))
                 assert rev[p] == len(transitive_dependents(g, p))
@@ -342,14 +343,16 @@ class TestClosureOracle:
         for shape, adj, forward, backward in shaped_cases:
             assert graphops._closure_sizes(adj) == forward, shape
             assert graphops._closure_sizes(adj, reverse=True) == backward, shape
+            assert graphops._closures(adj, (False, True)) == [forward, backward], shape
         rng = random.Random(31)
         for _ in range(300):
             nodes, edges = random_graph(rng)
             adj = make_graph(nodes, edges).int_view().adj
-            assert graphops._closure_sizes(adj) == bfs_closure_sizes(adj)
-            assert graphops._closure_sizes(adj, reverse=True) == bfs_closure_sizes(
-                reversed_adjacency(adj)
-            )
+            forward = bfs_closure_sizes(adj)
+            backward = bfs_closure_sizes(reversed_adjacency(adj))
+            assert graphops._closure_sizes(adj) == forward
+            assert graphops._closure_sizes(adj, reverse=True) == backward
+            assert graphops._closures(adj, (False, True)) == [forward, backward]
 
     def test_closure_symmetry(self):
         rng = random.Random(9)

@@ -83,8 +83,10 @@ def test_write_then_load_is_identity(d):
 
 
 def _columns(d: Dataset) -> dict:
-    """Every column of ``d`` and its filter report, cutoff and ecosystem."""
-    return {name: getattr(d, name) for name in Dataset.__slots__ if name != "_index"}
+    """Every column of ``d`` and its filter report, cutoff and ecosystem:
+    the public slots. The private ones hold the lazy index and the numpy
+    forms it reads, which each load path may fill differently."""
+    return {name: getattr(d, name) for name in Dataset.__slots__ if not name.startswith("_")}
 
 
 def _option_value(value: str) -> bool:
