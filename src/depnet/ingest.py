@@ -23,6 +23,7 @@ from collections import Counter
 from collections.abc import Callable, Iterable, Sequence, Set as AbstractSet
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timedelta
+from itertools import compress
 from pathlib import Path
 from typing import Optional
 
@@ -196,8 +197,12 @@ class _DatasetIndex:
         self.offsets = offsets.tolist()
         self.times = list(map(release_time.__getitem__, self.releases))
         # Equal targets share one int object, as they share one position.
+        # Converted in blocks: one list of new ints per target would raise
+        # the peak resident set by some 15 MiB at 470k rows.
         ids = list(range(unreleased + 1))
-        self.targets = list(map(ids.__getitem__, targets.tolist()))
+        self.targets = []
+        for lo in range(0, len(targets), 1 << 16):
+            self.targets += map(ids.__getitem__, targets[lo : lo + (1 << 16)].tolist())
         self.target_offsets = target_offsets.tolist()
         self.times_us = times_us
         self.offset_array = offsets
@@ -717,7 +722,6 @@ def filter_dependencies(
         excluded_releases_dropped=len(release_package) - len(kept),
     )
 
-    seen: set[tuple[int, str, str]] = set()
     source: list[int] = []
     target_ids: list[int] = []
     constraints: list[str] = []
@@ -727,30 +731,48 @@ def filter_dependencies(
     ):
         if kind not in include:
             report.kind_dropped += 1
-        elif release_ids[rid] is None:
+        elif (new_rid := release_ids[rid]) is None:
             report.excluded_deps_dropped += 1
         elif (pid := package_ids.get(target)) is None:
             report.unresolved_deps_dropped += 1
-        elif (key := (rid, target, kind)) in seen:
-            report.duplicate_deps_dropped += 1
         else:
-            seen.add(key)
-            source.append(release_ids[rid])
+            source.append(new_rid)
             target_ids.append(pid)
             constraints.append(constraint)
             kinds.append(kind)
     if d.dependency_source:
         report.unresolved_fraction = report.unresolved_deps_dropped / len(d.dependency_source)
-    # Every kept target resolves, so its package id codes it into the names;
-    # the target column is built from them once the seen set is freed.
-    del seen
-    targets = list(map(names.__getitem__, target_ids))
+
+    # Every kept target resolves, so its package id codes it into the names.
+    codes = np.array(target_ids, np.int64)
+    first = _first_of_each_key(np.array(source, np.int64), codes, _encoded(kinds)[0])
+    report.duplicate_deps_dropped = len(first) - int(first.sum())
+    if report.duplicate_deps_dropped:
+        source, target_ids, constraints, kinds = (
+            list(compress(column, first)) for column in (source, target_ids, constraints, kinds)
+        )
+        codes = codes[first]
     filtered = Dataset._from_columns(
-        names, package_ids, releases, (source, targets, constraints, kinds),
+        names, package_ids, releases,
+        (source, list(map(names.__getitem__, target_ids)), constraints, kinds),
         d.cutoff, d.ecosystem, report,
     )
-    filtered._target_codes = (np.array(target_ids, np.int64), names)
+    filtered._target_codes = (codes, names)
     return filtered
+
+
+def _first_of_each_key(*columns: np.ndarray) -> np.ndarray:
+    """For each row, whether no earlier row has its values in all
+    ``columns``: one stable sort by them and a neighbour mask."""
+    order = np.lexsort(columns[::-1])
+    repeat = np.ones(len(order), bool)
+    repeat[:1] = False
+    for column in columns:
+        ordered = column[order]
+        repeat[1:] &= ordered[1:] == ordered[:-1]
+    first = np.ones(len(order), bool)
+    first[order[repeat]] = False
+    return first
 
 
 _DATASET_FILES = ("packages.csv", "releases.csv", "dependencies.csv")

@@ -670,7 +670,9 @@ class TestColumnFile:
         assert invoke(capsys, *argv, *options) == stale
 
     @pytest.mark.parametrize(
-        "damage", ["truncated", "flipped byte", "other format", "directory", "id out of range"]
+        "damage",
+        ["truncated", "flipped byte", "other format", "directory", "id out of range",
+         "code out of range"],
     )
     def test_unusable_file_falls_back_to_the_csvs(self, capsys, tiny_dir, monkeypatch, damage):
         argv = [*self.GROWTH, *tiny_args(tiny_dir)]
@@ -690,6 +692,13 @@ class TestColumnFile:
         elif damage == "directory":
             path.unlink()
             path.mkdir()
+        elif damage == "code out of range":
+            d = ingest._read_columns(tiny_dir, key, None, None)
+            codes, table = d._coded_targets()
+            codes = codes.copy()
+            codes[-1] = len(table)
+            d._target_codes = (codes, table)
+            ingest._write_columns(tiny_dir, key, d, max(d.release_time))
         else:
             d = ingest._read_columns(tiny_dir, key, None, None)
             packages = list(d.release_package)
