@@ -395,14 +395,13 @@ def survival_dataset(d: Dataset, split_by_required: bool = False):
     censored[last] = True
     del ends, last
 
-    if not split_by_required:
-        observations = list(zip(durations.tolist(), censored.tolist()))
-        return SurvivalSample(observations=observations, label="all")
-    samples = []
-    for label, mask in (("required", flags), ("not_required", ~flags)):
+    def sample(label: str, mask) -> SurvivalSample:
         observations = list(zip(durations[mask].tolist(), censored[mask].tolist()))
-        samples.append(SurvivalSample(observations=observations, label=label))
-    return tuple(samples)
+        return SurvivalSample(observations=observations, label=label)
+
+    if not split_by_required:
+        return sample("all", slice(None))
+    return sample("required", flags), sample("not_required", ~flags)
 
 
 # ---------------------------------------------------------------------------
