@@ -123,8 +123,8 @@ class _DatasetIndex:
     and ``row_targets``, ``targets`` as int32.
 
     The index is built with numpy sorts; ``version_sort_key`` runs only on
-    the entries that tie on (position, timestamp), and each distinct target
-    name is resolved once.
+    the entries that tie on (position, timestamp), and each name in the
+    table of the dataset's target codes is resolved once.
 
     Update windows come in two conventions. A trailing window ending at an
     instant, (start, end], counts an update made at that very instant:
