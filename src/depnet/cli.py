@@ -141,6 +141,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# _fmt of the exact types that table rows hold, looked up by type; _fmt
+# itself formats any other value, a subclass included.
+_FORMATTERS = {str: str, int: int.__repr__, float: float.__repr__, bool: ("false", "true").__getitem__}
+
+
 def _emit(args, header: list[str], rows: list[tuple], metric: str = "output",
           ecosystem: str = "") -> None:
     if args.format == "json":
@@ -148,7 +153,8 @@ def _emit(args, header: list[str], rows: list[tuple], metric: str = "output",
         text = json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n"
     else:
         buf = io.StringIO()
-        write_csv(buf, header, ([_fmt(v) for v in row] for row in rows))
+        formatter = _FORMATTERS.get
+        write_csv(buf, header, ([formatter(type(v), _fmt)(v) for v in row] for row in rows))
         text = buf.getvalue()
     out = args.out
     if out and Path(out).is_dir():

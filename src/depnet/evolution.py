@@ -28,7 +28,13 @@ from .graphops import (
 )
 from .indices import h_index, p_impact_index, reusability_index, update_counts_in_window
 from .ingest import Dataset, _micros
-from .snapshot import SnapshotGraph, _EdgeSpans, build_snapshot, check_instant, checked_months
+from .snapshot import (
+    SnapshotGraph,
+    _EdgeSpans,
+    _release_counts,
+    build_snapshot,
+    checked_months,
+)
 from .stats import LorenzCurve, SurvivalSample, gini, lorenz_points, normalized_gini
 from .timeutil import (
     DAYS_PER_MONTH,
@@ -300,23 +306,11 @@ def update_counts_series(
 
 def update_distribution(d: Dataset, t: datetime) -> UpdateBins:
     """Lifetime update counts at time t, bucketed never / 1-4 / 5+."""
-    check_instant(d, t)
-    idx = d.index()
-    times, offsets = idx.times, idx.offsets
-    never = low = high = total = 0
-    for lo, hi in zip(offsets, offsets[1:]):
-        n_rel = bisect_right(times, t, lo, hi) - lo
-        if n_rel == 0:
-            continue
-        total += 1
-        updates = n_rel - 1
-        if updates == 0:
-            never += 1
-        elif updates < 5:
-            low += 1
-        else:
-            high += 1
-    return UpdateBins(never=never, low=low, high=high, total=total)
+    releases = _release_counts(d, t)
+    releases = releases[releases > 0]
+    never = int(np.count_nonzero(releases == 1))
+    high = int(np.count_nonzero(releases > 5))
+    return UpdateBins(never=never, low=len(releases) - never - high, high=high, total=len(releases))
 
 
 def active_packages(d: Dataset, window_start: datetime, window_end: datetime) -> set[str]:

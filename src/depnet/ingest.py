@@ -15,6 +15,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import statistics
 import sys
 import zipfile
@@ -109,18 +110,18 @@ class _DatasetIndex:
     * ``releases`` holds release ids in (position, timestamp, version)
       order; position k's releases are ``releases[offsets[k]:offsets[k + 1]]``
       and ``times`` holds the timestamp of each entry.
-    * Release r's dependency rows resolve, in declaration order, to the
-      target positions ``targets[target_offsets[r]:target_offsets[r + 1]]``;
-      a target with no release resolves to ``len(packages)``.
+    * The dependency rows are grouped by the entry of their release, in
+      entry order and, within an entry, in declaration order: row i
+      belongs to entry ``row_entries[i]`` and resolves to the target
+      position ``row_targets[i]``, ``len(packages)`` for a target with no
+      release. Both are int32 arrays.
     * ``update_times`` and ``update_packages`` list the updates (non-first
       releases) in (timestamp, package name) order.
 
-    Those are lists, which snapshot builds and update windows bisect and
-    index. The edge-span table and the survival durations read numpy forms:
-    ``times_us``, ``times`` as int64 microseconds since the epoch;
-    ``offset_array``, ``offsets`` as int64; and, for the dependency rows in
-    ``targets`` order, ``row_entries``, the entry of each row's release,
-    and ``row_targets``, ``targets`` as int32.
+    Those are lists, which update windows bisect and index. Snapshot
+    builds, the edge-span table and the survival durations read numpy
+    forms: ``times_us``, ``times`` as int64 microseconds since the epoch,
+    and ``offset_array``, ``offsets`` as int64.
 
     The index is built with numpy sorts; ``version_sort_key`` runs only on
     the entries that tie on (position, timestamp), and each name in the
@@ -167,19 +168,19 @@ class _DatasetIndex:
 
         package_names = [names[pid] for pid in packages.tolist()]
         self.positions = positions = dict(zip(package_names, range(unreleased)))
-        source = np.array(dataset.dependency_source, np.int64)
-        rows = np.argsort(source, kind="stable")
-        target_offsets = np.zeros(n_releases + 1, np.int64)
-        np.cumsum(np.bincount(source, minlength=n_releases), out=target_offsets[1:])
+        entry_of = np.empty(n_releases, np.int32)
+        entry_of[releases] = np.arange(n_releases, dtype=np.int32)
+        row_entries = entry_of[np.array(dataset.dependency_source, np.int64)]
+        del entry_of
+        rows = np.argsort(row_entries, kind="stable")
+        self.row_entries = row_entries[rows]
+        del row_entries
         codes, table = dataset._coded_targets()
         resolved = np.fromiter(
             (positions.get(name, unreleased) for name in table), np.int32, len(table)
         )
-        self.row_targets = targets = resolved[codes[rows]]
-        entry_of = np.empty(n_releases, np.int32)
-        entry_of[releases] = np.arange(n_releases, dtype=np.int32)
-        self.row_entries = entry_of[source[rows]]
-        del source, rows, entry_of
+        self.row_targets = resolved[codes[rows]]
+        del rows
 
         # Updates in (timestamp, name, entry) order: the non-first entries,
         # sorted stably by timestamp and then by the rank of the package name.
@@ -196,14 +197,6 @@ class _DatasetIndex:
         self.releases = releases.tolist()
         self.offsets = offsets.tolist()
         self.times = list(map(release_time.__getitem__, self.releases))
-        # Equal targets share one int object, as they share one position.
-        # Converted in blocks: one list of new ints per target would raise
-        # the peak resident set by some 15 MiB at 470k rows.
-        ids = list(range(unreleased + 1))
-        self.targets = []
-        for lo in range(0, len(targets), 1 << 16):
-            self.targets += map(ids.__getitem__, targets[lo : lo + (1 << 16)].tolist())
-        self.target_offsets = target_offsets.tolist()
         self.times_us = times_us
         self.offset_array = offsets
 
@@ -489,16 +482,31 @@ def _rows(path: Path, required: list[str]):
             yield reader.line_num, [row[i] for i in columns]
 
 
+# Characters that make a row need quoting; a comma is told apart from the
+# separators by counting.
+_NEEDS_QUOTING = re.compile('["\r\n]')
+
+
 def write_csv(handle, header: list[str], rows: Iterable[Sequence[str]]) -> None:
     """Write a header and rows of strings as CSV that reads back field for
     field. ``csv.writer`` quotes a field holding a newline but not one
     holding a bare carriage return, where ``csv.reader`` would split the
-    row, so a row with a carriage return is written with every field quoted."""
+    row, so a row with a carriage return is written with every field quoted.
+
+    A row that needs no quoting (no field holds a comma, a quote, a
+    carriage return or a newline, and the row is not one empty field) is
+    written as its fields joined by commas, the text ``csv.writer`` gives.
+    """
     plain = csv.writer(handle, lineterminator="\n")
     quoted = csv.writer(handle, lineterminator="\n", quoting=csv.QUOTE_ALL)
     plain.writerow(header)
+    write, special = handle.write, _NEEDS_QUOTING.search
     for row in rows:
-        (quoted if "\r" in "".join(row) else plain).writerow(row)
+        line = ",".join(row)
+        if line and line.count(",") == len(row) - 1 and special(line) is None:
+            write(line + "\n")
+        else:
+            (quoted if "\r" in line else plain).writerow(row)
 
 
 def parse_dataset(

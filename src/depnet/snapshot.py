@@ -9,9 +9,11 @@ built on the first in-neighbour query.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime
+from itertools import chain
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -36,11 +38,26 @@ class IntView(NamedTuple):
 
 def in_degrees(adj: list[tuple[int, ...]]) -> list[int]:
     """In-degree of every node id, counted over the adjacency rows."""
-    counts = [0] * len(adj)
-    for row in adj:
-        for j in row:
-            counts[j] += 1
-    return counts
+    return np.bincount(np.fromiter(chain.from_iterable(adj), np.int64), minlength=len(adj)).tolist()
+
+
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    """Keep the cyclic garbage collector from running inside the block, and
+    restore the state it had on entry, also when the block raises; nested
+    uses keep it paused to the outermost exit. The state is process-wide.
+
+    The graph kernels allocate many containers that hold only ints and form
+    no cycle, so a collection there frees nothing, while each full one
+    walks every object the loaded dataset and its index hold.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class SnapshotGraph:
@@ -193,22 +210,29 @@ def check_instant(d: Dataset, t: datetime) -> None:
         )
 
 
-def _latest_ids(d: Dataset, t: datetime) -> tuple[list[int], list[int]]:
-    """The id of the latest release at t of each package that has one, in
-    position order, and the node id of every position (-1 for a package
-    without release at t, and for the unreleased-target sentinel)."""
+def _release_counts(d: Dataset, t: datetime) -> np.ndarray:
+    """The number of releases at or before t of each package, by position;
+    ``ValueError`` when t is after the dataset cutoff."""
     check_instant(d, t)
     idx = d.index()
-    releases, times, offsets = idx.releases, idx.times, idx.offsets
-    node = [-1] * (len(idx.packages) + 1)
-    latest: list[int] = []
-    for k in range(len(idx.packages)):
-        lo = offsets[k]
-        pos = bisect_right(times, t, lo, offsets[k + 1])
-        if pos > lo:
-            node[k] = len(latest)
-            latest.append(releases[pos - 1])
-    return latest, node
+    # A package's entries are in time order, so those at or before t are a
+    # prefix of them: one running count over all entries, read at the
+    # package bounds, gives every package's prefix.
+    done = np.zeros(len(idx.times_us) + 1, np.int64)
+    np.cumsum(idx.times_us <= _micros([t])[0], out=done[1:])
+    offsets = idx.offset_array
+    return done[offsets[1:]] - done[offsets[:-1]]
+
+
+def _latest_entries(d: Dataset, t: datetime) -> tuple[np.ndarray, np.ndarray]:
+    """The position of each package with a release at or before t, in
+    position order, and the index entry of its latest release at t."""
+    counts = _release_counts(d, t)
+    positions = np.flatnonzero(counts)
+    latest = d.index().offset_array[positions]
+    latest += counts[positions]
+    latest -= 1
+    return positions, latest
 
 
 def latest_releases_at(d: Dataset, t: datetime) -> dict[str, ReleaseRecord]:
@@ -217,10 +241,46 @@ def latest_releases_at(d: Dataset, t: datetime) -> dict[str, ReleaseRecord]:
     Packages with no release at or before t are absent. Among releases
     sharing the maximal timestamp the greatest version wins.
     """
-    releases = d.releases
-    return {rel.package: rel for rel in map(releases.__getitem__, _latest_ids(d, t)[0])}
+    releases, entry_release = d.releases, d.index().releases
+    latest = map(entry_release.__getitem__, _latest_entries(d, t)[1].tolist())
+    return {rel.package: rel for rel in map(releases.__getitem__, latest)}
 
 
+def _declared_targets(
+    d: Dataset, entry: np.ndarray, target: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each index entry's distinct, resolvable, non-self targets, in
+    declaration order.
+
+    ``entry`` and ``target`` are dependency rows of the index, grouped by
+    entry in declaration order. Dropped are the rows whose target has no
+    release, whose target is the entry's own package, and those that repeat
+    an earlier row of their entry; the rest keep their order.
+    """
+    offsets = d.index().offset_array
+    n = len(offsets) - 1
+    owner = np.repeat(np.arange(n, dtype=np.int32), np.diff(offsets))
+    keep = target != n
+    keep &= target != owner[entry]
+    del owner
+    entry, target = entry[keep], target[keep]
+    # A stable sort of the (entry, target) keys puts every repeat after the
+    # row it repeats, so the first row of each run of equal keys is kept.
+    key = entry.astype(np.int64)
+    key *= n
+    key += target
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.empty(len(key), bool)
+    first[:1] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    del key
+    keep = np.zeros(len(entry), bool)
+    keep[order[first]] = True
+    return entry[keep], target[keep]
+
+
+@_gc_paused()
 def build_snapshot(d: Dataset, t: datetime) -> SnapshotGraph:
     """Construct the dependency network at time t.
 
@@ -228,31 +288,41 @@ def build_snapshot(d: Dataset, t: datetime) -> SnapshotGraph:
     targets that do not exist yet are dropped and counted, self-edges and
     repeats are dropped.
     """
-    latest, node = _latest_ids(d, t)
+    positions, latest = _latest_entries(d, t)
     idx = d.index()
-    targets, offsets = idx.targets, idx.target_offsets
-    package_names, release_package = d.names, d.release_package
-    names = [package_names[release_package[r]] for r in latest]
-    adj: list[tuple[int, ...]] = []
-    dropped = 0
-    for i, r in enumerate(latest):
-        lo, hi = offsets[r], offsets[r + 1]
-        if lo == hi:
-            adj.append(())
-            continue
-        row: list[int] = []
-        for k in targets[lo:hi]:
-            j = node[k]
-            if j < 0:
-                dropped += 1
-            elif j != i and j not in row:
-                row.append(j)
-        adj.append(tuple(row))
+    n_nodes = len(latest)
+    ids = np.arange(n_nodes, dtype=np.int32)
+    # The node id of every index entry and every target position, -1 where
+    # there is none: an entry that is not latest at t, a package without
+    # release at t, and the unreleased-target sentinel.
+    node_of_entry = np.full(len(idx.times_us), -1, np.int32)
+    node_of_entry[latest] = ids
+    node = np.full(len(idx.offset_array), -1, np.int32)
+    node[positions] = ids
+    del ids
+
+    # The latest entries' rows, grouped by entry in node order: entries
+    # and node ids both follow position order.
+    rows = node_of_entry[idx.row_entries] >= 0
+    entry, target = idx.row_entries[rows], idx.row_targets[rows]
+    del rows
+    dropped = int(np.count_nonzero(node[target] < 0))
+    entry, target = _declared_targets(d, entry, target)
+    target = node[target]
+    resolved = target >= 0
+    degree = np.bincount(node_of_entry[entry[resolved]], minlength=n_nodes)
+    flat = target[resolved].tolist()
+    del entry, target, resolved, node_of_entry, node
+    bounds = [0, *np.cumsum(degree).tolist()]
+    adj = [tuple(flat[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+
+    package_names, packages = d.names, idx.packages
+    names = [package_names[packages[k]] for k in positions.tolist()]
     return SnapshotGraph(
         at=t,
         releases=d.releases,
-        latest_ids=latest,
-        view=IntView(names, dict(zip(names, range(len(names)))), adj),
+        latest_ids=list(map(idx.releases.__getitem__, latest.tolist())),
+        view=IntView(names, dict(zip(names, range(n_nodes))), adj),
         dropped_deps=dropped,
         ecosystem=d.ecosystem,
     )
@@ -292,29 +362,11 @@ class _EdgeSpans:
 
     def __init__(self, d: Dataset):
         idx = d.index()
-        n, n_entries = len(idx.packages), len(idx.releases)
         self.times = times = idx.times_us
         self.offsets = offsets = idx.offset_array
-        owner = np.repeat(np.arange(n, dtype=np.int32), np.diff(offsets))
+        entry, target = _declared_targets(d, idx.row_entries, idx.row_targets)
 
-        # Each dependency row's entry, packed with its target into one key so
-        # that repeated targets collapse.
-        entry, target = idx.row_entries, idx.row_targets
-        keep = target != n
-        keep &= target != owner[entry]
-        del owner
-        key = entry[keep].astype(np.int64)
-        del entry
-        key *= n + 1
-        key += target[keep]
-        del target, keep
-        key = _sorted_unique(key)
-        entry, target = np.divmod(key, n + 1)
-        del key
-        entry = entry.astype(np.int32)
-        target = target.astype(np.int32)
-
-        end_of = np.empty(n_entries, np.int64)
+        end_of = np.empty(len(times), np.int64)
         end_of[:-1] = times[1:]
         end_of[offsets[1:] - 1] = _OPEN
         start = times[offsets[:-1]][target]

@@ -394,7 +394,36 @@ class TestInequalityCli:
         assert code == 1
 
 
+def csv_writer_text(header, rows) -> str:
+    """A table as ``csv.writer`` writes it, every value formatted by
+    ``cli._fmt``: the oracle for the CSV output path. A row holding a
+    carriage return has every field quoted."""
+    buf = io.StringIO()
+    plain = csv.writer(buf, lineterminator="\n")
+    quoted = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    plain.writerow(header)
+    for row in rows:
+        fields = [cli._fmt(v) for v in row]
+        (quoted if "\r" in "".join(fields) else plain).writerow(fields)
+    return buf.getvalue()
+
+
 class TestFormatsAndDeterminism:
+    def test_csv_output_matches_csv_writer(self, capsys):
+        values = [
+            "a,b", 'say "hi"', '"', "x\ry", "line\nbreak", "\r\n", "", " padded ", "plain",
+            ",", float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 0.1, 1e-05, 1e16,
+            True, False, 0, -3, 10**20, np.float64(1.5), np.int64(7), np.bool_(True), None,
+        ]
+        rng = np.random.default_rng(20170401)
+        rows = [(), ("",), ("", ""), (float("nan"),), (True, False, -0.0)]
+        for _ in range(3000):
+            picks = rng.integers(len(values), size=rng.integers(1, 5))
+            rows.append(tuple(values[k] for k in picks))
+        args = cli.build_parser().parse_args(["validate", "--dataset", "unused"])
+        cli._emit(args, ["h1", "h 2"], rows)
+        assert capsys.readouterr().out == csv_writer_text(["h1", "h 2"], rows)
+
     def test_json_format(self, capsys, tiny_dir):
         code, out, _ = invoke(
             capsys,

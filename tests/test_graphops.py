@@ -300,6 +300,73 @@ class TestWcc:
 # Oracle checks on random graphs
 
 
+def trimmed_sccs(adj, monkeypatch=None):
+    """``graphops._trimmed_sccs`` of ``adj``, and the node count of the core
+    that Tarjan was run on when ``monkeypatch`` is given."""
+    core = []
+    if monkeypatch is not None:
+        tarjan = graphops._tarjan_sccs
+        monkeypatch.setattr(
+            graphops, "_tarjan_sccs", lambda sub: core.append(len(sub)) or tarjan(sub)
+        )
+    sccs = graphops._trimmed_sccs(len(adj), *graphops._edge_arrays(adj))
+    return (sccs, core[0]) if monkeypatch is not None else sccs
+
+
+def assert_sccs_of(adj, sccs):
+    """``sccs`` is Tarjan's partition of ``adj``, listed so that every
+    condensation edge goes to an earlier component."""
+    assert sorted(v for members in sccs for v in members) == list(range(len(adj)))
+    expected = {frozenset(members) for members in graphops._tarjan_sccs(adj)}
+    assert {frozenset(members) for members in sccs} == expected
+    comp = {v: ci for ci, members in enumerate(sccs) for v in members}
+    for v, row in enumerate(adj):
+        for w in row:
+            assert comp[w] <= comp[v], (v, w)
+
+
+class TestTrimmedSccs:
+    def test_random_cyclic_graphs(self):
+        rng = random.Random(17)
+        for density in (0.02, 0.08, 0.3):
+            for _ in range(150):
+                nodes, edges = random_graph(rng, density=density)
+                adj = make_graph(nodes, edges).int_view().adj
+                assert_sccs_of(adj, trimmed_sccs(adj))
+
+    @pytest.mark.parametrize("shape", ["dag", "one_giant", "two_giants", "chain", "ladder"])
+    def test_shaped_cases(self, shape):
+        adj = shaped_adjacency(shape)
+        assert_sccs_of(adj, trimmed_sccs(adj))
+
+    def test_dag_is_peeled_whole(self, monkeypatch):
+        adj = shaped_adjacency("dag")
+        sccs, core = trimmed_sccs(adj, monkeypatch)
+        assert core == 0
+        assert_sccs_of(adj, sccs)
+
+    def test_pure_cycle_is_all_core(self, monkeypatch):
+        adj = [[(i + 1) % 50] for i in range(50)]
+        sccs, core = trimmed_sccs(adj, monkeypatch)
+        assert core == 50
+        assert [sorted(members) for members in sccs] == [list(range(50))]
+
+    def test_empty_and_edgeless(self):
+        assert trimmed_sccs([]) == []
+        assert trimmed_sccs([[], [], []]) == [[0], [1], [2]]
+
+    def test_peel_order(self):
+        # 0 is isolated; 5 -> 3 -> 1 <-> 2 -> 4 -> 6. Sinks go first in peel
+        # order, 0 with them; the cycle is the core; sources go last, the
+        # latest peeled first.
+        adj = [[], [2], [1, 4], [1], [6], [3], []]
+        sccs = trimmed_sccs(adj)
+        assert sccs[:3] == [[0], [6], [4]]
+        assert sorted(sccs[3]) == [1, 2]
+        assert sccs[4:] == [[3], [5]]
+
+
+
 class TestClosureOracle:
     def test_transitive_sets_match_matrix_closure(self):
         rng = random.Random(20200101)

@@ -6,6 +6,7 @@ import random
 from dataclasses import asdict
 from datetime import datetime
 
+import numpy as np
 import pytest
 
 from depnet.ingest import (
@@ -390,7 +391,7 @@ class TestLoadFootprint:
 
 def reference_index(d: Dataset) -> dict:
     """The index of ``d`` by plain sorts over its columns: releases in
-    (position, timestamp, version, row) order, dependency rows in (source,
+    (position, timestamp, version, row) order, dependency rows in (entry,
     row) order, updates in (timestamp, package name, entry) order."""
     names, package, times = d.names, d.release_package, d.release_time
     packages = list(dict.fromkeys(package))
@@ -402,7 +403,8 @@ def reference_index(d: Dataset) -> dict:
     offsets = [sum(position[package[r]] < k for r in releases) for k in range(len(packages) + 1)]
     positions = {names[pid]: k for k, pid in enumerate(packages)}
     source = d.dependency_source
-    rows = sorted(range(len(source)), key=lambda i: (source[i], i))
+    entry_of = {r: j for j, r in enumerate(releases)}
+    rows = sorted(range(len(source)), key=lambda i: (entry_of[source[i]], i))
     first = set(offsets[:-1])
     updates = sorted(
         (j for j in range(len(releases)) if j not in first),
@@ -414,8 +416,8 @@ def reference_index(d: Dataset) -> dict:
         "offsets": offsets,
         "times": [times[r] for r in releases],
         "positions": positions,
-        "targets": [positions.get(d.dependency_target[i], len(packages)) for i in rows],
-        "target_offsets": [sum(s < r for s in source) for r in range(len(package) + 1)],
+        "row_entries": [entry_of[source[i]] for i in rows],
+        "row_targets": [positions.get(d.dependency_target[i], len(packages)) for i in rows],
         "update_times": [times[releases[j]] for j in updates],
         "update_packages": [names[package[releases[j]]] for j in updates],
     }
@@ -441,7 +443,11 @@ class TestIndex:
             for d in (*datasets, _packages_reversed(tmp_path / "d")):
                 expected = reference_index(d)
                 idx = d.index()
-                assert {name: getattr(idx, name) for name in expected} == expected, d
+                got = {name: getattr(idx, name) for name in expected}
+                for name in ("row_entries", "row_targets"):
+                    assert got[name].dtype == np.int32
+                    got[name] = got[name].tolist()
+                assert got == expected, d
 
     def test_updates_at_one_instant_follow_name_order(self, tmp_path):
         # Package rows out of name order give ids out of name order.

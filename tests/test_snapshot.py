@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import random
 from datetime import datetime, timedelta
 
@@ -12,8 +13,10 @@ from depnet.ingest import (
     ReleaseRecord,
     version_sort_key,
 )
+from depnet.graphops import transitive_dependent_counts
 from depnet.snapshot import (
     _EdgeSpans,
+    _gc_paused,
     build_snapshot,
     latest_releases_at,
     monthly_snapshots,
@@ -264,3 +267,33 @@ class TestEdgeSpansOracle:
                 nodes, edges = _EdgeSpans(d).sizes(instants)
                 assert nodes == [g.n_nodes for g in expected], d
                 assert edges == [g.n_edges for g in expected], d
+
+
+class TestGcPause:
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def collector(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    def test_pauses_and_restores(self, collector):
+        with _gc_paused():
+            assert not gc.isenabled()
+            with _gc_paused():
+                assert not gc.isenabled()
+            assert not gc.isenabled()
+        assert gc.isenabled() is collector
+
+    def test_restores_on_exception(self, collector):
+        with pytest.raises(RuntimeError):
+            with _gc_paused():
+                raise RuntimeError
+        assert gc.isenabled() is collector
+
+    def test_kernels_restore(self, collector, tiny):
+        transitive_dependent_counts(build_snapshot(tiny, TINY_CUTOFF))
+        assert gc.isenabled() is collector
+        with pytest.raises(ValueError):
+            build_snapshot(tiny, datetime(2021, 1, 1))
+        assert gc.isenabled() is collector
