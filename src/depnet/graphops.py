@@ -5,12 +5,18 @@ depth) run on demand, as one level-by-level BFS over the graph's integer
 adjacency: forward, or on the reverse adjacency that the graph builds on
 the first in-neighbour query. The batch closure used by the longitudinal
 drivers computes reachable-set sizes for every node at once: nodes are condensed
-into strongly connected components by one Tarjan pass, which serves both
+into strongly connected components by one SCC pass, which serves both
 directions, then each component's reach is merged from its successors' in
 reverse topological order: a set of node ids while sparse, an int bitset
 once dense (Nuutila, "Efficient transitive closure computation in large
 digraphs", 1995). Its last consumer releases or takes over each reach,
 keeping peak memory proportional to the frontier, not the whole closure.
+The SCC pass first peels off, in numpy and round by round, the nodes left
+without in-edges or without out-edges, each a component of its own, and
+runs Tarjan only on the core that remains (Hong et al., SC 2013); on the
+100k-package fixture at 2020-01 that core is exactly the giant component,
+14,204 of 100,000 nodes. The closure runs with the cyclic garbage
+collector paused.
 Batch depths run one breadth-first search for many sources at once, one
 bit per source. Both batch computations read the graph's integer
 adjacency.
@@ -352,8 +358,8 @@ def _edge_arrays(adj: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
 
 def _trimmed_sccs(n: int, src: np.ndarray, dst: np.ndarray) -> list[list[int]]:
     """The strongly connected components of the graph on ids 0..n-1 with
-    edges ``src`` -> ``dst``, in reverse topological order, as
-    :func:`_tarjan_sccs` gives them.
+    edges ``src`` -> ``dst``: those :func:`_tarjan_sccs` finds, also in a
+    reverse topological order.
 
     Trimming first (Hong et al., "On Fast Parallel Detection of Strongly
     Connected Components (SCC) in Small-World Graphs", SC 2013): round by
@@ -379,7 +385,6 @@ def _trimmed_sccs(n: int, src: np.ndarray, dst: np.ndarray) -> list[list[int]]:
         in_peeled += np.flatnonzero(source).tolist()
         alive &= ~sink
         alive &= ~source
-        del sink, source
         live = alive[src]
         live &= alive[dst]
         src, dst = src[live], dst[live]

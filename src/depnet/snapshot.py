@@ -5,6 +5,16 @@ or before t, and a directed edge p -> q whenever the latest release of p
 declares a dependency on q and q also exists at t. The graph stores those
 edges once, as integer adjacency over node ids; the reverse adjacency is
 built on the first in-neighbour query.
+
+A build runs as numpy passes over the dataset index's arrays: one running
+count gives every package's number of releases at t, one mask selects the
+dependency rows of the latest releases, and a stable sort drops repeated
+targets while keeping declaration order. One helper gives each release's
+distinct, resolvable, non-self targets; the edge-span table, which sizes
+every snapshot without building it, reads the same helper. The build runs
+with the cyclic garbage collector paused, as the batch closure in
+``graphops`` does: both allocate many int-only containers, and a
+collection would walk every object of the loaded dataset for nothing.
 """
 
 from __future__ import annotations
