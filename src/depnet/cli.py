@@ -143,7 +143,9 @@ def _fmt(value) -> str:
 
 # _fmt of the exact types that table rows hold, looked up by type; _fmt
 # itself formats any other value, a subclass included.
-_FORMATTERS = {str: str, int: int.__repr__, float: float.__repr__, bool: ("false", "true").__getitem__}
+_FORMATTERS = {
+    str: str, int: int.__repr__, float: float.__repr__, bool: ("false", "true").__getitem__,
+}
 
 
 def _emit(args, header: list[str], rows: list[tuple], metric: str = "output",

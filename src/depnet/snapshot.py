@@ -375,7 +375,6 @@ class _EdgeSpans:
         self.times = times = idx.times_us
         self.offsets = offsets = idx.offset_array
         entry, target = _declared_targets(d, idx.row_entries, idx.row_targets)
-
         end_of = np.empty(len(times), np.int64)
         end_of[:-1] = times[1:]
         end_of[offsets[1:] - 1] = _OPEN
