@@ -3,6 +3,8 @@ from __future__ import annotations
 import gc
 import io
 import random
+import statistics
+from collections import Counter
 from dataclasses import asdict
 from datetime import datetime
 
@@ -10,12 +12,14 @@ import numpy as np
 import pytest
 
 from depnet.ingest import (
+    BurstWarning,
     Dataset,
     DatasetError,
     DependencyRecord,
     FilterReport,
     PackageRecord,
     ReleaseRecord,
+    ValidationReport,
     filter_dependencies,
     load_dataset_dir,
     load_exclusions,
@@ -26,6 +30,7 @@ from depnet.ingest import (
 )
 from depnet.fixtures import GeneratorConfig, generate, write_dataset
 from depnet.snapshot import build_snapshot
+from depnet.timeutil import iter_months, month_of
 
 from conftest import constructed_and_reloaded, edge_case_dataset, write_dataset_csvs
 
@@ -201,6 +206,164 @@ class TestParse:
         releases = ["a,1.0.0,2020-01-10T06:00:00+02:00"]
         d = parse_tiny(tmp_path, packages, releases, [])
         assert d.releases[0].timestamp == datetime(2020, 1, 10, 4, 0, 0)
+
+
+def parse_error(tmp_path, packages, releases, dependencies) -> str:
+    """The message of the DatasetError that parsing these rows raises, with
+    the dataset directory's path replaced by ``D``."""
+    with pytest.raises(DatasetError) as caught:
+        parse_tiny(tmp_path, packages, releases, dependencies)
+    return str(caught.value).replace(str(tmp_path / "data"), "D")
+
+
+# fault -> (file, row index in that file, row, message): the row put into
+# TINY's rows at that index (replacing one, or appended past the end) and
+# the message of the fault it makes.
+_FAULTS = {
+    "empty name": (0, 2, '""', "D/packages.csv, line 4: empty value in column 'name'"),
+    "duplicate package": (
+        0, 5, "b", "D/packages.csv: duplicate package 'b' (lines 3 and 7)"
+    ),
+    "unknown package": (
+        1, 3, "zzz,1.0.0,2020-02-03",
+        "D/releases.csv, line 5: release of unknown package 'zzz'",
+    ),
+    "empty version": (
+        1, 3, "c,,2020-02-03", "D/releases.csv, line 5: empty value in column 'version'"
+    ),
+    "bad timestamp": (
+        1, 3, "c,1.0.0,2020-02-30",
+        "D/releases.csv, line 5: column 'timestamp' has unparseable value '2020-02-30'",
+    ),
+    "duplicate release": (
+        1, 5, "a,1.1.0,2020-03-05", "D/releases.csv: duplicate release a 1.1.0 (lines 6 and 7)"
+    ),
+    "unknown release": (
+        2, 2, "c,9.9.9,a,*,runtime",
+        "D/dependencies.csv, line 4: dependency of unknown release c 9.9.9",
+    ),
+    "empty target": (
+        2, 2, "c,2.0.0,,*,runtime",
+        "D/dependencies.csv, line 4: empty value in column 'target_package'",
+    ),
+    "package fields": (0, 1, "b,x", "D/packages.csv, line 3: 2 fields, the header has 1"),
+    "release fields": (1, 6, "d,1.0.0", "D/releases.csv, line 8: 2 fields, the header has 3"),
+    "dependency fields": (
+        2, 4, "d,1.0.0,c,*,runtime,x", "D/dependencies.csv, line 6: 6 fields, the header has 5"
+    ),
+}
+
+
+def _put(rows: list[str], at: int, row: str) -> None:
+    if at < len(rows):
+        rows[at] = row
+    else:
+        rows.append(row)
+
+
+class TestParseErrors:
+    @pytest.mark.parametrize("fault", _FAULTS)
+    def test_message_names_file_and_line(self, tmp_path, fault):
+        files = tiny_rows()
+        which, at, row, message = _FAULTS[fault]
+        _put(files[which], at, row)
+        assert parse_error(tmp_path, *files) == message
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ("bad timestamp", "unknown package"),
+            ("empty version", "unknown package"),
+            ("duplicate release", "empty version"),
+            ("unknown package", "bad timestamp"),
+            ("release fields", "unknown package"),
+            ("empty version", "release fields"),
+            ("empty target", "unknown release"),
+            ("dependency fields", "empty target"),
+            ("duplicate package", "empty name"),
+        ],
+    )
+    def test_earlier_line_wins_whatever_its_rule(self, tmp_path, first, second):
+        # The second fault's row is appended after the first fault's.
+        files = tiny_rows()
+        which, at, row, message = _FAULTS[first]
+        other, _, late_row, _ = _FAULTS[second]
+        assert which == other
+        _put(files[which], at, row)
+        files[which].append(late_row)
+        assert parse_error(tmp_path, *files) == message
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("zzz,,2020-02-03", "release of unknown package 'zzz'"),
+            (",1.0.0,nope", "release of unknown package ''"),
+            ("c,,nope", "empty value in column 'version'"),
+            ("a,1.0.0,nope", "column 'timestamp' has unparseable value 'nope'"),
+        ],
+    )
+    def test_rules_of_one_row_apply_in_order(self, tmp_path, row, message):
+        packages, releases, deps = tiny_rows()
+        releases.append(row)
+        assert parse_error(tmp_path, packages, releases, deps) == (
+            f"D/releases.csv, line 9: {message}"
+        )
+
+    def test_first_of_two_duplicates_is_reported(self, tmp_path):
+        packages, releases, deps = tiny_rows()
+        packages += ["c", "a"]
+        assert parse_error(tmp_path, packages, releases, deps) == (
+            "D/packages.csv: duplicate package 'c' (lines 4 and 7)"
+        )
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("p39999,9.9,p1,*,runtime", "dependency of unknown release p39999 9.9"),
+            ("p39999,1.0,,*,runtime", "empty value in column 'target_package'"),
+            ("p39999,1.0,p1", "3 fields, the header has 5"),
+        ],
+    )
+    def test_fault_far_into_a_file_after_quoted_newlines(self, tmp_path, row, message):
+        n = 40_005
+        packages = [f"p{i}" for i in range(n)]
+        releases = [f"p{i},1.0,2020-01-01" for i in range(n)]
+        deps = [f"p{i},1.0,p{i + 1},*,runtime" for i in range(n - 1)]
+        deps[7] = 'p7,1.0,p8,"*\n\n",runtime'  # lines 9 to 11
+        deps.insert(100, "")  # a blank line, skipped
+        deps.insert(40_003, row)
+        # Past the header and the two extra lines of the quoted field.
+        assert parse_error(tmp_path, packages, releases, deps) == (
+            f"D/dependencies.csv, line {40_003 + 1 + 1 + 2}: {message}"
+        )
+
+    def test_duplicate_far_into_a_file(self, tmp_path):
+        n = 40_005
+        packages = [f"p{i}" for i in range(n)]
+        packages[20] = '"p\n20"'  # lines 22 and 23
+        packages.append("p17")
+        assert parse_error(tmp_path, packages, [], []) == (
+            f"D/packages.csv: duplicate package 'p17' (lines 19 and {n + 2 + 1})"
+        )
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def collector(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    def test_collector_state_kept(self, tmp_path, collector):
+        packages, releases, deps = tiny_rows()
+        releases[3] = "c,1.0.0,nope"
+        with pytest.raises(DatasetError):
+            parse_tiny(tmp_path, packages, releases, deps)
+        assert gc.isenabled() is collector
+        packages, releases, deps = tiny_rows()
+        d = parse_tiny(tmp_path, packages, releases, deps)
+        assert gc.isenabled() is collector
+        filter_dependencies(d, {"runtime"}, {"c"})
+        assert gc.isenabled() is collector
 
 
 class TestFilter:
@@ -539,9 +702,11 @@ class TestValidate:
         assert report.duplicate_releases == [("p", "1.0.0")]
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_matches_sorting_every_package(self, seed):
+    def test_matches_sorting_every_package(self, seed, tmp_path):
         # Packages with one to four releases, interleaved; "1.0" and "1.00"
-        # tie on the version key, so release order breaks the tie.
+        # tie on the version key, so release order breaks the tie. A parse
+        # rejects repeated releases, so the parsed copies leave them out;
+        # their package ids follow file order, not name order.
         rng = random.Random(seed)
         names = [f"p{i}" for i in range(40)]
         releases = [
@@ -555,24 +720,92 @@ class TestValidate:
             packages={PackageRecord(name, "default") for name in names},
             releases=releases, dependencies=[], cutoff=datetime(2020, 2, 1),
         )
-        seen = set()
-        duplicates = []
-        by_package: dict[str, list] = {}
-        for r in releases:
-            if (r.package, r.version) in seen:
-                duplicates.append((r.package, r.version))
-            seen.add((r.package, r.version))
-            by_package.setdefault(r.package, []).append((r.version, r.timestamp))
-        flags = []
-        for name in sorted(by_package):
-            ordered = sorted(by_package[name], key=lambda r: version_sort_key(r[0]))
-            times = [ts for _, ts in ordered]
-            if any(b <= a for a, b in zip(times, times[1:])):
-                flags.append(name)
-        report = validate_dataset(d)
+        duplicates, flags = _reference_validation(d)
         assert duplicates and flags
-        assert report.duplicate_releases == duplicates
-        assert report.ordering_flags == flags
+        once = Dataset(
+            packages=d.packages,
+            releases=list({(r.package, r.version): r for r in reversed(releases)}.values()),
+            dependencies=[], cutoff=d.cutoff,
+        )
+        parsed = constructed_and_reloaded(once, tmp_path / "d")[1:]
+        for dataset in (d, *parsed, _packages_reversed(tmp_path / "d")):
+            duplicates, flags = _reference_validation(dataset)
+            report = validate_dataset(dataset)
+            assert report.duplicate_releases == duplicates
+            assert report.ordering_flags == flags
+        assert flags
+
+    def test_bursts_match_counting_months(self):
+        # Months on both sides of year boundaries and of the epoch, with
+        # gaps; some months far above their trailing median.
+        rng = random.Random(11)
+        releases = []
+        for month in range(-30, 30):
+            year, mon = 1970 + month // 12, month % 12 + 1
+            count = 40 if month in (-13, -1, 0, 12) else rng.choice([0, 1, 2, 3, 3])
+            for k in range(count):
+                day = datetime(year, mon, 1) + (datetime(year + mon // 12, mon % 12 + 1, 1)
+                                                - datetime(year, mon, 1)) * rng.random()
+                releases.append(ReleaseRecord(f"p{len(releases)}", "1", day))
+        rng.shuffle(releases)
+        d = Dataset(
+            packages={PackageRecord(r.package, "default") for r in releases},
+            releases=releases, dependencies=[], cutoff=datetime(1980, 1, 1),
+        )
+        counts = Counter(month_of(r.timestamp) for r in releases)
+        months = list(iter_months(min(counts), max(counts)))
+        series = [counts[m] for m in months]
+        expected = [
+            (months[i], series[i], statistics.median(series[i - 12 : i]))
+            for i in range(12, len(series))
+            if 0 < statistics.median(series[i - 12 : i]) < series[i] / 3
+        ]
+        report = validate_dataset(d, burst_factor=3)
+        got = [(w.month, w.count, w.trailing_median) for w in report.burst_warnings]
+        assert got == expected
+        assert any(m[0] < 1970 for m, _, _ in expected)
+        assert any(m[1] == 1 for m, _, _ in expected)
+
+    def test_burst_across_a_year_boundary(self):
+        releases = [
+            ReleaseRecord(f"p{month}-{k}", "1", datetime(2015 + month // 12, month % 12 + 1, 28))
+            for month in range(1, 13)
+            for k in range(2)
+        ]
+        releases += [ReleaseRecord(f"q{k}", "1", datetime(2016, 2, 1)) for k in range(30)]
+        d = Dataset(
+            packages={PackageRecord(r.package, "default") for r in releases},
+            releases=releases, dependencies=[], cutoff=datetime(2016, 3, 1),
+        )
+        assert validate_dataset(d).burst_warnings == [BurstWarning((2016, 2), 30, 2)]
+
+    def test_dataset_without_releases_is_clean(self):
+        d = Dataset(
+            packages={PackageRecord("p", "default")}, releases=[], dependencies=[],
+            cutoff=datetime(2020, 1, 1),
+        )
+        assert validate_dataset(d) == ValidationReport()
+
+
+def _reference_validation(d: Dataset) -> tuple[list, list]:
+    """The repeated releases in row order, and the packages whose releases
+    in version order (row order among equal versions) are not strictly
+    increasing in time, in name order."""
+    seen = set()
+    duplicates = []
+    by_package: dict[str, list] = {}
+    for r in d.releases:
+        if (r.package, r.version) in seen:
+            duplicates.append((r.package, r.version))
+        seen.add((r.package, r.version))
+        by_package.setdefault(r.package, []).append((r.version, r.timestamp))
+    flags = []
+    for name in sorted(by_package):
+        ordered = sorted(by_package[name], key=lambda r: version_sort_key(r[0]))
+        times = [ts for _, ts in ordered]
+        if any(b <= a for a, b in zip(times, times[1:])):
+            flags.append(name)
+    return duplicates, flags
 
 
 class TestVersionKey:
