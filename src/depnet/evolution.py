@@ -349,7 +349,8 @@ def updates_by_age(
     idx = d.index()
     counts = {label: 0 for label in AGE_BIN_LABELS}
     for ts, pkg in idx.updates_during(window_start, window_end):
-        age = ts - idx.times[idx.offsets[idx.positions[pkg]]]
+        first = idx.releases[idx.offset_array[idx.positions[pkg]]]
+        age = ts - d.release_time[first]
         bin_idx = bisect_right(_AGE_BOUNDS, age)
         counts[AGE_BIN_LABELS[bin_idx]] += 1
     return AgeHistogram(counts=counts)

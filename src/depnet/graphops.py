@@ -33,7 +33,8 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .snapshot import SnapshotGraph, _gc_paused, _sorted_unique, in_degrees
+from .ingest import _gc_paused
+from .snapshot import SnapshotGraph, _sorted_unique, in_degrees
 
 
 @dataclass(frozen=True, slots=True)

@@ -12,6 +12,7 @@ references to packages hosted outside the registry.
 from __future__ import annotations
 
 import csv
+import gc
 import hashlib
 import json
 import os
@@ -20,17 +21,18 @@ import statistics
 import sys
 import zipfile
 from bisect import bisect_left, bisect_right
-from collections import Counter
-from collections.abc import Callable, Iterable, Sequence, Set as AbstractSet
+from collections.abc import Callable, Iterable, Iterator, Sequence, Set as AbstractSet
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timedelta
-from itertools import compress
+from itertools import chain, compress, islice
+from operator import attrgetter
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .timeutil import Month, iter_months, month_of, parse_timestamp
+from .timeutil import Month, iter_months, parse_timestamp
 
 # Dependency kinds that denote install/run-time requirements. Everything
 # else (dev, test, build, optional, ...) is excluded by default.
@@ -108,8 +110,9 @@ class _DatasetIndex:
     never on string hashing.
 
     * ``releases`` holds release ids in (position, timestamp, version)
-      order; position k's releases are ``releases[offsets[k]:offsets[k + 1]]``
-      and ``times`` holds the timestamp of each entry.
+      order; position k's releases are the entries from ``offset_array[k]``
+      to ``offset_array[k + 1]``, and ``times_us`` holds the timestamp of
+      each entry as int64 microseconds since the epoch.
     * The dependency rows are grouped by the entry of their release, in
       entry order and, within an entry, in declaration order: row i
       belongs to entry ``row_entries[i]`` and resolves to the target
@@ -118,10 +121,10 @@ class _DatasetIndex:
     * ``update_times`` and ``update_packages`` list the updates (non-first
       releases) in (timestamp, package name) order.
 
-    Those are lists, which update windows bisect and index. Snapshot
-    builds, the edge-span table and the survival durations read numpy
-    forms: ``times_us``, ``times`` as int64 microseconds since the epoch,
-    and ``offset_array``, ``offsets`` as int64.
+    ``packages``, ``releases`` and the update columns are lists, which
+    update windows bisect and index; ``times_us`` and ``offset_array``
+    are int64 arrays, which snapshot builds, the edge-span table and the
+    survival durations read.
 
     The index is built with numpy sorts; ``version_sort_key`` runs only on
     the entries that tie on (position, timestamp), and each name in the
@@ -195,8 +198,6 @@ class _DatasetIndex:
 
         self.packages = packages.tolist()
         self.releases = releases.tolist()
-        self.offsets = offsets.tolist()
-        self.times = list(map(release_time.__getitem__, self.releases))
         self.times_us = times_us
         self.offset_array = offsets
 
@@ -451,11 +452,36 @@ class Dataset:
         )
 
 
-def _rows(path: Path, required: list[str]):
-    """Each data row of the CSV file at ``path`` as (line, values of the
-    ``required`` columns); the file is open only while rows are read. A
-    row whose field count differs from the header's is an error, never
-    shifted into other columns."""
+# Data rows that the parse reads, checks and converts at a time, a column
+# at a time.
+_BLOCK_ROWS = 4096
+
+
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    """Keep the cyclic garbage collector from running inside the block, and
+    restore the state it had on entry, also when the block raises; nested
+    uses keep it paused to the outermost exit. The state is process-wide.
+
+    The load and the graph kernels allocate many containers that form no
+    cycle (rows, keys, lists of ints), so a collection there frees
+    nothing, while each full one walks every object the loaded dataset and
+    its index hold.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@contextmanager
+def _csv_file(path: Path, required: list[str]):
+    """A ``csv.reader`` over the CSV file at ``path`` past its header, the
+    header's width and the places of the ``required`` columns in it; the
+    file is open only inside the block."""
     try:
         handle = open(path, newline="", encoding="utf-8")
     except FileNotFoundError:
@@ -468,8 +494,16 @@ def _rows(path: Path, required: list[str]):
         missing = [col for col in required if col not in header]
         if missing:
             raise DatasetError(f"{path}: missing column(s) {', '.join(missing)}")
-        width = len(header)
-        columns = [header.index(col) for col in required]
+        yield reader, len(header), [header.index(col) for col in required]
+
+
+def _rows(path: Path, required: list[str]):
+    """Each data row of the CSV file at ``path`` as (line, values of the
+    ``required`` columns). A row whose field count differs from the
+    header's is an error, never shifted into other columns; blank lines
+    are skipped. The parse reads blocks; this reader finds the lines of a
+    fault."""
+    with _csv_file(path, required) as (reader, width, columns):
         # line_num counts physical lines, so a quoted field holding a newline
         # does not shift the line numbers of later rows.
         for row in reader:
@@ -480,6 +514,74 @@ def _rows(path: Path, required: list[str]):
                     f"{path}, line {reader.line_num}: {len(row)} fields, the header has {width}"
                 )
             yield reader.line_num, [row[i] for i in columns]
+
+
+def _blocks(path: Path, required: list[str]):
+    """The data rows of the CSV file at ``path`` in blocks of up to
+    ``_BLOCK_ROWS``, each as (number of rows before it, a tuple of values
+    per ``required`` column). Blank lines are skipped, as :func:`_rows`
+    skips them. A row whose field count differs from the header's ends the
+    blocks: the rows before it come first, and once the caller has found
+    no fault in them, the field-count error is raised."""
+    with _csv_file(path, required) as (reader, width, columns):
+        start = 0
+        while block := list(islice(reader, _BLOCK_ROWS)):
+            cut = None
+            if set(map(len, block)) != {width}:
+                block = [row for row in block if row]
+                cut = next((k for k, row in enumerate(block) if len(row) != width), None)
+            values = list(zip(*(block if cut is None else block[:cut]))) or [()] * width
+            yield start, [values[i] for i in columns]
+            if cut is not None:
+                text = f"{len(block[cut])} fields, the header has {width}"
+                raise _fault(path, required, [(start + cut, 0, text)])
+            start += len(block)
+
+
+def _fault(path: Path, required: list[str], faults: list[tuple]) -> DatasetError:
+    """The error for the first of ``faults`` found in the CSV file at
+    ``path``, each (row, rule, text) or (row, rule, text, earlier row)
+    for a row that repeats an earlier one. Rows count data rows from 0,
+    blank lines skipped; the earliest row wins, and the lowest rule among
+    the faults of one row. A re-read with :func:`_rows` gives the lines;
+    it runs only on failure."""
+    row, _, text, *earlier = min(faults)
+    lines = [line for line, _ in islice(_rows(path, required), row + 1)]
+    if not earlier:
+        return DatasetError(f"{path}, line {lines[row]}: {text}")
+    return DatasetError(f"{path}: {text} (lines {lines[earlier[0]]} and {lines[row]})")
+
+
+def _first_repeat(keys: Iterable) -> tuple[int, int]:
+    """(earlier, row) for the first of ``keys`` equal to an earlier one,
+    which there must be."""
+    seen: dict = {}
+    for row, key in enumerate(keys):
+        earlier = seen.setdefault(key, row)
+        if earlier != row:
+            return earlier, row
+    raise AssertionError("no repeated key")
+
+
+def _timestamps(values: Sequence[str]) -> tuple[list[datetime], Optional[int]]:
+    """``values`` parsed by ``parse_timestamp``, up to the first that it
+    cannot parse, and the place of that one (``None`` when all parse).
+    Naive ISO-8601 text goes through ``datetime.fromisoformat`` in one
+    ``map``; a block with padding, a zone suffix or an offset falls back
+    to ``parse_timestamp`` a value at a time."""
+    try:
+        times = list(map(datetime.fromisoformat, values))
+        if set(map(attrgetter("tzinfo"), times)) <= {None}:
+            return times, None
+    except ValueError:
+        pass
+    times = []
+    for k, value in enumerate(values):
+        try:
+            times.append(parse_timestamp(value))
+        except ValueError:
+            return times, k
+    return times, None
 
 
 # Characters that make a row need quoting; a comma is told apart from the
@@ -509,6 +611,7 @@ def write_csv(handle, header: list[str], rows: Iterable[Sequence[str]]) -> None:
             (quoted if "\r" in line else plain).writerow(row)
 
 
+@_gc_paused()
 def parse_dataset(
     packages_path, releases_path, dependencies_path,
     cutoff: Optional[datetime],
@@ -520,90 +623,114 @@ def parse_dataset(
     boundary) and must be at or after the last release; pass ``None`` to
     use the maximum release timestamp. No filtering is applied here; the
     filter report starts at all zeros.
+
+    Each file is read in blocks of rows, and each block is checked and
+    converted a column at a time. A malformed row fails with its file and
+    line: of the faults in a file, the one on the earliest row, and of the
+    faults on one row, the first in the order the checks are listed in.
+    Package ids follow the order of the package rows. Equal target names
+    share one string, and the target codes go to the filter.
     """
     packages_path = Path(packages_path)
     releases_path = Path(releases_path)
     dependencies_path = Path(dependencies_path)
+    names, package_ids = _parse_packages(packages_path)
+    releases, release_ids = _parse_releases(releases_path, names, package_ids)
+    cutoff = _checked_cutoff(cutoff, max(releases[2], default=None), releases_path)
+    dependencies, target_codes = _parse_dependencies(dependencies_path, release_ids)
+    del release_ids
+    d = Dataset._from_columns(names, package_ids, releases, dependencies, cutoff, ecosystem)
+    d._target_codes = target_codes
+    return d
 
+
+def _parse_packages(path: Path) -> tuple[list[str], dict[str, int]]:
+    """The names of the package rows and the id of each; checks: an empty
+    name, a repeated name."""
     names: list[str] = []
     package_ids: dict[str, int] = {}
-    package_lines: list[int] = []
-    for line, (name,) in _rows(packages_path, ["name"]):
-        if not name:
-            raise DatasetError(
-                f"{packages_path}, line {line}: empty value in column 'name'"
-            )
-        pid = package_ids.setdefault(name, len(names))
-        if pid != len(names):
-            raise DatasetError(
-                f"{packages_path}: duplicate package '{name}' "
-                f"(lines {package_lines[pid]} and {line})"
-            )
-        names.append(name)
-        package_lines.append(line)
+    required = ["name"]
+    for start, (block,) in _blocks(path, required):
+        package_ids.update(zip(block, range(start, start + len(block))))
+        faults = []
+        if "" in block:
+            faults.append((start + block.index(""), 0, "empty value in column 'name'"))
+        if len(package_ids) != start + len(block):
+            earlier, row = _first_repeat(chain(names, block))
+            faults.append((row, 1, f"duplicate package '{block[row - start]}'", earlier))
+        if faults:
+            raise _fault(path, required, faults)
+        names += block
+    return names, package_ids
 
+
+def _parse_releases(path: Path, names: list[str], package_ids: dict[str, int]):
+    """The release columns (package id, version, timestamp) and the id of
+    each (package, version); checks: an unknown package, an empty version,
+    an unparseable timestamp, a repeated (package, version). Equal
+    versions share one string."""
     release_package: list[int] = []
     release_version: list[str] = []
     release_time: list[datetime] = []
     release_ids: dict[tuple[str, str], int] = {}
-    release_lines: list[int] = []
-    for line, (pkg, version, raw_ts) in _rows(releases_path, ["package", "version", "timestamp"]):
-        pid = package_ids.get(pkg)
-        if pid is None:
-            raise DatasetError(
-                f"{releases_path}, line {line}: release of unknown package '{pkg}'"
-            )
-        if not version:
-            raise DatasetError(
-                f"{releases_path}, line {line}: empty value in column 'version'"
-            )
-        try:
-            ts = parse_timestamp(raw_ts)
-        except ValueError:
-            raise DatasetError(
-                f"{releases_path}, line {line}: column 'timestamp' "
-                f"has unparseable value {raw_ts!r}"
-            ) from None
-        rid = release_ids.setdefault((pkg, version), len(release_lines))
-        if rid != len(release_lines):
-            raise DatasetError(
-                f"{releases_path}: duplicate release {pkg} {version} "
-                f"(lines {release_lines[rid]} and {line})"
-            )
-        release_lines.append(line)
-        release_package.append(pid)
-        release_version.append(version)
-        release_time.append(ts)
+    shared: dict[str, str] = {}
+    required = ["package", "version", "timestamp"]
+    for start, (packages, versions, stamps) in _blocks(path, required):
+        pids = list(map(package_ids.get, packages))
+        times, bad = _timestamps(stamps)
+        release_ids.update(zip(zip(packages, versions), range(start, start + len(pids))))
+        faults = []
+        if None in pids:
+            k = pids.index(None)
+            faults.append((start + k, 0, f"release of unknown package '{packages[k]}'"))
+        if "" in versions:
+            faults.append((start + versions.index(""), 1, "empty value in column 'version'"))
+        if bad is not None:
+            text = f"column 'timestamp' has unparseable value {stamps[bad]!r}"
+            faults.append((start + bad, 2, text))
+        if len(release_ids) != start + len(pids):
+            earlier_keys = zip(map(names.__getitem__, release_package), release_version)
+            earlier, row = _first_repeat(chain(earlier_keys, zip(packages, versions)))
+            text = f"duplicate release {packages[row - start]} {versions[row - start]}"
+            faults.append((row, 3, text, earlier))
+        if faults:
+            raise _fault(path, required, faults)
+        release_package += pids
+        release_version += map(shared.setdefault, versions, versions)
+        release_time += times
+    return (release_package, release_version, release_time), release_ids
 
-    cutoff = _checked_cutoff(cutoff, max(release_time, default=None), releases_path)
 
+def _parse_dependencies(path: Path, release_ids: dict[tuple[str, str], int]):
+    """The dependency columns (source release id, target, constraint,
+    kind) and the target codes; checks: an unknown source release, an
+    empty target. Equal targets share one string, and kinds are
+    lowercased and interned once per distinct value."""
     source: list[int] = []
     targets: list[str] = []
     constraints: list[str] = []
     kinds: list[str] = []
-    columns = ["source_package", "source_version", "target_package", "constraint", "kind"]
-    for line, (src, src_ver, target, constraint, kind) in _rows(dependencies_path, columns):
-        rid = release_ids.get((src, src_ver))
-        if rid is None:
-            raise DatasetError(
-                f"{dependencies_path}, line {line}: dependency of unknown "
-                f"release {src} {src_ver}"
-            )
-        if not target:
-            raise DatasetError(
-                f"{dependencies_path}, line {line}: empty value in column 'target_package'"
-            )
-        source.append(rid)
-        targets.append(target)
-        constraints.append(constraint)
-        kinds.append(sys.intern(kind.lower()))  # one string per distinct kind
-
-    return Dataset._from_columns(
-        names, package_ids,
-        (release_package, release_version, release_time),
-        (source, targets, constraints, kinds),
-        cutoff, ecosystem,
-    )
+    shared: dict[str, str] = {}
+    kind_of: dict[str, str] = {}
+    required = ["source_package", "source_version", "target_package", "constraint", "kind"]
+    for start, (packages, versions, target, constraint, kind) in _blocks(path, required):
+        rids = list(map(release_ids.get, zip(packages, versions)))
+        faults = []
+        if None in rids:
+            k = rids.index(None)
+            text = f"dependency of unknown release {packages[k]} {versions[k]}"
+            faults.append((start + k, 0, text))
+        if "" in target:
+            faults.append((start + target.index(""), 1, "empty value in column 'target_package'"))
+        if faults:
+            raise _fault(path, required, faults)
+        for value in set(kind) - kind_of.keys():
+            kind_of[value] = sys.intern(value.lower())
+        source += rids
+        targets += map(shared.setdefault, target, target)
+        constraints += constraint
+        kinds += map(kind_of.__getitem__, kind)
+    return (source, targets, constraints, kinds), _encoded(targets)
 
 
 def _checked_cutoff(
@@ -687,6 +814,7 @@ def load_exclusions(path) -> set[str]:
     return names
 
 
+@_gc_paused()
 def filter_dependencies(
     d: Dataset,
     included_kinds: Iterable[str] = DEFAULT_INCLUDED_KINDS,
@@ -707,65 +835,85 @@ def filter_dependencies(
     A row whose target is an excluded package therefore counts as
     unresolved, not excluded: the filter removes noise packages as if
     the registry never had them. Filtering is total and idempotent.
+
+    The rules are numpy masks over the rows' source releases, kind codes
+    and target codes. When no package is excluded, the filtered dataset
+    shares the package table, the release columns and their times in
+    microseconds with ``d``.
     """
     include = {k.strip().lower() for k in included_kinds}
     excluded = set(excluded_packages)
-    names = [name for name in d.names if name not in excluded]
-    package_ids = {name: pid for pid, name in enumerate(names)}
-    # The new id of each old package id; None for an excluded package.
-    new_pid = [package_ids.get(name) for name in d.names]
-    release_package = d.release_package
-    kept = [rid for rid, pid in enumerate(release_package) if new_pid[pid] is not None]
-    releases = (
-        [new_pid[release_package[rid]] for rid in kept],
-        [d.release_version[rid] for rid in kept],
-        [d.release_time[rid] for rid in kept],
-    )
-    # The new id of each old release id; None for a release of an excluded package.
-    release_ids: list[Optional[int]] = [None] * len(release_package)
-    for new, rid in enumerate(kept):
-        release_ids[rid] = new
-    report = FilterReport(
-        excluded_packages_dropped=len(d.names) - len(names),
-        excluded_releases_dropped=len(release_package) - len(kept),
-    )
+    source = np.array(d.dependency_source, np.int64)
+    times_us = d._release_micros()
+    if excluded.isdisjoint(d.package_ids):
+        names, package_ids = d.names, d.package_ids
+        releases = (d.release_package, d.release_version, d.release_time)
+        new_rid = None
+        report = FilterReport()
+    else:
+        names = [name for name in d.names if name not in excluded]
+        package_ids = {name: pid for pid, name in enumerate(names)}
+        # The new id of each old package id; None for an excluded package.
+        new_pid = list(map(package_ids.get, d.names))
+        kept = [new_pid[pid] is not None for pid in d.release_package]
+        releases = (
+            list(map(new_pid.__getitem__, compress(d.release_package, kept))),
+            list(compress(d.release_version, kept)),
+            list(compress(d.release_time, kept)),
+        )
+        kept = np.array(kept, bool)
+        times_us = times_us[kept]
+        # The new id of each old release id, -1 for a release of an
+        # excluded package.
+        release_map = np.full(len(kept), -1, np.int64)
+        release_map[kept] = np.arange(len(times_us))
+        source = release_map[source]
+        new_rid = release_map.tolist()
+        report = FilterReport(
+            excluded_packages_dropped=len(d.names) - len(names),
+            excluded_releases_dropped=len(kept) - len(times_us),
+        )
 
-    source: list[int] = []
-    target_ids: list[int] = []
-    constraints: list[str] = []
-    kinds: list[str] = []
-    for rid, target, constraint, kind in zip(
-        d.dependency_source, d.dependency_target, d.dependency_constraint, d.dependency_kind
-    ):
-        if kind not in include:
-            report.kind_dropped += 1
-        elif (new_rid := release_ids[rid]) is None:
-            report.excluded_deps_dropped += 1
-        elif (pid := package_ids.get(target)) is None:
-            report.unresolved_deps_dropped += 1
-        else:
-            source.append(new_rid)
-            target_ids.append(pid)
-            constraints.append(constraint)
-            kinds.append(kind)
-    if d.dependency_source:
-        report.unresolved_fraction = report.unresolved_deps_dropped / len(d.dependency_source)
+    kind, kind_table = _encoded(d.dependency_kind)
+    codes, table = d._coded_targets()
+    resolved = np.fromiter((package_ids.get(name, -1) for name in table), np.int64, len(table))
+    target = resolved[codes]
+    # The rows left after each of rules 1 to 3, which count what each drops.
+    keep = np.array([k in include for k in kind_table], bool)[kind]
+    left = [len(keep), int(keep.sum())]
+    keep &= source >= 0
+    left.append(int(keep.sum()))
+    keep &= target >= 0
+    left.append(int(keep.sum()))
+    report.kind_dropped, report.excluded_deps_dropped, report.unresolved_deps_dropped = (
+        before - after for before, after in zip(left, left[1:])
+    )
+    if len(keep):
+        report.unresolved_fraction = report.unresolved_deps_dropped / len(keep)
+    rows = np.flatnonzero(keep)
+    first = _first_of_each_key(source[rows], target[rows], kind[rows])
+    report.duplicate_deps_dropped = len(first) - int(first.sum())
+    keep[rows[~first]] = False
+    del source, kind, rows, first
 
     # Every kept target resolves, so its package id codes it into the names.
-    codes = np.array(target_ids, np.int64)
-    first = _first_of_each_key(np.array(source, np.int64), codes, _encoded(kinds)[0])
-    report.duplicate_deps_dropped = len(first) - int(first.sum())
-    if report.duplicate_deps_dropped:
-        source, target_ids, constraints, kinds = (
-            list(compress(column, first)) for column in (source, target_ids, constraints, kinds)
-        )
-        codes = codes[first]
+    codes = target[keep]
+    keep = keep.tolist()
+    sources = compress(d.dependency_source, keep)
+    if new_rid is not None:
+        sources = map(new_rid.__getitem__, sources)
     filtered = Dataset._from_columns(
         names, package_ids, releases,
-        (source, list(map(names.__getitem__, target_ids)), constraints, kinds),
+        (
+            list(sources),
+            list(map(names.__getitem__, codes.tolist())),
+            list(compress(d.dependency_constraint, keep)),
+            list(compress(d.dependency_kind, keep)),
+        ),
         d.cutoff, d.ecosystem, report,
     )
     filtered._target_codes = (codes, names)
+    filtered._times_us = times_us
     return filtered
 
 
@@ -1023,37 +1171,38 @@ def validate_dataset(d: Dataset, burst_factor: float = 10.0) -> ValidationReport
     median, so early months and all-quiet histories are never flagged.
     """
     report = ValidationReport()
-
     names = d.names
-    # A package with one release can have neither a duplicate release nor
-    # an ordering conflict, so only packages with two or more are grouped.
-    n_releases = Counter(d.release_package)
-    seen: set[tuple[int, str]] = set()
-    by_package: dict[int, list[tuple[str, datetime]]] = {}
-    for pid, version, ts in zip(d.release_package, d.release_version, d.release_time):
-        if n_releases[pid] == 1:
-            continue
-        key = (pid, version)
-        if key in seen:
-            report.duplicate_releases.append((names[pid], version))
-        seen.add(key)
-        by_package.setdefault(pid, []).append((version, ts))
+    package = np.array(d.release_package, np.int64)
+    version, versions = _encoded(d.release_version)
+    repeats = np.flatnonzero(~_first_of_each_key(package, version)).tolist()
+    report.duplicate_releases = [
+        (names[d.release_package[r]], d.release_version[r]) for r in repeats
+    ]
 
-    for pid in sorted(by_package, key=names.__getitem__):
-        rels = sorted(by_package[pid], key=lambda r: version_sort_key(r[0]))
-        times = [ts for _, ts in rels]
-        if any(b <= a for a, b in zip(times, times[1:])):
-            report.ordering_flags.append(names[pid])
+    # The rank of each distinct version in version order, equal keys
+    # sharing one; a stable sort by (package, rank) keeps release order
+    # among equal versions, as a sort of each package's releases would.
+    keys = list(map(version_sort_key, versions))
+    rank = np.empty(len(keys), np.int64)
+    previous, r = None, -1
+    for v in sorted(range(len(keys)), key=keys.__getitem__):
+        if keys[v] != previous:
+            previous, r = keys[v], r + 1
+        rank[v] = r
+    order = np.lexsort((rank[version], package))
+    package = package[order]
+    times = d._release_micros()[order]
+    late = (package[1:] == package[:-1]) & (times[1:] <= times[:-1])
+    report.ordering_flags = sorted(names[pid] for pid in np.unique(package[1:][late]).tolist())
 
     if d.release_time:
-        counts: dict[Month, int] = {}
-        for ts in d.release_time:
-            m = month_of(ts)
-            counts[m] = counts.get(m, 0) + 1
-        first = min(counts)
-        last = max(counts)
+        # Each release's month, counted from 1970-01 as datetime64 counts.
+        month = d._release_micros().astype("datetime64[us]").astype("datetime64[M]")
+        month = month.astype(np.int64)
+        low = int(month.min())
+        series = np.bincount(month - low).tolist()
+        first, last = ((1970 + m // 12, m % 12 + 1) for m in (low, low + len(series) - 1))
         months = list(iter_months(first, last))
-        series = [counts.get(m, 0) for m in months]
         for i in range(12, len(series)):
             med = statistics.median(series[i - 12 : i])
             if med > 0 and series[i] > burst_factor * med:

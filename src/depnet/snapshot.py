@@ -19,8 +19,6 @@ collection would walk every object of the loaded dataset for nothing.
 
 from __future__ import annotations
 
-import gc
-from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime
 from itertools import chain
@@ -28,7 +26,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .ingest import Dataset, ReleaseRecord, _micros
+from .ingest import Dataset, ReleaseRecord, _gc_paused, _micros
 from .timeutil import Month, format_month, iter_months, month_of, month_start
 
 
@@ -49,25 +47,6 @@ class IntView(NamedTuple):
 def in_degrees(adj: list[tuple[int, ...]]) -> list[int]:
     """In-degree of every node id, counted over the adjacency rows."""
     return np.bincount(np.fromiter(chain.from_iterable(adj), np.int64), minlength=len(adj)).tolist()
-
-
-@contextmanager
-def _gc_paused() -> Iterator[None]:
-    """Keep the cyclic garbage collector from running inside the block, and
-    restore the state it had on entry, also when the block raises; nested
-    uses keep it paused to the outermost exit. The state is process-wide.
-
-    The graph kernels allocate many containers that hold only ints and form
-    no cycle, so a collection there frees nothing, while each full one
-    walks every object the loaded dataset and its index hold.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
 
 
 class SnapshotGraph:

@@ -6,7 +6,7 @@ import random
 import statistics
 from collections import Counter
 from dataclasses import asdict
-from datetime import datetime
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
@@ -35,6 +35,7 @@ from depnet.timeutil import iter_months, month_of
 from conftest import constructed_and_reloaded, edge_case_dataset, write_dataset_csvs
 
 TINY_CUTOFF = datetime(2020, 4, 1)
+EPOCH = datetime(1970, 1, 1)
 
 
 def tiny_rows():
@@ -576,8 +577,8 @@ def reference_index(d: Dataset) -> dict:
     return {
         "packages": packages,
         "releases": releases,
-        "offsets": offsets,
-        "times": [times[r] for r in releases],
+        "offset_array": offsets,
+        "times_us": [(times[r] - EPOCH) // timedelta(microseconds=1) for r in releases],
         "positions": positions,
         "row_entries": [entry_of[source[i]] for i in rows],
         "row_targets": [positions.get(d.dependency_target[i], len(packages)) for i in rows],
@@ -609,6 +610,9 @@ class TestIndex:
                 got = {name: getattr(idx, name) for name in expected}
                 for name in ("row_entries", "row_targets"):
                     assert got[name].dtype == np.int32
+                    got[name] = got[name].tolist()
+                for name in ("offset_array", "times_us"):
+                    assert got[name].dtype == np.int64
                     got[name] = got[name].tolist()
                 assert got == expected, d
 

@@ -11,12 +11,12 @@ from depnet.ingest import (
     DependencyRecord,
     PackageRecord,
     ReleaseRecord,
+    _gc_paused,
     version_sort_key,
 )
 from depnet.graphops import transitive_dependent_counts
 from depnet.snapshot import (
     _EdgeSpans,
-    _gc_paused,
     build_snapshot,
     latest_releases_at,
     monthly_snapshots,
