@@ -453,7 +453,9 @@ class Dataset:
 
 
 # Data rows that the parse reads, checks and converts at a time, a column
-# at a time.
+# at a time. Larger blocks are slower: at 16,384 rows a block's row lists
+# and strings outgrow the CPU caches, and the 100k-package fixture parsed
+# in 2.0 s against 1.5 s (in process, 2-vCPU machine).
 _BLOCK_ROWS = 4096
 
 
@@ -628,8 +630,8 @@ def parse_dataset(
     converted a column at a time. A malformed row fails with its file and
     line: of the faults in a file, the one on the earliest row, and of the
     faults on one row, the first in the order the checks are listed in.
-    Package ids follow the order of the package rows. Equal target names
-    share one string, and the target codes go to the filter.
+    Package ids follow the order of the package rows. Equal versions and
+    equal targets share one string, and the target codes go to the filter.
     """
     packages_path = Path(packages_path)
     releases_path = Path(releases_path)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import gc
 import io
 import random
@@ -20,6 +21,7 @@ from depnet.ingest import (
     PackageRecord,
     ReleaseRecord,
     ValidationReport,
+    _DATASET_FILES,
     filter_dependencies,
     load_dataset_dir,
     load_exclusions,
@@ -28,9 +30,10 @@ from depnet.ingest import (
     version_sort_key,
     write_csv,
 )
+from depnet import ingest
 from depnet.fixtures import GeneratorConfig, generate, write_dataset
 from depnet.snapshot import build_snapshot
-from depnet.timeutil import iter_months, month_of
+from depnet.timeutil import iter_months, month_of, parse_timestamp
 
 from conftest import constructed_and_reloaded, edge_case_dataset, write_dataset_csvs
 
@@ -208,6 +211,17 @@ class TestParse:
         d = parse_tiny(tmp_path, packages, releases, [])
         assert d.releases[0].timestamp == datetime(2020, 1, 10, 4, 0, 0)
 
+    def test_timestamps_of_every_form_in_one_file(self, tmp_path):
+        stamps = [
+            "2020-01-10", "2020-01-10T06:00:00+02:00", " 2020-01-11 ", "2020-01-12T01:02:03Z",
+            "2020-01-13 04:05:06.789", "2020-01-14T00:00:00z", "2020-01-15T23:00:00-01:30",
+        ]
+        packages = [f"p{i}" for i in range(len(stamps))]
+        releases = [f"p{i},1,{stamp}" for i, stamp in enumerate(stamps)]
+        d = parse_tiny(tmp_path, packages, releases, [])
+        assert d.release_time == [parse_timestamp(stamp) for stamp in stamps]
+        assert all(t.tzinfo is None for t in d.release_time)
+
 
 def parse_error(tmp_path, packages, releases, dependencies) -> str:
     """The message of the DatasetError that parsing these rows raises, with
@@ -260,6 +274,104 @@ def _put(rows: list[str], at: int, row: str) -> None:
         rows[at] = row
     else:
         rows.append(row)
+
+
+def _reference_parse(directory) -> tuple:
+    """The columns of the dataset in ``directory`` parsed row by row, as
+    before the block parse, or the message of its first fault: the files
+    in order, rows in order, the checks of a row in order."""
+
+    def rows(name):
+        path = directory / name
+        with open(path, newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            width = len(next(reader))
+            for row in reader:
+                if len(row) != width:
+                    if not row:
+                        continue
+                    raise DatasetError(
+                        f"{path}, line {reader.line_num}: {len(row)} fields, the header has {width}"
+                    )
+                yield reader.line_num, row
+
+    path = directory / "packages.csv"
+    names, package_lines = [], {}
+    for line, (name,) in rows("packages.csv"):
+        if not name:
+            raise DatasetError(f"{path}, line {line}: empty value in column 'name'")
+        if name in package_lines:
+            raise DatasetError(
+                f"{path}: duplicate package '{name}' (lines {package_lines[name]} and {line})"
+            )
+        names.append(name)
+        package_lines[name] = line
+    path = directory / "releases.csv"
+    releases, release_lines = [], {}
+    for line, (pkg, version, stamp) in rows("releases.csv"):
+        if pkg not in package_lines:
+            raise DatasetError(f"{path}, line {line}: release of unknown package '{pkg}'")
+        if not version:
+            raise DatasetError(f"{path}, line {line}: empty value in column 'version'")
+        try:
+            ts = parse_timestamp(stamp)
+        except ValueError:
+            raise DatasetError(
+                f"{path}, line {line}: column 'timestamp' has unparseable value {stamp!r}"
+            ) from None
+        if (pkg, version) in release_lines:
+            raise DatasetError(
+                f"{path}: duplicate release {pkg} {version} "
+                f"(lines {release_lines[pkg, version]} and {line})"
+            )
+        release_lines[pkg, version] = line
+        releases.append((names.index(pkg), version, ts))
+    path = directory / "dependencies.csv"
+    rids = {(names[pid], version): rid for rid, (pid, version, _) in enumerate(releases)}
+    deps = []
+    for line, (src, version, target, constraint, kind) in rows("dependencies.csv"):
+        if (src, version) not in rids:
+            raise DatasetError(f"{path}, line {line}: dependency of unknown release {src} {version}")
+        if not target:
+            raise DatasetError(f"{path}, line {line}: empty value in column 'target_package'")
+        deps.append((rids[src, version], target, constraint, kind.lower()))
+    return names, releases, deps
+
+
+def _random_csvs(rng: random.Random, directory) -> None:
+    """The three CSV files of a small random dataset in which, now and then,
+    a row breaks a check, a line is blank or a field holds a newline."""
+
+    def maybe(p):
+        return rng.random() < p
+
+    names = [f"p{i}" if not maybe(0.01) else rng.choice(["", "p0", 'p"\n"x']) for i in range(8)]
+    stamps = ["2020-01-01", "2020-01-02T03:04:05", " 2020-01-03", "2020-01-04T00:00:00Z",
+              "2020-01-05T10:00:00+02:00", "2020-13-01", "nope"]
+    releases = []
+    for _ in range(rng.randint(0, 14)):
+        pkg = rng.choice(names + ["ghost"] * maybe(0.05))
+        version = rng.choice(["1.0", "1.0\n1", ""]) if maybe(0.05) else f"1.{rng.randrange(40)}"
+        stamp = rng.choice(stamps if maybe(0.05) else stamps[:5])
+        releases.append([pkg, version, stamp])
+    deps = []
+    for _ in range(rng.randint(0, 20) if releases else 0):
+        pkg, version, _ = rng.choice(releases)
+        if maybe(0.02):
+            version = "9.9"
+        target = "" if maybe(0.02) else rng.choice(names + ["ghost"])
+        deps.append([pkg, version, target, rng.choice(["*", "^1\n"]), rng.choice(["runtime", "DEV"])])
+    headers = (["name"], ["package", "version", "timestamp"],
+               ["source_package", "source_version", "target_package", "constraint", "kind"])
+    directory.mkdir(parents=True, exist_ok=True)
+    for name, header, rows in zip(_DATASET_FILES, headers, ([[n] for n in names], releases, deps)):
+        with open(directory / name, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(header)
+            for row in rows:
+                if maybe(0.05):
+                    handle.write("\n")
+                writer.writerow(row[:-1] if maybe(0.01) else row)
 
 
 class TestParseErrors:
@@ -346,6 +458,34 @@ class TestParseErrors:
         assert parse_error(tmp_path, packages, [], []) == (
             f"D/packages.csv: duplicate package 'p17' (lines 19 and {n + 2 + 1})"
         )
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 3, 4096])
+    def test_matches_row_by_row_reference(self, tmp_path, monkeypatch, block_rows):
+        # Blocks of a few rows put faults and repeats on both sides of a
+        # block boundary.
+        monkeypatch.setattr(ingest, "_BLOCK_ROWS", block_rows)
+        rng = random.Random(20170402)
+        failures = 0
+        for k in range(300):
+            directory = tmp_path / str(k)
+            _random_csvs(rng, directory)
+            try:
+                expected = _reference_parse(directory)
+            except DatasetError as exc:
+                expected = str(exc)
+                failures += 1
+            try:
+                d = parse_dataset(*(directory / name for name in _DATASET_FILES), TINY_CUTOFF)
+            except DatasetError as exc:
+                assert str(exc) == expected
+                continue
+            releases = list(zip(d.release_package, d.release_version, d.release_time))
+            deps = list(zip(d.dependency_source, d.dependency_target,
+                            d.dependency_constraint, d.dependency_kind))
+            assert (d.names, releases, deps) == expected
+            codes, table = d._target_codes
+            assert [table[c] for c in codes.tolist()] == d.dependency_target
+        assert 100 < failures < 250
 
     @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
     def collector(self, request):
