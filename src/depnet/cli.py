@@ -345,7 +345,7 @@ def _cmd_survival(args) -> Table:
     if args.km:
         # A split may leave one sample empty, which has no curve; kaplan_meier
         # still rejects the input when every sample is empty.
-        samples = [s for s in samples if s.observations] or samples
+        samples = [s for s in samples if len(s)] or samples
         rows = []
         for sample in samples:
             curve = kaplan_meier(sample)

@@ -12,10 +12,9 @@ read-only.
 from __future__ import annotations
 
 import multiprocessing
-from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from datetime import datetime, timedelta
+from datetime import datetime
 from functools import partial
 from typing import Callable, Optional
 
@@ -26,22 +25,24 @@ from .graphops import (
     top_level_packages,
     transitive_dependent_counts,
 )
-from .indices import h_index, p_impact_index, reusability_index, update_counts_in_window
-from .ingest import Dataset, _micros
+from .indices import (
+    _package_counts,
+    h_index,
+    p_impact_index,
+    reusability_index,
+    update_counts_in_window,
+)
+from .ingest import Dataset, _micros, _month_indices
 from .snapshot import (
     SnapshotGraph,
     _EdgeSpans,
     _release_counts,
     build_snapshot,
+    check_instant,
     checked_months,
 )
 from .stats import LorenzCurve, SurvivalSample, gini, lorenz_points, normalized_gini
-from .timeutil import (
-    DAYS_PER_MONTH,
-    Month,
-    month_of,
-    month_start,
-)
+from .timeutil import DAYS_PER_MONTH, Month, month_index, month_start
 
 _DAY_US = 86_400_000_000  # microseconds in a day
 
@@ -71,9 +72,10 @@ class UpdateBins:
 
 
 AGE_BIN_LABELS = ("0-3", "3-6", "6-12", "12-24", "24+")
-# timedelta bounds compare in exact integer microseconds, so an age of
-# exactly m mean-months lands in the upper (half-open) bin.
-_AGE_BOUNDS = tuple(timedelta(days=m * DAYS_PER_MONTH) for m in (3, 6, 12, 24))
+# The bin bounds of m mean-months in whole microseconds, as
+# ``timedelta(days=m * DAYS_PER_MONTH)`` rounds them; an age of exactly
+# a bound lands in the upper (half-open) bin.
+_AGE_BOUNDS_US = np.array([round(m * DAYS_PER_MONTH * _DAY_US) for m in (3, 6, 12, 24)])
 
 
 @dataclass
@@ -296,12 +298,11 @@ def update_counts_series(
     all releases instead.
     """
     months = checked_months(d, first, last)
-    counts: dict[Month, int] = {}
-    for ts in d.release_time if include_first else d.index().update_times:
-        m = month_of(ts)
-        counts[m] = counts.get(m, 0) + 1
-    points = [(m, float(counts.get(m, 0))) for m in months]
-    return TimeSeries("updates", points)
+    times = d._release_micros() if include_first else d.index().update_times_us
+    month = _month_indices(times)
+    month -= month_index(first)
+    counts = np.bincount(month[(month >= 0) & (month < len(months))], minlength=len(months))
+    return TimeSeries("updates", [(m, float(c)) for m, c in zip(months, counts.tolist())])
 
 
 def update_distribution(d: Dataset, t: datetime) -> UpdateBins:
@@ -313,9 +314,16 @@ def update_distribution(d: Dataset, t: datetime) -> UpdateBins:
     return UpdateBins(never=never, low=len(releases) - never - high, high=high, total=len(releases))
 
 
+def _updates_during(d: Dataset, start: datetime, end: datetime) -> tuple[np.ndarray, np.ndarray]:
+    """The times and positions of the updates in [start, end); ``ValueError``
+    when end is after the dataset cutoff or before start."""
+    check_instant(d, end)
+    return d.index().updates_during(*_micros([start, end]).tolist())
+
+
 def active_packages(d: Dataset, window_start: datetime, window_end: datetime) -> set[str]:
     """Packages with at least one update in [window_start, window_end)."""
-    return {pkg for _, pkg in d.index().updates_during(window_start, window_end)}
+    return set(_package_counts(d, _updates_during(d, window_start, window_end)[1]))
 
 
 def update_inequality(
@@ -323,9 +331,7 @@ def update_inequality(
 ) -> UpdateInequality:
     """Inequality of update counts across packages active in
     [window_start, window_end)."""
-    counts: dict[str, int] = {}
-    for _, pkg in d.index().updates_during(window_start, window_end):
-        counts[pkg] = counts.get(pkg, 0) + 1
+    counts = _package_counts(d, _updates_during(d, window_start, window_end)[1])
     if not counts:
         raise ValueError("no active packages in the window")
     values = list(counts.values())
@@ -346,14 +352,12 @@ def updates_by_age(
     mean-length months; bins are half-open, so an age exactly on a
     boundary falls in the higher bin.
     """
+    times, positions = _updates_during(d, window_start, window_end)
     idx = d.index()
-    counts = {label: 0 for label in AGE_BIN_LABELS}
-    for ts, pkg in idx.updates_during(window_start, window_end):
-        first = idx.releases[idx.offset_array[idx.positions[pkg]]]
-        age = ts - d.release_time[first]
-        bin_idx = bisect_right(_AGE_BOUNDS, age)
-        counts[AGE_BIN_LABELS[bin_idx]] += 1
-    return AgeHistogram(counts=counts)
+    age = times - idx.times_us[idx.offset_array[positions]]
+    bins = np.searchsorted(_AGE_BOUNDS_US, age, "right")
+    counts = np.bincount(bins, minlength=len(AGE_BIN_LABELS))
+    return AgeHistogram(counts=dict(zip(AGE_BIN_LABELS, counts.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +382,7 @@ def survival_dataset(d: Dataset, split_by_required: bool = False):
     rounded one that ``days_between`` gives.
     """
     # The flags come first, so that the table's arrays are freed before the
-    # observation lists are built: that keeps the peak resident set down.
+    # durations are built: that keeps the peak resident set down.
     flags = _EdgeSpans(d).required() if split_by_required else None
     idx = d.index()
     times, last = idx.times_us, idx.offset_array[1:] - 1
@@ -390,13 +394,12 @@ def survival_dataset(d: Dataset, split_by_required: bool = False):
     censored[last] = True
     del ends, last
 
-    def sample(label: str, mask) -> SurvivalSample:
-        observations = list(zip(durations[mask].tolist(), censored[mask].tolist()))
-        return SurvivalSample(observations=observations, label=label)
-
     if not split_by_required:
-        return sample("all", slice(None))
-    return sample("required", flags), sample("not_required", ~flags)
+        return SurvivalSample(durations, censored, "all")
+    return (
+        SurvivalSample(durations[flags], censored[flags], "required"),
+        SurvivalSample(durations[~flags], censored[~flags], "not_required"),
+    )
 
 
 # ---------------------------------------------------------------------------

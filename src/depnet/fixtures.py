@@ -54,12 +54,12 @@ class GeneratorConfig:
             raise ValueError("n_packages must be positive")
         if self.months <= 0:
             raise ValueError("months must be positive")
-        if self.attachment_bias < 0:
-            raise ValueError("attachment_bias must be non-negative")
-        if self.mean_deps < 0:
-            raise ValueError("mean_deps must be non-negative")
-        if self.update_rate < 0:
-            raise ValueError("update_rate must be non-negative")
+        for name in ("attachment_bias", "mean_deps", "update_rate"):
+            value = getattr(self, name)
+            # A NaN rate fails every comparison, so it would never end a
+            # Poisson draw.
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be a non-negative finite number, not {value}")
 
 
 def _poisson(rng: random.Random, lam: float) -> int:

@@ -13,8 +13,10 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta
 from typing import Iterable, Optional
 
+import numpy as np
+
 from .graphops import transitive_dependent_counts
-from .ingest import Dataset
+from .ingest import Dataset, _micros
 from .snapshot import SnapshotGraph, check_instant
 
 
@@ -49,17 +51,23 @@ def h_index(counts: Iterable[int]) -> int:
     return 0
 
 
+def _package_counts(d: Dataset, positions: np.ndarray) -> dict[str, int]:
+    """How often each package position occurs in ``positions``, by
+    package name, in position order."""
+    at, counts = np.unique(positions, return_counts=True)
+    names = map(d.names.__getitem__, d.index().packages[at].tolist())
+    return dict(zip(names, counts.tolist()))
+
+
 def update_counts_in_window(d: Dataset, t: datetime, window_days: int) -> dict[str, int]:
     """Updates per package with timestamp in (t - window_days, t].
 
     A package's first release is not an update, so packages whose only
     activity in the window is their initial release do not appear.
     """
-    start = t - timedelta(days=window_days)
-    counts: dict[str, int] = {}
-    for _, pkg in d.index().updates_in_window(start, t):
-        counts[pkg] = counts.get(pkg, 0) + 1
-    return counts
+    # Times are whole microseconds, so (start, t] is [start + 1, t + 1).
+    start, end = (_micros([t - timedelta(days=window_days), t]) + 1).tolist()
+    return _package_counts(d, d.index().updates_during(start, end)[1])
 
 
 def changeability_index(d: Dataset, t: datetime, window_days: int = 30) -> IndexReport:

@@ -20,7 +20,6 @@ import re
 import statistics
 import sys
 import zipfile
-from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterable, Iterator, Sequence, Set as AbstractSet
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
@@ -104,59 +103,56 @@ class FilterReport:
 class _DatasetIndex:
     """Flat lookup arrays over a Dataset's columns, built once and shared.
 
-    A package's *position* is its place in ``packages``: the packages with
-    a release, in the order of each one's first release row. Every array is
-    filled in an order that depends only on row order in the Dataset,
-    never on string hashing.
+    A package's *position* is its place in ``packages``: the package ids
+    with a release, in the order of each one's first release row. Every
+    array is filled in an order that depends only on row order in the
+    Dataset, never on string hashing. All of them are numpy arrays.
 
     * ``releases`` holds release ids in (position, timestamp, version)
       order; position k's releases are the entries from ``offset_array[k]``
-      to ``offset_array[k + 1]``, and ``times_us`` holds the timestamp of
-      each entry as int64 microseconds since the epoch.
+      to ``offset_array[k + 1]``. Entry j is a release of the package at
+      position ``entry_positions[j]``, made at ``times_us[j]``, int64
+      microseconds since the epoch.
     * The dependency rows are grouped by the entry of their release, in
       entry order and, within an entry, in declaration order: row i
       belongs to entry ``row_entries[i]`` and resolves to the target
       position ``row_targets[i]``, ``len(packages)`` for a target with no
       release. Both are int32 arrays.
-    * ``update_times`` and ``update_packages`` list the updates (non-first
-      releases) in (timestamp, package name) order.
-
-    ``packages``, ``releases`` and the update columns are lists, which
-    update windows bisect and index; ``times_us`` and ``offset_array``
-    are int64 arrays, which snapshot builds, the edge-span table and the
-    survival durations read.
+    * The updates (non-first entries) are in time order: update k is a
+      release of the package at position ``update_positions[k]`` at
+      ``update_times_us[k]``.
 
     The index is built with numpy sorts; ``version_sort_key`` runs only on
     the entries that tie on (position, timestamp), and each name in the
     table of the dataset's target codes is resolved once.
 
-    Update windows come in two conventions. A trailing window ending at an
-    instant, (start, end], counts an update made at that very instant:
-    :meth:`updates_in_window`, used by changeability. A span of calendar
-    time, [start, end), lets consecutive spans tile without overlap:
-    :meth:`updates_during`, used by activity, inequality and age.
+    :meth:`updates_during` reads the updates in a half-open span of
+    microseconds, [start, end), so that consecutive spans tile without
+    overlap. Every time is a whole microsecond, so a trailing window
+    (start, end] that counts an update at its very end is the span
+    [start + 1, end + 1).
     """
 
     def __init__(self, dataset: "Dataset"):
-        names = dataset.names
-        release_time = dataset.release_time
-        n_releases = len(release_time)
+        n_releases = len(dataset.release_time)
         times_us = dataset._release_micros()
         release_package = np.array(dataset.release_package, np.int64)
         first_rows = np.unique(release_package, return_index=True)[1]
         first_rows.sort()
-        packages = release_package[first_rows]
+        self.packages = packages = release_package[first_rows]
         unreleased = len(packages)
-        place = np.full(len(names), unreleased, np.int64)
+        # The position of every package id, and of one id past them, which
+        # stands for a name that is no package: ``unreleased`` where none.
+        place = np.full(len(dataset.names) + 1, unreleased, np.int64)
         place[packages] = np.arange(unreleased)
         position = place[release_package]
-        del place, release_package
+        del release_package
 
         # One stable sort orders the releases by (position, timestamp, row);
         # runs that tie on (position, timestamp) are then put in version order.
-        releases = np.lexsort((times_us, position))
-        position = position[releases]
-        times_us = times_us[releases]
+        self.releases = releases = np.lexsort((times_us, position))
+        self.entry_positions = position = position[releases]
+        self.times_us = times_us = times_us[releases]
         tied = np.equal(position[1:], position[:-1])
         tied &= np.equal(times_us[1:], times_us[:-1])
         # Where the tie flag turns on and off: pairs (lo, hi) such that the
@@ -166,11 +162,9 @@ class _DatasetIndex:
         for lo, hi in zip(bounds[::2], bounds[1::2]):
             run = sorted(releases[lo : hi + 1].tolist(), key=lambda r: version_sort_key(versions[r]))
             releases[lo : hi + 1] = run
-        offsets = np.zeros(unreleased + 1, np.int64)
+        self.offset_array = offsets = np.zeros(unreleased + 1, np.int64)
         np.cumsum(np.bincount(position, minlength=unreleased), out=offsets[1:])
 
-        package_names = [names[pid] for pid in packages.tolist()]
-        self.positions = positions = dict(zip(package_names, range(unreleased)))
         entry_of = np.empty(n_releases, np.int32)
         entry_of[releases] = np.arange(n_releases, dtype=np.int32)
         row_entries = entry_of[np.array(dataset.dependency_source, np.int64)]
@@ -179,45 +173,29 @@ class _DatasetIndex:
         self.row_entries = row_entries[rows]
         del row_entries
         codes, table = dataset._coded_targets()
-        resolved = np.fromiter(
-            (positions.get(name, unreleased) for name in table), np.int32, len(table)
-        )
-        self.row_targets = resolved[codes[rows]]
-        del rows
+        ids, missing = dataset.package_ids, len(dataset.names)
+        pid = np.fromiter((ids.get(name, missing) for name in table), np.int64, len(table))
+        self.row_targets = place[pid].astype(np.int32)[codes[rows]]
+        del rows, place
 
-        # Updates in (timestamp, name, entry) order: the non-first entries,
-        # sorted stably by timestamp and then by the rank of the package name.
+        # The non-first entries, sorted stably by time.
         later = np.ones(n_releases, bool)
         later[offsets[:-1]] = False
         updates = np.flatnonzero(later)
-        name_rank = np.empty(unreleased, np.int64)
-        name_rank[sorted(range(unreleased), key=package_names.__getitem__)] = np.arange(unreleased)
-        updates = updates[np.lexsort((name_rank[position[updates]], times_us[updates]))]
-        self.update_times = list(map(release_time.__getitem__, releases[updates].tolist()))
-        self.update_packages = list(map(package_names.__getitem__, position[updates].tolist()))
+        updates = updates[np.argsort(times_us[updates], kind="stable")]
+        self.update_times_us = times_us[updates]
+        self.update_positions = position[updates]
 
-        self.packages = packages.tolist()
-        self.releases = releases.tolist()
-        self.times_us = times_us
-        self.offset_array = offsets
+    def updates_during(self, start_us: int, end_us: int) -> tuple[np.ndarray, np.ndarray]:
+        """The times and positions of the updates made in [start_us,
+        end_us), microseconds since the epoch, in time order.
 
-    def updates_in_window(self, start: datetime, end: datetime) -> list[tuple[datetime, str]]:
-        """(timestamp, package) of the updates in (start, end]; none when
-        start >= end."""
-        lo = bisect_right(self.update_times, start)
-        hi = bisect_right(self.update_times, end)
-        return list(zip(self.update_times[lo:hi], self.update_packages[lo:hi]))
-
-    def updates_during(self, start: datetime, end: datetime) -> list[tuple[datetime, str]]:
-        """(timestamp, package) of the updates in [start, end).
-
-        Raises ``ValueError`` when start > end.
+        Raises ``ValueError`` when start_us > end_us.
         """
-        if start > end:
+        if start_us > end_us:
             raise ValueError("inverted window")
-        lo = bisect_left(self.update_times, start)
-        hi = bisect_left(self.update_times, end)
-        return list(zip(self.update_times[lo:hi], self.update_packages[lo:hi]))
+        lo, hi = np.searchsorted(self.update_times_us, (start_us, end_us))
+        return self.update_times_us[lo:hi], self.update_positions[lo:hi]
 
 
 class RecordView(Sequence):
@@ -991,6 +969,14 @@ def _micros(times: Sequence[datetime]) -> np.ndarray:
     return np.fromiter(((t - _EPOCH) // _MICROSECOND for t in times), np.int64, len(times))
 
 
+def _month_indices(times_us: np.ndarray) -> np.ndarray:
+    """The calendar month of each time in int64 microseconds since the
+    epoch, numbered as ``timeutil.month_index`` numbers it."""
+    months = times_us.astype("datetime64[us]").astype("datetime64[M]").astype(np.int64)
+    months += 1970 * 12
+    return months
+
+
 def _encoded(values: Sequence[str]) -> tuple[np.ndarray, list[str]]:
     """``values`` as int64 codes into the table of their distinct values,
     in order of first appearance."""
@@ -1198,12 +1184,10 @@ def validate_dataset(d: Dataset, burst_factor: float = 10.0) -> ValidationReport
     report.ordering_flags = sorted(names[pid] for pid in np.unique(package[1:][late]).tolist())
 
     if d.release_time:
-        # Each release's month, counted from 1970-01 as datetime64 counts.
-        month = d._release_micros().astype("datetime64[us]").astype("datetime64[M]")
-        month = month.astype(np.int64)
+        month = _month_indices(d._release_micros())
         low = int(month.min())
         series = np.bincount(month - low).tolist()
-        first, last = ((1970 + m // 12, m % 12 + 1) for m in (low, low + len(series) - 1))
+        first, last = ((m // 12, m % 12 + 1) for m in (low, low + len(series) - 1))
         months = list(iter_months(first, last))
         for i in range(12, len(series)):
             med = statistics.median(series[i - 12 : i])

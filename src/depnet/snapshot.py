@@ -230,9 +230,8 @@ def latest_releases_at(d: Dataset, t: datetime) -> dict[str, ReleaseRecord]:
     Packages with no release at or before t are absent. Among releases
     sharing the maximal timestamp the greatest version wins.
     """
-    releases, entry_release = d.releases, d.index().releases
-    latest = map(entry_release.__getitem__, _latest_entries(d, t)[1].tolist())
-    return {rel.package: rel for rel in map(releases.__getitem__, latest)}
+    latest = d.index().releases[_latest_entries(d, t)[1]].tolist()
+    return {rel.package: rel for rel in map(d.releases.__getitem__, latest)}
 
 
 def _declared_targets(
@@ -246,12 +245,10 @@ def _declared_targets(
     release, whose target is the entry's own package, and those that repeat
     an earlier row of their entry; the rest keep their order.
     """
-    offsets = d.index().offset_array
-    n = len(offsets) - 1
-    owner = np.repeat(np.arange(n, dtype=np.int32), np.diff(offsets))
+    idx = d.index()
+    n = len(idx.packages)
     keep = target != n
-    keep &= target != owner[entry]
-    del owner
+    keep &= target != idx.entry_positions[entry]
     entry, target = entry[keep], target[keep]
     # A stable sort of the (entry, target) keys puts every repeat after the
     # row it repeats, so the first row of each run of equal keys is kept.
@@ -305,12 +302,11 @@ def build_snapshot(d: Dataset, t: datetime) -> SnapshotGraph:
     bounds = [0, *np.cumsum(degree).tolist()]
     adj = [tuple(flat[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
-    package_names, packages = d.names, idx.packages
-    names = [package_names[packages[k]] for k in positions.tolist()]
+    names = list(map(d.names.__getitem__, idx.packages[positions].tolist()))
     return SnapshotGraph(
         at=t,
         releases=d.releases,
-        latest_ids=list(map(idx.releases.__getitem__, latest.tolist())),
+        latest_ids=idx.releases[latest].tolist(),
         view=IntView(names, dict(zip(names, range(n_nodes))), adj),
         dropped_deps=dropped,
         ecosystem=d.ecosystem,
@@ -347,12 +343,13 @@ class _EdgeSpans:
     epoch; ids are int32.
     """
 
-    __slots__ = ("times", "offsets", "target", "start", "end")
+    __slots__ = ("times", "offsets", "entry_positions", "target", "start", "end")
 
     def __init__(self, d: Dataset):
         idx = d.index()
         self.times = times = idx.times_us
         self.offsets = offsets = idx.offset_array
+        self.entry_positions = idx.entry_positions
         entry, target = _declared_targets(d, idx.row_entries, idx.row_targets)
         end_of = np.empty(len(times), np.int64)
         end_of[:-1] = times[1:]
@@ -386,8 +383,7 @@ class _EdgeSpans:
         # orders each comparison exactly and keeps q's spans together.
         ranks = _sorted_unique(self.times.copy())
         width = len(ranks) + 1
-        at = np.repeat(np.arange(len(self.offsets) - 1, dtype=np.int64), np.diff(self.offsets))
-        at *= width
+        at = self.entry_positions * width  # int64: this passes 2**31 at 100k packages
         at += np.searchsorted(ranks, self.times)
 
         def at_or_before(bounds: np.ndarray) -> np.ndarray:

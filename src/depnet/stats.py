@@ -18,23 +18,29 @@ from .timeutil import month_index
 LOG_RANK_CRITICAL = {0.05: 3.841, 0.01: 6.635}
 
 
-@dataclass
+@dataclass(eq=False)
 class SurvivalSample:
-    """Durations in days with right-censoring flags (True = censored)."""
+    """Durations in days (float64) with right-censoring flags (bool, True
+    = censored), one of each per observation."""
 
-    observations: list[tuple[float, bool]]
+    durations: np.ndarray
+    censored: np.ndarray
     label: str = ""
+
+    def __post_init__(self):
+        self.durations = np.asarray(self.durations, dtype=np.float64)
+        self.censored = np.asarray(self.censored, dtype=bool)
 
     @property
     def n_events(self) -> int:
-        return sum(1 for _, censored in self.observations if not censored)
+        return len(self) - self.n_censored
 
     @property
     def n_censored(self) -> int:
-        return sum(1 for _, censored in self.observations if censored)
+        return int(np.count_nonzero(self.censored))
 
     def __len__(self) -> int:
-        return len(self.observations)
+        return len(self.durations)
 
 
 @dataclass
@@ -66,13 +72,6 @@ class LogRankResult(NamedTuple):
     critical_value: float
 
 
-def _arrays(observations: Sequence[tuple[float, bool]]) -> tuple[np.ndarray, np.ndarray]:
-    """The durations of ``observations`` as float64 and their censoring
-    flags."""
-    pairs = np.array(observations, dtype=float).reshape(-1, 2)
-    return pairs[:, 0], pairs[:, 1] != 0.0
-
-
 def _grouped(durations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct durations ascending, and the place of each duration
     among them: one sort and a neighbour mask."""
@@ -102,11 +101,10 @@ def kaplan_meier(sample: SurvivalSample) -> SurvivalCurve:
     carries a step at every distinct observed time, so censoring-only
     times appear with an unchanged survival value.
     """
-    if not sample.observations:
+    if not len(sample):
         raise ValueError("cannot estimate survival from an empty sample")
-    durations, censored = _arrays(sample.observations)
-    times, group = _grouped(durations)
-    events, at_risk = _counts(group, censored, len(times))
+    times, group = _grouped(sample.durations)
+    events, at_risk = _counts(group, sample.censored, len(times))
     # accumulate multiplies in order, one factor at a time, as a loop would;
     # a time without events multiplies by exactly 1.0.
     survival = np.multiply.accumulate(1.0 - events / at_risk)
@@ -126,16 +124,14 @@ def log_rank(a: SurvivalSample, b: SurvivalSample, alpha: float = 0.01) -> LogRa
     """
     if alpha not in LOG_RANK_CRITICAL:
         raise ValueError(f"alpha must be one of {sorted(LOG_RANK_CRITICAL)}, got {alpha}")
-    if not a.observations or not b.observations:
+    if not len(a) or not len(b):
         raise ValueError("log-rank requires two non-empty samples")
     critical = LOG_RANK_CRITICAL[alpha]
 
-    durations_a, censored_a = _arrays(a.observations)
-    durations_b, censored_b = _arrays(b.observations)
-    times, group = _grouped(np.concatenate((durations_a, durations_b)))
-    n_times, split = len(times), len(durations_a)
-    ev_a, n_a = _counts(group[:split], censored_a, n_times)
-    ev_b, n_b = _counts(group[split:], censored_b, n_times)
+    times, group = _grouped(np.concatenate((a.durations, b.durations)))
+    n_times, split = len(times), len(a)
+    ev_a, n_a = _counts(group[:split], a.censored, n_times)
+    ev_b, n_b = _counts(group[split:], b.censored, n_times)
     d_total = ev_a + ev_b
     n_total = n_a + n_b
     terms = np.flatnonzero((d_total > 0) & (n_total > 1))

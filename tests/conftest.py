@@ -14,6 +14,7 @@ from depnet.ingest import (
 )
 from depnet.snapshot import IntView, SnapshotGraph
 from depnet.fixtures import tiny_dataset, write_dataset
+from depnet.stats import SurvivalSample
 
 
 @pytest.fixture(scope="session")
@@ -32,6 +33,17 @@ def make_graph(nodes, edges, at=datetime(2020, 1, 1)) -> SnapshotGraph:
             adj[ids[src]].append(ids[dst])
     view = IntView(names, ids, [tuple(dict.fromkeys(row)) for row in adj])
     return SnapshotGraph(at=at, releases=releases, latest_ids=range(len(names)), view=view)
+
+
+def survival_sample(observations, label: str = "") -> SurvivalSample:
+    """A SurvivalSample of (duration, censored) pairs."""
+    durations = [duration for duration, _ in observations]
+    return SurvivalSample(durations, [censored for _, censored in observations], label)
+
+
+def observations(sample: SurvivalSample) -> list[tuple[float, bool]]:
+    """The (duration, censored) pairs of ``sample``, in order."""
+    return list(zip(sample.durations.tolist(), sample.censored.tolist()))
 
 
 def random_graph(rng: random.Random, max_nodes: int = 50, density: float = 0.3):

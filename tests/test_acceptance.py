@@ -33,7 +33,6 @@ from depnet.indices import changeability_index, h_index, p_impact_index, reusabi
 from depnet.ingest import load_dataset_dir
 from depnet.snapshot import build_snapshot, monthly_snapshots
 from depnet.stats import (
-    SurvivalSample,
     fit_exponential,
     fit_linear,
     gini,
@@ -42,7 +41,7 @@ from depnet.stats import (
     normalized_gini,
 )
 
-from conftest import make_graph, random_graph
+from conftest import make_graph, random_graph, survival_sample
 from test_graphops import UnionFind, closure_matrix
 from test_indices import h_index_sorted_scan
 from test_stats import gini_pairwise
@@ -163,14 +162,14 @@ def test_kaplan_meier_criteria():
         rng = random.Random(777)
         for _ in range(60):
             durations = [rng.randint(1, 60) for _ in range(rng.randint(1, 50))]
-            curve = kaplan_meier(SurvivalSample([(t, False) for t in durations]))
+            curve = kaplan_meier(survival_sample([(t, False) for t in durations]))
             n = len(durations)
             for t, s in curve.steps:
                 assert s == pytest.approx(
                     sum(1 for x in durations if x > t) / n, abs=1e-12
                 )
 
-        curve = kaplan_meier(SurvivalSample([(2, False), (4, False), (5, True)]))
+        curve = kaplan_meier(survival_sample([(2, False), (4, False), (5, True)]))
         values = dict(curve.steps)
         assert values[2] == pytest.approx(2 / 3)
         assert values[4] == pytest.approx(1 / 3)
@@ -181,20 +180,20 @@ def test_kaplan_meier_criteria():
                 (rng.randint(0, 80), rng.random() < 0.35)
                 for _ in range(rng.randint(1, 70))
             ]
-            steps = kaplan_meier(SurvivalSample(obs)).steps
+            steps = kaplan_meier(survival_sample(obs)).steps
             assert all(a[1] >= b[1] for a, b in zip(steps, steps[1:]))
 
 
 def test_log_rank_criteria():
     with criterion("log-rank"):
         obs = [(float(t), t % 3 == 0) for t in range(1, 40)]
-        result = log_rank(SurvivalSample(list(obs)), SurvivalSample(list(obs)), 0.01)
+        result = log_rank(survival_sample(list(obs)), survival_sample(list(obs)), 0.01)
         assert result.statistic < 1e-9
         assert not result.significant
 
         rng = random.Random(20230501)
-        fast = SurvivalSample([(rng.expovariate(10.0), False) for _ in range(200)])
-        slow = SurvivalSample([(rng.expovariate(1.0), False) for _ in range(200)])
+        fast = survival_sample([(rng.expovariate(10.0), False) for _ in range(200)])
+        slow = survival_sample([(rng.expovariate(1.0), False) for _ in range(200)])
         result = log_rank(slow, fast, alpha=0.01)
         assert result.significant
         assert result.statistic > result.critical_value

@@ -128,6 +128,17 @@ class TestExitCodes:
         assert out == ""
         assert "2020-04-01T00:00:00" in err
 
+    def test_window_beyond_cutoff_names_the_cutoff(self, capsys, tiny_dir):
+        code, out, err = invoke(
+            capsys, "inequality", "updates", "--window", "2020-01-01", "2030-01-01",
+            *tiny_args(tiny_dir),
+        )
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "depnet: instant 2030-01-01T00:00:00 is after the dataset cutoff 2020-04-01T00:00:00\n"
+        )
+
 
 class _ClosedStdout:
     def write(self, text):
@@ -368,7 +379,7 @@ class TestInequalityCli:
     def test_updates_summary(self, capsys, tiny_dir):
         _, out, _ = invoke(
             capsys,
-            "inequality", "updates", "--window", "2020-01-01", "2021-01-01",
+            "inequality", "updates", "--window", "2020-01-01", "2020-04-01",
             *tiny_args(tiny_dir),
         )
         assert out.splitlines() == [

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from datetime import datetime, timedelta
 from functools import partial
 
@@ -8,6 +9,7 @@ import pytest
 
 from depnet import evolution
 from depnet.evolution import (
+    AGE_BIN_LABELS,
     active_packages,
     dependency_ratio_series,
     depth_distribution,
@@ -31,9 +33,10 @@ from depnet.ingest import (
 )
 from depnet.snapshot import build_snapshot
 from depnet.stats import kaplan_meier
-from depnet.timeutil import DAYS_PER_MONTH, days_between
+from depnet.indices import update_counts_in_window
+from depnet.timeutil import DAYS_PER_MONTH, days_between, iter_months, month_of
 
-from conftest import constructed_and_reloaded, edge_case_dataset, make_graph
+from conftest import constructed_and_reloaded, edge_case_dataset, make_graph, observations
 
 TINY_CUTOFF = datetime(2020, 4, 1)
 
@@ -194,7 +197,7 @@ class TestUpdateDistribution:
 
 class TestActivePackages:
     def test_tiny_year(self, tiny):
-        assert active_packages(tiny, datetime(2020, 1, 1), datetime(2021, 1, 1)) == {
+        assert active_packages(tiny, datetime(2020, 1, 1), datetime(2020, 4, 1)) == {
             "a",
             "c",
         }
@@ -212,7 +215,7 @@ class TestActivePackages:
 
 class TestUpdateInequality:
     def test_tiny_equal_counts(self, tiny):
-        result = update_inequality(tiny, datetime(2020, 1, 1), datetime(2021, 1, 1))
+        result = update_inequality(tiny, datetime(2020, 1, 1), datetime(2020, 4, 1))
         assert result.counts == {"a": 1, "c": 1}
         assert result.gini == 0.0
         for x, y in result.lorenz.points:
@@ -262,7 +265,7 @@ class TestUpdateInequality:
 
 class TestUpdatesByAge:
     def test_tiny_all_young(self, tiny):
-        hist = updates_by_age(tiny, datetime(2020, 1, 1), datetime(2021, 1, 1))
+        hist = updates_by_age(tiny, datetime(2020, 1, 1), datetime(2020, 4, 1))
         assert hist.counts["0-3"] == 2
         assert hist.total == 2
         assert hist.proportions["0-3"] == 1.0
@@ -288,35 +291,124 @@ class TestUpdatesByAge:
         assert hist.counts["0-3"] == 0
 
     def test_proportions_sum_to_one(self, tiny):
-        hist = updates_by_age(tiny, datetime(2020, 1, 1), datetime(2021, 1, 1))
+        hist = updates_by_age(tiny, datetime(2020, 1, 1), datetime(2020, 4, 1))
         assert sum(hist.proportions.values()) == pytest.approx(1.0)
+
+
+def _update_times(d: Dataset) -> tuple[dict[str, list[datetime]], dict[str, datetime]]:
+    """Each package's update times (its release times without the
+    earliest one), ascending, and its first release time."""
+    times: dict[str, list[datetime]] = {}
+    for rel in d.releases:
+        times.setdefault(rel.package, []).append(rel.timestamp)
+    first = {pkg: min(ts) for pkg, ts in times.items()}
+    return {pkg: sorted(ts)[1:] for pkg, ts in times.items()}, first
+
+
+def _counts_in(updates: dict[str, list[datetime]], inside) -> dict[str, int]:
+    counts = {pkg: sum(map(inside, ts)) for pkg, ts in updates.items()}
+    return {pkg: n for pkg, n in counts.items() if n}
+
+
+_AGE_BOUNDS = [timedelta(days=m * DAYS_PER_MONTH) for m in (3, 6, 12, 24)]
+
+
+def check_update_windows(d: Dataset, rng: random.Random, instants: list[datetime]) -> None:
+    """Every update metric on windows with bounds drawn from ``instants``,
+    against plain loops over the releases."""
+    updates, first = _update_times(d)
+    for _ in range(20):
+        t = rng.choice(instants)
+        days = rng.choice((1, 3, 6, 9, 30, 90))
+        start = t - timedelta(days=days)
+        counts = update_counts_in_window(d, t, days)
+        assert counts == _counts_in(updates, lambda ts: start < ts <= t), (t, days)
+        assert all(type(n) is int for n in counts.values())
+
+        start, end = sorted(rng.sample(instants, 2))
+        expected = _counts_in(updates, lambda ts: start <= ts < end)
+        assert active_packages(d, start, end) == set(expected)
+        if expected:
+            assert update_inequality(d, start, end).counts == expected
+        else:
+            with pytest.raises(ValueError, match="no active packages"):
+                update_inequality(d, start, end)
+        bins = [0] * len(AGE_BIN_LABELS)
+        for pkg, ts in updates.items():
+            for u in ts:
+                if start <= u < end:
+                    bins[bisect_right(_AGE_BOUNDS, u - first[pkg])] += 1
+        hist = updates_by_age(d, start, end)
+        assert hist.counts == dict(zip(AGE_BIN_LABELS, bins)), (start, end)
+        assert all(type(n) is int for n in hist.counts.values())
+
+    months = sorted({month_of(t) for t in instants})
+    for include_first in (False, True):
+        for _ in range(5):
+            lo, hi = sorted(rng.choices(months, k=2))
+            series = update_counts_series(d, lo, hi, include_first=include_first)
+            times = [ts for ts_of in updates.values() for ts in ts_of]
+            if include_first:
+                times = [r.timestamp for r in d.releases]
+            assert series.points == [
+                (m, float(sum(month_of(ts) == m for ts in times))) for m in iter_months(lo, hi)
+            ]
+
+
+class TestUpdateWindowsOracle:
+    def test_edge_case_datasets(self, tmp_path):
+        # Ties at one instant, within a package and across packages; window
+        # bounds on release instants check (start, end] and [start, end)
+        # exactly where they differ.
+        rng = random.Random(20170405)
+        for _ in range(100):
+            for d in constructed_and_reloaded(edge_case_dataset(rng), tmp_path / "d"):
+                instants = [r.timestamp for r in d.releases]
+                instants += [datetime(2019, 12, 1), datetime(2020, 1, 1), d.cutoff]
+                check_update_windows(d, rng, instants)
+
+    def test_ages_on_every_bin_bound(self):
+        first = datetime(2016, 1, 1)
+        ages = [timedelta(0)] + _AGE_BOUNDS
+        ages += [bound - timedelta(microseconds=1) for bound in _AGE_BOUNDS]
+        releases = [ReleaseRecord("p", f"1.{k}", first + age) for k, age in enumerate(ages)]
+        d = Dataset(
+            packages={PackageRecord("p", "default")},
+            releases=releases,
+            dependencies=[],
+            cutoff=datetime(2018, 6, 1),
+        )
+        # The release at age 0 is the first, not an update.
+        hist = updates_by_age(d, first, d.cutoff)
+        assert hist.counts == {"0-3": 1, "3-6": 2, "6-12": 2, "12-24": 2, "24+": 1}
+        check_update_windows(d, random.Random(5), [*(r.timestamp for r in releases), d.cutoff])
 
 
 class TestSurvival:
     def test_tiny_unsplit(self, tiny):
         sample = survival_dataset(tiny)
         assert len(sample) == 7
-        events = sorted(t for t, c in sample.observations if not c)
-        censored = sorted(t for t, c in sample.observations if c)
+        events = sorted(t for t, c in observations(sample) if not c)
+        censored = sorted(t for t, c in observations(sample) if c)
         assert events == [31.0, 36.0]
         assert censored == [22.0, 27.0, 46.0, 72.0, 87.0]
 
     def test_single_release(self):
         sample = survival_dataset(single_package_dataset())
-        assert sample.observations == [(51.0, True)]
+        assert observations(sample) == [(51.0, True)]
 
     def test_tiny_split(self, tiny):
         required, not_required = survival_dataset(tiny, split_by_required=True)
         # a@1.0.0 has no dependents on 2020-01-10 -> not required;
         # a@1.1.0 (2020-02-15) is required through c@1.0.0 -> a.
-        assert (36.0, False) in not_required.observations
-        assert required.observations == [(46.0, True)]
+        assert (36.0, False) in observations(not_required)
+        assert observations(required) == [(46.0, True)]
         assert len(required) + len(not_required) == 7
 
     def test_one_censored_observation_per_package(self, tiny):
         sample = survival_dataset(tiny)
         n_packages = len({r.package for r in tiny.releases})
-        assert sum(1 for _, c in sample.observations if c) == n_packages
+        assert sum(1 for _, c in observations(sample) if c) == n_packages
 
     def test_km_on_tiny_is_monotone(self, tiny):
         curve = kaplan_meier(survival_dataset(tiny))
@@ -337,8 +429,8 @@ class TestSurvival:
             cutoff=datetime(2020, 4, 1),
         )
         required, not_required = survival_dataset(d, split_by_required=True)
-        req_durations = sorted(t for t, _ in required.observations)
-        notreq_durations = sorted(t for t, _ in not_required.observations)
+        req_durations = sorted(t for t, _ in observations(required))
+        notreq_durations = sorted(t for t, _ in observations(not_required))
         assert req_durations == [31.0]  # q@1.1.0 censored at cutoff
         assert notreq_durations == [60.0, 60.0]  # q@1.0.0 event, p@1.0.0 censored
 
@@ -350,14 +442,14 @@ class TestSurvival:
         rng = random.Random(20170401)
         for _ in range(400):
             for d in constructed_and_reloaded(random_release_dataset(rng), tmp_path / "d"):
-                observations = survival_dataset(d).observations
+                sample = observations(survival_dataset(d))
                 expected = {True: [], False: []}
-                for rel, obs in zip(_survival_order(d), observations, strict=True):
+                for rel, obs in zip(_survival_order(d), sample, strict=True):
                     required = build_snapshot(d, rel.timestamp).in_degree(rel.package) > 0
                     expected[required].append(obs)
                 required, not_required = survival_dataset(d, split_by_required=True)
-                assert required.observations == expected[True], d
-                assert not_required.observations == expected[False], d
+                assert observations(required) == expected[True], d
+                assert observations(not_required) == expected[False], d
 
     def test_required_matches_snapshot_in_degree_on_edge_cases(self, tmp_path):
         # The same oracle on datasets with version ties at one instant,
@@ -366,14 +458,14 @@ class TestSurvival:
         rng = random.Random(20170402)
         for _ in range(300):
             for d in constructed_and_reloaded(edge_case_dataset(rng), tmp_path / "d"):
-                observations = survival_dataset(d).observations
+                sample = observations(survival_dataset(d))
                 expected = {True: [], False: []}
-                for rel, obs in zip(_survival_order(d), observations, strict=True):
+                for rel, obs in zip(_survival_order(d), sample, strict=True):
                     required = build_snapshot(d, rel.timestamp).in_degree(rel.package) > 0
                     expected[required].append(obs)
                 required, not_required = survival_dataset(d, split_by_required=True)
-                assert required.observations == expected[True], d
-                assert not_required.observations == expected[False], d
+                assert observations(required) == expected[True], d
+                assert observations(not_required) == expected[False], d
 
     def test_durations_match_days_between(self, tmp_path):
         # Each release lasts until its package's next entry in survival
@@ -388,7 +480,7 @@ class TestSurvival:
                     else (days_between(rel.timestamp, d.cutoff), True)
                     for rel, nxt in zip(order, [*order[1:], None])
                 ]
-                assert survival_dataset(d).observations == expected, d
+                assert observations(survival_dataset(d)) == expected, d
 
     def test_same_instant_dependency_counts(self):
         # p and q released at the same instant; p -> q is visible to both
@@ -405,8 +497,8 @@ class TestSurvival:
         )
         required, not_required = survival_dataset(d, split_by_required=True)
         assert {o.label for o in ()} == set()  # no-op, keeps structure clear
-        assert [t for t, _ in required.observations] == [17.0]  # q
-        assert [t for t, _ in not_required.observations] == [17.0]  # p
+        assert [t for t, _ in observations(required)] == [17.0]  # q
+        assert [t for t, _ in observations(not_required)] == [17.0]  # p
 
 
 class TestTransitiveRatio:

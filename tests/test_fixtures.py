@@ -85,6 +85,14 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate(GeneratorConfig(n_packages=5, months=5, mean_deps=-1))
 
+    @pytest.mark.parametrize("field", ["attachment_bias", "mean_deps", "update_rate"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_rate_rejected(self, field, value):
+        # A NaN rate would never end a Poisson draw.
+        cfg = replace(GeneratorConfig(n_packages=5, months=3), **{field: value})
+        with pytest.raises(ValueError, match=f"{field} must be a non-negative finite number"):
+            cfg.validate()
+
 
 class TestWriteDataset:
     def test_round_trip(self, tmp_path):

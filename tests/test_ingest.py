@@ -696,7 +696,7 @@ class TestLoadFootprint:
 def reference_index(d: Dataset) -> dict:
     """The index of ``d`` by plain sorts over its columns: releases in
     (position, timestamp, version, row) order, dependency rows in (entry,
-    row) order, updates in (timestamp, package name, entry) order."""
+    row) order, updates in (timestamp, entry) order."""
     names, package, times = d.names, d.release_package, d.release_time
     packages = list(dict.fromkeys(package))
     position = {pid: k for k, pid in enumerate(packages)}
@@ -705,25 +705,24 @@ def reference_index(d: Dataset) -> dict:
         key=lambda r: (position[package[r]], times[r], version_sort_key(d.release_version[r]), r),
     )
     offsets = [sum(position[package[r]] < k for r in releases) for k in range(len(packages) + 1)]
+    entry_positions = [position[package[r]] for r in releases]
+    times_us = [(times[r] - EPOCH) // timedelta(microseconds=1) for r in releases]
     positions = {names[pid]: k for k, pid in enumerate(packages)}
     source = d.dependency_source
     entry_of = {r: j for j, r in enumerate(releases)}
     rows = sorted(range(len(source)), key=lambda i: (entry_of[source[i]], i))
     first = set(offsets[:-1])
-    updates = sorted(
-        (j for j in range(len(releases)) if j not in first),
-        key=lambda j: (times[releases[j]], names[package[releases[j]]], j),
-    )
+    updates = sorted((j for j in range(len(releases)) if j not in first), key=times_us.__getitem__)
     return {
         "packages": packages,
         "releases": releases,
         "offset_array": offsets,
-        "times_us": [(times[r] - EPOCH) // timedelta(microseconds=1) for r in releases],
-        "positions": positions,
+        "entry_positions": entry_positions,
+        "times_us": times_us,
         "row_entries": [entry_of[source[i]] for i in rows],
         "row_targets": [positions.get(d.dependency_target[i], len(packages)) for i in rows],
-        "update_times": [times[releases[j]] for j in updates],
-        "update_packages": [names[package[releases[j]]] for j in updates],
+        "update_times_us": [times_us[j] for j in updates],
+        "update_positions": [entry_positions[j] for j in updates],
     }
 
 
@@ -747,24 +746,12 @@ class TestIndex:
             for d in (*datasets, _packages_reversed(tmp_path / "d")):
                 expected = reference_index(d)
                 idx = d.index()
-                got = {name: getattr(idx, name) for name in expected}
-                for name in ("row_entries", "row_targets"):
-                    assert got[name].dtype == np.int32
-                    got[name] = got[name].tolist()
-                for name in ("offset_array", "times_us"):
-                    assert got[name].dtype == np.int64
-                    got[name] = got[name].tolist()
+                got = {}
+                for name in expected:
+                    array = getattr(idx, name)
+                    assert array.dtype == (np.int32 if name.startswith("row_") else np.int64)
+                    got[name] = array.tolist()
                 assert got == expected, d
-
-    def test_updates_at_one_instant_follow_name_order(self, tmp_path):
-        # Package rows out of name order give ids out of name order.
-        d = parse_tiny(
-            tmp_path, ["b", "a"],
-            ["b,1.0,2020-01-01", "a,1.0,2020-01-01", "b,1.1,2020-02-01", "a,1.1,2020-02-01"],
-            [],
-        )
-        assert d.names == ["b", "a"]
-        assert d.index().update_packages == ["a", "b"]
 
 
 class TestDatasetRecords:

@@ -17,6 +17,8 @@ from depnet.stats import (
     normalized_gini,
 )
 
+from conftest import survival_sample
+
 
 def gini_pairwise(values):
     """O(n^2) mean-absolute-difference oracle."""
@@ -99,19 +101,19 @@ class TestAgainstReferenceLoops:
         rng = random.Random(1958)
         for _ in range(500):
             obs = random_observations(rng)
-            assert kaplan_meier(SurvivalSample(obs)).steps == kaplan_meier_reference(obs), obs
+            assert kaplan_meier(survival_sample(obs)).steps == kaplan_meier_reference(obs), obs
 
     def test_log_rank(self):
         rng = random.Random(1966)
         for _ in range(500):
             obs_a, obs_b = random_observations(rng), random_observations(rng)
-            result = log_rank(SurvivalSample(obs_a), SurvivalSample(obs_b), 0.05)
+            result = log_rank(survival_sample(obs_a), survival_sample(obs_b), 0.05)
             assert result.statistic == log_rank_reference(obs_a, obs_b), (obs_a, obs_b)
 
 
 class TestKaplanMeier:
     def test_hand_example(self):
-        curve = kaplan_meier(SurvivalSample([(2, False), (4, False), (5, True)]))
+        curve = kaplan_meier(survival_sample([(2, False), (4, False), (5, True)]))
         assert curve.steps[0] == (0.0, 1.0)
         values = dict(curve.steps)
         assert values[2] == pytest.approx(2 / 3)
@@ -119,11 +121,11 @@ class TestKaplanMeier:
         assert values[5] == pytest.approx(1 / 3)
 
     def test_all_censored_stays_at_one(self):
-        curve = kaplan_meier(SurvivalSample([(3, True), (9, True), (12, True)]))
+        curve = kaplan_meier(survival_sample([(3, True), (9, True), (12, True)]))
         assert all(s == 1.0 for _, s in curve.steps)
 
     def test_no_censoring_equals_empirical_survival(self):
-        curve = kaplan_meier(SurvivalSample([(1, False), (2, False), (3, False)]))
+        curve = kaplan_meier(survival_sample([(1, False), (2, False), (3, False)]))
         assert dict(curve.steps) == pytest.approx(
             {0.0: 1.0, 1.0: 2 / 3, 2.0: 1 / 3, 3.0: 0.0}
         )
@@ -132,7 +134,7 @@ class TestKaplanMeier:
         rng = random.Random(42)
         for _ in range(50):
             durations = [rng.randint(1, 30) for _ in range(rng.randint(1, 40))]
-            sample = SurvivalSample([(t, False) for t in durations])
+            sample = survival_sample([(t, False) for t in durations])
             curve = kaplan_meier(sample)
             n = len(durations)
             for t, s in curve.steps:
@@ -146,7 +148,7 @@ class TestKaplanMeier:
                 (rng.randint(0, 50), rng.random() < 0.4)
                 for _ in range(rng.randint(1, 60))
             ]
-            curve = kaplan_meier(SurvivalSample(obs))
+            curve = kaplan_meier(survival_sample(obs))
             values = [s for _, s in curve.steps]
             assert all(0.0 <= v <= 1.0 for v in values)
             assert all(a >= b for a, b in zip(values, values[1:]))
@@ -154,26 +156,35 @@ class TestKaplanMeier:
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
-            kaplan_meier(SurvivalSample([]))
+            kaplan_meier(survival_sample([]))
 
     def test_tie_events_before_censorings(self):
         # Censored at 5 is still at risk for the event at 5.
-        curve = kaplan_meier(SurvivalSample([(5, False), (5, True)]))
+        curve = kaplan_meier(survival_sample([(5, False), (5, True)]))
         assert dict(curve.steps)[5.0] == pytest.approx(0.5)
+
+
+class TestSurvivalSample:
+    def test_arrays_and_int_counts(self):
+        sample = SurvivalSample([2, 4, 5], [0, 0, 1], "x")
+        assert sample.durations.dtype == np.float64
+        assert sample.censored.dtype == bool
+        assert (len(sample), sample.n_events, sample.n_censored) == (3, 2, 1)
+        assert type(sample.n_events) is int and type(sample.n_censored) is int
 
 
 class TestLogRank:
     def test_identical_groups_zero(self):
         obs = [(3.0, False), (5.0, True), (9.0, False), (14.0, True)]
-        result = log_rank(SurvivalSample(list(obs)), SurvivalSample(list(obs)), 0.01)
+        result = log_rank(survival_sample(list(obs)), survival_sample(list(obs)), 0.01)
         assert result.statistic == pytest.approx(0.0, abs=1e-12)
         assert not result.significant
 
     def test_separated_groups_hand_value(self):
         # chi-square 5.0517: significant at 0.05 but not at 0.01
         # (verified against scipy.stats.logrank).
-        a = SurvivalSample([(1, False), (2, False), (3, False)])
-        b = SurvivalSample([(10, False), (20, False), (30, False)])
+        a = survival_sample([(1, False), (2, False), (3, False)])
+        b = survival_sample([(10, False), (20, False), (30, False)])
         res05 = log_rank(a, b, alpha=0.05)
         assert res05.statistic == pytest.approx(5.051660516605167, rel=1e-12)
         assert res05.significant
@@ -191,7 +202,7 @@ class TestLogRank:
                 ]
 
             obs_a, obs_b = sample(), sample()
-            result = log_rank(SurvivalSample(obs_a), SurvivalSample(obs_b), 0.05)
+            result = log_rank(survival_sample(obs_a), survival_sample(obs_b), 0.05)
 
             def censored_data(obs):
                 return scipy_stats.CensoredData(
@@ -205,21 +216,21 @@ class TestLogRank:
             )
 
     def test_all_censored_zero(self):
-        a = SurvivalSample([(3, True), (5, True)])
-        b = SurvivalSample([(2, True), (9, True)])
+        a = survival_sample([(3, True), (5, True)])
+        b = survival_sample([(2, True), (9, True)])
         result = log_rank(a, b, 0.01)
         assert result.statistic == 0.0
         assert not result.significant
 
     def test_symmetry(self):
-        a = SurvivalSample([(1, False), (4, False), (6, True)])
-        b = SurvivalSample([(2, False), (9, False)])
+        a = survival_sample([(1, False), (4, False), (6, True)])
+        b = survival_sample([(2, False), (9, False)])
         assert log_rank(a, b, 0.05).statistic == pytest.approx(
             log_rank(b, a, 0.05).statistic
         )
 
     def test_unsupported_alpha(self):
-        a = SurvivalSample([(1, False)])
+        a = survival_sample([(1, False)])
         with pytest.raises(ValueError):
             log_rank(a, a, alpha=0.10)
 
