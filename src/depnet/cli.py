@@ -20,6 +20,7 @@ import math
 import os
 import sys
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
@@ -43,6 +44,7 @@ from .ingest import (
     DatasetError,
     _column_key,
     _dataset_digest,
+    _last_time,
     _read_columns,
     _write_columns,
     filter_dependencies,
@@ -114,7 +116,7 @@ def _load_raw_and_filtered(args):
     directory, cutoff, kinds, excluded, key = _dataset_options(args)
     dataset = load_dataset_dir(directory, cutoff=cutoff, ecosystem=args.ecosystem)
     filtered = filter_dependencies(dataset, kinds, excluded)
-    _write_columns(directory, key, filtered, max(dataset.release_time, default=None))
+    _write_columns(directory, key, filtered, _last_time(dataset.release_time))
     return dataset, filtered
 
 
@@ -127,7 +129,7 @@ def _load(args):
     if filtered is None:
         dataset = load_dataset_dir(directory, cutoff=cutoff, ecosystem=args.ecosystem)
         filtered = filter_dependencies(dataset, kinds, excluded)
-        last_release = max(dataset.release_time, default=None)
+        last_release = _last_time(dataset.release_time)
         del dataset  # so that the write adds no memory to the parse's peak
         _write_columns(directory, key, filtered, last_release)
     return filtered
@@ -410,16 +412,15 @@ def _cmd_fixture(args) -> None:
     if args.action == "tiny":
         write_tiny(out_dir)
     else:
-        cfg = GeneratorConfig(
-            n_packages=args.n_packages,
-            months=args.months,
-            seed=args.seed,
-            attachment_bias=args.attachment_bias,
-            mean_deps=args.mean_deps,
-            update_rate=args.update_rate,
-        )
+        cfg = _generator_config(args)
         write_dataset(generate(cfg), out_dir, config=cfg)
     sys.stderr.write(f"dataset written to {out_dir}\n")
+
+
+def _generator_config(args) -> GeneratorConfig:
+    """The settings of ``fixture generate``, whose options bear their names."""
+    names = [field.name for field in fields(GeneratorConfig)]
+    return GeneratorConfig(**{name: getattr(args, name) for name in names})
 
 
 # ---------------------------------------------------------------------------
@@ -555,6 +556,11 @@ def _bad_value(args) -> str:
     burst = getattr(args, "burst_factor", 1.0)
     if not (math.isfinite(burst) and burst > 0):
         return f"--burst-factor must be a positive finite number, not {burst}"
+    if args.command == "fixture" and args.action == "generate":
+        try:
+            _generator_config(args).validate()
+        except ValueError as exc:
+            return str(exc)
     return ""
 
 

@@ -27,10 +27,9 @@ from .graphops import (
 )
 from .indices import (
     _package_counts,
-    h_index,
+    changeability_index,
     p_impact_index,
     reusability_index,
-    update_counts_in_window,
 )
 from .ingest import Dataset, _micros, _month_indices
 from .snapshot import (
@@ -184,12 +183,7 @@ def _graph_metrics(g: SnapshotGraph, p_percent: float) -> tuple[int, int, int, i
 
 def _changeability(d: Dataset, months: list[Month], window_days: int) -> list[int]:
     # Computed from the dataset alone, so no snapshot and no worker needed.
-    if window_days <= 0:
-        raise ValueError("window_days must be positive")
-    return [
-        h_index(update_counts_in_window(d, month_start(m), window_days).values())
-        for m in months
-    ]
+    return [changeability_index(d, month_start(m), window_days).value for m in months]
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +292,7 @@ def update_counts_series(
     all releases instead.
     """
     months = checked_months(d, first, last)
-    times = d._release_micros() if include_first else d.index().update_times_us
+    times = d.release_time if include_first else d.index().update_times_us
     month = _month_indices(times)
     month -= month_index(first)
     counts = np.bincount(month[(month >= 0) & (month < len(months))], minlength=len(months))

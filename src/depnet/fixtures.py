@@ -29,7 +29,9 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional
 
-from .ingest import Dataset, _dataset_digest, parse_dataset, write_csv
+import numpy as np
+
+from .ingest import Coded, Dataset, _dataset_digest, _encoded, _micros, parse_dataset, write_csv
 from .timeutil import add_months, month_start
 
 GENERATOR_NAME = "depnet-fixture-v1"
@@ -147,12 +149,13 @@ def generate(cfg: GeneratorConfig) -> Dataset:
             chosen.append(target)
         return chosen
 
-    # The dataset's columns (see Dataset): package id i is names[i].
+    # The dataset's columns (see Dataset): package id i is names[i], and a
+    # target is coded by its package id.
     release_package: list[int] = []
     release_version: list[str] = []
     release_time: list[datetime] = []
     dependency_source: list[int] = []
-    dependency_target: list[str] = []
+    dependency_target: list[int] = []
     release_count = [0] * n
 
     def emit_release(pkg: int, ts: datetime, targets: list[int]) -> None:
@@ -163,7 +166,7 @@ def generate(cfg: GeneratorConfig) -> Dataset:
         release_time.append(ts)
         for target in targets:
             dependency_source.append(rid)
-            dependency_target.append(names[target])
+            dependency_target.append(target)
             bump_in_degree(target)
 
     for month in range(cfg.months):
@@ -194,12 +197,13 @@ def generate(cfg: GeneratorConfig) -> Dataset:
                 emit_release(pkg, start + timedelta(seconds=offset), draw_targets(pkg))
 
     cutoff = month_start(add_months(_EPOCH_MONTH, cfg.months))
-    n_deps = len(dependency_source)
+    zeros = np.zeros(len(dependency_source), np.int64)
     return Dataset._from_columns(
         names,
         {name: pid for pid, name in enumerate(names)},
-        (release_package, release_version, release_time),
-        (dependency_source, dependency_target, ["*"] * n_deps, ["runtime"] * n_deps),
+        (np.array(release_package, np.int64), _encoded(release_version), _micros(release_time)),
+        (np.array(dependency_source, np.int64), Coded(np.array(dependency_target, np.int64), names),
+         Coded(zeros, ["*"]), Coded(zeros, ["runtime"])),
         cutoff,
         "synthetic",
     )
@@ -215,27 +219,11 @@ def write_dataset(d: Dataset, directory, config: Optional[GeneratorConfig] = Non
         with open(directory / name, "w", newline="", encoding="utf-8") as handle:
             write_csv(handle, header.split(","), rows)
 
-    names, package, version = d.names, d.release_package, d.release_version
-    write("packages.csv", "name", ([name] for name in sorted(names)))
-    write(
-        "releases.csv",
-        "package,version,timestamp",
-        (
-            (names[pid], ver, ts.isoformat())
-            for pid, ver, ts in zip(package, version, d.release_time)
-        ),
-    )
-    write(
-        "dependencies.csv",
-        "source_package,source_version,target_package,constraint,kind",
-        (
-            (names[package[rid]], version[rid], target, constraint, kind)
-            for rid, target, constraint, kind in zip(
-                d.dependency_source, d.dependency_target,
-                d.dependency_constraint, d.dependency_kind,
-            )
-        ),
-    )
+    write("packages.csv", "name", ([name] for name in sorted(d.names)))
+    write("releases.csv", "package,version,timestamp", (
+        (p, v, t.isoformat()) for p, v, t in zip(*d._release_columns(slice(None)))))
+    header = "source_package,source_version,target_package,constraint,kind"
+    write("dependencies.csv", header, zip(*d._dependency_columns(slice(None))))
     _write_manifest(d, directory, config)
 
 

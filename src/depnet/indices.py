@@ -59,15 +59,20 @@ def _package_counts(d: Dataset, positions: np.ndarray) -> dict[str, int]:
     return dict(zip(names, counts.tolist()))
 
 
+def _window_updates(d: Dataset, t: datetime, window_days: int) -> np.ndarray:
+    """The package positions of the updates in (t - window_days, t]."""
+    # Times are whole microseconds, so (start, t] is [start + 1, t + 1).
+    start, end = (_micros([t - timedelta(days=window_days), t]) + 1).tolist()
+    return d.index().updates_during(start, end)[1]
+
+
 def update_counts_in_window(d: Dataset, t: datetime, window_days: int) -> dict[str, int]:
     """Updates per package with timestamp in (t - window_days, t].
 
     A package's first release is not an update, so packages whose only
     activity in the window is their initial release do not appear.
     """
-    # Times are whole microseconds, so (start, t] is [start + 1, t + 1).
-    start, end = (_micros([t - timedelta(days=window_days), t]) + 1).tolist()
-    return _package_counts(d, d.index().updates_during(start, end)[1])
+    return _package_counts(d, _window_updates(d, t, window_days))
 
 
 def changeability_index(d: Dataset, t: datetime, window_days: int = 30) -> IndexReport:
@@ -75,12 +80,12 @@ def changeability_index(d: Dataset, t: datetime, window_days: int = 30) -> Index
     if window_days <= 0:
         raise ValueError("window_days must be positive")
     check_instant(d, t)
-    counts = update_counts_in_window(d, t, window_days)
+    counts = np.unique(_window_updates(d, t, window_days), return_counts=True)[1]
     return IndexReport(
         ecosystem=d.ecosystem,
         at=t,
         index_name="changeability",
-        value=h_index(counts.values()),
+        value=h_index(counts.tolist()),
         parameter=float(window_days),
     )
 

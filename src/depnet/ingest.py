@@ -18,16 +18,15 @@ import json
 import os
 import re
 import statistics
-import sys
 import zipfile
 from collections.abc import Callable, Iterable, Iterator, Sequence, Set as AbstractSet
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timedelta
-from itertools import chain, compress, islice
+from itertools import chain, filterfalse, islice, repeat
 from operator import attrgetter
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -135,8 +134,7 @@ class _DatasetIndex:
 
     def __init__(self, dataset: "Dataset"):
         n_releases = len(dataset.release_time)
-        times_us = dataset._release_micros()
-        release_package = np.array(dataset.release_package, np.int64)
+        times_us, release_package = dataset.release_time, dataset.release_package
         first_rows = np.unique(release_package, return_index=True)[1]
         first_rows.sort()
         self.packages = packages = release_package[first_rows]
@@ -146,7 +144,6 @@ class _DatasetIndex:
         place = np.full(len(dataset.names) + 1, unreleased, np.int64)
         place[packages] = np.arange(unreleased)
         position = place[release_package]
-        del release_package
 
         # One stable sort orders the releases by (position, timestamp, row);
         # runs that tie on (position, timestamp) are then put in version order.
@@ -158,21 +155,22 @@ class _DatasetIndex:
         # Where the tie flag turns on and off: pairs (lo, hi) such that the
         # entries lo..hi share their (position, timestamp).
         bounds = np.flatnonzero(np.diff(tied, prepend=False, append=False)).tolist()
-        versions = dataset.release_version
+        codes, table = dataset.release_version
         for lo, hi in zip(bounds[::2], bounds[1::2]):
-            run = sorted(releases[lo : hi + 1].tolist(), key=lambda r: version_sort_key(versions[r]))
+            run = releases[lo : hi + 1].tolist()
+            run.sort(key=lambda r: version_sort_key(table[codes[r]]))
             releases[lo : hi + 1] = run
         self.offset_array = offsets = np.zeros(unreleased + 1, np.int64)
         np.cumsum(np.bincount(position, minlength=unreleased), out=offsets[1:])
 
         entry_of = np.empty(n_releases, np.int32)
         entry_of[releases] = np.arange(n_releases, dtype=np.int32)
-        row_entries = entry_of[np.array(dataset.dependency_source, np.int64)]
+        row_entries = entry_of[dataset.dependency_source]
         del entry_of
         rows = np.argsort(row_entries, kind="stable")
         self.row_entries = row_entries[rows]
         del row_entries
-        codes, table = dataset._coded_targets()
+        codes, table = dataset.dependency_target
         ids, missing = dataset.package_ids, len(dataset.names)
         pid = np.fromiter((ids.get(name, missing) for name in table), np.int64, len(table))
         self.row_targets = place[pid].astype(np.int32)[codes[rows]]
@@ -199,25 +197,33 @@ class _DatasetIndex:
 
 
 class RecordView(Sequence):
-    """Records built from a Dataset's columns as they are read; ``len``
-    reads the column's length. Equal to a list of the same records."""
+    """Records built from a Dataset's columns as they are read, a block of
+    rows at a time; ``len`` reads the column's length. Equal to a list of
+    the same records. ``columns(rows)`` gives the fields of the records of
+    ``rows``, a slice or a sequence of row numbers, one list per field."""
 
-    __slots__ = ("_ids", "_record")
+    __slots__ = ("_n", "_record", "_columns")
 
-    def __init__(self, n: int, record: Callable[[int], object]):
-        self._ids = range(n)
+    def __init__(self, n: int, record: type, columns: Callable[[object], tuple[list, ...]]):
+        self._n = n
         self._record = record
+        self._columns = columns
 
     def __len__(self) -> int:
-        return len(self._ids)
+        return self._n
+
+    def take(self, rows) -> list:
+        """The records of ``rows``, built in one pass over the columns."""
+        return list(map(self._record, *self._columns(rows)))
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return list(map(self._record, self._ids[i]))
-        return self._record(self._ids[i])
+            return self.take(np.arange(self._n)[i])
+        return self.take([range(self._n)[i]])[0]
 
     def __iter__(self):
-        return map(self._record, self._ids)
+        for start in range(0, self._n, _BLOCK_ROWS):
+            yield from self.take(slice(start, start + _BLOCK_ROWS))
 
     def __eq__(self, other):
         if isinstance(other, (list, RecordView)):
@@ -257,29 +263,47 @@ class PackageView(AbstractSet):
         return repr(set(self))
 
 
+class Coded(NamedTuple):
+    """A string column as int64 codes into a table of distinct strings:
+    row i holds ``table[codes[i]]``, so equal codes mean equal strings.
+    The table may hold values that no row uses."""
+
+    codes: np.ndarray
+    table: list[str]
+
+    def decode(self, rows=slice(None)) -> list[str]:
+        """The strings of ``rows``, a slice or a sequence of row numbers."""
+        return list(map(self.table.__getitem__, self.codes[rows].tolist()))
+
+    def select(self, rows) -> "Coded":
+        """The column of ``rows``, any numpy index of ``codes``."""
+        return Coded(self.codes[rows], self.table)
+
+
 class Dataset:
     """A validated collection of packages, releases, and dependencies.
 
-    The data is kept as columns of strings, ints and datetimes, which the
-    cyclic garbage collector does not track:
+    Each column has one form, an int64 array or a :class:`Coded` string
+    column, which the cyclic garbage collector does not walk:
 
     * ``names`` is the package name table and ``package_ids`` maps a name
       to its package id, its place in ``names``;
-    * release r is (``release_package[r]``, ``release_version[r]``,
-      ``release_time[r]``), a package id, a version and a timestamp;
-    * dependency row i is (``dependency_source[i]``,
-      ``dependency_target[i]``, ``dependency_constraint[i]``,
-      ``dependency_kind[i]``), the id of its source release and the name
-      of its target package.
+    * release r has the package id ``release_package[r]``, the version in
+      row r of ``release_version`` and the time ``release_time[r]`` in
+      microseconds since the epoch;
+    * dependency row i has its source release id ``dependency_source[i]``
+      and, in row i of ``dependency_target``, ``dependency_constraint`` and
+      ``dependency_kind``, its target package name, constraint and kind.
 
     Releases and dependency rows keep the order in which they were given.
     ``packages``, ``releases`` and ``dependencies`` are record views, built
-    as a caller reads them. The constructor takes records and converts
-    them once, with package ids in name order. It raises ``DatasetError``
-    for a package record of another ecosystem, a release of an unlisted
-    package and a dependency of an unknown release. Releases may repeat a
-    (package, version), which :func:`validate_dataset` reports; a dependency
-    row then belongs to the first of them, and the later ones have none.
+    as a caller reads them; a ``ReleaseRecord`` carries a naive datetime.
+    The constructor takes records and converts them once, with package ids
+    in name order. It raises ``DatasetError`` for a package record of
+    another ecosystem, a release of an unlisted package and a dependency of
+    an unknown release. Releases may repeat a (package, version), which
+    :func:`validate_dataset` reports; a dependency row then belongs to the
+    first of them, and the later ones have none.
 
     Immutable by convention after construction; the lazy index makes
     concurrent read access safe (rebuilding it is idempotent).
@@ -289,7 +313,7 @@ class Dataset:
         "names", "package_ids",
         "release_package", "release_version", "release_time",
         "dependency_source", "dependency_target", "dependency_constraint", "dependency_kind",
-        "cutoff", "ecosystem", "filter_report", "_index", "_times_us", "_target_codes",
+        "cutoff", "ecosystem", "filter_report", "_index",
     )
 
     def __init__(
@@ -319,15 +343,15 @@ class Dataset:
             source = [release_ids[dep.source_package, dep.source_version] for dep in dependencies]
         except KeyError as exc:
             raise DatasetError(f"no package or release {exc}") from None
+        versions, times = [r.version for r in releases], [r.timestamp for r in releases]
+        coded = (
+            _encoded([getattr(dep, field) for dep in dependencies])
+            for field in ("target_package", "constraint", "kind")
+        )
         self._set(
             names, package_ids,
-            (release_package, [r.version for r in releases], [r.timestamp for r in releases]),
-            (
-                source,
-                [dep.target_package for dep in dependencies],
-                [dep.constraint for dep in dependencies],
-                [dep.kind for dep in dependencies],
-            ),
+            (np.array(release_package, np.int64), _encoded(versions), _micros(times)),
+            (np.array(source, np.int64), *coded),
             cutoff, ecosystem, filter_report,
         )
 
@@ -351,8 +375,6 @@ class Dataset:
         self.ecosystem = ecosystem
         self.filter_report = filter_report if filter_report is not None else FilterReport()
         self._index: Optional[_DatasetIndex] = None
-        self._times_us: Optional[np.ndarray] = None
-        self._target_codes: Optional[tuple[np.ndarray, list[str]]] = None
 
     def index(self) -> _DatasetIndex:
         idx = self._index
@@ -361,48 +383,39 @@ class Dataset:
             self._index = idx
         return idx
 
-    def _release_micros(self) -> np.ndarray:
-        """``release_time`` as int64 microseconds since the epoch, converted
-        once; a loaded column file gives it as stored."""
-        if self._times_us is None:
-            self._times_us = _micros(self.release_time)
-        return self._times_us
-
-    def _coded_targets(self) -> tuple[np.ndarray, list[str]]:
-        """``dependency_target`` as int64 codes into a table of names: row
-        i's target is ``table[codes[i]]``. The filter and a loaded column
-        file give it; otherwise it is encoded once."""
-        if self._target_codes is None:
-            self._target_codes = _encoded(self.dependency_target)
-        return self._target_codes
-
     @property
     def packages(self) -> PackageView:
         return PackageView(self)
 
     @property
     def releases(self) -> RecordView:
-        return RecordView(len(self.release_package), self._release)
+        return RecordView(len(self.release_package), ReleaseRecord, self._release_columns)
 
     @property
     def dependencies(self) -> RecordView:
-        return RecordView(len(self.dependency_source), self._dependency)
+        return RecordView(len(self.dependency_source), DependencyRecord, self._dependency_columns)
 
-    def _release(self, rid: int) -> ReleaseRecord:
-        return ReleaseRecord(
-            self.names[self.release_package[rid]],
-            self.release_version[rid],
-            self.release_time[rid],
+    def _package_names(self, rids) -> list[str]:
+        """The package name of each release of ``rids``."""
+        return list(map(self.names.__getitem__, self.release_package[rids].tolist()))
+
+    def _release_columns(self, rids) -> tuple[list, list, list]:
+        """The package names, versions and datetimes of the releases ``rids``."""
+        return (
+            self._package_names(rids),
+            self.release_version.decode(rids),
+            self.release_time[rids].astype("datetime64[us]").tolist(),
         )
 
-    def _dependency(self, i: int) -> DependencyRecord:
-        rid = self.dependency_source[i]
-        return DependencyRecord(
-            self.names[self.release_package[rid]],
-            self.release_version[rid],
-            self.dependency_target[i],
-            self.dependency_constraint[i],
-            self.dependency_kind[i],
+    def _dependency_columns(self, rows) -> tuple[list, ...]:
+        """The fields of the dependency records of ``rows``, a list each."""
+        rids = self.dependency_source[rows]
+        return (
+            self._package_names(rids),
+            self.release_version.decode(rids),
+            self.dependency_target.decode(rows),
+            self.dependency_constraint.decode(rows),
+            self.dependency_kind.decode(rows),
         )
 
     @property
@@ -443,10 +456,10 @@ def _gc_paused() -> Iterator[None]:
     restore the state it had on entry, also when the block raises; nested
     uses keep it paused to the outermost exit. The state is process-wide.
 
-    The load and the graph kernels allocate many containers that form no
+    The parse and the graph kernels allocate many containers that form no
     cycle (rows, keys, lists of ints), so a collection there frees
-    nothing, while each full one walks every object the loaded dataset and
-    its index hold.
+    nothing; a loaded dataset and its index are arrays and string tables,
+    which a full collection does not walk element by element.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -608,20 +621,18 @@ def parse_dataset(
     converted a column at a time. A malformed row fails with its file and
     line: of the faults in a file, the one on the earliest row, and of the
     faults on one row, the first in the order the checks are listed in.
-    Package ids follow the order of the package rows. Equal versions and
-    equal targets share one string, and the target codes go to the filter.
+    Package ids follow the order of the package rows. The string columns
+    are coded as they are read, each table in order of first appearance.
     """
     packages_path = Path(packages_path)
     releases_path = Path(releases_path)
     dependencies_path = Path(dependencies_path)
     names, package_ids = _parse_packages(packages_path)
-    releases, release_ids = _parse_releases(releases_path, names, package_ids)
-    cutoff = _checked_cutoff(cutoff, max(releases[2], default=None), releases_path)
-    dependencies, target_codes = _parse_dependencies(dependencies_path, release_ids)
+    releases, release_ids = _parse_releases(releases_path, package_ids)
+    cutoff = _checked_cutoff(cutoff, _last_time(releases[2]), releases_path)
+    dependencies = _parse_dependencies(dependencies_path, release_ids)
     del release_ids
-    d = Dataset._from_columns(names, package_ids, releases, dependencies, cutoff, ecosystem)
-    d._target_codes = target_codes
-    return d
+    return Dataset._from_columns(names, package_ids, releases, dependencies, cutoff, ecosystem)
 
 
 def _parse_packages(path: Path) -> tuple[list[str], dict[str, int]]:
@@ -644,16 +655,14 @@ def _parse_packages(path: Path) -> tuple[list[str], dict[str, int]]:
     return names, package_ids
 
 
-def _parse_releases(path: Path, names: list[str], package_ids: dict[str, int]):
-    """The release columns (package id, version, timestamp) and the id of
+def _parse_releases(path: Path, package_ids: dict[str, int]):
+    """The release columns (package id, coded version, time) and the id of
     each (package, version); checks: an unknown package, an empty version,
-    an unparseable timestamp, a repeated (package, version). Equal
-    versions share one string."""
+    an unparseable timestamp, a repeated (package, version)."""
     release_package: list[int] = []
-    release_version: list[str] = []
     release_time: list[datetime] = []
+    release_version = _Coder()
     release_ids: dict[tuple[str, str], int] = {}
-    shared: dict[str, str] = {}
     required = ["package", "version", "timestamp"]
     for start, (packages, versions, stamps) in _blocks(path, required):
         pids = list(map(package_ids.get, packages))
@@ -669,29 +678,26 @@ def _parse_releases(path: Path, names: list[str], package_ids: dict[str, int]):
             text = f"column 'timestamp' has unparseable value {stamps[bad]!r}"
             faults.append((start + bad, 2, text))
         if len(release_ids) != start + len(pids):
-            earlier_keys = zip(map(names.__getitem__, release_package), release_version)
+            # No earlier row repeats another, so the first keys are theirs.
+            earlier_keys = islice(release_ids, start)
             earlier, row = _first_repeat(chain(earlier_keys, zip(packages, versions)))
             text = f"duplicate release {packages[row - start]} {versions[row - start]}"
             faults.append((row, 3, text, earlier))
         if faults:
             raise _fault(path, required, faults)
         release_package += pids
-        release_version += map(shared.setdefault, versions, versions)
+        release_version.add(versions)
         release_time += times
-    return (release_package, release_version, release_time), release_ids
+    release_package = np.array(release_package, np.int64)
+    return (release_package, release_version.column(), _micros(release_time)), release_ids
 
 
 def _parse_dependencies(path: Path, release_ids: dict[tuple[str, str], int]):
-    """The dependency columns (source release id, target, constraint,
-    kind) and the target codes; checks: an unknown source release, an
-    empty target. Equal targets share one string, and kinds are
-    lowercased and interned once per distinct value."""
+    """The dependency columns (source release id, and the coded target,
+    constraint and kind); checks: an unknown source release, an empty
+    target. Kinds are lowercased."""
     source: list[int] = []
-    targets: list[str] = []
-    constraints: list[str] = []
-    kinds: list[str] = []
-    shared: dict[str, str] = {}
-    kind_of: dict[str, str] = {}
+    targets, constraints, kinds = _Coder(), _Coder(), _Coder()
     required = ["source_package", "source_version", "target_package", "constraint", "kind"]
     for start, (packages, versions, target, constraint, kind) in _blocks(path, required):
         rids = list(map(release_ids.get, zip(packages, versions)))
@@ -704,13 +710,35 @@ def _parse_dependencies(path: Path, release_ids: dict[tuple[str, str], int]):
             faults.append((start + target.index(""), 1, "empty value in column 'target_package'"))
         if faults:
             raise _fault(path, required, faults)
-        for value in set(kind) - kind_of.keys():
-            kind_of[value] = sys.intern(value.lower())
         source += rids
-        targets += map(shared.setdefault, target, target)
-        constraints += constraint
-        kinds += map(kind_of.__getitem__, kind)
-    return (source, targets, constraints, kinds), _encoded(targets)
+        targets.add(target)
+        constraints.add(constraint)
+        kinds.add(kind)
+    # Kinds are coded as given; their table is then lowercased and coded again.
+    kind, lowered = kinds.column(), _Coder()
+    lowered.add([value.lower() for value in kind.table])
+    kinds = lowered.column().select(kind.codes)
+    return np.array(source, np.int64), targets.column(), constraints.column(), kinds
+
+
+class _Coder:
+    """Codes a string column as it is read, a block of values at a time:
+    each value gets the next free code when it first appears."""
+
+    __slots__ = ("code", "codes")
+
+    def __init__(self):
+        self.code: dict[str, int] = {}
+        self.codes: list[int] = []
+
+    def add(self, values: Sequence[str]) -> None:
+        code = self.code
+        new = list(filterfalse(code.__contains__, dict.fromkeys(values)))
+        code.update(zip(new, range(len(code), len(code) + len(new))))
+        self.codes += map(code.__getitem__, values)
+
+    def column(self) -> Coded:
+        return Coded(np.array(self.codes, np.int64), list(self.code))
 
 
 def _checked_cutoff(
@@ -818,44 +846,36 @@ def filter_dependencies(
 
     The rules are numpy masks over the rows' source releases, kind codes
     and target codes. When no package is excluded, the filtered dataset
-    shares the package table, the release columns and their times in
-    microseconds with ``d``.
+    shares the package table and the release columns with ``d``. The kept
+    targets are coded by their package ids into the package table.
     """
     include = {k.strip().lower() for k in included_kinds}
     excluded = set(excluded_packages)
-    source = np.array(d.dependency_source, np.int64)
-    times_us = d._release_micros()
+    source = d.dependency_source
     if excluded.isdisjoint(d.package_ids):
         names, package_ids = d.names, d.package_ids
         releases = (d.release_package, d.release_version, d.release_time)
-        new_rid = None
         report = FilterReport()
     else:
         names = [name for name in d.names if name not in excluded]
         package_ids = {name: pid for pid, name in enumerate(names)}
-        # The new id of each old package id; None for an excluded package.
-        new_pid = list(map(package_ids.get, d.names))
-        kept = [new_pid[pid] is not None for pid in d.release_package]
-        releases = (
-            list(map(new_pid.__getitem__, compress(d.release_package, kept))),
-            list(compress(d.release_version, kept)),
-            list(compress(d.release_time, kept)),
-        )
-        kept = np.array(kept, bool)
-        times_us = times_us[kept]
+        # The new id of each old package id, -1 for an excluded package.
+        new_pid = np.fromiter(map(package_ids.get, d.names, repeat(-1)), np.int64, len(d.names))
+        release_package = new_pid[d.release_package]
+        kept = release_package >= 0
+        releases = (release_package[kept], d.release_version.select(kept), d.release_time[kept])
         # The new id of each old release id, -1 for a release of an
         # excluded package.
         release_map = np.full(len(kept), -1, np.int64)
-        release_map[kept] = np.arange(len(times_us))
+        release_map[kept] = np.arange(len(releases[0]))
         source = release_map[source]
-        new_rid = release_map.tolist()
         report = FilterReport(
             excluded_packages_dropped=len(d.names) - len(names),
-            excluded_releases_dropped=len(kept) - len(times_us),
+            excluded_releases_dropped=len(kept) - len(releases[0]),
         )
 
-    kind, kind_table = _encoded(d.dependency_kind)
-    codes, table = d._coded_targets()
+    kind, kind_table = d.dependency_kind
+    codes, table = d.dependency_target
     resolved = np.fromiter((package_ids.get(name, -1) for name in table), np.int64, len(table))
     target = resolved[codes]
     # The rows left after each of rules 1 to 3, which count what each drops.
@@ -874,27 +894,17 @@ def filter_dependencies(
     first = _first_of_each_key(source[rows], target[rows], kind[rows])
     report.duplicate_deps_dropped = len(first) - int(first.sum())
     keep[rows[~first]] = False
-    del source, kind, rows, first
-
-    # Every kept target resolves, so its package id codes it into the names.
-    codes = target[keep]
-    keep = keep.tolist()
-    sources = compress(d.dependency_source, keep)
-    if new_rid is not None:
-        sources = map(new_rid.__getitem__, sources)
-    filtered = Dataset._from_columns(
+    del rows, first
+    return Dataset._from_columns(
         names, package_ids, releases,
         (
-            list(sources),
-            list(map(names.__getitem__, codes.tolist())),
-            list(compress(d.dependency_constraint, keep)),
-            list(compress(d.dependency_kind, keep)),
+            source[keep],
+            Coded(target[keep], names),
+            d.dependency_constraint.select(keep),
+            d.dependency_kind.select(keep),
         ),
         d.cutoff, d.ecosystem, report,
     )
-    filtered._target_codes = (codes, names)
-    filtered._times_us = times_us
-    return filtered
 
 
 def _first_of_each_key(*columns: np.ndarray) -> np.ndarray:
@@ -941,12 +951,11 @@ def _dataset_digest(directory: Path) -> tuple[str, list[Optional[int]]]:
 # CLI writes it after a parse and reads it in place of the next parse and
 # filter. It is laid out as an uncompressed ``np.savez`` archive of plain
 # arrays, read back with ``np.load(..., allow_pickle=False)``, so loading
-# it runs no code: ids as int64, release times as int64 microseconds since
-# the epoch, and each string column coded: a table of values, stored as one
-# UTF-8 blob with int64 offsets into the decoded text, and the int64 code of
-# each row's value in it. Columns repeat a few values (one kind and one
-# constraint in hundreds of thousands of rows), so the blobs stay small and
-# decoding shares one string per value. The ``meta`` member is JSON: the
+# it runs no code. Each column is stored in its in-memory form: ids and
+# release times as int64, each string column as its int64 codes and its
+# table, one UTF-8 blob with int64 offsets into the decoded text (package
+# names are coded by their ids). A table that repeats a value is refused,
+# so that equal codes mean equal strings. The ``meta`` member is JSON: the
 # key, the filter report and the raw dataset's last release timestamp,
 # which the cutoff rule needs. The cutoff and the ecosystem are not stored.
 COLUMN_FILE = ".depnet-columns.npz"
@@ -969,6 +978,11 @@ def _micros(times: Sequence[datetime]) -> np.ndarray:
     return np.fromiter(((t - _EPOCH) // _MICROSECOND for t in times), np.int64, len(times))
 
 
+def _last_time(times_us: np.ndarray) -> Optional[datetime]:
+    """The latest of ``times_us`` as a datetime; ``None`` when empty."""
+    return _EPOCH + int(times_us.max()) * _MICROSECOND if len(times_us) else None
+
+
 def _month_indices(times_us: np.ndarray) -> np.ndarray:
     """The calendar month of each time in int64 microseconds since the
     epoch, numbered as ``timeutil.month_index`` numbers it."""
@@ -977,12 +991,12 @@ def _month_indices(times_us: np.ndarray) -> np.ndarray:
     return months
 
 
-def _encoded(values: Sequence[str]) -> tuple[np.ndarray, list[str]]:
-    """``values`` as int64 codes into the table of their distinct values,
-    in order of first appearance."""
-    table = list(dict.fromkeys(values))
-    code = dict(zip(table, range(len(table))))
-    return np.fromiter(map(code.__getitem__, values), np.int64, len(values)), table
+def _encoded(values: Sequence[str]) -> Coded:
+    """``values`` coded into the table of their distinct values, in order
+    of first appearance."""
+    coder = _Coder()
+    coder.add(values)
+    return coder.column()
 
 
 # Reading a column file that is damaged, truncated or not a column file at
@@ -1031,18 +1045,18 @@ def _column_arrays(d: Dataset, meta: dict):
     """(member name, array) of each member of the column file of ``d``."""
     yield "meta", np.frombuffer(json.dumps(meta).encode(), np.uint8)
     for name in _STRING_COLUMNS:
-        if name == "dependency_target":
-            codes, table = d._coded_targets()
+        if name == "names":
+            codes, table = np.arange(len(d.names), dtype=np.int64), d.names
         else:
-            codes, table = _encoded(getattr(d, name))
+            codes, table = getattr(d, name)
         yield name, np.frombuffer("".join(table).encode("utf-8"), np.uint8)
         offsets = np.zeros(len(table) + 1, np.int64)
         np.cumsum(np.fromiter(map(len, table), np.int64, len(table)), out=offsets[1:])
         yield name + "_offsets", offsets
         yield name + "_codes", codes
-    yield "release_package", np.array(d.release_package, np.int64)
-    yield "dependency_source", np.array(d.dependency_source, np.int64)
-    yield "release_time", d._release_micros()
+    yield "release_package", d.release_package
+    yield "dependency_source", d.dependency_source
+    yield "release_time", d.release_time
 
 
 def _read_columns(
@@ -1064,16 +1078,13 @@ def _read_columns(
             meta = json.loads(archive["meta"].tobytes())
             if meta["key"] != key:
                 return None
-            coded = {name: _stored_coded(archive, name) for name in _STRING_COLUMNS}
             names, versions, targets, constraints, kinds = (
-                list(map(table.__getitem__, codes.tolist())) for codes, table in coded.values()
+                _stored_coded(archive, name) for name in _STRING_COLUMNS
             )
-            target_codes = coded["dependency_target"]
-            del coded
-            release_package = _stored_ids(archive["release_package"], len(names))
-            source = _stored_ids(archive["dependency_source"], len(release_package))
-            times_us = _in_range(archive["release_time"], *_TIME_RANGE)
-            times = times_us.astype("datetime64[us]").tolist()
+            names = names.decode()
+            release_package = _in_range(archive["release_package"], 0, len(names))
+            source = _in_range(archive["dependency_source"], 0, len(release_package))
+            times = _in_range(archive["release_time"], *_TIME_RANGE)
         report = FilterReport(**meta["filter_report"])
         last_release = meta["last_release"]
         if last_release is not None:
@@ -1081,22 +1092,19 @@ def _read_columns(
         package_ids = {name: pid for pid, name in enumerate(names)}
         if not (
             len(package_ids) == len(names)
-            and len(release_package) == len(versions) == len(times)
-            and len(source) == len(targets) == len(constraints) == len(kinds)
+            and len(release_package) == len(versions.codes) == len(times)
+            and len(source) == len(targets.codes) == len(constraints.codes) == len(kinds.codes)
         ):
             return None
     except _UNUSABLE:
         return None
-    d = Dataset._from_columns(
+    return Dataset._from_columns(
         names, package_ids,
         (release_package, versions, times),
         (source, targets, constraints, kinds),
         _checked_cutoff(cutoff, last_release, directory / "releases.csv"),
         ecosystem, report,
     )
-    d._times_us = times_us
-    d._target_codes = target_codes
-    return d
 
 
 def _in_range(array: np.ndarray, low: int, high: int) -> np.ndarray:
@@ -1109,25 +1117,20 @@ def _in_range(array: np.ndarray, low: int, high: int) -> np.ndarray:
     return array
 
 
-def _stored_ids(array: np.ndarray, n: int) -> list[int]:
-    """A stored column of ids in range(n). Equal ids share one int object,
-    as they do in a parsed Dataset."""
-    ids = list(range(n))
-    return [ids[i] for i in _in_range(array, 0, n).tolist()]
-
-
-def _stored_coded(archive, name: str) -> tuple[np.ndarray, list[str]]:
-    """The codes and the table of a coded string column: the table stored
-    as a UTF-8 blob and the offsets of its values in the decoded text.
-    ``ValueError`` when the offsets do not fit the text or a code is not a
-    place in the table."""
+def _stored_coded(archive, name: str) -> Coded:
+    """A coded string column: the table stored as a UTF-8 blob and the
+    offsets of its values in the decoded text, and the codes. ``ValueError``
+    when the offsets do not fit the text, the table repeats a value or a
+    code is not a place in the table."""
     text = archive[name].tobytes().decode("utf-8")
     offsets = archive[name + "_offsets"]
     bounds = _in_range(offsets, 0, len(text) + 1).tolist()
     if not bounds or bounds[0] != 0 or bounds[-1] != len(text) or (np.diff(offsets) < 0).any():
         raise ValueError(f"offsets of {name} do not fit its text")
     table = [text[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    return _in_range(archive[name + "_codes"], 0, len(table)), table
+    if len(set(table)) != len(table):
+        raise ValueError(f"the table of {name} repeats a value")
+    return Coded(_in_range(archive[name + "_codes"], 0, len(table)), table)
 
 
 @dataclass(frozen=True, slots=True)
@@ -1159,13 +1162,11 @@ def validate_dataset(d: Dataset, burst_factor: float = 10.0) -> ValidationReport
     median, so early months and all-quiet histories are never flagged.
     """
     report = ValidationReport()
-    names = d.names
-    package = np.array(d.release_package, np.int64)
-    version, versions = _encoded(d.release_version)
-    repeats = np.flatnonzero(~_first_of_each_key(package, version)).tolist()
-    report.duplicate_releases = [
-        (names[d.release_package[r]], d.release_version[r]) for r in repeats
-    ]
+    package = d.release_package
+    version, versions = d.release_version
+    repeats = np.flatnonzero(~_first_of_each_key(package, version))
+    pairs = zip(d._package_names(repeats), d.release_version.decode(repeats))
+    report.duplicate_releases = list(pairs)
 
     # The rank of each distinct version in version order, equal keys
     # sharing one; a stable sort by (package, rank) keeps release order
@@ -1179,12 +1180,12 @@ def validate_dataset(d: Dataset, burst_factor: float = 10.0) -> ValidationReport
         rank[v] = r
     order = np.lexsort((rank[version], package))
     package = package[order]
-    times = d._release_micros()[order]
+    times = d.release_time[order]
     late = (package[1:] == package[:-1]) & (times[1:] <= times[:-1])
-    report.ordering_flags = sorted(names[pid] for pid in np.unique(package[1:][late]).tolist())
+    report.ordering_flags = sorted(map(d.names.__getitem__, np.unique(package[1:][late]).tolist()))
 
-    if d.release_time:
-        month = _month_indices(d._release_micros())
+    if len(d.release_time):
+        month = _month_indices(d.release_time)
         low = int(month.min())
         series = np.bincount(month - low).tolist()
         first, last = ((m // 12, m % 12 + 1) for m in (low, low + len(series) - 1))

@@ -26,7 +26,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .ingest import Dataset, ReleaseRecord, _gc_paused, _micros
+from .ingest import Dataset, RecordView, ReleaseRecord, _gc_paused, _micros
 from .timeutil import Month, format_month, iter_months, month_of, month_start
 
 
@@ -54,7 +54,7 @@ class SnapshotGraph:
 
     ``latest`` maps each existing package to the release chosen for it
     (maximum timestamp <= at, version order breaking timestamp ties); it is
-    built from the release ids the graph keeps on first access, and cached.
+    built in one pass over the release ids the graph keeps, and cached.
     ``dropped_deps`` counts dependency rows of latest releases whose target
     did not exist at the snapshot instant. Edges are stored once, as the
     integer adjacency of :meth:`int_view`; the reverse adjacency is built on
@@ -69,7 +69,7 @@ class SnapshotGraph:
     def __init__(
         self,
         at: datetime,
-        releases: Sequence[ReleaseRecord],
+        releases: RecordView,
         latest_ids: Sequence[int],
         view: IntView,
         dropped_deps: int = 0,
@@ -90,7 +90,7 @@ class SnapshotGraph:
     def latest(self) -> dict[str, ReleaseRecord]:
         latest = self._latest
         if latest is None:
-            records = map(self._releases.__getitem__, self._latest_ids)
+            records = self._releases.take(self._latest_ids)
             latest = self._latest = dict(zip(self._view.names, records))
         return latest
 
@@ -230,8 +230,8 @@ def latest_releases_at(d: Dataset, t: datetime) -> dict[str, ReleaseRecord]:
     Packages with no release at or before t are absent. Among releases
     sharing the maximal timestamp the greatest version wins.
     """
-    latest = d.index().releases[_latest_entries(d, t)[1]].tolist()
-    return {rel.package: rel for rel in map(d.releases.__getitem__, latest)}
+    latest = d.index().releases[_latest_entries(d, t)[1]]
+    return {rel.package: rel for rel in d.releases.take(latest)}
 
 
 def _declared_targets(
@@ -306,7 +306,7 @@ def build_snapshot(d: Dataset, t: datetime) -> SnapshotGraph:
     return SnapshotGraph(
         at=t,
         releases=d.releases,
-        latest_ids=idx.releases[latest].tolist(),
+        latest_ids=idx.releases[latest],
         view=IntView(names, dict(zip(names, range(n_nodes))), adj),
         dropped_deps=dropped,
         ecosystem=d.ecosystem,

@@ -9,6 +9,7 @@ from depnet.ingest import (
     Dataset,
     DependencyRecord,
     PackageRecord,
+    RecordView,
     ReleaseRecord,
     load_dataset_dir,
 )
@@ -25,7 +26,9 @@ def tiny():
 def make_graph(nodes, edges, at=datetime(2020, 1, 1)) -> SnapshotGraph:
     """Build a SnapshotGraph directly from a node list and edge pairs."""
     names = list(dict.fromkeys(nodes))
-    releases = [ReleaseRecord(package=n, version="1.0.0", timestamp=at) for n in names]
+    releases = RecordView(len(names), ReleaseRecord, lambda ids: (
+        [names[i] for i in ids], ["1.0.0"] * len(ids), [at] * len(ids)
+    ))
     ids = {n: i for i, n in enumerate(names)}
     adj: list[list[int]] = [[] for _ in names]
     for src, dst in edges:

@@ -85,6 +85,23 @@ class TestExitCodes:
         assert err.startswith("depnet: --burst-factor must be a positive finite number")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            (["--mean-deps", "nan"], "mean_deps must be a non-negative finite number, not nan"),
+            (["--n-packages", "0"], "n_packages must be positive"),
+        ],
+    )
+    def test_bad_generator_value_is_usage_error(self, capsys, tmp_path, option, message):
+        code, out, err = invoke(
+            capsys, "fixture", "generate", "--out-dir", tmp_path / "x",
+            "--n-packages", "50", "--months", "3", *option,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"depnet: {message}\n"
+        assert not (tmp_path / "x").exists()
+
     def test_missing_dataset_is_data_error(self, capsys, tmp_path):
         code, _, err = invoke(
             capsys, "snapshot", "--at", "2020-01-01", "--dataset", tmp_path / "nope"
@@ -712,7 +729,7 @@ class TestColumnFile:
     @pytest.mark.parametrize(
         "damage",
         ["truncated", "flipped byte", "other format", "directory", "id out of range",
-         "code out of range"],
+         "code out of range", "repeated table value"],
     )
     def test_unusable_file_falls_back_to_the_csvs(self, capsys, tiny_dir, monkeypatch, damage):
         argv = [*self.GROWTH, *tiny_args(tiny_dir)]
@@ -732,25 +749,20 @@ class TestColumnFile:
         elif damage == "directory":
             path.unlink()
             path.mkdir()
-        elif damage == "code out of range":
-            d = ingest._read_columns(tiny_dir, key, None, None)
-            codes, table = d._coded_targets()
-            codes = codes.copy()
-            codes[-1] = len(table)
-            d._target_codes = (codes, table)
-            ingest._write_columns(tiny_dir, key, d, max(d.release_time))
         else:
             d = ingest._read_columns(tiny_dir, key, None, None)
-            packages = list(d.release_package)
-            packages[-1] = len(d.names)
-            bad = Dataset._from_columns(
-                d.names, d.package_ids,
-                (packages, d.release_version, d.release_time),
-                (d.dependency_source, d.dependency_target,
-                 d.dependency_constraint, d.dependency_kind),
-                d.cutoff, d.ecosystem, d.filter_report,
-            )
-            ingest._write_columns(tiny_dir, key, bad, max(d.release_time))
+            codes, table = d.dependency_target
+            if damage == "code out of range":
+                codes = codes.copy()
+                codes[-1] = len(table)
+            elif damage == "repeated table value":
+                table = [*table, table[0]]
+            else:
+                packages = d.release_package.copy()
+                packages[-1] = len(d.names)
+                d.release_package = packages
+            d.dependency_target = ingest.Coded(codes, table)
+            ingest._write_columns(tiny_dir, key, d, ingest._last_time(d.release_time))
         assert path.exists()
         assert ingest._read_columns(tiny_dir, key, None, None) is None
         assert invoke(capsys, *argv) == expected

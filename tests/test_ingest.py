@@ -219,8 +219,9 @@ class TestParse:
         packages = [f"p{i}" for i in range(len(stamps))]
         releases = [f"p{i},1,{stamp}" for i, stamp in enumerate(stamps)]
         d = parse_tiny(tmp_path, packages, releases, [])
-        assert d.release_time == [parse_timestamp(stamp) for stamp in stamps]
-        assert all(t.tzinfo is None for t in d.release_time)
+        times = [release.timestamp for release in d.releases]
+        assert times == [parse_timestamp(stamp) for stamp in stamps]
+        assert all(t.tzinfo is None for t in times)
 
 
 def parse_error(tmp_path, packages, releases, dependencies) -> str:
@@ -277,9 +278,10 @@ def _put(rows: list[str], at: int, row: str) -> None:
 
 
 def _reference_parse(directory) -> tuple:
-    """The columns of the dataset in ``directory`` parsed row by row, as
-    before the block parse, or the message of its first fault: the files
-    in order, rows in order, the checks of a row in order."""
+    """The package names, release records and dependency records of the
+    dataset in ``directory`` parsed row by row, as before the block parse,
+    or the message of its first fault: the files in order, rows in order,
+    the checks of a row in order."""
 
     def rows(name):
         path = directory / name
@@ -325,16 +327,15 @@ def _reference_parse(directory) -> tuple:
                 f"(lines {release_lines[pkg, version]} and {line})"
             )
         release_lines[pkg, version] = line
-        releases.append((names.index(pkg), version, ts))
+        releases.append(ReleaseRecord(pkg, version, ts))
     path = directory / "dependencies.csv"
-    rids = {(names[pid], version): rid for rid, (pid, version, _) in enumerate(releases)}
     deps = []
     for line, (src, version, target, constraint, kind) in rows("dependencies.csv"):
-        if (src, version) not in rids:
+        if (src, version) not in release_lines:
             raise DatasetError(f"{path}, line {line}: dependency of unknown release {src} {version}")
         if not target:
             raise DatasetError(f"{path}, line {line}: empty value in column 'target_package'")
-        deps.append((rids[src, version], target, constraint, kind.lower()))
+        deps.append(DependencyRecord(src, version, target, constraint, kind.lower()))
     return names, releases, deps
 
 
@@ -479,12 +480,10 @@ class TestParseErrors:
             except DatasetError as exc:
                 assert str(exc) == expected
                 continue
-            releases = list(zip(d.release_package, d.release_version, d.release_time))
-            deps = list(zip(d.dependency_source, d.dependency_target,
-                            d.dependency_constraint, d.dependency_kind))
-            assert (d.names, releases, deps) == expected
-            codes, table = d._target_codes
-            assert [table[c] for c in codes.tolist()] == d.dependency_target
+            assert (d.names, list(d.releases), list(d.dependencies)) == expected
+            for codes, table in (d.release_version, d.dependency_target,
+                                 d.dependency_constraint, d.dependency_kind):
+                assert len(set(table)) == len(table) and codes.dtype == np.int64
         assert 100 < failures < 250
 
     @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
@@ -680,8 +679,8 @@ class TestRoundTrip:
 
 class TestLoadFootprint:
     def test_load_leaves_fewer_tracked_objects_than_packages(self, tmp_path):
-        # The loaded dataset keeps its rows as columns of strings, ints and
-        # datetimes, which the cyclic collector does not track; per-row
+        # The loaded dataset keeps its rows as numpy columns and tables of
+        # strings, which the cyclic collector does not track; per-row
         # objects would show up here, and every full collection would walk
         # them again.
         cfg = GeneratorConfig(n_packages=5000, months=24, seed=3, mean_deps=2.5)
@@ -694,21 +693,29 @@ class TestLoadFootprint:
 
 
 def reference_index(d: Dataset) -> dict:
-    """The index of ``d`` by plain sorts over its columns: releases in
+    """The index of ``d`` by plain sorts over its records: releases in
     (position, timestamp, version, row) order, dependency rows in (entry,
-    row) order, updates in (timestamp, entry) order."""
-    names, package, times = d.names, d.release_package, d.release_time
+    row) order, updates in (timestamp, entry) order. A dependency row
+    belongs to the first release of its (package, version)."""
+    records = list(d.releases)
+    package = [d.package_ids[r.package] for r in records]
     packages = list(dict.fromkeys(package))
     position = {pid: k for k, pid in enumerate(packages)}
     releases = sorted(
-        range(len(package)),
-        key=lambda r: (position[package[r]], times[r], version_sort_key(d.release_version[r]), r),
+        range(len(records)),
+        key=lambda r: (
+            position[package[r]], records[r].timestamp, version_sort_key(records[r].version), r
+        ),
     )
     offsets = [sum(position[package[r]] < k for r in releases) for k in range(len(packages) + 1)]
     entry_positions = [position[package[r]] for r in releases]
-    times_us = [(times[r] - EPOCH) // timedelta(microseconds=1) for r in releases]
-    positions = {names[pid]: k for k, pid in enumerate(packages)}
-    source = d.dependency_source
+    times_us = [(records[r].timestamp - EPOCH) // timedelta(microseconds=1) for r in releases]
+    positions = {d.names[pid]: k for k, pid in enumerate(packages)}
+    release_ids: dict = {}
+    for rid, r in enumerate(records):
+        release_ids.setdefault((r.package, r.version), rid)
+    deps = list(d.dependencies)
+    source = [release_ids[dep.source_package, dep.source_version] for dep in deps]
     entry_of = {r: j for j, r in enumerate(releases)}
     rows = sorted(range(len(source)), key=lambda i: (entry_of[source[i]], i))
     first = set(offsets[:-1])
@@ -720,7 +727,7 @@ def reference_index(d: Dataset) -> dict:
         "entry_positions": entry_positions,
         "times_us": times_us,
         "row_entries": [entry_of[source[i]] for i in rows],
-        "row_targets": [positions.get(d.dependency_target[i], len(packages)) for i in rows],
+        "row_targets": [positions.get(deps[i].target_package, len(packages)) for i in rows],
         "update_times_us": [times_us[j] for j in updates],
         "update_positions": [entry_positions[j] for j in updates],
     }
@@ -783,9 +790,28 @@ class TestDatasetRecords:
             dependencies=[DependencyRecord("p", "1", "q", "*", "runtime")],
             cutoff=datetime(2020, 2, 1),
         )
-        assert d.dependency_source == [1]
+        assert d.dependency_source.tolist() == [1]
         assert build_snapshot(d, datetime(2020, 1, 2)).out_degree("p") == 1
         assert build_snapshot(d, datetime(2020, 1, 3)).out_degree("p") == 0
+
+    def test_every_constructor_keeps_coded_tables_distinct(self, tmp_path):
+        # Equal codes must mean equal strings: kinds that differ only in
+        # case share one lowercased table value, and the filter, the record
+        # constructor and the generator keep or build distinct tables.
+        packages, releases, deps = tiny_rows()
+        deps[1] = "c,1.0.0,a,*,Runtime"
+        deps[2] = "c,2.0.0,a,*,RUNTIME"
+        parsed = parse_tiny(tmp_path, packages, releases, deps)
+        assert parsed.dependency_kind.table == ["runtime"]
+        assert parsed.dependency_kind.codes.tolist() == [0] * 5
+        built = Dataset(parsed.packages, parsed.releases, parsed.dependencies, parsed.cutoff)
+        generated = generate(GeneratorConfig(n_packages=50, months=6, seed=1))
+        excluded = filter_dependencies(parsed, excluded_packages={"b"})
+        for d in (parsed, excluded, built, generated):
+            for codes, table in (d.release_version, d.dependency_target,
+                                 d.dependency_constraint, d.dependency_kind):
+                assert len(set(table)) == len(table)
+                assert codes.dtype == np.int64 and all(0 <= c < len(table) for c in codes.tolist())
 
 
 class TestValidate:

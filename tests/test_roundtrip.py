@@ -83,10 +83,18 @@ def test_write_then_load_is_identity(d):
 
 
 def _columns(d: Dataset) -> dict:
-    """Every column of ``d`` and its filter report, cutoff and ecosystem:
-    the public slots. The private ones hold the lazy index and the numpy
-    forms it reads, which each load path may fill differently."""
-    return {name: getattr(d, name) for name in Dataset.__slots__ if not name.startswith("_")}
+    """The package table and the records of ``d``, its filter report,
+    cutoff and ecosystem; not the lazy index, which each load path may
+    fill differently."""
+    return {
+        "names": d.names,
+        "package_ids": d.package_ids,
+        "releases": list(d.releases),
+        "dependencies": list(d.dependencies),
+        "filter_report": d.filter_report,
+        "cutoff": d.cutoff,
+        "ecosystem": d.ecosystem,
+    }
 
 
 def _option_value(value: str) -> bool:
@@ -103,7 +111,7 @@ def test_cold_and_warm_loads_are_equal(d, filter_kinds, exclude, cutoff):
         write_dataset(d, directory)
         argv = ["snapshot", "--at", "2019-01", "--dataset", str(directory)]
         if filter_kinds:
-            kinds = sorted(k for k in set(d.dependency_kind) if _option_value(k))
+            kinds = sorted({dep.kind for dep in d.dependencies if _option_value(dep.kind)})
             argv.append("--kinds=" + (",".join(kinds) or "runtime"))
         if exclude:
             names = [name for name in d.names if _option_value(name)][:1]

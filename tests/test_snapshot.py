@@ -260,7 +260,7 @@ class TestEdgeSpansOracle:
         for _ in range(300):
             for d in constructed_and_reloaded(edge_case_dataset(rng), tmp_path / "d"):
                 instants = [month_start(m) for m in iter_months((2019, 12), (2020, 4))]
-                for ts in set(d.release_time):
+                for ts in {release.timestamp for release in d.releases}:
                     instants += [ts - tick, ts, ts + tick]
                 instants.sort()
                 expected = [build_snapshot(d, t) for t in instants]
