@@ -20,12 +20,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .graphops import (
-    dependency_depths,
-    top_level_packages,
-    transitive_dependent_counts,
-)
+from .graphops import _closure_sizes, dependency_depths, top_level_packages
 from .indices import (
+    _p_impact_count,
     _package_counts,
     changeability_index,
     p_impact_index,
@@ -154,30 +151,29 @@ def _map_months(
 
 
 def _transitive_total(g: SnapshotGraph) -> tuple[int, int]:
-    return sum(transitive_dependent_counts(g).values()), g.n_edges
+    return sum(_closure_sizes(g.int_view().adj, reverse=True)), g.n_edges
 
 
 def _reusability(g: SnapshotGraph) -> int:
     return reusability_index(g).value
 
 
-def _p_impact(
-    g: SnapshotGraph, p_percent: float, dependent_counts: Optional[dict[str, int]] = None
-) -> int:
+def _p_impact(g: SnapshotGraph, p_percent: float) -> int:
     if g.n_nodes == 0:
         return 0
-    return p_impact_index(g, p_percent, dependent_counts=dependent_counts).value
+    return p_impact_index(g, p_percent).value
 
 
 def _graph_metrics(g: SnapshotGraph, p_percent: float) -> tuple[int, int, int, int, int]:
-    # One batch closure shared by the transitive total and p_impact.
-    dep_counts = transitive_dependent_counts(g)
+    # One batch closure, read as its list of sizes, serves the transitive
+    # total and p_impact.
+    sizes = _closure_sizes(g.int_view().adj, reverse=True)
     return (
         g.n_nodes,
         g.n_edges,
-        sum(dep_counts.values()),
+        sum(sizes),
         _reusability(g),
-        _p_impact(g, p_percent, dep_counts),
+        _p_impact_count(sizes, p_percent, g.n_nodes),
     )
 
 

@@ -4,19 +4,25 @@ Per-package queries (direct/transitive dependencies and dependents, tree
 depth) run on demand, as one level-by-level BFS over the graph's integer
 adjacency: forward, or on the reverse adjacency that the graph builds on
 the first in-neighbour query. The batch closure used by the longitudinal
-drivers computes reachable-set sizes for every node at once: nodes are condensed
-into strongly connected components by one SCC pass, which serves both
-directions, then each component's reach is merged from its successors' in
-reverse topological order: a set of node ids while sparse, an int bitset
-once dense (Nuutila, "Efficient transitive closure computation in large
-digraphs", 1995). Its last consumer releases or takes over each reach,
+drivers computes reachable-set sizes for every node at once: nodes are
+condensed into strongly connected components by one SCC pass, which serves
+both directions, then each component's reach is merged from its
+successors' in reverse topological order (Nuutila, "Efficient transitive
+closure computation in large digraphs", 1995). The SCC pass first peels
+off, in numpy and round by round, the nodes left without in-edges or
+without out-edges, each a component of its own, and runs Tarjan only on
+the core that remains (Hong et al., SC 2013); on the 100k-package fixture
+at 2020-01 that core is exactly the giant component, 14,204 of 100,000
+nodes. The peel rounds are levels of the near side of each direction (the
+in-peeled nodes for dependents, the out-peeled ones for dependencies),
+whose successors all lie in earlier rounds, so the reaches there are
+merged in numpy a round at a time, as sorted unique ids in one flat
+buffer. The peeled nodes whose reach could pass n // _SPARSE_RATIO ids
+and those that build on one, the core and the far side are merged one
+component at a time, as a set of node ids while sparse and an int bitset
+once dense; their last consumer releases or takes over those reaches,
 keeping peak memory proportional to the frontier, not the whole closure.
-The SCC pass first peels off, in numpy and round by round, the nodes left
-without in-edges or without out-edges, each a component of its own, and
-runs Tarjan only on the core that remains (Hong et al., SC 2013); on the
-100k-package fixture at 2020-01 that core is exactly the giant component,
-14,204 of 100,000 nodes. The closure runs with the cyclic garbage
-collector paused.
+The closure runs with the cyclic garbage collector paused.
 Batch depths run one breadth-first search for many sources at once, one
 bit per source. Both batch computations read the graph's integer
 adjacency.
@@ -340,6 +346,8 @@ def _tarjan_sccs(adj: list[list[int]]) -> list[list[int]]:
 # len(reach) * _SPARSE_RATIO <= max(reach), and an int bitset once dense: an
 # int costs its highest set bit, a set its population.
 _SPARSE_RATIO = 1024
+# Up to this many ids are set in a bitset one by one, not through numpy.
+_FEW_IDS = 16
 
 
 def _closure_sizes(adj: list[list[int]], reverse: bool = False) -> list[int]:
@@ -357,10 +365,12 @@ def _edge_arrays(adj: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
     return src, dst
 
 
-def _trimmed_sccs(n: int, src: np.ndarray, dst: np.ndarray) -> list[list[int]]:
+def _trimmed_sccs(
+    n: int, src: np.ndarray, dst: np.ndarray
+) -> tuple[list[list[int]], list[int], list[int]]:
     """The strongly connected components of the graph on ids 0..n-1 with
     edges ``src`` -> ``dst``: those :func:`_tarjan_sccs` finds, also in a
-    reverse topological order.
+    reverse topological order; and the bounds of the peel rounds.
 
     Trimming first (Hong et al., "On Fast Parallel Detection of Strongly
     Connected Components (SCC) in Small-World Graphs", SC 2013): round by
@@ -369,13 +379,17 @@ def _trimmed_sccs(n: int, src: np.ndarray, dst: np.ndarray) -> list[list[int]]:
     remains. Out-peeled nodes come first, in peel order; then the core's
     components, in Tarjan's order; then the in-peeled nodes, in reverse
     peel order. A node that has neither kind of edge left is out-peeled.
-    Every out-edge of an out-peeled node leads to one peeled before it, and
-    every in-edge of an in-peeled node comes from one peeled before it, so
-    the order is reverse topological.
+    Every out-edge of an out-peeled node leads to one out-peeled in an
+    earlier round, and every in-edge of an in-peeled node comes from one
+    in-peeled in an earlier round, so the order is reverse topological.
+    With the bounds ``out`` and ``in_`` returned, round r out-peeled
+    ``sccs[out[r]:out[r + 1]]`` and in-peeled ``sccs[::-1][in_[r]:in_[r + 1]]``;
+    either may be empty.
     """
     alive = np.ones(n, dtype=bool)
     out_peeled: list[int] = []
     in_peeled: list[int] = []
+    out_bounds, in_bounds = [0], [0]
     while True:
         sink = alive & (np.bincount(src, minlength=n) == 0)
         source = alive & (np.bincount(dst, minlength=n) == 0)
@@ -384,6 +398,8 @@ def _trimmed_sccs(n: int, src: np.ndarray, dst: np.ndarray) -> list[list[int]]:
             break
         out_peeled += np.flatnonzero(sink).tolist()
         in_peeled += np.flatnonzero(source).tolist()
+        out_bounds.append(len(out_peeled))
+        in_bounds.append(len(in_peeled))
         alive &= ~sink
         alive &= ~source
         live = alive[src]
@@ -404,7 +420,7 @@ def _trimmed_sccs(n: int, src: np.ndarray, dst: np.ndarray) -> list[list[int]]:
     sccs = [[v] for v in out_peeled]
     sccs += ([core_ids[v] for v in members] for members in core_sccs)
     sccs += ([v] for v in reversed(in_peeled))
-    return sccs
+    return sccs, out_bounds, in_bounds
 
 
 @_gc_paused()
@@ -415,7 +431,7 @@ def _closures(adj: list[list[int]], directions: tuple[bool, ...]) -> list[list[i
     if n == 0:
         return [[] for _ in directions]
     src, dst = _edge_arrays(adj)
-    sccs = _trimmed_sccs(n, src, dst)
+    sccs, out_rounds, in_rounds = _trimmed_sccs(n, src, dst)
     n_comp = len(sccs)
     comp = np.empty(n, dtype=np.int64)
     comp[np.fromiter(chain.from_iterable(sccs), dtype=np.int64, count=n)] = np.repeat(
@@ -434,31 +450,69 @@ def _closures(adj: list[list[int]], directions: tuple[bool, ...]) -> list[list[i
     for reverse in directions:
         if reverse:
             # Tarjan's order walked backwards is a reverse topological order
-            # of the reversed graph; components are renumbered to match.
+            # of the reversed graph; components are renumbered to match, and
+            # the in-peeled nodes come first.
             last = n_comp - 1
             keys = (last - c_dst) * n_comp + (last - c_src)
-            sizes.append(_merged_reach_sizes(sccs[::-1], _sorted_unique(keys), n))
+            sizes.append(_merged_reach_sizes(sccs[::-1], _sorted_unique(keys), n, in_rounds))
         else:
             keys = c_src * n_comp + c_dst
-            sizes.append(_merged_reach_sizes(sccs, _sorted_unique(keys), n))
+            sizes.append(_merged_reach_sizes(sccs, _sorted_unique(keys), n, out_rounds))
     return sizes
 
 
-def _merged_reach_sizes(sccs: list[list[int]], pairs: np.ndarray, n: int) -> list[int]:
+def _merged_reach_sizes(
+    sccs: list[list[int]], pairs: np.ndarray, n: int, rounds: list[int]
+) -> list[int]:
     """The closure size of every node, with components in reverse
     topological order and ``pairs`` their distinct edges, source * n_comp
-    + target, sorted. Each component's reach is merged from its
-    successors'; a use count per target lets its reach be dropped (or taken
-    over) once the last predecessor merges it."""
+    + target, sorted.
+
+    The first ``rounds[-1]`` components are peeled nodes whose successors
+    lie in earlier peel rounds, ``rounds[r]:rounds[r + 1]``, and
+    :func:`_peeled_reaches` merges most of them in numpy a round at a time.
+    The rest are merged one at a time, in order, from their successors'
+    reaches and the ids gathered for them from the numpy merge; a use count
+    per target lets its reach be dropped (or taken over) once the last
+    predecessor merges it."""
     n_comp = len(sccs)
-    succ = pairs % n_comp
+    src, succ = np.divmod(pairs, n_comp)
+    peeled = rounds[-1]
+    node = np.fromiter(chain.from_iterable(sccs[:peeled]), np.int64, peeled)
+    near_looped, start, count, buf = _peeled_reaches(node, src, succ, rounds, n)
+    looped = np.ones(n_comp, dtype=bool)
+    looped[:peeled] = near_looped
+    merged = np.flatnonzero(~looped)
+    sized = np.zeros(n, dtype=np.int64)
+    sized[node[merged]] = count[merged] - 1
+    sizes = sized.tolist()
+    del sized, merged
+
+    # The ids each looped component takes in from reaches merged in numpy,
+    # in loop order and repeats included: ids[bounds[j]:bounds[j + 1]] go to
+    # component seeded[j], and top[j] is the largest of them.
+    into = looped[src] & ~looped[succ]
+    owner, at = src[into], succ[into]
+    ids = _gathered(buf, start, count, at)
+    firsts = np.flatnonzero(np.diff(owner, prepend=-1))
+    lengths = count[at]
+    id_firsts = (np.cumsum(lengths) - lengths)[firsts]
+    seeded = [*owner[firsts].tolist(), n_comp]
+    bounds = [*id_firsts.tolist(), len(ids)]
+    top = np.maximum.reduceat(ids, id_firsts).tolist()
+    del buf, start, count, into, owner, at, firsts, lengths, id_firsts
+
+    inner = looped[succ]
+    src, succ = src[inner], succ[inner]
     flat_succ = succ.tolist()
-    offsets = np.searchsorted(pairs // n_comp, np.arange(n_comp + 1)).tolist()
+    offsets = np.searchsorted(src, np.arange(n_comp + 1)).tolist()
     pending_uses = np.bincount(succ, minlength=n_comp).tolist()
+    order = chain(np.flatnonzero(near_looped).tolist(), range(peeled, n_comp))
+    del src, succ, inner, looped
 
     reach: list = [None] * n_comp
-    sizes = [0] * n
-    for ci in range(n_comp):
+    j = 0
+    for ci in order:
         members = sccs[ci]
         dense = 0
         acc = None
@@ -476,6 +530,16 @@ def _merged_reach_sizes(sccs: list[list[int]], pairs: np.ndarray, n: int) -> lis
                 acc = r  # its last use: taken over, not copied
             if not pending_uses[cw]:
                 reach[cw] = None
+        if ci == seeded[j]:
+            lo, hi = bounds[j], bounds[j + 1]
+            # Many dense ids go straight to bits, not through a set.
+            if hi - lo > _FEW_IDS and (hi - lo) * _SPARSE_RATIO > top[j]:
+                dense |= _bits(ids[lo:hi])
+            elif acc is None:
+                acc = set(ids[lo:hi].tolist())
+            else:
+                acc.update(ids[lo:hi].tolist())
+            j += 1
         if acc is None:
             acc = set(members)
         else:
@@ -494,17 +558,82 @@ def _merged_reach_sizes(sccs: list[list[int]], pairs: np.ndarray, n: int) -> lis
     return sizes
 
 
+def _peeled_reaches(
+    node: np.ndarray, src: np.ndarray, succ: np.ndarray, rounds: list[int], n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The reaches of the peeled components 0..len(node)-1, merged in numpy
+    a peel round at a time, for the components and the edges ``src`` ->
+    ``succ`` of :func:`_merged_reach_sizes`; component c is the node
+    ``node[c]``.
+
+    A round gathers its successors' reaches, which earlier rounds merged,
+    adds each component's own id and drops repeats from the sorted keys
+    component * n + id. A component is left to the loop instead, marked in
+    the first array returned, when its bound on the union, 1 + the summed
+    sizes of its successors' reaches, passes n // _SPARSE_RATIO, or when one
+    of its successors was left to the loop. The reach of every other
+    component c, itself included, is the sorted ids
+    ``buf[start[c]:start[c] + count[c]]``, for the ``start``, ``count`` and
+    ``buf`` returned after it."""
+    peeled = len(node)
+    limit = n // _SPARSE_RATIO
+    looped = np.zeros(peeled, dtype=bool)
+    start = np.zeros(peeled, dtype=np.int64)
+    count = np.zeros(peeled, dtype=np.int64)
+    buf = np.empty(peeled, dtype=np.int64)
+    used = 0
+    edge_bounds = np.searchsorted(src, rounds).tolist()
+    for lo, hi, e_lo, e_hi in zip(rounds, rounds[1:], edge_bounds, edge_bounds[1:]):
+        s, t = src[e_lo:e_hi], succ[e_lo:e_hi]
+        # Counts and bounds are exact in float64 below 2**53.
+        off = np.bincount(s - lo, weights=count[t], minlength=hi - lo) >= limit
+        off[s[looped[t]] - lo] = True
+        looped[lo:hi] = off
+        kept = ~off[s - lo]
+        own = np.flatnonzero(~off) + lo
+        t = t[kept]
+        keys = _sorted_unique(np.concatenate((
+            np.repeat(s[kept] * n, count[t]) + _gathered(buf, start, count, t),
+            own * n + node[own],
+        )))
+        owner = keys // n
+        sizes = np.bincount(owner - lo, minlength=hi - lo)
+        count[lo:hi] = sizes
+        start[lo:hi] = np.cumsum(sizes) - sizes + used
+        if used + len(keys) > len(buf):
+            buf = np.concatenate((buf[:used], np.empty(max(used, len(keys)), np.int64)))
+        buf[used:used + len(keys)] = keys - owner * n
+        used += len(keys)
+    return looped, start, count, buf
+
+
+def _gathered(
+    buf: np.ndarray, start: np.ndarray, count: np.ndarray, at: np.ndarray
+) -> np.ndarray:
+    """The reaches of the components ``at``, one after another, as
+    :func:`_peeled_reaches` returns them."""
+    lengths = count[at]
+    ends = np.cumsum(lengths)
+    first = np.repeat(start[at] - ends + lengths, lengths)
+    first += np.arange(len(first))
+    return buf[first]
+
+
+def _bits(at: np.ndarray) -> int:
+    """The int bitset of the ids in ``at``."""
+    flags = np.zeros(int(at.max()) + 1, dtype=bool)
+    flags[at] = True
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+
 def _or_ids(bits: int, ids: set[int]) -> int:
     """``bits`` with the bit of every id in ``ids`` set: one by one for up
-    to 16 ids, otherwise through one byte buffer."""
-    if len(ids) <= 16:
+    to _FEW_IDS ids, otherwise through one byte buffer."""
+    if len(ids) <= _FEW_IDS:
         for v in ids:
             bits |= 1 << v
         return bits
-    at = np.fromiter(ids, dtype=np.int64, count=len(ids))
-    flags = np.zeros(int(at.max()) + 1, dtype=bool)
-    flags[at] = True
-    return bits | int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+    return bits | _bits(np.fromiter(ids, dtype=np.int64, count=len(ids)))
 
 
 def transitive_dependency_counts(g: SnapshotGraph) -> dict[str, int]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime, timedelta
+from itertools import chain
 from typing import Iterable, Optional
 
 import numpy as np
@@ -97,15 +98,33 @@ def reusability_index(g: SnapshotGraph, transitive: bool = False) -> IndexReport
     to transitive dependent counts.
     """
     if transitive:
-        counts = [c for c in transitive_dependent_counts(g).values() if c > 0]
+        value = h_index(c for c in transitive_dependent_counts(g).values() if c > 0)
     else:
-        counts = list(g.in_degree_counts().values())
+        value = _in_degree_h_index(g)
     return IndexReport(
         ecosystem=g.ecosystem,
         at=g.at,
         index_name="reusability",
-        value=h_index(counts),
+        value=value,
     )
+
+
+def _in_degree_h_index(g: SnapshotGraph) -> int:
+    """:func:`h_index` of the in-degrees of ``g``'s nodes, from the number
+    of nodes with each in-degree: the largest h such that at least h nodes
+    have an in-degree of h or more."""
+    adj = g.int_view().adj
+    targets = np.fromiter(chain.from_iterable(adj), np.int64, g.n_edges)
+    nodes_with = np.bincount(np.bincount(targets, minlength=len(adj)), minlength=1)
+    at_least = np.cumsum(nodes_with[::-1])[::-1]
+    return int(np.flatnonzero(at_least >= np.arange(len(at_least)))[-1])
+
+
+def _p_impact_count(sizes: Iterable[int], p_percent: float, n_nodes: int) -> int:
+    """How many of the transitive dependent counts ``sizes`` reach
+    p_percent of ``n_nodes``, compared without rounding."""
+    threshold = (p_percent / 100.0) * n_nodes
+    return sum(size >= threshold for size in sizes)
 
 
 def p_impact_index(
@@ -126,12 +145,10 @@ def p_impact_index(
         raise ValueError("p_impact_index requires a non-empty snapshot")
     if dependent_counts is None:
         dependent_counts = transitive_dependent_counts(g)
-    threshold = (p_percent / 100.0) * g.n_nodes
-    value = sum(1 for count in dependent_counts.values() if count >= threshold)
     return IndexReport(
         ecosystem=g.ecosystem,
         at=g.at,
         index_name="p_impact",
-        value=value,
+        value=_p_impact_count(dependent_counts.values(), p_percent, g.n_nodes),
         parameter=p_percent,
     )

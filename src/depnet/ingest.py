@@ -23,7 +23,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence, Set as Abstr
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timedelta
-from itertools import chain, filterfalse, islice, repeat
+from itertools import chain, islice, repeat
 from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple, Optional
@@ -122,8 +122,9 @@ class _DatasetIndex:
       ``update_times_us[k]``.
 
     The index is built with numpy sorts; ``version_sort_key`` runs only on
-    the entries that tie on (position, timestamp), and each name in the
-    table of the dataset's target codes is resolved once.
+    the entries that tie on (position, timestamp). Each name in the table
+    of the dataset's target codes is resolved once, unless that table is
+    the package name table itself, as after :func:`filter_dependencies`.
 
     :meth:`updates_during` reads the updates in a half-open span of
     microseconds, [start, end), so that consecutive spans tile without
@@ -171,9 +172,14 @@ class _DatasetIndex:
         self.row_entries = row_entries[rows]
         del row_entries
         codes, table = dataset.dependency_target
-        ids, missing = dataset.package_ids, len(dataset.names)
-        pid = np.fromiter((ids.get(name, missing) for name in table), np.int64, len(table))
-        self.row_targets = place[pid].astype(np.int32)[codes[rows]]
+        if table is dataset.names:
+            # Filtered targets are coded by package id already.
+            target_place = place[:-1]
+        else:
+            ids, missing = dataset.package_ids, len(dataset.names)
+            pid = np.fromiter((ids.get(name, missing) for name in table), np.int64, len(table))
+            target_place = place[pid]
+        self.row_targets = target_place.astype(np.int32)[codes[rows]]
         del rows, place
 
         # The non-first entries, sorted stably by time.
@@ -732,10 +738,10 @@ class _Coder:
         self.codes: list[int] = []
 
     def add(self, values: Sequence[str]) -> None:
+        # One hash lookup per value: ``map`` takes the table's size just
+        # before each ``setdefault``, which is the next free code.
         code = self.code
-        new = list(filterfalse(code.__contains__, dict.fromkeys(values)))
-        code.update(zip(new, range(len(code), len(code) + len(new))))
-        self.codes += map(code.__getitem__, values)
+        self.codes += map(code.setdefault, values, map(len, repeat(code)))
 
     def column(self) -> Coded:
         return Coded(np.array(self.codes, np.int64), list(self.code))
@@ -1082,6 +1088,9 @@ def _read_columns(
                 _stored_coded(archive, name) for name in _STRING_COLUMNS
             )
             names = names.decode()
+            if targets.table == names:
+                # As :func:`filter_dependencies` leaves it: one shared table.
+                targets = Coded(targets.codes, names)
             release_package = _in_range(archive["release_package"], 0, len(names))
             source = _in_range(archive["dependency_source"], 0, len(release_package))
             times = _in_range(archive["release_time"], *_TIME_RANGE)

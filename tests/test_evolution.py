@@ -33,10 +33,13 @@ from depnet.ingest import (
 )
 from depnet.snapshot import build_snapshot
 from depnet.stats import kaplan_meier
-from depnet.indices import update_counts_in_window
+from depnet.graphops import transitive_dependent_counts
+from depnet.indices import p_impact_index, reusability_index, update_counts_in_window
 from depnet.timeutil import DAYS_PER_MONTH, days_between, iter_months, month_of
 
-from conftest import constructed_and_reloaded, edge_case_dataset, make_graph, observations
+from conftest import (
+    constructed_and_reloaded, edge_case_dataset, make_graph, observations, random_graph,
+)
 
 TINY_CUTOFF = datetime(2020, 4, 1)
 
@@ -582,6 +585,20 @@ class TestScanAndParallel:
         assert [m.changeability for m in scan] == [int(v) for v in chg.values()]
         imp = index_series(tiny, (2020, 1), (2020, 4), "p_impact", parameter=50)
         assert [m.p_impact for m in scan] == [int(v) for v in imp.values()]
+
+    def test_month_metrics_match_public_functions(self):
+        # The scan reads the closure's size list and an in-degree histogram;
+        # the public functions build name-keyed dicts.
+        rng = random.Random(21)
+        graphs = [make_graph([], [])]
+        graphs += [make_graph(*random_graph(rng)) for _ in range(60)]
+        for g in graphs:
+            counts = transitive_dependent_counts(g)
+            p_impact = p_impact_index(g, 10.0).value if g.n_nodes else 0
+            expected = (g.n_nodes, g.n_edges, sum(counts.values()),
+                        reusability_index(g).value, p_impact)
+            assert evolution._graph_metrics(g, 10.0) == expected
+            assert evolution._transitive_total(g) == (expected[2], g.n_edges)
 
     def test_parallel_identical_to_serial(self):
         cfg = GeneratorConfig(

@@ -309,7 +309,7 @@ def trimmed_sccs(adj, monkeypatch=None):
         monkeypatch.setattr(
             graphops, "_tarjan_sccs", lambda sub: core.append(len(sub)) or tarjan(sub)
         )
-    sccs = graphops._trimmed_sccs(len(adj), *graphops._edge_arrays(adj))
+    sccs = graphops._trimmed_sccs(len(adj), *graphops._edge_arrays(adj))[0]
     return (sccs, core[0]) if monkeypatch is not None else sccs
 
 
@@ -354,6 +354,29 @@ class TestTrimmedSccs:
     def test_empty_and_edgeless(self):
         assert trimmed_sccs([]) == []
         assert trimmed_sccs([[], [], []]) == [[0], [1], [2]]
+
+    def test_rounds_put_successors_in_earlier_rounds(self):
+        # An out-peeled node's out-neighbours, and an in-peeled node's
+        # in-neighbours, were peeled on the same side in earlier rounds.
+        rng = random.Random(23)
+        graphs = [shaped_adjacency(shape) for shape in ("dag", "one_giant", "chain")]
+        graphs += [make_graph(*random_graph(rng)).int_view().adj for _ in range(150)]
+        for adj in graphs:
+            sccs, out_bounds, in_bounds = graphops._trimmed_sccs(
+                len(adj), *graphops._edge_arrays(adj)
+            )
+            sides = ((out_bounds, sccs, adj), (in_bounds, sccs[::-1], reversed_adjacency(adj)))
+            for bounds, order, successors in sides:
+                assert bounds[0] == 0 and bounds == sorted(bounds)
+                round_of = {}
+                for r, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+                    for members in order[lo:hi]:
+                        assert len(members) == 1
+                        round_of[members[0]] = r
+                for v, r in round_of.items():
+                    for w in successors[v]:
+                        assert w in round_of and round_of[w] < r, (v, w)
+            assert out_bounds[-1] + in_bounds[-1] <= len(adj)
 
     def test_peel_order(self):
         # 0 is isolated; 5 -> 3 -> 1 <-> 2 -> 4 -> 6. Sinks go first in peel
@@ -401,8 +424,10 @@ class TestClosureOracle:
                           bfs_closure_sizes(reversed_adjacency(adj))))
         return cases
 
-    # The default ratio, 1 (sets almost everywhere) and one above any node
-    # count (bitsets everywhere).
+    # The default ratio; 1, with sets almost everywhere in the loop and
+    # every peeled node whose bound stays within the node count merged in
+    # numpy; and one above any node count, with bitsets everywhere and
+    # every node left to the loop.
     @pytest.mark.parametrize("ratio", [None, 1, 10**9])
     def test_closure_sizes_match_bfs_oracle(self, monkeypatch, shaped_cases, ratio):
         if ratio is not None:
@@ -420,6 +445,29 @@ class TestClosureOracle:
             assert graphops._closure_sizes(adj) == forward
             assert graphops._closure_sizes(adj, reverse=True) == backward
             assert graphops._closures(adj, (False, True)) == [forward, backward]
+
+    def test_peel_round_cases_match_bfs_oracle(self, monkeypatch):
+        # An acyclic graph, where every node is peeled; a 2,000-node chain,
+        # one node peeled per round on each side; and peeled nodes around a
+        # giant component. A ratio of 600 sets bounds of 1, 3 and 4: in each
+        # graph and direction some peeled nodes are merged in numpy and some
+        # pass the bound and are left to the loop.
+        monkeypatch.setattr(graphops, "_SPARSE_RATIO", 600)
+        looped = []
+        peeled_reaches = graphops._peeled_reaches
+        monkeypatch.setattr(
+            graphops, "_peeled_reaches",
+            lambda *args: looped.append(out := peeled_reaches(*args)) or out,
+        )
+        for n, shape in ((600, "dag"), (2000, "chain"), (2500, "one_giant")):
+            adj = shaped_adjacency(shape, n=n)
+            forward = bfs_closure_sizes(adj)
+            backward = bfs_closure_sizes(reversed_adjacency(adj))
+            assert graphops._closures(adj, (False, True)) == [forward, backward], shape
+            assert len(looped) == 2
+            for flags, *_ in looped:
+                assert 0 < flags.sum() < len(flags), shape
+            looped.clear()
 
     def test_closure_symmetry(self):
         rng = random.Random(9)

@@ -110,6 +110,14 @@ class TestReusability:
             required = {t for _, t in g.edges}
             assert reusability_index(g).value <= len(required)
 
+    def test_matches_h_index_of_in_degree_counts(self):
+        rng = random.Random(78)
+        for _ in range(100):
+            nodes, edges = random_graph(rng)
+            g = make_graph(nodes, edges)
+            expected = h_index(g.in_degree_counts().values())
+            assert reusability_index(g).value == expected
+
     def test_transitive_variant(self, tiny):
         g = build_snapshot(tiny, TINY_CUTOFF)
         # Transitive dependent counts on TINY: b:3, a:2, c:1 -> h = 2.

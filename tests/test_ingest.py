@@ -223,6 +223,24 @@ class TestParse:
         assert times == [parse_timestamp(stamp) for stamp in stamps]
         assert all(t.tzinfo is None for t in times)
 
+    def test_coder_matches_two_pass_coder(self):
+        # The reference codes a block in two passes: first each new value,
+        # in first-appearance order, then every value by lookup.
+        rng = random.Random(20170405)
+        for _ in range(200):
+            alphabet = [f"v{i}" for i in range(rng.randint(1, 30))]
+            coder, table, codes = ingest._Coder(), {}, []
+            for _ in range(rng.randint(0, 6)):
+                block = [rng.choice(alphabet) for _ in range(rng.randint(0, 40))]
+                coder.add(block)
+                new = [value for value in dict.fromkeys(block) if value not in table]
+                table.update(zip(new, range(len(table), len(table) + len(new))))
+                codes += [table[value] for value in block]
+            column = coder.column()
+            assert column.codes.dtype == np.int64
+            assert column.codes.tolist() == codes
+            assert column.table == list(table)
+
 
 def parse_error(tmp_path, packages, releases, dependencies) -> str:
     """The message of the DatasetError that parsing these rows raises, with
@@ -747,10 +765,16 @@ class TestIndex:
         # Edge cases: version ties at one instant, versions against time,
         # updates of several packages at one instant, listed packages
         # without releases, targets without a package row, no package.
+        # Each raw dataset is also indexed filtered, with and without an
+        # excluded package: then the target table is the package table.
         rng = random.Random(20170403)
         for _ in range(300):
-            datasets = constructed_and_reloaded(edge_case_dataset(rng), tmp_path / "d")
-            for d in (*datasets, _packages_reversed(tmp_path / "d")):
+            raw = constructed_and_reloaded(edge_case_dataset(rng), tmp_path / "d")
+            raw += (_packages_reversed(tmp_path / "d"),)
+            filtered = [filter_dependencies(d) for d in raw]
+            filtered += [filter_dependencies(d, excluded_packages=d.names[:1]) for d in raw]
+            assert all(d.dependency_target.table is d.names for d in filtered)
+            for d in (*raw, *filtered):
                 expected = reference_index(d)
                 idx = d.index()
                 got = {}

@@ -125,3 +125,6 @@ def test_cold_and_warm_loads_are_equal(d, filter_kinds, exclude, cutoff):
         with mock.patch.object(cli, "load_dataset_dir", side_effect=AssertionError):
             warm = cli._load(args)
         assert _columns(warm) == _columns(cold)
+        # Filtered targets are coded into the package table, cold and warm.
+        assert cold.dependency_target.table is cold.names
+        assert warm.dependency_target.table is warm.names
