@@ -351,7 +351,7 @@ def _cmd_survival(args) -> Table:
         rows = []
         for sample in samples:
             curve = kaplan_meier(sample)
-            rows.extend((sample.label, float(t), s) for t, s in curve.steps)
+            rows.extend((sample.label, t, s) for t, s in curve.steps)
         return d.ecosystem, "survival_km", ["label", "time", "survival"], rows
     rows = [
         (s.label, len(s), s.n_events, s.n_censored)

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .graphops import _closure_sizes, dependency_depths, top_level_packages
+from .graphops import _closure_sizes, _edge_list, dependency_depths, top_level_packages
 from .indices import (
     _p_impact_count,
     _package_counts,
@@ -151,7 +151,7 @@ def _map_months(
 
 
 def _transitive_total(g: SnapshotGraph) -> tuple[int, int]:
-    return sum(_closure_sizes(g.int_view().adj, reverse=True)), g.n_edges
+    return sum(_closure_sizes(*_edge_list(g), reverse=True)), g.n_edges
 
 
 def _reusability(g: SnapshotGraph) -> int:
@@ -165,13 +165,14 @@ def _p_impact(g: SnapshotGraph, p_percent: float) -> int:
 
 
 def _graph_metrics(g: SnapshotGraph, p_percent: float) -> tuple[int, int, int, int, int]:
-    # One batch closure, read as its list of sizes, serves the transitive
-    # total and p_impact.
-    sizes = _closure_sizes(g.int_view().adj, reverse=True)
+    # One batch closure over the graph's edge arrays, read as an array of
+    # sizes, serves the transitive total and p_impact; nothing here builds
+    # the graph's adjacency rows.
+    sizes = np.array(_closure_sizes(*_edge_list(g), reverse=True), np.int64)
     return (
         g.n_nodes,
         g.n_edges,
-        sum(sizes),
+        int(sizes.sum()),
         _reusability(g),
         _p_impact_count(sizes, p_percent, g.n_nodes),
     )

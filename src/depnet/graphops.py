@@ -1,12 +1,15 @@
 """Structural queries over a snapshot graph.
 
 Per-package queries (direct/transitive dependencies and dependents, tree
-depth) run on demand, as one level-by-level BFS over the graph's integer
-adjacency: forward, or on the reverse adjacency that the graph builds on
-the first in-neighbour query. The batch closure used by the longitudinal
-drivers computes reachable-set sizes for every node at once: nodes are
-condensed into strongly connected components by one SCC pass, which serves
-both directions, then each component's reach is merged from its
+depth) run on demand, as one level-by-level BFS over the integer adjacency
+rows that the graph derives from its CSR arrays on first use: forward, or
+on the reverse adjacency, derived on the first in-neighbour query. The
+role counts (top-level, connected, classification) read the CSR arrays
+themselves, with one count of the targets for the in-degrees. The batch
+closure used by the longitudinal drivers takes the edges as source and
+target arrays and computes reachable-set sizes for every node at once:
+nodes are condensed into strongly connected components by one SCC pass,
+which serves both directions, then each component's reach is merged from its
 successors' in reverse topological order (Nuutila, "Efficient transitive
 closure computation in large digraphs", 1995). The SCC pass first peels
 off, in numpy and round by round, the nodes left without in-edges or
@@ -24,8 +27,7 @@ once dense; their last consumer releases or takes over those reaches,
 keeping peak memory proportional to the frontier, not the whole closure.
 The closure runs with the cyclic garbage collector paused.
 Batch depths run one breadth-first search for many sources at once, one
-bit per source. Both batch computations read the graph's integer
-adjacency.
+bit per source, over the derived adjacency rows.
 
 All results are pure values of the graph; they do not depend on traversal
 order, so concurrent or parallel evaluation yields identical numbers.
@@ -40,7 +42,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .ingest import _gc_paused
-from .snapshot import SnapshotGraph, _sorted_unique, in_degrees
+from .snapshot import SnapshotGraph, _sorted_unique, edge_sources, in_degrees
 
 
 @dataclass(frozen=True, slots=True)
@@ -221,28 +223,33 @@ def _batch_depths(adj: list[list[int]], sources: list[int]) -> list[int]:
     return depths
 
 
+def _roles(g: SnapshotGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each node has an out-edge, and whether it has an in-edge."""
+    offsets, targets = g.edge_arrays()
+    return np.diff(offsets) > 0, in_degrees(offsets, targets) > 0
+
+
+def _names_where(g: SnapshotGraph, mask: np.ndarray) -> set[str]:
+    names = g.names
+    return set(map(names.__getitem__, np.flatnonzero(mask).tolist()))
+
+
 def top_level_packages(g: SnapshotGraph) -> set[str]:
     """Packages with dependencies that nothing else depends on."""
-    names, _, adj = g.int_view()
-    in_deg = in_degrees(adj)
-    return {names[i] for i, row in enumerate(adj) if row and not in_deg[i]}
+    dependent, required = _roles(g)
+    return _names_where(g, dependent & ~required)
 
 
 def connected_packages(g: SnapshotGraph) -> set[str]:
     """Packages with at least one edge in either direction."""
-    names, _, adj = g.int_view()
-    in_deg = in_degrees(adj)
-    return {names[i] for i, row in enumerate(adj) if row or in_deg[i]}
+    dependent, required = _roles(g)
+    return _names_where(g, dependent | required)
 
 
 def classify(g: SnapshotGraph) -> Classification:
-    names, _, adj = g.int_view()
-    in_deg = in_degrees(adj)
-    flags = {
-        names[i]: RoleFlags(dependent=bool(row), required=bool(in_deg[i]))
-        for i, row in enumerate(adj)
-    }
-    return Classification(flags=flags)
+    dependent, required = _roles(g)
+    flags = map(RoleFlags, dependent.tolist(), required.tolist())
+    return Classification(flags=dict(zip(g.names, flags)))
 
 
 @dataclass
@@ -350,19 +357,20 @@ _SPARSE_RATIO = 1024
 _FEW_IDS = 16
 
 
-def _closure_sizes(adj: list[list[int]], reverse: bool = False) -> list[int]:
-    """Size of the reachable set, excluding the start node, for every node;
-    with ``reverse``, of the set of nodes that reach it."""
-    return _closures(adj, (reverse,))[0]
+def _edge_list(g: SnapshotGraph) -> tuple[int, np.ndarray, np.ndarray]:
+    """The node count of ``g`` and the source and target of every edge,
+    grouped by source in id order: the arguments of :func:`_closures`."""
+    offsets, targets = g.edge_arrays()
+    return len(offsets) - 1, edge_sources(offsets), targets
 
 
-def _edge_arrays(adj: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """The source and the target of every edge of ``adj``, as int64 arrays
-    grouped by source in id order, each row in adjacency order."""
-    degree = np.fromiter(map(len, adj), dtype=np.int64, count=len(adj))
-    src = np.repeat(np.arange(len(adj), dtype=np.int64), degree)
-    dst = np.fromiter(chain.from_iterable(adj), dtype=np.int64, count=len(src))
-    return src, dst
+def _closure_sizes(
+    n: int, src: np.ndarray, dst: np.ndarray, reverse: bool = False
+) -> list[int]:
+    """Size of the reachable set, excluding the start node, for every node
+    of the graph on ids 0..n-1 with edges ``src`` -> ``dst``; with
+    ``reverse``, of the set of nodes that reach it."""
+    return _closures(n, src, dst, (reverse,))[0]
 
 
 def _trimmed_sccs(
@@ -424,13 +432,14 @@ def _trimmed_sccs(
 
 
 @_gc_paused()
-def _closures(adj: list[list[int]], directions: tuple[bool, ...]) -> list[list[int]]:
+def _closures(
+    n: int, src: np.ndarray, dst: np.ndarray, directions: tuple[bool, ...]
+) -> list[list[int]]:
     """:func:`_closure_sizes` for each direction in ``directions``, from
-    one SCC pass and one set of condensation edges."""
-    n = len(adj)
+    one SCC pass and one set of condensation edges. The edges are grouped
+    by source in id order."""
     if n == 0:
         return [[] for _ in directions]
-    src, dst = _edge_arrays(adj)
     sccs, out_rounds, in_rounds = _trimmed_sccs(n, src, dst)
     n_comp = len(sccs)
     comp = np.empty(n, dtype=np.int64)
@@ -638,20 +647,17 @@ def _or_ids(bits: int, ids: set[int]) -> int:
 
 def transitive_dependency_counts(g: SnapshotGraph) -> dict[str, int]:
     """|transitive_dependencies(p)| for every node, in one batch pass."""
-    names, _, adj = g.int_view()
-    return dict(zip(names, _closure_sizes(adj)))
+    return dict(zip(g.names, _closure_sizes(*_edge_list(g))))
 
 
 def transitive_dependent_counts(g: SnapshotGraph) -> dict[str, int]:
     """|transitive_dependents(p)| for every node, in one batch pass over
-    the same integer view, walked against its edges."""
-    names, _, adj = g.int_view()
-    return dict(zip(names, _closure_sizes(adj, reverse=True)))
+    the same edges, walked against them."""
+    return dict(zip(g.names, _closure_sizes(*_edge_list(g), reverse=True)))
 
 
 def _transitive_counts(g: SnapshotGraph) -> tuple[dict[str, int], dict[str, int]]:
     """``transitive_dependency_counts(g)`` and
     ``transitive_dependent_counts(g)``, from one SCC pass."""
-    names, _, adj = g.int_view()
-    forward, reverse = _closures(adj, (False, True))
-    return dict(zip(names, forward)), dict(zip(names, reverse))
+    forward, reverse = _closures(*_edge_list(g), (False, True))
+    return dict(zip(g.names, forward)), dict(zip(g.names, reverse))

@@ -738,9 +738,15 @@ class _Coder:
         self.codes: list[int] = []
 
     def add(self, values: Sequence[str]) -> None:
+        code = self.code
+        # A block of one value, as a kind or constraint column often is,
+        # takes that value's code once; ``count`` compares in C, and a
+        # block whose ends differ is not counted at all.
+        if values and values[-1] == values[0] and values.count(values[0]) == len(values):
+            self.codes += repeat(code.setdefault(values[0], len(code)), len(values))
+            return
         # One hash lookup per value: ``map`` takes the table's size just
         # before each ``setdefault``, which is the next free code.
-        code = self.code
         self.codes += map(code.setdefault, values, map(len, repeat(code)))
 
     def column(self) -> Coded:

@@ -3,35 +3,40 @@
 A snapshot at time t contains every package with at least one release at
 or before t, and a directed edge p -> q whenever the latest release of p
 declares a dependency on q and q also exists at t. The graph stores those
-edges once, as integer adjacency over node ids; the reverse adjacency is
-built on the first in-neighbour query.
+edges once, as compressed sparse row (CSR) arrays over node ids: an offset
+per node into one array of targets. Batch metrics (the closure sizes, the
+in-degree counts and the indices built on them) read those arrays; the
+names list, the integer adjacency rows and the reverse adjacency that the
+per-package queries walk are views derived from them on first use.
 
 A build runs as numpy passes over the dataset index's arrays: one running
 count gives every package's number of releases at t, one mask selects the
 dependency rows of the latest releases, and a stable sort drops repeated
-targets while keeping declaration order. One helper gives each release's
-distinct, resolvable, non-self targets; the edge-span table, which sizes
-every snapshot without building it, reads the same helper. The build runs
-with the cyclic garbage collector paused, as the batch closure in
-``graphops`` does: both allocate many int-only containers, and a
-collection would walk every object of the loaded dataset for nothing.
+targets while keeping declaration order; the CSR arrays are what remains,
+so a build makes no Python object per node or edge. One helper gives each
+release's distinct, resolvable, non-self targets; the edge-span table,
+which sizes every snapshot without building it, reads the same helper. The
+derived views are built with the cyclic garbage collector paused, as the
+batch closure in ``graphops`` is: both allocate many int-only containers,
+and a collection would walk every object of the loaded dataset for
+nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime
-from itertools import chain
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .ingest import Dataset, RecordView, ReleaseRecord, _gc_paused, _micros
+from .ingest import Coded, Dataset, RecordView, ReleaseRecord, _gc_paused, _micros
 from .timeutil import Month, format_month, iter_months, month_of, month_start
 
 
 class IntView(NamedTuple):
-    """A snapshot's edges over integer node ids: the graph's edge storage.
+    """A snapshot's edges as integer adjacency rows, derived from its CSR
+    arrays on first use and cached.
 
     Node ``i`` is ``names[i]`` (ids follow ``latest`` order) and ``ids``
     inverts ``names``; ``adj[i]`` holds the ids of node ``i``'s
@@ -44,9 +49,21 @@ class IntView(NamedTuple):
     adj: list[tuple[int, ...]]
 
 
-def in_degrees(adj: list[tuple[int, ...]]) -> list[int]:
-    """In-degree of every node id, counted over the adjacency rows."""
-    return np.bincount(np.fromiter(chain.from_iterable(adj), np.int64), minlength=len(adj)).tolist()
+def edge_sources(offsets: np.ndarray) -> np.ndarray:
+    """The source id of every edge of the CSR arrays with ``offsets``."""
+    n = len(offsets) - 1
+    return np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
+
+
+def in_degrees(offsets: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """The in-degree of every node id of the CSR arrays ``offsets`` and
+    ``targets``."""
+    return np.bincount(targets, minlength=len(offsets) - 1)
+
+
+def _rows(flat: list[int], bounds: list[int]) -> list[tuple[int, ...]]:
+    """``flat`` cut at ``bounds`` into one tuple per node."""
+    return [tuple(flat[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
 
 class SnapshotGraph:
@@ -56,14 +73,21 @@ class SnapshotGraph:
     (maximum timestamp <= at, version order breaking timestamp ties); it is
     built in one pass over the release ids the graph keeps, and cached.
     ``dropped_deps`` counts dependency rows of latest releases whose target
-    did not exist at the snapshot instant. Edges are stored once, as the
-    integer adjacency of :meth:`int_view`; the reverse adjacency is built on
-    the first in-neighbour query.
+    did not exist at the snapshot instant.
+
+    Node ``i`` is named by row i of the coded column ``names``. Edges are
+    stored once, as compressed sparse row arrays, which :meth:`edge_arrays`
+    returns: ``offsets``, int64 with one entry per node and one past them,
+    and ``targets``, int32 node ids; node ``i``'s out-neighbours are
+    ``targets[lo:hi]`` for ``lo, hi = offsets[i], offsets[i + 1]``, in
+    declaration order. The names list, the adjacency rows of
+    :meth:`int_view` and the reverse adjacency are derived from them on
+    first use and cached.
     """
 
     __slots__ = (
-        "at", "ecosystem", "dropped_deps", "n_edges",
-        "_releases", "_latest_ids", "_latest", "_view", "_preds",
+        "at", "ecosystem", "dropped_deps", "n_edges", "_releases", "_latest_ids",
+        "_names", "_offsets", "_targets", "_latest", "_name_list", "_view", "_preds",
     )
 
     def __init__(
@@ -71,7 +95,9 @@ class SnapshotGraph:
         at: datetime,
         releases: RecordView,
         latest_ids: Sequence[int],
-        view: IntView,
+        names: Coded,
+        offsets: np.ndarray,
+        targets: np.ndarray,
         dropped_deps: int = 0,
         ecosystem: str = "default",
     ):
@@ -79,69 +105,97 @@ class SnapshotGraph:
         self.at = at
         self.ecosystem = ecosystem
         self.dropped_deps = dropped_deps
-        self.n_edges = sum(map(len, view.adj))
+        self.n_edges = len(targets)
         self._releases = releases
         self._latest_ids = latest_ids
+        self._names = names
+        self._offsets = offsets
+        self._targets = targets
         self._latest: Optional[dict[str, ReleaseRecord]] = None
-        self._view = view
+        self._name_list: Optional[list[str]] = None
+        self._view: Optional[IntView] = None
         self._preds: Optional[list[tuple[int, ...]]] = None
+
+    # Benign data races: a second build of a derived view yields an equal
+    # one, so no lock is needed for concurrent readers.
 
     @property
     def latest(self) -> dict[str, ReleaseRecord]:
         latest = self._latest
         if latest is None:
             records = self._releases.take(self._latest_ids)
-            latest = self._latest = dict(zip(self._view.names, records))
+            latest = self._latest = dict(zip(self.names, records))
         return latest
 
     @property
+    def names(self) -> list[str]:
+        """The node names in id order; shared, so it must not be mutated."""
+        names = self._name_list
+        if names is None:
+            names = self._name_list = self._names.decode()
+        return names
+
+    @property
     def nodes(self) -> frozenset[str]:
-        return frozenset(self._view.names)
+        return frozenset(self.names)
 
     @property
     def edges(self) -> frozenset[tuple[str, str]]:
-        names, _, adj = self._view
+        names, _, adj = self.int_view()
         return frozenset((names[i], names[j]) for i, row in enumerate(adj) for j in row)
 
     @property
     def n_nodes(self) -> int:
-        return len(self._view.names)
+        return len(self._offsets) - 1
+
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The CSR arrays ``offsets`` and ``targets``; shared, so they must
+        not be mutated."""
+        return self._offsets, self._targets
 
     def int_view(self) -> IntView:
-        return self._view
+        """Names, ids and out-adjacency rows; built on first use and cached."""
+        view = self._view
+        if view is None:
+            with _gc_paused():
+                names = self.names
+                adj = _rows(self._targets.tolist(), self._offsets.tolist())
+                view = self._view = IntView(names, dict(zip(names, range(len(names)))), adj)
+        return view
 
     def in_adjacency(self) -> list[tuple[int, ...]]:
         """In-neighbour ids of every node, each in id order; built on first
         use and cached."""
-        # Benign data race: a second build yields an equal list, so no lock
-        # is needed for concurrent readers.
         preds = self._preds
         if preds is None:
-            acc: list[list[int]] = [[] for _ in self._view.adj]
-            for i, row in enumerate(self._view.adj):
-                for j in row:
-                    acc[j].append(i)
-            preds = self._preds = list(map(tuple, acc))
+            # A stable sort by target keeps each target's sources in id order.
+            order = np.argsort(self._targets, kind="stable")
+            flat = edge_sources(self._offsets)[order].tolist()
+            bounds = [0, *np.cumsum(in_degrees(self._offsets, self._targets)).tolist()]
+            with _gc_paused():
+                preds = self._preds = _rows(flat, bounds)
         return preds
 
     def out_neighbors(self, package: str) -> tuple[str, ...]:
-        names, ids, adj = self._view
+        names, ids, adj = self.int_view()
         return tuple(names[j] for j in adj[ids[package]])
 
     def in_neighbors(self, package: str) -> tuple[str, ...]:
-        names = self._view.names
-        return tuple(names[j] for j in self.in_adjacency()[self._view.ids[package]])
+        names, ids, _ = self.int_view()
+        return tuple(names[j] for j in self.in_adjacency()[ids[package]])
 
     def out_degree(self, package: str) -> int:
-        return len(self._view.adj[self._view.ids[package]])
+        _, ids, adj = self.int_view()
+        return len(adj[ids[package]])
 
     def in_degree(self, package: str) -> int:
-        return len(self.in_adjacency()[self._view.ids[package]])
+        return len(self.in_adjacency()[self.int_view().ids[package]])
 
     def in_degree_counts(self) -> dict[str, int]:
         """In-degree of every package with an in-edge, in id order."""
-        names = self._view.names
-        return {names[j]: n for j, n in enumerate(in_degrees(self._view.adj)) if n}
+        degree = in_degrees(self._offsets, self._targets)
+        at = np.flatnonzero(degree)
+        return dict(zip(self._names.decode(at), degree[at].tolist()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SnapshotGraph):
@@ -266,7 +320,6 @@ def _declared_targets(
     return entry[keep], target[keep]
 
 
-@_gc_paused()
 def build_snapshot(d: Dataset, t: datetime) -> SnapshotGraph:
     """Construct the dependency network at time t.
 
@@ -296,18 +349,18 @@ def build_snapshot(d: Dataset, t: datetime) -> SnapshotGraph:
     entry, target = _declared_targets(d, entry, target)
     target = node[target]
     resolved = target >= 0
-    degree = np.bincount(node_of_entry[entry[resolved]], minlength=n_nodes)
-    flat = target[resolved].tolist()
+    offsets = np.zeros(n_nodes + 1, np.int64)
+    np.cumsum(np.bincount(node_of_entry[entry[resolved]], minlength=n_nodes), out=offsets[1:])
+    targets = target[resolved]
     del entry, target, resolved, node_of_entry, node
-    bounds = [0, *np.cumsum(degree).tolist()]
-    adj = [tuple(flat[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
-    names = list(map(d.names.__getitem__, idx.packages[positions].tolist()))
     return SnapshotGraph(
         at=t,
         releases=d.releases,
         latest_ids=idx.releases[latest],
-        view=IntView(names, dict(zip(names, range(n_nodes))), adj),
+        names=Coded(idx.packages[positions], d.names),
+        offsets=offsets,
+        targets=targets,
         dropped_deps=dropped,
         ecosystem=d.ecosystem,
     )

@@ -3,9 +3,11 @@ from __future__ import annotations
 import random
 from datetime import datetime, timedelta
 
+import numpy as np
 import pytest
 
 from depnet.ingest import (
+    Coded,
     Dataset,
     DependencyRecord,
     PackageRecord,
@@ -13,7 +15,7 @@ from depnet.ingest import (
     ReleaseRecord,
     load_dataset_dir,
 )
-from depnet.snapshot import IntView, SnapshotGraph
+from depnet.snapshot import SnapshotGraph
 from depnet.fixtures import tiny_dataset, write_dataset
 from depnet.stats import SurvivalSample
 
@@ -21,6 +23,13 @@ from depnet.stats import SurvivalSample
 @pytest.fixture(scope="session")
 def tiny():
     return tiny_dataset()
+
+
+def csr_arrays(adj) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR ``offsets`` and ``targets`` of integer adjacency rows."""
+    offsets = np.zeros(len(adj) + 1, np.int64)
+    np.cumsum([len(row) for row in adj], out=offsets[1:])
+    return offsets, np.array([w for row in adj for w in row], np.int32)
 
 
 def make_graph(nodes, edges, at=datetime(2020, 1, 1)) -> SnapshotGraph:
@@ -34,8 +43,11 @@ def make_graph(nodes, edges, at=datetime(2020, 1, 1)) -> SnapshotGraph:
     for src, dst in edges:
         if src != dst:
             adj[ids[src]].append(ids[dst])
-    view = IntView(names, ids, [tuple(dict.fromkeys(row)) for row in adj])
-    return SnapshotGraph(at=at, releases=releases, latest_ids=range(len(names)), view=view)
+    offsets, targets = csr_arrays([list(dict.fromkeys(row)) for row in adj])
+    return SnapshotGraph(
+        at=at, releases=releases, latest_ids=range(len(names)),
+        names=Coded(np.arange(len(names)), names), offsets=offsets, targets=targets,
+    )
 
 
 def survival_sample(observations, label: str = "") -> SurvivalSample:

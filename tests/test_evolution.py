@@ -35,7 +35,7 @@ from depnet.snapshot import build_snapshot
 from depnet.stats import kaplan_meier
 from depnet.graphops import transitive_dependent_counts
 from depnet.indices import p_impact_index, reusability_index, update_counts_in_window
-from depnet.timeutil import DAYS_PER_MONTH, days_between, iter_months, month_of
+from depnet.timeutil import DAYS_PER_MONTH, days_between, iter_months, month_of, month_start
 
 from conftest import (
     constructed_and_reloaded, edge_case_dataset, make_graph, observations, random_graph,
@@ -599,6 +599,19 @@ class TestScanAndParallel:
                         reusability_index(g).value, p_impact)
             assert evolution._graph_metrics(g, 10.0) == expected
             assert evolution._transitive_total(g) == (expected[2], g.n_edges)
+
+    def test_scan_month_stays_on_arrays(self):
+        # A scan month reads the snapshot's CSR arrays only: it derives no
+        # names list, adjacency rows or reverse adjacency.
+        d = generate(GeneratorConfig(n_packages=300, months=12, seed=5, mean_deps=2.0))
+        for month in ((2015, 6), (2016, 1)):
+            g = build_snapshot(d, month_start(month))
+            assert g.n_edges > 0
+            evolution._graph_metrics(g, 5.0)
+            evolution._transitive_total(g)
+            assert (g._view, g._preds, g._name_list) == (None, None, None)
+        serial = ecosystem_scan(d, (2015, 1), (2016, 1), jobs=1)
+        assert ecosystem_scan(d, (2015, 1), (2016, 1), jobs=2) == serial
 
     def test_parallel_identical_to_serial(self):
         cfg = GeneratorConfig(

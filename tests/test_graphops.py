@@ -84,6 +84,15 @@ def bfs_closure_sizes(adj):
     return sizes
 
 
+def edge_list(adj):
+    """The node count of integer adjacency rows and the source and target
+    of every edge, grouped by source in id order, each row in adjacency
+    order: the arguments of the batch closure."""
+    src = [v for v, row in enumerate(adj) for _ in row]
+    dst = [w for row in adj for w in row]
+    return len(adj), np.array(src, np.int64), np.array(dst, np.int32)
+
+
 def reversed_adjacency(adj):
     rev = [[] for _ in adj]
     for v, row in enumerate(adj):
@@ -309,7 +318,7 @@ def trimmed_sccs(adj, monkeypatch=None):
         monkeypatch.setattr(
             graphops, "_tarjan_sccs", lambda sub: core.append(len(sub)) or tarjan(sub)
         )
-    sccs = graphops._trimmed_sccs(len(adj), *graphops._edge_arrays(adj))[0]
+    sccs = graphops._trimmed_sccs(*edge_list(adj))[0]
     return (sccs, core[0]) if monkeypatch is not None else sccs
 
 
@@ -362,9 +371,7 @@ class TestTrimmedSccs:
         graphs = [shaped_adjacency(shape) for shape in ("dag", "one_giant", "chain")]
         graphs += [make_graph(*random_graph(rng)).int_view().adj for _ in range(150)]
         for adj in graphs:
-            sccs, out_bounds, in_bounds = graphops._trimmed_sccs(
-                len(adj), *graphops._edge_arrays(adj)
-            )
+            sccs, out_bounds, in_bounds = graphops._trimmed_sccs(*edge_list(adj))
             sides = ((out_bounds, sccs, adj), (in_bounds, sccs[::-1], reversed_adjacency(adj)))
             for bounds, order, successors in sides:
                 assert bounds[0] == 0 and bounds == sorted(bounds)
@@ -433,18 +440,20 @@ class TestClosureOracle:
         if ratio is not None:
             monkeypatch.setattr(graphops, "_SPARSE_RATIO", ratio)
         for shape, adj, forward, backward in shaped_cases:
-            assert graphops._closure_sizes(adj) == forward, shape
-            assert graphops._closure_sizes(adj, reverse=True) == backward, shape
-            assert graphops._closures(adj, (False, True)) == [forward, backward], shape
+            edges = edge_list(adj)
+            assert graphops._closure_sizes(*edges) == forward, shape
+            assert graphops._closure_sizes(*edges, reverse=True) == backward, shape
+            assert graphops._closures(*edges, (False, True)) == [forward, backward], shape
         rng = random.Random(31)
         for _ in range(300):
             nodes, edges = random_graph(rng)
             adj = make_graph(nodes, edges).int_view().adj
             forward = bfs_closure_sizes(adj)
             backward = bfs_closure_sizes(reversed_adjacency(adj))
-            assert graphops._closure_sizes(adj) == forward
-            assert graphops._closure_sizes(adj, reverse=True) == backward
-            assert graphops._closures(adj, (False, True)) == [forward, backward]
+            edges = edge_list(adj)
+            assert graphops._closure_sizes(*edges) == forward
+            assert graphops._closure_sizes(*edges, reverse=True) == backward
+            assert graphops._closures(*edges, (False, True)) == [forward, backward]
 
     def test_peel_round_cases_match_bfs_oracle(self, monkeypatch):
         # An acyclic graph, where every node is peeled; a 2,000-node chain,
@@ -463,7 +472,7 @@ class TestClosureOracle:
             adj = shaped_adjacency(shape, n=n)
             forward = bfs_closure_sizes(adj)
             backward = bfs_closure_sizes(reversed_adjacency(adj))
-            assert graphops._closures(adj, (False, True)) == [forward, backward], shape
+            assert graphops._closures(*edge_list(adj), (False, True)) == [forward, backward], shape
             assert len(looped) == 2
             for flags, *_ in looped:
                 assert 0 < flags.sum() < len(flags), shape

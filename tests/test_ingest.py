@@ -230,9 +230,16 @@ class TestParse:
         for _ in range(200):
             alphabet = [f"v{i}" for i in range(rng.randint(1, 30))]
             coder, table, codes = ingest._Coder(), {}, []
+            block = []
             for _ in range(rng.randint(0, 6)):
-                block = [rng.choice(alphabet) for _ in range(rng.randint(0, 40))]
-                coder.add(block)
+                if rng.random() < 0.4:
+                    # A run of one value, new or coded, often the one that
+                    # ended the block before, so that the run crosses blocks.
+                    value = block[-1] if block and rng.random() < 0.5 else rng.choice(alphabet)
+                    block = [value] * rng.randint(1, 40)
+                else:
+                    block = [rng.choice(alphabet) for _ in range(rng.randint(0, 40))]
+                coder.add(tuple(block) if rng.random() < 0.5 else block)
                 new = [value for value in dict.fromkeys(block) if value not in table]
                 table.update(zip(new, range(len(table), len(table) + len(new))))
                 codes += [table[value] for value in block]

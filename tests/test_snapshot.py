@@ -4,8 +4,10 @@ import gc
 import random
 from datetime import datetime, timedelta
 
+import numpy as np
 import pytest
 
+from depnet.fixtures import GeneratorConfig, generate
 from depnet.ingest import (
     Dataset,
     DependencyRecord,
@@ -14,8 +16,15 @@ from depnet.ingest import (
     _gc_paused,
     version_sort_key,
 )
-from depnet.graphops import transitive_dependent_counts
+from depnet.graphops import (
+    RoleFlags,
+    classify,
+    connected_packages,
+    top_level_packages,
+    transitive_dependent_counts,
+)
 from depnet.snapshot import (
+    IntView,
     _EdgeSpans,
     build_snapshot,
     latest_releases_at,
@@ -23,7 +32,7 @@ from depnet.snapshot import (
 )
 from depnet.timeutil import iter_months, month_start
 
-from conftest import constructed_and_reloaded, edge_case_dataset
+from conftest import constructed_and_reloaded, edge_case_dataset, make_graph, random_graph
 
 TINY_CUTOFF = datetime(2020, 4, 1)
 
@@ -250,6 +259,67 @@ class TestBuildSnapshotOracle:
                     assert g.n_edges == sum(map(len, out.values()))
 
 
+def _row_views(names, out):
+    """The integer view, the in-adjacency and the in-degrees of the graph
+    with nodes ``names`` and out-neighbour names ``out[p]``, by the rule the
+    graph followed when it stored adjacency rows: tuples in declaration
+    order, in-neighbours appended in source id order."""
+    ids = {p: i for i, p in enumerate(names)}
+    adj = [tuple(ids[q] for q in out[p]) for p in names]
+    preds = [[] for _ in names]
+    for i, row in enumerate(adj):
+        for j in row:
+            preds[j].append(i)
+    return IntView(names, ids, adj), [tuple(row) for row in preds], [len(row) for row in preds]
+
+
+def assert_storage_matches(g, names, out):
+    """Every value ``g`` derives from its CSR arrays equals the one the
+    adjacency rows of ``names`` and ``out`` give."""
+    view, preds, in_deg = _row_views(names, out)
+    offsets, targets = g.edge_arrays()
+    assert offsets.dtype == np.int64 and offsets.tolist()[:1] == [0]
+    assert len(offsets) == len(names) + 1 and offsets[-1] == len(targets)
+    assert g.int_view() == view
+    assert g.in_adjacency() == preds
+    counts = g.in_degree_counts()
+    assert list(counts.items()) == [(names[j], k) for j, k in enumerate(in_deg) if k]
+    assert g.n_nodes == len(names)
+    assert g.n_edges == sum(map(len, view.adj))
+    assert g.edges == {(p, q) for p in names for q in out[p]}
+    assert top_level_packages(g) == {
+        names[i] for i, row in enumerate(view.adj) if row and not in_deg[i]
+    }
+    assert connected_packages(g) == {
+        names[i] for i, row in enumerate(view.adj) if row or in_deg[i]
+    }
+    assert list(classify(g).flags.items()) == [
+        (names[i], RoleFlags(dependent=bool(row), required=bool(in_deg[i])))
+        for i, row in enumerate(view.adj)
+    ]
+
+
+class TestCsrStorageOracle:
+    def test_random_cyclic_graphs(self):
+        rng = random.Random(20170419)
+        graphs = [([], [])] + [random_graph(rng) for _ in range(200)]
+        for nodes, edges in graphs:
+            out = {p: [] for p in nodes}
+            for src, dst in edges:
+                if src != dst and dst not in out[src]:
+                    out[src].append(dst)
+            assert_storage_matches(make_graph(nodes, edges), list(out), out)
+
+    def test_generated_snapshots(self):
+        cfg = GeneratorConfig(n_packages=200, months=12, seed=7, mean_deps=2.0, update_rate=0.2)
+        d = generate(cfg)
+        for month in ((2015, 1), (2015, 4), (2015, 8), (2015, 12), (2016, 1)):
+            t = month_start(month)
+            latest, out, _, _ = _reference_snapshot(d, t)
+            g = build_snapshot(d, t)
+            assert_storage_matches(g, list(latest), {p: list(row) for p, row in out.items()})
+
+
 class TestEdgeSpansOracle:
     def test_sizes_match_snapshots(self, tmp_path):
         # Oracle: node and edge counts of the span table equal those of the
@@ -292,7 +362,10 @@ class TestGcPause:
         assert gc.isenabled() is collector
 
     def test_kernels_restore(self, collector, tiny):
-        transitive_dependent_counts(build_snapshot(tiny, TINY_CUTOFF))
+        g = build_snapshot(tiny, TINY_CUTOFF)
+        transitive_dependent_counts(g)
+        g.int_view()
+        g.in_adjacency()
         assert gc.isenabled() is collector
         with pytest.raises(ValueError):
             build_snapshot(tiny, datetime(2021, 1, 1))
