@@ -151,7 +151,7 @@ def _map_months(
 
 
 def _transitive_total(g: SnapshotGraph) -> tuple[int, int]:
-    return sum(_closure_sizes(*_edge_list(g), reverse=True)), g.n_edges
+    return int(_closure_sizes(*_edge_list(g), reverse=True).sum()), g.n_edges
 
 
 def _reusability(g: SnapshotGraph) -> int:
@@ -168,7 +168,7 @@ def _graph_metrics(g: SnapshotGraph, p_percent: float) -> tuple[int, int, int, i
     # One batch closure over the graph's edge arrays, read as an array of
     # sizes, serves the transitive total and p_impact; nothing here builds
     # the graph's adjacency rows.
-    sizes = np.array(_closure_sizes(*_edge_list(g), reverse=True), np.int64)
+    sizes = _closure_sizes(*_edge_list(g), reverse=True)
     return (
         g.n_nodes,
         g.n_edges,

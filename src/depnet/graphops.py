@@ -16,15 +16,18 @@ off, in numpy and round by round, the nodes left without in-edges or
 without out-edges, each a component of its own, and runs Tarjan only on
 the core that remains (Hong et al., SC 2013); on the 100k-package fixture
 at 2020-01 that core is exactly the giant component, 14,204 of 100,000
-nodes. The peel rounds are levels of the near side of each direction (the
-in-peeled nodes for dependents, the out-peeled ones for dependencies),
-whose successors all lie in earlier rounds, so the reaches there are
-merged in numpy a round at a time, as sorted unique ids in one flat
-buffer. The peeled nodes whose reach could pass n // _SPARSE_RATIO ids
-and those that build on one, the core and the far side are merged one
-component at a time, as a set of node ids while sparse and an int bitset
-once dense; their last consumer releases or takes over those reaches,
-keeping peak memory proportional to the frontier, not the whole closure.
+nodes. The peel rounds are levels on both sides of the core, so the
+merge splits every component, in both directions, by one rule. Each
+direction's near side (the in-peeled nodes for dependents, the
+out-peeled ones for dependencies) has its successors in earlier rounds
+of that side, and its far side, taken in reverse peel order, has them on
+the near side, in the core or in rounds already merged. So a peeled
+node's reach is merged in numpy a round at a time, as sorted unique ids
+in one flat buffer, while its bound stays under n // _SPARSE_RATIO ids
+and its successors were merged the same way. The rest, the core among
+them, are merged one component at a time as int bitsets, each released
+by its last consumer, keeping peak memory proportional to the frontier,
+not the whole closure.
 The closure runs with the cyclic garbage collector paused.
 Batch depths run one breadth-first search for many sources at once, one
 bit per source, over the derived adjacency rows.
@@ -349,9 +352,9 @@ def _tarjan_sccs(adj: list[list[int]]) -> list[list[int]]:
     return sccs
 
 
-# A component's reach is a set of node ids while it is sparse, that is while
-# len(reach) * _SPARSE_RATIO <= max(reach), and an int bitset once dense: an
-# int costs its highest set bit, a set its population.
+# A component's reach is merged in numpy, a peel round at a time, while its
+# bound stays under n // _SPARSE_RATIO ids, and otherwise as an int bitset,
+# which costs its highest set bit whatever its population.
 _SPARSE_RATIO = 1024
 # Up to this many ids are set in a bitset one by one, not through numpy.
 _FEW_IDS = 16
@@ -366,19 +369,20 @@ def _edge_list(g: SnapshotGraph) -> tuple[int, np.ndarray, np.ndarray]:
 
 def _closure_sizes(
     n: int, src: np.ndarray, dst: np.ndarray, reverse: bool = False
-) -> list[int]:
+) -> np.ndarray:
     """Size of the reachable set, excluding the start node, for every node
-    of the graph on ids 0..n-1 with edges ``src`` -> ``dst``; with
-    ``reverse``, of the set of nodes that reach it."""
+    of the graph on ids 0..n-1 with edges ``src`` -> ``dst``, as an int64
+    array; with ``reverse``, of the set of nodes that reach it."""
     return _closures(n, src, dst, (reverse,))[0]
 
 
 def _trimmed_sccs(
     n: int, src: np.ndarray, dst: np.ndarray
-) -> tuple[list[list[int]], list[int], list[int]]:
+) -> tuple[np.ndarray, int, list[int], list[int]]:
     """The strongly connected components of the graph on ids 0..n-1 with
-    edges ``src`` -> ``dst``: those :func:`_tarjan_sccs` finds, also in a
-    reverse topological order; and the bounds of the peel rounds.
+    edges ``src`` -> ``dst``, those :func:`_tarjan_sccs` finds, as an int64
+    component label per node that numbers them in a reverse topological
+    order; the number of components; and the bounds of the peel rounds.
 
     Trimming first (Hong et al., "On Fast Parallel Detection of Strongly
     Connected Components (SCC) in Small-World Graphs", SC 2013): round by
@@ -390,13 +394,13 @@ def _trimmed_sccs(
     Every out-edge of an out-peeled node leads to one out-peeled in an
     earlier round, and every in-edge of an in-peeled node comes from one
     in-peeled in an earlier round, so the order is reverse topological.
-    With the bounds ``out`` and ``in_`` returned, round r out-peeled
-    ``sccs[out[r]:out[r + 1]]`` and in-peeled ``sccs[::-1][in_[r]:in_[r + 1]]``;
-    either may be empty.
+    With the bounds ``out`` and ``in_`` returned, round r out-peeled the
+    labels ``out[r]:out[r + 1]`` and in-peeled the labels that
+    ``last - label`` puts in ``in_[r]:in_[r + 1]``, for ``last`` the
+    highest label; either may be empty.
     """
     alive = np.ones(n, dtype=bool)
-    out_peeled: list[int] = []
-    in_peeled: list[int] = []
+    comp = np.empty(n, dtype=np.int64)
     out_bounds, in_bounds = [0], [0]
     while True:
         sink = alive & (np.bincount(src, minlength=n) == 0)
@@ -404,10 +408,13 @@ def _trimmed_sccs(
         source &= ~sink
         if not (sink.any() or source.any()):
             break
-        out_peeled += np.flatnonzero(sink).tolist()
-        in_peeled += np.flatnonzero(source).tolist()
-        out_bounds.append(len(out_peeled))
-        in_bounds.append(len(in_peeled))
+        sinks, sources = np.flatnonzero(sink), np.flatnonzero(source)
+        comp[sinks] = np.arange(out_bounds[-1], out_bounds[-1] + len(sinks))
+        # In-peeled nodes count down from -1 until the number of components
+        # is known.
+        comp[sources] = -1 - np.arange(in_bounds[-1], in_bounds[-1] + len(sources))
+        out_bounds.append(out_bounds[-1] + len(sinks))
+        in_bounds.append(in_bounds[-1] + len(sources))
         alive &= ~sink
         alive &= ~source
         live = alive[src]
@@ -421,31 +428,24 @@ def _trimmed_sccs(
     flat = label[dst].tolist()
     bounds = [0, *np.cumsum(np.bincount(label[src], minlength=len(core))).tolist()]
     del label, src, dst
-    core_ids = core.tolist()
     core_sccs = _tarjan_sccs([flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])])
     del flat, bounds
-
-    sccs = [[v] for v in out_peeled]
-    sccs += ([core_ids[v] for v in members] for members in core_sccs)
-    sccs += ([v] for v in reversed(in_peeled))
-    return sccs, out_bounds, in_bounds
+    members = np.fromiter(chain.from_iterable(core_sccs), np.int64, len(core))
+    sizes = np.fromiter(map(len, core_sccs), np.int64, len(core_sccs))
+    comp[core[members]] = out_bounds[-1] + np.repeat(np.arange(len(core_sccs)), sizes)
+    n_comp = out_bounds[-1] + len(core_sccs) + in_bounds[-1]
+    comp[comp < 0] += n_comp
+    return comp, n_comp, out_bounds, in_bounds
 
 
 @_gc_paused()
 def _closures(
     n: int, src: np.ndarray, dst: np.ndarray, directions: tuple[bool, ...]
-) -> list[list[int]]:
+) -> list[np.ndarray]:
     """:func:`_closure_sizes` for each direction in ``directions``, from
     one SCC pass and one set of condensation edges. The edges are grouped
     by source in id order."""
-    if n == 0:
-        return [[] for _ in directions]
-    sccs, out_rounds, in_rounds = _trimmed_sccs(n, src, dst)
-    n_comp = len(sccs)
-    comp = np.empty(n, dtype=np.int64)
-    comp[np.fromiter(chain.from_iterable(sccs), dtype=np.int64, count=n)] = np.repeat(
-        np.arange(n_comp, dtype=np.int64), np.fromiter(map(len, sccs), np.int64, n_comp)
-    )
+    comp, n_comp, out_rounds, in_rounds = _trimmed_sccs(n, src, dst)
 
     # The condensation's edges, once; each direction keys them as source *
     # n_comp + target in its own numbering and drops repeats.
@@ -453,146 +453,112 @@ def _closures(
     del src, dst
     keep = c_src != c_dst
     c_src, c_dst = c_src[keep], c_dst[keep]
-    del comp, keep
+    del keep
 
+    last = n_comp - 1
     sizes = []
     for reverse in directions:
         if reverse:
             # Tarjan's order walked backwards is a reverse topological order
             # of the reversed graph; components are renumbered to match, and
             # the in-peeled nodes come first.
-            last = n_comp - 1
             keys = (last - c_dst) * n_comp + (last - c_src)
-            sizes.append(_merged_reach_sizes(sccs[::-1], _sorted_unique(keys), n, in_rounds))
+            labels, near, far = last - comp, in_rounds, out_rounds
         else:
             keys = c_src * n_comp + c_dst
-            sizes.append(_merged_reach_sizes(sccs, _sorted_unique(keys), n, out_rounds))
+            labels, near, far = comp, out_rounds, in_rounds
+        far = [n_comp - b for b in reversed(far)]
+        sizes.append(_merged_reach_sizes(labels, n_comp, _sorted_unique(keys), near, far))
     return sizes
 
 
 def _merged_reach_sizes(
-    sccs: list[list[int]], pairs: np.ndarray, n: int, rounds: list[int]
-) -> list[int]:
-    """The closure size of every node, with components in reverse
-    topological order and ``pairs`` their distinct edges, source * n_comp
-    + target, sorted.
+    comp: np.ndarray, n_comp: int, pairs: np.ndarray, near: list[int], far: list[int]
+) -> np.ndarray:
+    """The closure size of every node, with ``comp`` its component label
+    in a reverse topological order and ``pairs`` the components' distinct
+    edges, source * n_comp + target, sorted.
 
-    The first ``rounds[-1]`` components are peeled nodes whose successors
-    lie in earlier peel rounds, ``rounds[r]:rounds[r + 1]``, and
-    :func:`_peeled_reaches` merges most of them in numpy a round at a time.
-    The rest are merged one at a time, in order, from their successors'
-    reaches and the ids gathered for them from the numpy merge; a use count
-    per target lets its reach be dropped (or taken over) once the last
-    predecessor merges it."""
-    n_comp = len(sccs)
+    ``near`` and ``far`` bound the peel rounds on each side of the core,
+    in label order, and :func:`_peeled_reaches` merges most of them in
+    numpy a round at a time. The rest, the core among them, are merged one
+    at a time, in order, as int bitsets: from their successors' bitsets
+    and one list of ids gathered in numpy, the reaches of their successors
+    merged there and their own members. A use count per target lets its
+    bitset be dropped once the last predecessor has merged it."""
     src, succ = np.divmod(pairs, n_comp)
-    peeled = rounds[-1]
-    node = np.fromiter(chain.from_iterable(sccs[:peeled]), np.int64, peeled)
-    near_looped, start, count, buf = _peeled_reaches(node, src, succ, rounds, n)
-    looped = np.ones(n_comp, dtype=bool)
-    looped[:peeled] = near_looped
-    merged = np.flatnonzero(~looped)
-    sized = np.zeros(n, dtype=np.int64)
-    sized[node[merged]] = count[merged] - 1
-    sizes = sized.tolist()
-    del sized, merged
+    looped, start, count, buf = _peeled_reaches(comp, n_comp, src, succ, near, far)
 
-    # The ids each looped component takes in from reaches merged in numpy,
-    # in loop order and repeats included: ids[bounds[j]:bounds[j + 1]] go to
-    # component seeded[j], and top[j] is the largest of them.
+    # The ids from numpy, grouped by looped component in order: a
+    # component's own members come last, and end its group.
+    loop = np.flatnonzero(looped)
     into = looped[src] & ~looped[succ]
-    owner, at = src[into], succ[into]
+    owner = np.concatenate((src[into], loop))
+    at = np.concatenate((succ[into], loop))
+    grouped = np.argsort(owner, kind="stable")
+    at = at[grouped]
     ids = _gathered(buf, start, count, at)
-    firsts = np.flatnonzero(np.diff(owner, prepend=-1))
-    lengths = count[at]
-    id_firsts = (np.cumsum(lengths) - lengths)[firsts]
-    seeded = [*owner[firsts].tolist(), n_comp]
-    bounds = [*id_firsts.tolist(), len(ids)]
-    top = np.maximum.reduceat(ids, id_firsts).tolist()
-    del buf, start, count, into, owner, at, firsts, lengths, id_firsts
+    bounds = [0, *np.cumsum(count[at])[at == owner[grouped]].tolist()]
+    del buf, start, into, owner, grouped, at
 
     inner = looped[succ]
     src, succ = src[inner], succ[inner]
     flat_succ = succ.tolist()
     offsets = np.searchsorted(src, np.arange(n_comp + 1)).tolist()
     pending_uses = np.bincount(succ, minlength=n_comp).tolist()
-    order = chain(np.flatnonzero(near_looped).tolist(), range(peeled, n_comp))
     del src, succ, inner, looped
 
     reach: list = [None] * n_comp
-    j = 0
-    for ci in order:
-        members = sccs[ci]
-        dense = 0
-        acc = None
-        for k in range(offsets[ci], offsets[ci + 1]):
-            cw = flat_succ[k]
-            r = reach[cw]
+    counts = []
+    for ci, lo, hi in zip(loop.tolist(), bounds, bounds[1:]):
+        bits = 0
+        for cw in flat_succ[offsets[ci]:offsets[ci + 1]]:
+            bits |= reach[cw]
             pending_uses[cw] -= 1
-            if r.__class__ is int:
-                dense |= r
-            elif acc is not None:
-                acc.update(r)
-            elif pending_uses[cw]:
-                acc = set(r)
-            else:
-                acc = r  # its last use: taken over, not copied
             if not pending_uses[cw]:
                 reach[cw] = None
-        if ci == seeded[j]:
-            lo, hi = bounds[j], bounds[j + 1]
-            # Many dense ids go straight to bits, not through a set.
-            if hi - lo > _FEW_IDS and (hi - lo) * _SPARSE_RATIO > top[j]:
-                dense |= _bits(ids[lo:hi])
-            elif acc is None:
-                acc = set(ids[lo:hi].tolist())
-            else:
-                acc.update(ids[lo:hi].tolist())
-            j += 1
-        if acc is None:
-            acc = set(members)
-        else:
-            acc.update(members)
-        # A union that takes in a bitset stays a bitset.
-        if dense or len(acc) * _SPARSE_RATIO > max(acc):
-            acc = _or_ids(dense, acc)
-            count = acc.bit_count()
-        else:
-            count = len(acc)
+        bits = _or_ids(bits, ids[lo:hi])
+        counts.append(bits.bit_count())
         if pending_uses[ci]:
-            reach[ci] = acc
-        size = count - 1
-        for v in members:
-            sizes[v] = size
-    return sizes
+            reach[ci] = bits
+    count[loop] = counts
+    return (count - 1)[comp]
 
 
 def _peeled_reaches(
-    node: np.ndarray, src: np.ndarray, succ: np.ndarray, rounds: list[int], n: int
+    comp: np.ndarray, n_comp: int, src: np.ndarray, succ: np.ndarray,
+    near: list[int], far: list[int],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The reaches of the peeled components 0..len(node)-1, merged in numpy
-    a peel round at a time, for the components and the edges ``src`` ->
-    ``succ`` of :func:`_merged_reach_sizes`; component c is the node
-    ``node[c]``.
+    """The reaches of the peeled components, merged in numpy a peel round
+    at a time, for the components and the edges ``src`` -> ``succ`` of
+    :func:`_merged_reach_sizes`.
 
-    A round gathers its successors' reaches, which earlier rounds merged,
-    adds each component's own id and drops repeats from the sorted keys
-    component * n + id. A component is left to the loop instead, marked in
-    the first array returned, when its bound on the union, 1 + the summed
-    sizes of its successors' reaches, passes n // _SPARSE_RATIO, or when one
-    of its successors was left to the loop. The reach of every other
-    component c, itself included, is the sorted ids
-    ``buf[start[c]:start[c] + count[c]]``, for the ``start``, ``count`` and
-    ``buf`` returned after it."""
-    peeled = len(node)
+    The rounds ``near`` come first, and every successor of theirs lies in
+    an earlier one. Every successor of a round of ``far`` lies on the near
+    side, in the core or in an earlier round of ``far``: an in-peeled
+    node's out-neighbours are out-peeled, in the core or in-peeled in a
+    later round, and an out-peeled node's in-neighbours are in-peeled, in
+    the core or out-peeled in a later round. A round gathers its
+    successors' reaches, adds each component's own id and drops repeats
+    from the sorted keys component * n + id. A component is left to the
+    loop instead, marked in the first array returned, when it is in the
+    core, when its bound on the union, 1 + the summed sizes of its
+    successors' reaches, passes n // _SPARSE_RATIO, or when one of its
+    successors was left to the loop. With ``start``, ``count`` and ``buf``
+    returned after it, ``buf[start[c]:start[c] + count[c]]`` holds the
+    sorted reach of every other component c, itself included, and the
+    members of a looped one."""
+    n = len(comp)
     limit = n // _SPARSE_RATIO
-    looped = np.zeros(peeled, dtype=bool)
-    start = np.zeros(peeled, dtype=np.int64)
-    count = np.zeros(peeled, dtype=np.int64)
-    buf = np.empty(peeled, dtype=np.int64)
-    used = 0
+    looped = np.zeros(n_comp, dtype=bool)
+    looped[near[-1]:far[0]] = True
+    count = np.bincount(comp, minlength=n_comp)
+    start = np.cumsum(count) - count
+    buf = np.argsort(comp, kind="stable")
+    used = n
+    rounds = [*zip(near, near[1:]), *zip(far, far[1:])]
     edge_bounds = np.searchsorted(src, rounds).tolist()
-    for lo, hi, e_lo, e_hi in zip(rounds, rounds[1:], edge_bounds, edge_bounds[1:]):
+    for (lo, hi), (e_lo, e_hi) in zip(rounds, edge_bounds):
         s, t = src[e_lo:e_hi], succ[e_lo:e_hi]
         # Counts and bounds are exact in float64 below 2**53.
         off = np.bincount(s - lo, weights=count[t], minlength=hi - lo) >= limit
@@ -600,15 +566,15 @@ def _peeled_reaches(
         looped[lo:hi] = off
         kept = ~off[s - lo]
         own = np.flatnonzero(~off) + lo
-        t = t[kept]
-        keys = _sorted_unique(np.concatenate((
-            np.repeat(s[kept] * n, count[t]) + _gathered(buf, start, count, t),
-            own * n + node[own],
-        )))
+        at = np.concatenate((t[kept], own))
+        keys = _sorted_unique(
+            np.repeat(np.concatenate((s[kept], own)) * n, count[at])
+            + _gathered(buf, start, count, at)
+        )
         owner = keys // n
-        sizes = np.bincount(owner - lo, minlength=hi - lo)
-        count[lo:hi] = sizes
-        start[lo:hi] = np.cumsum(sizes) - sizes + used
+        sizes = np.bincount(owner - lo, minlength=hi - lo)[~off]
+        count[own] = sizes
+        start[own] = np.cumsum(sizes) - sizes + used
         if used + len(keys) > len(buf):
             buf = np.concatenate((buf[:used], np.empty(max(used, len(keys)), np.int64)))
         buf[used:used + len(keys)] = keys - owner * n
@@ -619,8 +585,9 @@ def _peeled_reaches(
 def _gathered(
     buf: np.ndarray, start: np.ndarray, count: np.ndarray, at: np.ndarray
 ) -> np.ndarray:
-    """The reaches of the components ``at``, one after another, as
-    :func:`_peeled_reaches` returns them."""
+    """The slices of ``buf`` of the components ``at``, one after another:
+    their reaches, or a looped one's members, as :func:`_peeled_reaches`
+    returns them."""
     lengths = count[at]
     ends = np.cumsum(lengths)
     first = np.repeat(start[at] - ends + lengths, lengths)
@@ -628,36 +595,31 @@ def _gathered(
     return buf[first]
 
 
-def _bits(at: np.ndarray) -> int:
-    """The int bitset of the ids in ``at``."""
-    flags = np.zeros(int(at.max()) + 1, dtype=bool)
-    flags[at] = True
-    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
-
-
-def _or_ids(bits: int, ids: set[int]) -> int:
-    """``bits`` with the bit of every id in ``ids`` set: one by one for up
+def _or_ids(bits: int, at: np.ndarray) -> int:
+    """``bits`` with the bit of every id in ``at`` set: one by one for up
     to _FEW_IDS ids, otherwise through one byte buffer."""
-    if len(ids) <= _FEW_IDS:
-        for v in ids:
+    if len(at) <= _FEW_IDS:
+        for v in at.tolist():
             bits |= 1 << v
         return bits
-    return bits | _bits(np.fromiter(ids, dtype=np.int64, count=len(ids)))
+    flags = np.zeros(int(at.max()) + 1, dtype=bool)
+    flags[at] = True
+    return bits | int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
 
 def transitive_dependency_counts(g: SnapshotGraph) -> dict[str, int]:
     """|transitive_dependencies(p)| for every node, in one batch pass."""
-    return dict(zip(g.names, _closure_sizes(*_edge_list(g))))
+    return dict(zip(g.names, _closure_sizes(*_edge_list(g)).tolist()))
 
 
 def transitive_dependent_counts(g: SnapshotGraph) -> dict[str, int]:
     """|transitive_dependents(p)| for every node, in one batch pass over
     the same edges, walked against them."""
-    return dict(zip(g.names, _closure_sizes(*_edge_list(g), reverse=True)))
+    return dict(zip(g.names, _closure_sizes(*_edge_list(g), reverse=True).tolist()))
 
 
 def _transitive_counts(g: SnapshotGraph) -> tuple[dict[str, int], dict[str, int]]:
     """``transitive_dependency_counts(g)`` and
     ``transitive_dependent_counts(g)``, from one SCC pass."""
     forward, reverse = _closures(*_edge_list(g), (False, True))
-    return dict(zip(g.names, forward)), dict(zip(g.names, reverse))
+    return dict(zip(g.names, forward.tolist())), dict(zip(g.names, reverse.tolist()))

@@ -318,8 +318,17 @@ def trimmed_sccs(adj, monkeypatch=None):
         monkeypatch.setattr(
             graphops, "_tarjan_sccs", lambda sub: core.append(len(sub)) or tarjan(sub)
         )
-    sccs = graphops._trimmed_sccs(*edge_list(adj))[0]
+    sccs = member_lists(*graphops._trimmed_sccs(*edge_list(adj))[:2])
     return (sccs, core[0]) if monkeypatch is not None else sccs
+
+
+def member_lists(comp, n_comp):
+    """The nodes of each component, in label order, from one component
+    label per node."""
+    sccs = [[] for _ in range(n_comp)]
+    for v, c in enumerate(comp.tolist()):
+        sccs[c].append(v)
+    return sccs
 
 
 def assert_sccs_of(adj, sccs):
@@ -366,23 +375,37 @@ class TestTrimmedSccs:
 
     def test_rounds_put_successors_in_earlier_rounds(self):
         # An out-peeled node's out-neighbours, and an in-peeled node's
-        # in-neighbours, were peeled on the same side in earlier rounds.
+        # in-neighbours, were peeled on the same side in earlier rounds. An
+        # in-peeled node's out-neighbours are out-peeled, in the core or
+        # in-peeled in a later round, and an out-peeled node's in-neighbours
+        # are in-peeled, in the core or out-peeled in a later round.
         rng = random.Random(23)
         graphs = [shaped_adjacency(shape) for shape in ("dag", "one_giant", "chain")]
         graphs += [make_graph(*random_graph(rng)).int_view().adj for _ in range(150)]
         for adj in graphs:
-            sccs, out_bounds, in_bounds = graphops._trimmed_sccs(*edge_list(adj))
-            sides = ((out_bounds, sccs, adj), (in_bounds, sccs[::-1], reversed_adjacency(adj)))
-            for bounds, order, successors in sides:
+            comp, n_comp, out_bounds, in_bounds = graphops._trimmed_sccs(*edge_list(adj))
+            sccs = member_lists(comp, n_comp)
+            rounds = []
+            for bounds, order in ((out_bounds, sccs), (in_bounds, sccs[::-1])):
                 assert bounds[0] == 0 and bounds == sorted(bounds)
                 round_of = {}
                 for r, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
                     for members in order[lo:hi]:
                         assert len(members) == 1
                         round_of[members[0]] = r
-                for v, r in round_of.items():
+                rounds.append(round_of)
+            out_round, in_round = rounds
+            sides = (
+                (out_round, in_round, adj),
+                (in_round, out_round, reversed_adjacency(adj)),
+            )
+            for near, far, successors in sides:
+                for v, r in near.items():
                     for w in successors[v]:
-                        assert w in round_of and round_of[w] < r, (v, w)
+                        assert w in near and near[w] < r, (v, w)
+                for v, r in far.items():
+                    for w in successors[v]:
+                        assert w not in far or far[w] > r, (v, w)
             assert out_bounds[-1] + in_bounds[-1] <= len(adj)
 
     def test_peel_order(self):
@@ -431,19 +454,19 @@ class TestClosureOracle:
                           bfs_closure_sizes(reversed_adjacency(adj))))
         return cases
 
-    # The default ratio; 1, with sets almost everywhere in the loop and
-    # every peeled node whose bound stays within the node count merged in
-    # numpy; and one above any node count, with bitsets everywhere and
-    # every node left to the loop.
+    # The default ratio; 1, with nearly every peeled node, on both sides,
+    # merged in numpy; and one above any node count, with every component
+    # left to the loop.
     @pytest.mark.parametrize("ratio", [None, 1, 10**9])
     def test_closure_sizes_match_bfs_oracle(self, monkeypatch, shaped_cases, ratio):
         if ratio is not None:
             monkeypatch.setattr(graphops, "_SPARSE_RATIO", ratio)
         for shape, adj, forward, backward in shaped_cases:
             edges = edge_list(adj)
-            assert graphops._closure_sizes(*edges) == forward, shape
-            assert graphops._closure_sizes(*edges, reverse=True) == backward, shape
-            assert graphops._closures(*edges, (False, True)) == [forward, backward], shape
+            assert graphops._closure_sizes(*edges).tolist() == forward, shape
+            assert graphops._closure_sizes(*edges, reverse=True).tolist() == backward, shape
+            both = graphops._closures(*edges, (False, True))
+            assert [sizes.tolist() for sizes in both] == [forward, backward], shape
         rng = random.Random(31)
         for _ in range(300):
             nodes, edges = random_graph(rng)
@@ -451,32 +474,48 @@ class TestClosureOracle:
             forward = bfs_closure_sizes(adj)
             backward = bfs_closure_sizes(reversed_adjacency(adj))
             edges = edge_list(adj)
-            assert graphops._closure_sizes(*edges) == forward
-            assert graphops._closure_sizes(*edges, reverse=True) == backward
-            assert graphops._closures(*edges, (False, True)) == [forward, backward]
+            assert graphops._closure_sizes(*edges).tolist() == forward
+            assert graphops._closure_sizes(*edges, reverse=True).tolist() == backward
+            both = graphops._closures(*edges, (False, True))
+            assert [sizes.tolist() for sizes in both] == [forward, backward]
 
     def test_peel_round_cases_match_bfs_oracle(self, monkeypatch):
         # An acyclic graph, where every node is peeled; a 2,000-node chain,
-        # one node peeled per round on each side; and peeled nodes around a
-        # giant component. A ratio of 600 sets bounds of 1, 3 and 4: in each
-        # graph and direction some peeled nodes are merged in numpy and some
-        # pass the bound and are left to the loop.
+        # one node peeled per round on each side; peeled nodes around a
+        # giant component; and the same with 300 two-node chains beside it,
+        # whose far-side node (the source for dependencies, the target for
+        # dependents) has its one successor merged in numpy. A ratio of 600
+        # sets bounds of 1, 3, 4 and 5: in each graph and direction some
+        # near-side nodes are merged in numpy and some pass the bound and
+        # are left to the loop, and with the chains so are far-side ones.
         monkeypatch.setattr(graphops, "_SPARSE_RATIO", 600)
-        looped = []
+        calls = []
         peeled_reaches = graphops._peeled_reaches
         monkeypatch.setattr(
             graphops, "_peeled_reaches",
-            lambda *args: looped.append(out := peeled_reaches(*args)) or out,
+            lambda *args: calls.append((args, out := peeled_reaches(*args))) or out,
         )
-        for n, shape in ((600, "dag"), (2000, "chain"), (2500, "one_giant")):
-            adj = shaped_adjacency(shape, n=n)
+        giant = shaped_adjacency("one_giant")
+        chains = [row for i in range(300) for row in ([len(giant) + 2 * i + 1], [])]
+        cases = (
+            ("dag", shaped_adjacency("dag", n=600)),
+            ("chain", shaped_adjacency("chain", n=2000)),
+            ("one_giant", giant),
+            ("one_giant and chains", giant + chains),
+        )
+        for shape, adj in cases:
             forward = bfs_closure_sizes(adj)
             backward = bfs_closure_sizes(reversed_adjacency(adj))
-            assert graphops._closures(*edge_list(adj), (False, True)) == [forward, backward], shape
-            assert len(looped) == 2
-            for flags, *_ in looped:
-                assert 0 < flags.sum() < len(flags), shape
-            looped.clear()
+            both = graphops._closures(*edge_list(adj), (False, True))
+            assert [sizes.tolist() for sizes in both] == [forward, backward], shape
+            assert len(calls) == 2
+            for (_, _, _, _, near, far), (looped, *_) in calls:
+                sides = [looped[near[0]:near[-1]]]
+                if shape == "one_giant and chains":
+                    sides.append(looped[far[0]:far[-1]])
+                for flags in sides:
+                    assert 0 < flags.sum() < len(flags), shape
+            calls.clear()
 
     def test_closure_symmetry(self):
         rng = random.Random(9)
