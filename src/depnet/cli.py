@@ -5,23 +5,28 @@ go to stdout (or --out), diagnostics to stderr, and identical invocations
 on identical inputs produce byte-identical output. Exit codes: 0 success,
 1 data error, 2 usage error.
 
-Each subcommand computes one table and returns it; ``run`` writes it
-through ``_emit``, the one output path, which formats CSV or JSON, names
-the file under ``--out DIR`` and writes the ``--manifest`` record.
-``fixture`` writes dataset files instead and returns no table.
+Each subcommand computes one table and returns it as equal-length
+columns; ``run`` writes it through ``_emit``, the one output path, which
+formats CSV or JSON, names the file under ``--out DIR`` and writes the
+``--manifest`` record. ``fixture`` writes dataset files instead and
+returns no table.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import os
 import sys
+from collections.abc import Iterable, Sequence
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import nullcontext
 from dataclasses import fields
+from itertools import chain, repeat
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .evolution import (
@@ -41,10 +46,12 @@ from .graphops import _transitive_counts, dependency_depths
 from .indices import changeability_index, p_impact_index, reusability_index
 from .ingest import (
     DEFAULT_INCLUDED_KINDS,
+    _BLOCK_ROWS,
     DatasetError,
     _column_key,
     _dataset_digest,
     _last_time,
+    _plain_columns,
     _read_columns,
     _write_columns,
     filter_dependencies,
@@ -55,10 +62,10 @@ from .ingest import (
 )
 from .snapshot import build_snapshot
 from .stats import (
+    _product_limit,
     fit_exponential,
     fit_linear,
     gini,
-    kaplan_meier,
     log_rank,
     lorenz_points,
     normalized_gini,
@@ -143,32 +150,44 @@ def _fmt(value) -> str:
     return str(value)
 
 
-# _fmt of the exact types that table rows hold, looked up by type; _fmt
+# _fmt of the exact types that table columns hold, looked up by type; _fmt
 # itself formats any other value, a subclass included.
 _FORMATTERS = {
     str: str, int: int.__repr__, float: float.__repr__, bool: ("false", "true").__getitem__,
 }
 
 
-def _emit(args, header: list[str], rows: list[tuple], metric: str = "output",
+def _formatted(values: Sequence) -> list[str]:
+    """``_fmt`` of each value, through one formatter when every value has
+    the same type in ``_FORMATTERS``."""
+    types = set(map(type, values))
+    formatter = _FORMATTERS.get(types.pop(), _fmt) if len(types) == 1 else _fmt
+    return list(map(formatter, values))
+
+
+def _emit(args, header: list[str], columns: list, metric: str = "output",
           ecosystem: str = "") -> None:
-    if args.format == "json":
-        payload = [dict(zip(header, row)) for row in rows]
-        text = json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n"
-    else:
-        buf = io.StringIO()
-        formatter = _FORMATTERS.get
-        write_csv(buf, header, ([formatter(type(v), _fmt)(v) for v in row] for row in rows))
-        text = buf.getvalue()
+    # Numpy values as the Python numbers that _fmt and json format.
+    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
     out = args.out
     if out and Path(out).is_dir():
         # Directory target: one file per metric and ecosystem.
         name = f"{metric}__{ecosystem or 'dataset'}.{args.format}"
         out = Path(out) / name
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    with open(out, "w", encoding="utf-8") if out else nullcontext(sys.stdout) as handle:
+        if args.format == "json":
+            payload = [dict(zip(header, row)) for row in zip(*columns)]
+            handle.write(json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n")
+        else:
+            # A block of rows at a time: one that needs no quoting as its
+            # fields joined, any other through write_csv.
+            write_csv(handle, header, ())
+            for start in range(0, len(columns[0]), _BLOCK_ROWS):
+                fields = [_formatted(column[start:start + _BLOCK_ROWS]) for column in columns]
+                if _plain_columns(fields):
+                    handle.write("\n".join(map(",".join, zip(*fields))) + "\n")
+                else:
+                    write_csv(handle, None, zip(*fields))
     if args.manifest:
         _write_manifest(args, out)
 
@@ -191,8 +210,15 @@ def _write_manifest(args, target) -> None:
 # Subcommands
 
 
-# What a subcommand returns for run() to emit: ecosystem, metric, header, rows.
-Table = tuple[str, str, list[str], list[tuple]]
+# What a subcommand returns for run() to emit: ecosystem, metric, header and
+# one column per header name, all of one length.
+Table = tuple[str, str, list[str], list[Sequence]]
+
+
+def _table(ecosystem: str, metric: str, header: list[str], rows: Iterable[tuple]) -> Table:
+    """A table built a row at a time, as columns; with no rows, one empty
+    column per header name."""
+    return ecosystem, metric, header, list(zip(*rows)) or [() for _ in header]
 
 
 def _month_rows(series: TimeSeries, value=lambda v: v) -> list[tuple]:
@@ -205,7 +231,7 @@ def _index_table(ecosystem: str, name: str, parameter, month_rows) -> Table:
     row; an index without a parameter leaves that column blank."""
     parameter = _fmt(parameter) if parameter is not None else ""
     rows = [(month, name, parameter, value) for month, value in month_rows]
-    return ecosystem, f"index_{name}", ["month", "index_name", "parameter", "value"], rows
+    return _table(ecosystem, f"index_{name}", ["month", "index_name", "parameter", "value"], rows)
 
 
 def _cmd_validate(args) -> Table:
@@ -238,14 +264,14 @@ def _cmd_validate(args) -> Table:
                 f"{format_month(warn.month)} count={warn.count} median={warn.trailing_median:g}",
             )
         )
-    return dataset.ecosystem, "validate", ["check", "value"], rows
+    return _table(dataset.ecosystem, "validate", ["check", "value"], rows)
 
 
 def _cmd_snapshot(args) -> Table:
     d = _load(args)
     g = build_snapshot(d, parse_instant(args.at))
     row = (g.at.isoformat(), g.n_nodes, g.n_edges, g.dropped_deps)
-    return d.ecosystem, "snapshot", ["at", "packages", "dependencies", "dropped_deps"], [row]
+    return _table(d.ecosystem, "snapshot", ["at", "packages", "dependencies", "dropped_deps"], [row])
 
 
 def _cmd_series(args) -> Table:
@@ -274,21 +300,21 @@ def _cmd_series(args) -> Table:
                 rows.append(row)
             if not rows:
                 raise ValueError(f"no series could be fitted with the {args.fit} model")
-            return d.ecosystem, f"growth_fit_{args.fit}", header, rows
+            return _table(d.ecosystem, f"growth_fit_{args.fit}", header, rows)
         rows = [
             (format_month(m), int(p), int(e))
             for (m, p), (_, e) in zip(packages.points, deps.points)
         ]
-        return d.ecosystem, "growth", ["month", "packages", "dependencies"], rows
+        return _table(d.ecosystem, "growth", ["month", "packages", "dependencies"], rows)
     if args.what == "ratio":
         series = dependency_ratio_series(d, first, last)
-        return d.ecosystem, "dependency_ratio", ["month", "value"], _month_rows(series)
+        return _table(d.ecosystem, "dependency_ratio", ["month", "value"], _month_rows(series))
     if args.what == "updates":
         series = update_counts_series(d, first, last, include_first=args.include_first)
-        return d.ecosystem, "updates", ["month", "value"], _month_rows(series, int)
+        return _table(d.ecosystem, "updates", ["month", "value"], _month_rows(series, int))
     if args.what == "transitive-ratio":
         series = transitive_ratio_series(d, first, last, jobs=args.jobs)
-        return d.ecosystem, "transitive_ratio", ["month", "value"], _month_rows(series)
+        return _table(d.ecosystem, "transitive_ratio", ["month", "value"], _month_rows(series))
     name = _index_name(args.index)
     parameter = _index_parameter(name, args)
     series = index_series(d, first, last, name, parameter, jobs=args.jobs)
@@ -320,7 +346,7 @@ def _cmd_distribution(args) -> Table:
             for pkg in sorted(g.nodes)
         ]
         header = ["package", "n_direct", "n_transitive", "n_rev_direct", "n_rev_transitive", "depth"]
-        return d.ecosystem, metric, header, rows
+        return _table(d.ecosystem, metric, header, rows)
     if args.what == "updates":
         bins = update_distribution(d, at)
         counts = [("0", bins.never), ("1-4", bins.low), ("5+", bins.high)]
@@ -329,7 +355,7 @@ def _cmd_distribution(args) -> Table:
         counts = [(str(depth), count) for depth, count in sorted(hist.items())]
     total = sum(count for _, count in counts) or 1
     rows = [(label, count, count / total) for label, count in counts]
-    return d.ecosystem, metric, ["bin", "count", "proportion"], rows
+    return _table(d.ecosystem, metric, ["bin", "count", "proportion"], rows)
 
 
 def _cmd_survival(args) -> Table:
@@ -343,21 +369,22 @@ def _cmd_survival(args) -> Table:
         result = log_rank(required, not_required, alpha=args.alpha)
         row = (result.statistic, result.significant, result.alpha, result.critical_value)
         header = ["statistic", "significant", "alpha", "critical_value"]
-        return d.ecosystem, "survival_logrank", header, [row]
+        return _table(d.ecosystem, "survival_logrank", header, [row])
     if args.km:
-        # A split may leave one sample empty, which has no curve; kaplan_meier
-        # still rejects the input when every sample is empty.
+        # A split may leave one sample empty, which has no curve; the
+        # estimate still rejects the input when every sample is empty.
         samples = [s for s in samples if len(s)] or samples
-        rows = []
-        for sample in samples:
-            curve = kaplan_meier(sample)
-            rows.extend((sample.label, t, s) for t, s in curve.steps)
-        return d.ecosystem, "survival_km", ["label", "time", "survival"], rows
+        curves = [_product_limit(sample) for sample in samples]
+        labels = list(chain.from_iterable(
+            repeat(sample.label, len(times)) for sample, (times, _) in zip(samples, curves)
+        ))
+        times, survival = (np.concatenate(column) for column in zip(*curves))
+        return d.ecosystem, "survival_km", ["label", "time", "survival"], [labels, times, survival]
     rows = [
         (s.label, len(s), s.n_events, s.n_censored)
         for s in samples
     ]
-    return d.ecosystem, "survival", ["label", "observations", "events", "censored"], rows
+    return _table(d.ecosystem, "survival", ["label", "observations", "events", "censored"], rows)
 
 
 def _cmd_inequality(args) -> Table:
@@ -384,13 +411,13 @@ def _cmd_inequality(args) -> Table:
         norm_value = normalized_gini(values) if len(values) >= 2 else 0.0
     name = f"inequality_{args.what}"
     if args.lorenz:
-        return d.ecosystem, f"{name}_lorenz", ["cum_pop", "cum_val"], curve.points
+        return _table(d.ecosystem, f"{name}_lorenz", ["cum_pop", "cum_val"], curve.points)
     rows = [
         ("n", len(values)),
         ("gini", gini_value),
         ("normalized_gini", norm_value),
     ]
-    return d.ecosystem, name, ["metric", "value"], rows
+    return _table(d.ecosystem, name, ["metric", "value"], rows)
 
 
 def _cmd_index(args) -> Table:
@@ -528,8 +555,8 @@ def run(argv: list[str]) -> int:
     try:
         table = args.func(args)
         if table is not None:
-            ecosystem, metric, header, rows = table
-            _emit(args, header, rows, metric=metric, ecosystem=ecosystem)
+            ecosystem, metric, header, columns = table
+            _emit(args, header, columns, metric=metric, ecosystem=ecosystem)
     except DatasetError as exc:
         sys.stderr.write(f"depnet: {exc}\n")
         return 1

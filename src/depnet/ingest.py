@@ -588,11 +588,12 @@ def _timestamps(values: Sequence[str]) -> tuple[list[datetime], Optional[int]]:
 _NEEDS_QUOTING = re.compile('["\r\n]')
 
 
-def write_csv(handle, header: list[str], rows: Iterable[Sequence[str]]) -> None:
+def write_csv(handle, header: Optional[list[str]], rows: Iterable[Sequence[str]]) -> None:
     """Write a header and rows of strings as CSV that reads back field for
-    field. ``csv.writer`` quotes a field holding a newline but not one
-    holding a bare carriage return, where ``csv.reader`` would split the
-    row, so a row with a carriage return is written with every field quoted.
+    field; a ``header`` of None writes the rows alone. ``csv.writer``
+    quotes a field holding a newline but not one holding a bare carriage
+    return, where ``csv.reader`` would split the row, so a row with a
+    carriage return is written with every field quoted.
 
     A row that needs no quoting (no field holds a comma, a quote, a
     carriage return or a newline, and the row is not one empty field) is
@@ -600,7 +601,8 @@ def write_csv(handle, header: list[str], rows: Iterable[Sequence[str]]) -> None:
     """
     plain = csv.writer(handle, lineterminator="\n")
     quoted = csv.writer(handle, lineterminator="\n", quoting=csv.QUOTE_ALL)
-    plain.writerow(header)
+    if header is not None:
+        plain.writerow(header)
     write, special = handle.write, _NEEDS_QUOTING.search
     for row in rows:
         line = ",".join(row)
@@ -608,6 +610,20 @@ def write_csv(handle, header: list[str], rows: Iterable[Sequence[str]]) -> None:
             write(line + "\n")
         else:
             (quoted if "\r" in line else plain).writerow(row)
+
+
+def _plain_columns(columns: Sequence[Sequence[str]]) -> bool:
+    """Whether :func:`write_csv` writes every row of these equal-length
+    columns of strings as its fields joined by commas: no field holds a
+    comma, a quote, a carriage return or a newline, and no row is one
+    empty field."""
+    if len(columns) == 1 and "" in columns[0]:
+        return False
+    for column in columns:
+        text = "".join(column)
+        if any(char in text for char in ',"\r\n'):
+            return False
+    return True
 
 
 @_gc_paused()
@@ -966,12 +982,14 @@ def _dataset_digest(directory: Path) -> tuple[str, list[Optional[int]]]:
 # it runs no code. Each column is stored in its in-memory form: ids and
 # release times as int64, each string column as its int64 codes and its
 # table, one UTF-8 blob with int64 offsets into the decoded text (package
-# names are coded by their ids). A table that repeats a value is refused,
+# names are coded by their ids). The target column, whose table
+# :func:`filter_dependencies` makes the names table, stores its codes
+# alone when it is that table. A table that repeats a value is refused,
 # so that equal codes mean equal strings. The ``meta`` member is JSON: the
 # key, the filter report and the raw dataset's last release timestamp,
 # which the cutoff rule needs. The cutoff and the ecosystem are not stored.
 COLUMN_FILE = ".depnet-columns.npz"
-_COLUMN_FORMAT = 2
+_COLUMN_FORMAT = 3
 _STRING_COLUMNS = (
     "names", "release_version",
     "dependency_target", "dependency_constraint", "dependency_kind",
@@ -1013,7 +1031,8 @@ def _encoded(values: Sequence[str]) -> Coded:
 
 # Reading a column file that is damaged, truncated or not a column file at
 # all fails with one of these, and the caller parses the CSVs instead.
-_UNUSABLE = (OSError, ValueError, KeyError, TypeError, zipfile.BadZipFile, EOFError)
+_UNUSABLE = (OSError, ValueError, KeyError, TypeError, zipfile.BadZipFile, EOFError,
+             NotImplementedError)
 
 
 def _column_key(directory: Path, kinds: AbstractSet[str], excluded: AbstractSet[str]) -> str:
@@ -1061,11 +1080,13 @@ def _column_arrays(d: Dataset, meta: dict):
             codes, table = np.arange(len(d.names), dtype=np.int64), d.names
         else:
             codes, table = getattr(d, name)
+        yield name + "_codes", codes
+        if name == "dependency_target" and table is d.names:
+            continue
         yield name, np.frombuffer("".join(table).encode("utf-8"), np.uint8)
         offsets = np.zeros(len(table) + 1, np.int64)
         np.cumsum(np.fromiter(map(len, table), np.int64, len(table)), out=offsets[1:])
         yield name + "_offsets", offsets
-        yield name + "_codes", codes
     yield "release_package", d.release_package
     yield "dependency_source", d.dependency_source
     yield "release_time", d.release_time
@@ -1090,13 +1111,16 @@ def _read_columns(
             meta = json.loads(archive["meta"].tobytes())
             if meta["key"] != key:
                 return None
-            names, versions, targets, constraints, kinds = (
-                _stored_coded(archive, name) for name in _STRING_COLUMNS
+            names = _stored_coded(archive, "names").decode()
+            versions, constraints, kinds = (
+                _stored_coded(archive, name)
+                for name in ("release_version", "dependency_constraint", "dependency_kind")
             )
-            names = names.decode()
-            if targets.table == names:
+            if "dependency_target" in archive:
+                targets = _stored_coded(archive, "dependency_target")
+            else:
                 # As :func:`filter_dependencies` leaves it: one shared table.
-                targets = Coded(targets.codes, names)
+                targets = Coded(_in_range(archive["dependency_target_codes"], 0, len(names)), names)
             release_package = _in_range(archive["release_package"], 0, len(names))
             source = _in_range(archive["dependency_source"], 0, len(release_package))
             times = _in_range(archive["release_time"], *_TIME_RANGE)

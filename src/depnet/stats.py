@@ -101,6 +101,13 @@ def kaplan_meier(sample: SurvivalSample) -> SurvivalCurve:
     carries a step at every distinct observed time, so censoring-only
     times appear with an unchanged survival value.
     """
+    times, survival = _product_limit(sample)
+    return SurvivalCurve(steps=list(zip(times.tolist(), survival.tolist())), label=sample.label)
+
+
+def _product_limit(sample: SurvivalSample) -> tuple[np.ndarray, np.ndarray]:
+    """The steps of :func:`kaplan_meier` as two float64 arrays, the times
+    and the survival at each, starting at (0.0, 1.0)."""
     if not len(sample):
         raise ValueError("cannot estimate survival from an empty sample")
     times, group = _grouped(sample.durations)
@@ -109,9 +116,7 @@ def kaplan_meier(sample: SurvivalSample) -> SurvivalCurve:
     # a time without events multiplies by exactly 1.0.
     survival = np.multiply.accumulate(1.0 - events / at_risk)
     keep = (times > 0.0) | (events > 0)
-    steps: list[tuple[float, float]] = [(0.0, 1.0)]
-    steps.extend(zip(times[keep].tolist(), survival[keep].tolist()))
-    return SurvivalCurve(steps=steps, label=sample.label)
+    return np.concatenate(([0.0], times[keep])), np.concatenate(([1.0], survival[keep]))
 
 
 def log_rank(a: SurvivalSample, b: SurvivalSample, alpha: float = 0.01) -> LogRankResult:

@@ -436,6 +436,60 @@ def csv_writer_text(header, rows) -> str:
     return buf.getvalue()
 
 
+class _PipeClosedAfterOneWrite:
+    def __init__(self):
+        self.written = []
+
+    def write(self, text):
+        if self.written:
+            raise BrokenPipeError(32, "Broken pipe")
+        self.written.append(text)
+
+
+class TestOutputTargets:
+    """A table over more than two blocks reaches stdout, ``--out FILE`` and
+    ``--out DIR`` as the same text, with the ``--manifest`` record beside
+    it, and a pipe that closes after the first write ends in one line."""
+
+    N = 2 * ingest._BLOCK_ROWS + 1
+    HEADER = ["package", "count", "share"]
+
+    @pytest.fixture()
+    def argv(self, monkeypatch, tiny_dir):
+        columns = [[f"p{k}" for k in range(self.N)], np.arange(self.N), np.linspace(0, 1, self.N)]
+        monkeypatch.setattr(cli, "_cmd_snapshot", lambda args: ("tiny", "long", self.HEADER, columns))
+        return ["snapshot", "--at", "2020-01", "--dataset", tiny_dir]
+
+    def rows(self):
+        return zip([f"p{k}" for k in range(self.N)], range(self.N), np.linspace(0, 1, self.N).tolist())
+
+    @pytest.mark.parametrize("form", ["csv", "json"])
+    def test_file_and_directory_targets(self, capsys, tmp_path, tiny_dir, argv, form):
+        code, text, err = invoke(capsys, *argv, "--format", form, "--manifest")
+        assert (code, json.loads(err)["dataset"]["path"]) == (0, str(tiny_dir))
+        if form == "csv":
+            assert text == csv_writer_text(self.HEADER, self.rows())
+        else:
+            assert json.loads(text) == [dict(zip(self.HEADER, row)) for row in self.rows()]
+        out_dir = tmp_path / "results"
+        out_dir.mkdir()
+        for out, written in [(tmp_path / "long.out", tmp_path / "long.out"),
+                             (out_dir, out_dir / f"long__tiny.{form}")]:
+            assert invoke(capsys, *argv, "--format", form, "--out", out, "--manifest") == (0, "", "")
+            assert written.read_text(encoding="utf-8") == text
+            manifest = Path(f"{written}.manifest.json").read_text(encoding="utf-8")
+            assert json.loads(manifest) == {**json.loads(err), "arguments": [
+                *map(str, argv), "--format", form, "--out", str(out), "--manifest"]}
+
+    def test_pipe_closed_after_the_first_write(self, capsys, monkeypatch, argv):
+        closed = _PipeClosedAfterOneWrite()
+        monkeypatch.setattr(sys, "stdout", closed)
+        code = run([str(a) for a in argv])
+        err = capsys.readouterr().err
+        assert (code, err) == (1, "depnet: output closed before it was fully written\n")
+        assert closed.written == ["package,count,share\n"]
+
+
 class TestFormatsAndDeterminism:
     def test_csv_output_matches_csv_writer(self, capsys):
         values = [
@@ -448,9 +502,42 @@ class TestFormatsAndDeterminism:
         for _ in range(3000):
             picks = rng.integers(len(values), size=rng.integers(1, 5))
             rows.append(tuple(values[k] for k in picks))
+        # Ragged rows, the zero-field one too, go through write_csv; the rows
+        # of each width go through the emitter as one table's columns.
+        buf = io.StringIO()
+        ingest.write_csv(buf, ["h1", "h 2"], ([cli._fmt(v) for v in row] for row in rows))
+        assert buf.getvalue() == csv_writer_text(["h1", "h 2"], rows)
         args = cli.build_parser().parse_args(["validate", "--dataset", "unused"])
-        cli._emit(args, ["h1", "h 2"], rows)
-        assert capsys.readouterr().out == csv_writer_text(["h1", "h 2"], rows)
+        for width in range(1, 5):
+            shaped = [row for row in rows if len(row) == width]
+            header = [f"h{k}" for k in range(width)]
+            cli._emit(args, header, [list(column) for column in zip(*shaped)])
+            assert capsys.readouterr().out == csv_writer_text(header, shaped)
+
+    def test_long_table_matches_csv_writer(self, capsys):
+        """Over more than two blocks, with fields that need quoting only in
+        the last one: the blocks before it are written joined, that one
+        through write_csv, and the text is csv.writer's."""
+        n = 2 * ingest._BLOCK_ROWS + 100
+        late = 2 * ingest._BLOCK_ROWS + 50
+        rng = np.random.default_rng(20170401)
+        words = [f"pkg-{k}" for k in rng.integers(1000, size=n)]
+        pairs = rng.integers(10, size=n).tolist()
+        for k, special in enumerate(["a,b", 'say "hi"', "x\ry", "line\nbreak"]):
+            words[late + k] = special
+        pairs[late + 7] = (3, 4)
+        survival = np.repeat(np.linspace(1.0, 0.0, n // 4), 4)
+        survival[-4:] = [-0.0, np.nan, np.inf, 1e16]
+        columns = [words, np.arange(n), survival, pairs, rng.integers(2, size=n).astype(bool)]
+        header = ["label", "time", "survival", "pair", "flag"]
+        rows = list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns)))
+        names = [f"name-{k}" for k in range(n)]
+        names[late] = ""
+        args = cli.build_parser().parse_args(["validate", "--dataset", "unused"])
+        cli._emit(args, header, columns)
+        assert capsys.readouterr().out == csv_writer_text(header, rows)
+        cli._emit(args, ["name"], [names])
+        assert capsys.readouterr().out == csv_writer_text(["name"], [(v,) for v in names])
 
     def test_json_format(self, capsys, tiny_dir):
         code, out, _ = invoke(
@@ -675,6 +762,15 @@ def _flip_low_time_bit(path) -> None:
     path.write_bytes(bytes(data))
 
 
+def _set_compression_method(path) -> None:
+    """Set the compression method of the first member, in its central
+    directory record, to one that ``zipfile`` does not support."""
+    data = bytearray(path.read_bytes())
+    record = data.index(b"PK\x01\x02")
+    data[record + 10:record + 12] = (99).to_bytes(2, "little")
+    path.write_bytes(bytes(data))
+
+
 def _refuse(*args, **kwargs):
     raise PermissionError(13, "Permission denied")
 
@@ -729,7 +825,7 @@ class TestColumnFile:
     @pytest.mark.parametrize(
         "damage",
         ["truncated", "flipped byte", "other format", "directory", "id out of range",
-         "code out of range", "repeated table value"],
+         "code out of range", "repeated table value", "compression method"],
     )
     def test_unusable_file_falls_back_to_the_csvs(self, capsys, tiny_dir, monkeypatch, damage):
         argv = [*self.GROWTH, *tiny_args(tiny_dir)]
@@ -741,6 +837,8 @@ class TestColumnFile:
             path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
         elif damage == "flipped byte":
             _flip_low_time_bit(path)
+        elif damage == "compression method":
+            _set_compression_method(path)
         elif damage == "other format":
             path.unlink()
             with monkeypatch.context() as patch:
@@ -767,6 +865,22 @@ class TestColumnFile:
         assert ingest._read_columns(tiny_dir, key, None, None) is None
         assert invoke(capsys, *argv) == expected
         assert self.listing(tiny_dir) == sorted([*self.DATASET, COLUMN_FILE])
+
+    @pytest.mark.parametrize("filtered", [True, False])
+    def test_file_reads_back_the_dataset(self, tiny_dir, filtered):
+        """A filtered dataset's target column is stored as its codes alone,
+        read back into the names table; any other target table is stored."""
+        cutoff = datetime(2020, 4, 1)
+        d = load_dataset_dir(tiny_dir, cutoff=cutoff)
+        if filtered:
+            d = filter_dependencies(d)
+        key = self.key(tiny_dir)
+        ingest._write_columns(tiny_dir, key, d, ingest._last_time(d.release_time))
+        with zipfile.ZipFile(tiny_dir / COLUMN_FILE) as archive:
+            stored = "dependency_target.npy" in archive.namelist()
+        back = ingest._read_columns(tiny_dir, key, cutoff, None)
+        assert (stored, back.dependency_target.table is back.names) == (not filtered, filtered)
+        assert back == d
 
     @pytest.mark.parametrize("failing", [(os, "replace"), (np.lib.format, "write_array")])
     def test_failed_write_leaves_no_file(self, capsys, tiny_dir, monkeypatch, failing):
