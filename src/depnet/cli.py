@@ -51,7 +51,6 @@ from .ingest import (
     _column_key,
     _dataset_digest,
     _last_time,
-    _plain_columns,
     _read_columns,
     _write_columns,
     filter_dependencies,
@@ -179,15 +178,10 @@ def _emit(args, header: list[str], columns: list, metric: str = "output",
             payload = [dict(zip(header, row)) for row in zip(*columns)]
             handle.write(json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n")
         else:
-            # A block of rows at a time: one that needs no quoting as its
-            # fields joined, any other through write_csv.
-            write_csv(handle, header, ())
-            for start in range(0, len(columns[0]), _BLOCK_ROWS):
-                fields = [_formatted(column[start:start + _BLOCK_ROWS]) for column in columns]
-                if _plain_columns(fields):
-                    handle.write("\n".join(map(",".join, zip(*fields))) + "\n")
-                else:
-                    write_csv(handle, None, zip(*fields))
+            # A block of rows at a time, each column of a block formatted at once.
+            write_csv(handle, header, chain.from_iterable(
+                zip(*(_formatted(column[start:start + _BLOCK_ROWS]) for column in columns))
+                for start in range(0, len(columns[0]), _BLOCK_ROWS)))
     if args.manifest:
         _write_manifest(args, out)
 

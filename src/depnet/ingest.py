@@ -16,7 +16,6 @@ import gc
 import hashlib
 import json
 import os
-import re
 import statistics
 import zipfile
 from collections.abc import Callable, Iterable, Iterator, Sequence, Set as AbstractSet
@@ -583,47 +582,34 @@ def _timestamps(values: Sequence[str]) -> tuple[list[datetime], Optional[int]]:
     return times, None
 
 
-# Characters that make a row need quoting; a comma is told apart from the
-# separators by counting.
-_NEEDS_QUOTING = re.compile('["\r\n]')
-
-
-def write_csv(handle, header: Optional[list[str]], rows: Iterable[Sequence[str]]) -> None:
+def write_csv(handle, header: list[str], rows: Iterable[Sequence[str]]) -> None:
     """Write a header and rows of strings as CSV that reads back field for
-    field; a ``header`` of None writes the rows alone. ``csv.writer``
-    quotes a field holding a newline but not one holding a bare carriage
-    return, where ``csv.reader`` would split the row, so a row with a
-    carriage return is written with every field quoted.
+    field. ``csv.writer`` quotes a field holding a newline but not one
+    holding a bare carriage return, where ``csv.reader`` would split the
+    row, so a row with a carriage return is written with every field quoted.
 
-    A row that needs no quoting (no field holds a comma, a quote, a
-    carriage return or a newline, and the row is not one empty field) is
-    written as its fields joined by commas, the text ``csv.writer`` gives.
+    Rows go out ``_BLOCK_ROWS`` at a time. A block in which no row needs
+    quoting (no field holds a comma, a quote, a carriage return or a
+    newline, and no row is one empty field) is written as one text, each
+    row its fields joined by commas, the text ``csv.writer`` gives; any
+    other block is written by ``csv.writer`` a row at a time.
     """
     plain = csv.writer(handle, lineterminator="\n")
     quoted = csv.writer(handle, lineterminator="\n", quoting=csv.QUOTE_ALL)
-    if header is not None:
-        plain.writerow(header)
-    write, special = handle.write, _NEEDS_QUOTING.search
-    for row in rows:
-        line = ",".join(row)
-        if line and line.count(",") == len(row) - 1 and special(line) is None:
-            write(line + "\n")
+    plain.writerow(header)
+    rows = iter(rows)
+    while block := list(islice(rows, _BLOCK_ROWS)):
+        lines = list(map(",".join, block))
+        text = "\n".join(lines)
+        # Every comma and newline in the text is a separator the joins put
+        # there, and no line is empty.
+        if (text.count(",") == sum(map(len, block)) - len(block)
+                and text.count("\n") == len(block) - 1 and "" not in lines
+                and '"' not in text and "\r" not in text):
+            handle.write(text + "\n")
         else:
-            (quoted if "\r" in line else plain).writerow(row)
-
-
-def _plain_columns(columns: Sequence[Sequence[str]]) -> bool:
-    """Whether :func:`write_csv` writes every row of these equal-length
-    columns of strings as its fields joined by commas: no field holds a
-    comma, a quote, a carriage return or a newline, and no row is one
-    empty field."""
-    if len(columns) == 1 and "" in columns[0]:
-        return False
-    for column in columns:
-        text = "".join(column)
-        if any(char in text for char in ',"\r\n'):
-            return False
-    return True
+            for row, line in zip(block, lines):
+                (quoted if "\r" in line else plain).writerow(row)
 
 
 @_gc_paused()

@@ -436,6 +436,14 @@ def csv_writer_text(header, rows) -> str:
     return buf.getvalue()
 
 
+class _Recorder:
+    def __init__(self):
+        self.written = []
+
+    def write(self, text):
+        self.written.append(text)
+
+
 class _PipeClosedAfterOneWrite:
     def __init__(self):
         self.written = []
@@ -514,10 +522,10 @@ class TestFormatsAndDeterminism:
             cli._emit(args, header, [list(column) for column in zip(*shaped)])
             assert capsys.readouterr().out == csv_writer_text(header, shaped)
 
-    def test_long_table_matches_csv_writer(self, capsys):
+    def test_long_table_matches_csv_writer(self, monkeypatch):
         """Over more than two blocks, with fields that need quoting only in
-        the last one: the blocks before it are written joined, that one
-        through write_csv, and the text is csv.writer's."""
+        the last one: the blocks before it are each written as one text,
+        that one a row at a time, and the text is csv.writer's."""
         n = 2 * ingest._BLOCK_ROWS + 100
         late = 2 * ingest._BLOCK_ROWS + 50
         rng = np.random.default_rng(20170401)
@@ -534,10 +542,16 @@ class TestFormatsAndDeterminism:
         names = [f"name-{k}" for k in range(n)]
         names[late] = ""
         args = cli.build_parser().parse_args(["validate", "--dataset", "unused"])
-        cli._emit(args, header, columns)
-        assert capsys.readouterr().out == csv_writer_text(header, rows)
-        cli._emit(args, ["name"], [names])
-        assert capsys.readouterr().out == csv_writer_text(["name"], [(v,) for v in names])
+        for header, columns, rows in ((header, columns, rows),
+                                      (["name"], [names], [(v,) for v in names])):
+            out = _Recorder()
+            monkeypatch.setattr(sys, "stdout", out)
+            cli._emit(args, header, columns)
+            assert "".join(out.written) == csv_writer_text(header, rows)
+            # The header, one write for each of the two plain blocks, and one
+            # for each row of the last block.
+            assert len(out.written) == 3 + n - 2 * ingest._BLOCK_ROWS
+            assert [text.count("\n") for text in out.written[1:3]] == [ingest._BLOCK_ROWS] * 2
 
     def test_json_format(self, capsys, tiny_dir):
         code, out, _ = invoke(

@@ -678,6 +678,23 @@ class TestRoundTrip:
         write_csv(buf, ["h1", "h2"], [["a,b", "c"], ["d\re", "f"], ["g\nh", " i "]])
         assert buf.getvalue() == 'h1,h2\n"a,b",c\n"d\re","f"\n"g\nh", i \n'
 
+    @pytest.mark.parametrize("field", ["a,b", 'say "hi"', "x\ry", "line\nbreak", ""])
+    def test_write_csv_quotes_a_field_alone_in_its_block(self, field):
+        """Each kind of field that needs quoting, the only one in a block of
+        plain rows, is written as csv.writer writes it and reads back."""
+        rows = [[f"pkg-{k}"] for k in range(2 * ingest._BLOCK_ROWS)]
+        rows[ingest._BLOCK_ROWS + 3] = [field]
+        buf = io.StringIO()
+        write_csv(buf, ["name"], rows)
+        expected = io.StringIO()
+        plain = csv.writer(expected, lineterminator="\n")
+        quoted = csv.writer(expected, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        plain.writerow(["name"])
+        for row in rows:
+            (quoted if "\r" in row[0] else plain).writerow(row)
+        assert buf.getvalue() == expected.getvalue()
+        assert list(csv.reader(io.StringIO(buf.getvalue())))[1:] == rows
+
     def test_load_takes_cutoff_from_manifest(self, tiny, tmp_path):
         write_dataset(tiny, tmp_path / "out")
         assert load_dataset_dir(tmp_path / "out", ecosystem="tiny") == tiny
