@@ -22,17 +22,19 @@ import numpy as np
 
 from .graphops import _closure_sizes, _edge_list, dependency_depths, top_level_packages
 from .indices import (
+    _check_p_percent,
     _p_impact_count,
     _package_counts,
     changeability_index,
-    p_impact_index,
     reusability_index,
 )
-from .ingest import Dataset, _micros, _month_indices
+from .ingest import _OPEN, Dataset, _micros, _month_indices
 from .snapshot import (
     SnapshotGraph,
-    _EdgeSpans,
+    _edge_spans,
     _release_counts,
+    _required_at_release,
+    _snapshot_sizes,
     build_snapshot,
     check_instant,
     checked_months,
@@ -140,7 +142,7 @@ def _map_months(
     a module-level function or a ``functools.partial`` of one.
     """
     if jobs > 1 and len(months) > 1 and "fork" in multiprocessing.get_all_start_methods():
-        d.index()  # build once in the parent so forked workers share it
+        _edge_spans(d)  # build the index and the table once, for every worker
         ctx = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(
             max_workers=min(jobs, len(months)), mp_context=ctx,
@@ -150,24 +152,14 @@ def _map_months(
     return [measure(build_snapshot(d, month_start(m))) for m in months]
 
 
-def _transitive_total(g: SnapshotGraph) -> tuple[int, int]:
-    return int(_closure_sizes(*_edge_list(g), reverse=True).sum()), g.n_edges
-
-
 def _reusability(g: SnapshotGraph) -> int:
     return reusability_index(g).value
 
 
-def _p_impact(g: SnapshotGraph, p_percent: float) -> int:
-    if g.n_nodes == 0:
-        return 0
-    return p_impact_index(g, p_percent).value
-
-
-def _graph_metrics(g: SnapshotGraph, p_percent: float) -> tuple[int, int, int, int, int]:
+def _graph_metrics(g: SnapshotGraph, p_percent: float = 5.0) -> tuple[int, int, int, int, int]:
     # One batch closure over the graph's edge arrays, read as an array of
-    # sizes, serves the transitive total and p_impact; nothing here builds
-    # the graph's adjacency rows.
+    # sizes, serves the transitive total and p_impact of every month series;
+    # nothing here builds the graph's adjacency rows.
     sizes = _closure_sizes(*_edge_list(g), reverse=True)
     return (
         g.n_nodes,
@@ -192,7 +184,7 @@ def growth_series(d: Dataset, first: Month, last: Month) -> tuple[TimeSeries, Ti
     the snapshot at each month start, read from the dataset's edge spans
     for all months at once, without building the snapshots."""
     months = checked_months(d, first, last)
-    nodes, edges = _EdgeSpans(d).sizes([month_start(m) for m in months])
+    nodes, edges = _snapshot_sizes(d, [month_start(m) for m in months])
     packages = TimeSeries("packages", [(m, float(n)) for m, n in zip(months, nodes)])
     dependencies = TimeSeries("dependencies", [(m, float(e)) for m, e in zip(months, edges)])
     return packages, dependencies
@@ -201,7 +193,7 @@ def growth_series(d: Dataset, first: Month, last: Month) -> tuple[TimeSeries, Ti
 def dependency_ratio_series(d: Dataset, first: Month, last: Month) -> TimeSeries:
     """Edges per node by month; months with no packages emit no point."""
     months = checked_months(d, first, last)
-    nodes, edges = _EdgeSpans(d).sizes([month_start(m) for m in months])
+    nodes, edges = _snapshot_sizes(d, [month_start(m) for m in months])
     points = [(m, e / n) for m, n, e in zip(months, nodes, edges) if n > 0]
     return TimeSeries("dependency_ratio", points)
 
@@ -214,9 +206,9 @@ def transitive_ratio_series(d: Dataset, first: Month, last: Month, jobs: int = 1
     equals the summed transitive dependent counts actually computed.
     """
     months = checked_months(d, first, last)
-    results = _map_months(d, months, _transitive_total, jobs)
+    results = _map_months(d, months, _graph_metrics, jobs)
     points = [
-        (m, total / edges) for m, (total, edges) in zip(months, results) if edges > 0
+        (m, total / edges) for m, (_, edges, total, *_) in zip(months, results) if edges > 0
     ]
     return TimeSeries("transitive_ratio", points)
 
@@ -242,8 +234,9 @@ def index_series(
     elif which == "reusability":
         values = _map_months(d, months, _reusability, jobs)
     elif which == "p_impact":
-        p_percent = float(parameter) if parameter is not None else 5.0
-        values = _map_months(d, months, partial(_p_impact, p_percent=p_percent), jobs)
+        p_percent = _check_p_percent(float(parameter) if parameter is not None else 5.0)
+        metrics = _map_months(d, months, partial(_graph_metrics, p_percent=p_percent), jobs)
+        values = [p_impact for *_, p_impact in metrics]
     else:
         raise ValueError(f"unknown index name: {which!r}")
     return TimeSeries(which, [(m, float(v)) for m, v in zip(months, values)])
@@ -260,6 +253,7 @@ def ecosystem_scan(
     """Single pass computing sizes, closure totals, and all three indices
     per month, sharing one snapshot and one batch closure per month."""
     months = checked_months(d, first, last)
+    _check_p_percent(p_percent)
     graph = _map_months(d, months, partial(_graph_metrics, p_percent=p_percent), jobs)
     changeability = _changeability(d, months, window_days)
     return [
@@ -308,8 +302,7 @@ def update_distribution(d: Dataset, t: datetime) -> UpdateBins:
 def _updates_during(d: Dataset, start: datetime, end: datetime) -> tuple[np.ndarray, np.ndarray]:
     """The times and positions of the updates in [start, end); ``ValueError``
     when end is after the dataset cutoff or before start."""
-    check_instant(d, end)
-    return d.index().updates_during(*_micros([start, end]).tolist())
+    return d.index().updates_during(int(_micros([start])[0]), check_instant(d, end))
 
 
 def active_packages(d: Dataset, window_start: datetime, window_end: datetime) -> set[str]:
@@ -367,26 +360,20 @@ def survival_dataset(d: Dataset, split_by_required: bool = False):
     not_required) samples; otherwise a single sample. The split reads the
     dataset's edge spans and builds no snapshot.
 
+    A release's duration ends where its interval in the dataset index ends,
+    or at the cutoff for a package's last release, which is censored.
+
     Durations are differences of the index's int64 microsecond times over
     the microseconds in a day. Both are exact as floats for spans under
     2**53 microseconds (285 years), so each quotient is the correctly
     rounded one that ``days_between`` gives.
     """
-    # The flags come first, so that the table's arrays are freed before the
-    # durations are built: that keeps the peak resident set down.
-    flags = _EdgeSpans(d).required() if split_by_required else None
     idx = d.index()
-    times, last = idx.times_us, idx.offset_array[1:] - 1
-    ends = np.empty_like(times)
-    ends[:-1] = times[1:]
-    ends[last] = _micros([d.cutoff])
-    durations = (ends - times) / _DAY_US
-    censored = np.zeros(len(times), bool)
-    censored[last] = True
-    del ends, last
-
+    durations = (np.minimum(idx.end_us, _micros([d.cutoff])[0]) - idx.times_us) / _DAY_US
+    censored = idx.end_us == _OPEN
     if not split_by_required:
         return SurvivalSample(durations, censored, "all")
+    flags = _required_at_release(d)
     return (
         SurvivalSample(durations[flags], censored[flags], "required"),
         SurvivalSample(durations[~flags], censored[~flags], "not_required"),

@@ -124,6 +124,13 @@ def _p_impact_count(sizes: np.ndarray, p_percent: float, n_nodes: int) -> int:
     return int(np.count_nonzero(sizes >= (p_percent / 100.0) * n_nodes))
 
 
+def _check_p_percent(p_percent: float) -> float:
+    """``p_percent``; ``ValueError`` unless it is in (0, 100]."""
+    if not 0.0 < p_percent <= 100.0:
+        raise ValueError("p_percent must be in (0, 100]")
+    return p_percent
+
+
 def p_impact_index(
     g: SnapshotGraph,
     p_percent: float,
@@ -136,8 +143,7 @@ def p_impact_index(
     Precomputed ``dependent_counts`` may be passed to share the batch
     closure with other per-month metrics.
     """
-    if not 0.0 < p_percent <= 100.0:
-        raise ValueError("p_percent must be in (0, 100]")
+    _check_p_percent(p_percent)
     if g.n_nodes == 0:
         raise ValueError("p_impact_index requires a non-empty snapshot")
     if dependent_counts is None:

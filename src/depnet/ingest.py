@@ -98,6 +98,9 @@ class FilterReport:
         )
 
 
+_OPEN = np.iinfo(np.int64).max  # the end of an interval that never ends
+
+
 class _DatasetIndex:
     """Flat lookup arrays over a Dataset's columns, built once and shared.
 
@@ -110,7 +113,10 @@ class _DatasetIndex:
       order; position k's releases are the entries from ``offset_array[k]``
       to ``offset_array[k + 1]``. Entry j is a release of the package at
       position ``entry_positions[j]``, made at ``times_us[j]``, int64
-      microseconds since the epoch.
+      microseconds since the epoch. It is its package's latest release on
+      [``times_us[j]``, ``end_us[j]``): ``end_us[j]`` is the time of the
+      package's next entry, and ``_OPEN`` after its last one. An entry
+      followed by one at the same instant has an empty interval.
     * The dependency rows are grouped by the entry of their release, in
       entry order and, within an entry, in declaration order: row i
       belongs to entry ``row_entries[i]`` and resolves to the target
@@ -130,6 +136,9 @@ class _DatasetIndex:
     overlap. Every time is a whole microsecond, so a trailing window
     (start, end] that counts an update at its very end is the span
     [start + 1, end + 1).
+
+    ``spans`` holds the edge-span table that ``snapshot`` builds from these
+    arrays on first use; ``None`` until then.
     """
 
     def __init__(self, dataset: "Dataset"):
@@ -188,6 +197,12 @@ class _DatasetIndex:
         updates = updates[np.argsort(times_us[updates], kind="stable")]
         self.update_times_us = times_us[updates]
         self.update_positions = position[updates]
+
+        # Each entry's interval end, made last: the row sort's temporaries
+        # are freed by then, so it adds nothing to the peak of the build.
+        self.end_us = end = np.append(times_us[1:], _OPEN)
+        end[offsets[1:] - 1] = _OPEN
+        self.spans = None
 
     def updates_during(self, start_us: int, end_us: int) -> tuple[np.ndarray, np.ndarray]:
         """The times and positions of the updates made in [start_us,

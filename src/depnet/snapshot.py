@@ -9,17 +9,17 @@ in-degree counts and the indices built on them) read those arrays; the
 names list, the integer adjacency rows and the reverse adjacency that the
 per-package queries walk are views derived from them on first use.
 
-A build runs as numpy passes over the dataset index's arrays: one running
-count gives every package's number of releases at t, one mask selects the
-dependency rows of the latest releases, and a stable sort drops repeated
-targets while keeping declaration order; the CSR arrays are what remains,
-so a build makes no Python object per node or edge. One helper gives each
-release's distinct, resolvable, non-self targets; the edge-span table,
-which sizes every snapshot without building it, reads the same helper. The
-derived views are built with the cyclic garbage collector paused, as the
-batch closure in ``graphops`` is: both allocate many int-only containers,
-and a collection would walk every object of the loaded dataset for
-nothing.
+The dataset index owns the timeline: each entry is its package's latest
+release from its own time to the package's next entry. One table over
+that timeline, built on first use and kept by the index, holds every edge
+of every snapshot with the span on which it is alive, and every dropped
+dependency row with the span on which it is dropped. A build is the slice
+of that table at t, so it reads no dependency row and makes no Python
+object per node or edge; growth, the dependency ratio and the required
+split of survival read the table for many instants at once. The derived
+views are built with the cyclic garbage collector paused, as the batch
+closure in ``graphops`` is: both allocate many int-only containers, and a
+collection would walk every object of the loaded dataset for nothing.
 """
 
 from __future__ import annotations
@@ -30,7 +30,9 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .ingest import Coded, Dataset, RecordView, ReleaseRecord, _gc_paused, _micros
+from .ingest import (
+    _OPEN, Coded, Dataset, RecordView, ReleaseRecord, _DatasetIndex, _gc_paused, _micros,
+)
 from .timeutil import Month, format_month, iter_months, month_of, month_start
 
 
@@ -245,37 +247,30 @@ def checked_months(d: Dataset, first: Month, last: Month) -> list[Month]:
     return list(iter_months(first, last))
 
 
-def check_instant(d: Dataset, t: datetime) -> None:
-    """``ValueError`` when ``t`` is after the dataset cutoff."""
+def check_instant(d: Dataset, t: datetime) -> int:
+    """``t`` in microseconds since the epoch; ``ValueError`` when ``t`` is
+    after the dataset cutoff."""
     if t > d.cutoff:
         raise ValueError(
             f"instant {t.isoformat()} is after the dataset cutoff {d.cutoff.isoformat()}"
         )
+    return int(_micros([t])[0])
 
 
 def _release_counts(d: Dataset, t: datetime) -> np.ndarray:
     """The number of releases at or before t of each package, by position;
     ``ValueError`` when t is after the dataset cutoff."""
-    check_instant(d, t)
     idx = d.index()
-    # A package's entries are in time order, so those at or before t are a
-    # prefix of them: one running count over all entries, read at the
-    # package bounds, gives every package's prefix.
-    done = np.zeros(len(idx.times_us) + 1, np.int64)
-    np.cumsum(idx.times_us <= _micros([t])[0], out=done[1:])
-    offsets = idx.offset_array
-    return done[offsets[1:]] - done[offsets[:-1]]
+    made = idx.entry_positions[idx.times_us <= check_instant(d, t)]
+    return np.bincount(made, minlength=len(idx.packages))
 
 
-def _latest_entries(d: Dataset, t: datetime) -> tuple[np.ndarray, np.ndarray]:
-    """The position of each package with a release at or before t, in
-    position order, and the index entry of its latest release at t."""
-    counts = _release_counts(d, t)
-    positions = np.flatnonzero(counts)
-    latest = d.index().offset_array[positions]
-    latest += counts[positions]
-    latest -= 1
-    return positions, latest
+def _latest_entries(idx: _DatasetIndex, at: int) -> np.ndarray:
+    """The index entries whose interval holds ``at``, in microseconds since
+    the epoch, in position order: each package's latest release then."""
+    holds = idx.times_us <= at
+    holds &= idx.end_us > at
+    return np.flatnonzero(holds)
 
 
 def latest_releases_at(d: Dataset, t: datetime) -> dict[str, ReleaseRecord]:
@@ -284,28 +279,79 @@ def latest_releases_at(d: Dataset, t: datetime) -> dict[str, ReleaseRecord]:
     Packages with no release at or before t are absent. Among releases
     sharing the maximal timestamp the greatest version wins.
     """
-    latest = d.index().releases[_latest_entries(d, t)[1]]
+    idx = d.index()
+    latest = idx.releases[_latest_entries(idx, check_instant(d, t))]
     return {rel.package: rel for rel in d.releases.take(latest)}
 
 
-def _declared_targets(
-    d: Dataset, entry: np.ndarray, target: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each index entry's distinct, resolvable, non-self targets, in
-    declaration order.
+class _EdgeSpans(NamedTuple):
+    """Every edge of every snapshot of a dataset, with the span of time on
+    which it is alive, and every dependency row that a snapshot drops, with
+    the span on which it is dropped; :func:`_edge_spans` builds it.
 
-    ``entry`` and ``target`` are dependency rows of the index, grouped by
-    entry in declaration order. Dropped are the rows whose target has no
-    release, whose target is the entry's own package, and those that repeat
-    an earlier row of their entry; the rest keep their order.
+    Index entry j, a release of the package at position p made at t_j, is
+    p's latest release on [t_j, end_j), ``end_j`` being the index's
+    ``end_us``. Each distinct target q of that release that resolves and is
+    not p gives the edge p -> q, alive on [max(t_j, first(q)), end_j),
+    where first(q) is q's first release time: edge i is ``source[i] ->
+    target[i]``, alive on [``start[i]``, ``end[i]``), in entry order and,
+    within an entry, in declaration order. An edge whose span is empty has
+    ``end[i] == start[i]``: no instant is in it, and a count of the bounds
+    at or before an instant takes both of its bounds or neither. A row of
+    entry j whose target q does not exist yet is dropped on
+    [t_j, min(end_j, first(q))), first(q) being open for a target without
+    release; ``drop_start`` and ``drop_end`` hold the bounds of the
+    non-empty ones, each sorted. Times are int64 microseconds since the
+    epoch; positions are int32.
     """
+
+    source: np.ndarray
+    target: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+    drop_start: np.ndarray
+    drop_end: np.ndarray
+
+
+def _edge_spans(d: Dataset) -> _EdgeSpans:
+    """The edge-span table of ``d``, built on first use and kept by its
+    index."""
     idx = d.index()
+    if idx.spans is None:
+        times, end_of = idx.times_us, idx.end_us
+        first = np.append(times[idx.offset_array[:-1]], _OPEN)  # by target position
+        drop_start = times[idx.row_entries]
+        drop_end = np.minimum(end_of[idx.row_entries], first[idx.row_targets])
+        dropped = drop_start < drop_end
+        drop_start, drop_end = np.sort(drop_start[dropped]), np.sort(drop_end[dropped])
+
+        entry, target = _declared_targets(idx)
+        start = first[target]
+        np.maximum(start, times[entry], out=start)
+        end = np.maximum(end_of[entry], start)  # an empty span ends where it starts
+        source = idx.entry_positions[entry].astype(np.int32)
+        idx.spans = _EdgeSpans(source, target, start, end, drop_start, drop_end)
+    return idx.spans
+
+
+def _declared_targets(idx: _DatasetIndex) -> tuple[np.ndarray, np.ndarray]:
+    """Each index entry's distinct, resolvable, non-self targets, as the
+    entries and target positions of the index's dependency rows: grouped by
+    entry, in declaration order.
+
+    Dropped are the rows whose target has no release, whose target is the
+    entry's own package, and those that repeat an earlier row of their
+    entry; the rest keep their order.
+    """
     n = len(idx.packages)
+    entry, target = idx.row_entries, idx.row_targets
     keep = target != n
     keep &= target != idx.entry_positions[entry]
     entry, target = entry[keep], target[keep]
     # A stable sort of the (entry, target) keys puts every repeat after the
     # row it repeats, so the first row of each run of equal keys is kept.
+    # (``np.unique`` finds the same rows, but its copies of the keys nearly
+    # double the peak of the build.)
     key = entry.astype(np.int64)
     key *= n
     key += target
@@ -321,52 +367,38 @@ def _declared_targets(
 
 
 def build_snapshot(d: Dataset, t: datetime) -> SnapshotGraph:
-    """Construct the dependency network at time t.
+    """Construct the dependency network at time t, as the slice at t of the
+    dataset's edge-span table.
 
-    Each latest release's targets become node ids, in declaration order:
-    targets that do not exist yet are dropped and counted, self-edges and
-    repeats are dropped.
+    The nodes are the packages of the index entries whose interval holds t,
+    in position order; the edges are the spans alive at t, their ends
+    mapped to node ids, in declaration order; ``dropped_deps`` counts the
+    drop spans that hold t.
     """
-    positions, latest = _latest_entries(d, t)
-    idx = d.index()
+    at = check_instant(d, t)
+    idx, spans = d.index(), _edge_spans(d)
+    latest = _latest_entries(idx, at)
+    positions = idx.entry_positions[latest]
     n_nodes = len(latest)
-    ids = np.arange(n_nodes, dtype=np.int32)
-    # The node id of every index entry and every target position, -1 where
-    # there is none: an entry that is not latest at t, a package without
-    # release at t, and the unreleased-target sentinel.
-    node_of_entry = np.full(len(idx.times_us), -1, np.int32)
-    node_of_entry[latest] = ids
-    node = np.full(len(idx.offset_array), -1, np.int32)
-    node[positions] = ids
-    del ids
-
-    # The latest entries' rows, grouped by entry in node order: entries
-    # and node ids both follow position order.
-    rows = node_of_entry[idx.row_entries] >= 0
-    entry, target = idx.row_entries[rows], idx.row_targets[rows]
-    del rows
-    dropped = int(np.count_nonzero(node[target] < 0))
-    entry, target = _declared_targets(d, entry, target)
-    target = node[target]
-    resolved = target >= 0
+    # The node id of every position, -1 for a package without release at t.
+    node = np.full(len(idx.packages), -1, np.int32)
+    node[positions] = np.arange(n_nodes, dtype=np.int32)
+    alive = spans.start <= at
+    alive &= spans.end > at
     offsets = np.zeros(n_nodes + 1, np.int64)
-    np.cumsum(np.bincount(node_of_entry[entry[resolved]], minlength=n_nodes), out=offsets[1:])
-    targets = target[resolved]
-    del entry, target, resolved, node_of_entry, node
-
+    np.cumsum(np.bincount(node[spans.source[alive]], minlength=n_nodes), out=offsets[1:])
+    dropped = np.searchsorted(spans.drop_start, at, "right")
+    dropped -= np.searchsorted(spans.drop_end, at, "right")
     return SnapshotGraph(
         at=t,
         releases=d.releases,
         latest_ids=idx.releases[latest],
         names=Coded(idx.packages[positions], d.names),
         offsets=offsets,
-        targets=targets,
-        dropped_deps=dropped,
+        targets=node[spans.target[alive]],
+        dropped_deps=int(dropped),
         ecosystem=d.ecosystem,
     )
-
-
-_OPEN = np.iinfo(np.int64).max  # the end of a span that never ends
 
 
 def _sorted_unique(keys: np.ndarray) -> np.ndarray:
@@ -381,74 +413,43 @@ def _sorted_unique(keys: np.ndarray) -> np.ndarray:
     return keys[distinct]
 
 
-class _EdgeSpans:
-    """Every edge of every snapshot of a dataset, with the span of time on
-    which it is alive, so that snapshot sizes and in-degrees are read
-    without building the snapshots.
+def _snapshot_sizes(d: Dataset, instants: Sequence[datetime]) -> tuple[list[int], list[int]]:
+    """``n_nodes`` and ``n_edges`` of ``build_snapshot(d, t)`` for each t in
+    ``instants``, read from the edge-span table without building the
+    snapshots: the packages first released at or before t, and the spans
+    that start at or before t and end after it."""
+    idx, spans = d.index(), _edge_spans(d)
+    at = _micros(instants)
+    nodes = np.searchsorted(np.sort(idx.times_us[idx.offset_array[:-1]]), at, "right")
+    edges = np.searchsorted(np.sort(spans.start), at, "right")
+    edges -= np.searchsorted(np.sort(spans.end), at, "right")
+    return nodes.tolist(), edges.tolist()
 
-    Index entry j, a release of the package at position p, is p's latest
-    release on [t_j, t_{j+1}), t_{j+1} being the time of p's next entry:
-    p's last entry has no end, and an entry followed by one at the same
-    instant has an empty interval. Each distinct target q of that release
-    that resolves and is not p gives the edge p -> q, alive on
-    [max(t_j, first(q)), t_{j+1}), where first(q) is q's first release
-    time. Empty spans are dropped. Times are int64 microseconds since the
-    epoch; ids are int32.
-    """
 
-    __slots__ = ("times", "offsets", "entry_positions", "target", "start", "end")
+def _required_at_release(d: Dataset) -> np.ndarray:
+    """For each index entry, whether its package has a direct dependent at
+    the entry's own time: ``build_snapshot(d, t).in_degree(q) > 0`` for a
+    release of q at t."""
+    # q has one iff more of q's spans start at or before t than end at or
+    # before t. Every start and end is a release time, or open, so one
+    # int64 key, q and the rank of the time among the release times,
+    # orders each comparison exactly and keeps q's spans together.
+    idx, spans = d.index(), _edge_spans(d)
+    ranks = _sorted_unique(idx.times_us.copy())
+    width = len(ranks) + 1
+    at = idx.entry_positions * width  # int64: this passes 2**31 at 100k packages
+    at += np.searchsorted(ranks, idx.times_us)
 
-    def __init__(self, d: Dataset):
-        idx = d.index()
-        self.times = times = idx.times_us
-        self.offsets = offsets = idx.offset_array
-        self.entry_positions = idx.entry_positions
-        entry, target = _declared_targets(d, idx.row_entries, idx.row_targets)
-        end_of = np.empty(len(times), np.int64)
-        end_of[:-1] = times[1:]
-        end_of[offsets[1:] - 1] = _OPEN
-        start = times[offsets[:-1]][target]
-        np.maximum(start, times[entry], out=start)
-        end = end_of[entry]
-        del end_of, entry
-        alive = start < end
-        self.target = target[alive]
-        self.start = start[alive]
-        self.end = end[alive]
+    def at_or_before(bounds: np.ndarray) -> np.ndarray:
+        key = spans.target.astype(np.int64)
+        key *= width
+        key += np.searchsorted(ranks, bounds)
+        key.sort()
+        return np.searchsorted(key, at, "right")
 
-    def sizes(self, instants: Sequence[datetime]) -> tuple[list[int], list[int]]:
-        """``n_nodes`` and ``n_edges`` of ``build_snapshot(d, t)`` for each
-        t in ``instants``: the packages first released at or before t, and
-        the spans that start at or before t and end after it."""
-        at = _micros(instants)
-        nodes = np.searchsorted(np.sort(self.times[self.offsets[:-1]]), at, "right")
-        edges = np.searchsorted(np.sort(self.start), at, "right")
-        edges -= np.searchsorted(np.sort(self.end), at, "right")
-        return nodes.tolist(), edges.tolist()
-
-    def required(self) -> np.ndarray:
-        """For each index entry, whether its package has a direct dependent
-        at the entry's own time: ``build_snapshot(d, t).in_degree(q) > 0``
-        for a release of q at t."""
-        # q has one iff more of q's spans start at or before t than end at or
-        # before t. Every start and end is a release time, or open, so one
-        # int64 key, q and the rank of the time among the release times,
-        # orders each comparison exactly and keeps q's spans together.
-        ranks = _sorted_unique(self.times.copy())
-        width = len(ranks) + 1
-        at = self.entry_positions * width  # int64: this passes 2**31 at 100k packages
-        at += np.searchsorted(ranks, self.times)
-
-        def at_or_before(bounds: np.ndarray) -> np.ndarray:
-            key = self.target.astype(np.int64)
-            key *= width
-            key += np.searchsorted(ranks, bounds)
-            key.sort()
-            return np.searchsorted(key, at, "right")
-
-        alive = at_or_before(self.start)
-        alive -= at_or_before(self.end)
-        return alive > 0
+    alive = at_or_before(spans.start)
+    alive -= at_or_before(spans.end)
+    return alive > 0
 
 
 def monthly_snapshots(d: Dataset, first: Month, last: Month) -> SnapshotSeries:

@@ -128,6 +128,16 @@ class TestExitCodes:
         assert out == ""
         assert "window_days must be positive" in err
 
+    def test_series_impact_rejects_p_out_of_range(self, capsys, tiny_dir):
+        code, out, err = invoke(
+            capsys,
+            "series", "index", "--index", "impact", "--p", "0",
+            "--from", "2020-02", "--to", "2020-04", *tiny_args(tiny_dir),
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "depnet: p_percent must be in (0, 100]\n"
+
     def test_series_updates_beyond_cutoff_is_data_error(self, capsys, tiny_dir):
         code, out, err = invoke(
             capsys,

@@ -7,7 +7,7 @@ from functools import partial
 
 import pytest
 
-from depnet import evolution
+from depnet import evolution, snapshot
 from depnet.evolution import (
     AGE_BIN_LABELS,
     active_packages,
@@ -574,6 +574,15 @@ class TestIndexSeries:
         with pytest.raises(ValueError, match="unknown index"):
             index_series(tiny, (2020, 2), (2020, 4), "verbosity")
 
+    @pytest.mark.parametrize("p_percent", [0, -5, 250, float("nan")])
+    def test_p_percent_out_of_range(self, tiny, p_percent):
+        # Both drivers check the range before any month runs, as
+        # p_impact_index does, rather than count every package or none.
+        with pytest.raises(ValueError, match="p_percent must be in"):
+            index_series(tiny, (2020, 2), (2020, 4), "p_impact", parameter=p_percent)
+        with pytest.raises(ValueError, match="p_percent must be in"):
+            ecosystem_scan(tiny, (2020, 2), (2020, 4), p_percent=p_percent)
+
 
 class TestScanAndParallel:
     def test_scan_matches_individual_series(self, tiny):
@@ -598,7 +607,6 @@ class TestScanAndParallel:
             expected = (g.n_nodes, g.n_edges, sum(counts.values()),
                         reusability_index(g).value, p_impact)
             assert evolution._graph_metrics(g, 10.0) == expected
-            assert evolution._transitive_total(g) == (expected[2], g.n_edges)
 
     def test_scan_month_stays_on_arrays(self):
         # A scan month reads the snapshot's CSR arrays only: it derives no
@@ -608,10 +616,28 @@ class TestScanAndParallel:
             g = build_snapshot(d, month_start(month))
             assert g.n_edges > 0
             evolution._graph_metrics(g, 5.0)
-            evolution._transitive_total(g)
             assert (g._view, g._preds, g._name_list) == (None, None, None)
         serial = ecosystem_scan(d, (2015, 1), (2016, 1), jobs=1)
         assert ecosystem_scan(d, (2015, 1), (2016, 1), jobs=2) == serial
+
+    def test_span_table_built_once(self, monkeypatch):
+        # The dataset index keeps the edge-span table: snapshots, growth and
+        # the required split of survival all read the one built first.
+        # Only the table reads the dependency rows' declared targets.
+        builds = []
+
+        def counted(idx):
+            builds.append(idx)
+            return declared_targets(idx)
+
+        declared_targets = snapshot._declared_targets
+        monkeypatch.setattr(snapshot, "_declared_targets", counted)
+        d = generate(GeneratorConfig(n_packages=200, months=12, seed=3, mean_deps=2.0))
+        build_snapshot(d, month_start((2015, 6)))
+        build_snapshot(d, month_start((2016, 1)))
+        growth_series(d, (2015, 1), (2016, 1))
+        survival_dataset(d, split_by_required=True)
+        assert len(builds) == 1
 
     def test_parallel_identical_to_serial(self):
         cfg = GeneratorConfig(

@@ -25,7 +25,7 @@ from depnet.graphops import (
 )
 from depnet.snapshot import (
     IntView,
-    _EdgeSpans,
+    _snapshot_sizes,
     build_snapshot,
     latest_releases_at,
     monthly_snapshots,
@@ -213,12 +213,14 @@ def _random_dataset(rng: random.Random) -> Dataset:
 
 def _reference_snapshot(d: Dataset, t: datetime):
     """(package order, out-neighbours, in-neighbours, dropped rows) at t,
-    from the dataset's release and dependency rows alone."""
+    from the dataset's release and dependency rows alone. Of releases that
+    tie on both timestamp and version order ("1.0" and "1.00"), the later
+    row is the latest."""
     latest: dict[str, ReleaseRecord] = {}
     for rel in d.releases:  # keys in first-release-row order
         if rel.timestamp <= t:
             cur = latest.get(rel.package)
-            if cur is None or (rel.timestamp, version_sort_key(rel.version)) > (
+            if cur is None or (rel.timestamp, version_sort_key(rel.version)) >= (
                 cur.timestamp, version_sort_key(cur.version)
             ):
                 latest[rel.package] = rel
@@ -322,9 +324,10 @@ class TestCsrStorageOracle:
 
 class TestEdgeSpansOracle:
     def test_sizes_match_snapshots(self, tmp_path):
-        # Oracle: node and edge counts of the span table equal those of the
-        # snapshot at every release instant, a microsecond either side of it,
-        # and every month start.
+        # Oracle: at every release instant, a microsecond either side of it,
+        # and every month start, the snapshot sizes read from the span table
+        # and the snapshot built as its slice equal the reference snapshot,
+        # which reads the release and dependency rows alone.
         rng = random.Random(20170402)
         tick = timedelta(microseconds=1)
         for _ in range(300):
@@ -333,10 +336,15 @@ class TestEdgeSpansOracle:
                 for ts in {release.timestamp for release in d.releases}:
                     instants += [ts - tick, ts, ts + tick]
                 instants.sort()
-                expected = [build_snapshot(d, t) for t in instants]
-                nodes, edges = _EdgeSpans(d).sizes(instants)
-                assert nodes == [g.n_nodes for g in expected], d
-                assert edges == [g.n_edges for g in expected], d
+                expected = [_reference_snapshot(d, t) for t in instants]
+                nodes, edges = _snapshot_sizes(d, instants)
+                assert nodes == [len(latest) for latest, _, _, _ in expected], d
+                assert edges == [sum(map(len, out.values())) for _, out, _, _ in expected], d
+                for t, (latest, out, _, dropped) in zip(instants, expected):
+                    g = build_snapshot(d, t)
+                    assert g.names == list(latest), (d, t)
+                    assert {p: g.out_neighbors(p) for p in latest} == out, (d, t)
+                    assert g.dropped_deps == dropped, (d, t)
 
 
 class TestGcPause:
