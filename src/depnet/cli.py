@@ -47,7 +47,6 @@ from .indices import changeability_index, p_impact_index, reusability_index
 from .ingest import (
     DEFAULT_INCLUDED_KINDS,
     _BLOCK_ROWS,
-    DatasetError,
     _column_key,
     _dataset_digest,
     _last_time,
@@ -551,9 +550,6 @@ def run(argv: list[str]) -> int:
         if table is not None:
             ecosystem, metric, header, columns = table
             _emit(args, header, columns, metric=metric, ecosystem=ecosystem)
-    except DatasetError as exc:
-        sys.stderr.write(f"depnet: {exc}\n")
-        return 1
     except BrokenPipeError:
         # The reader went away (e.g. `| head -1`). Point stdout at devnull so
         # the interpreter's final flush cannot raise a second time.
@@ -563,8 +559,11 @@ def run(argv: list[str]) -> int:
     except BrokenProcessPool as exc:
         sys.stderr.write(f"depnet: a worker process died: {exc}\n")
         return 1
-    except (ValueError, KeyError, OSError) as exc:
-        sys.stderr.write(f"depnet: {exc}\n")
+    except (ValueError, KeyError, OSError) as exc:  # DatasetError is a ValueError
+        # One line, also when the message quotes a value or a path that
+        # holds a line break.
+        message = str(exc).replace("\r", "\\r").replace("\n", "\\n")
+        sys.stderr.write(f"depnet: {message}\n")
         return 1
     return 0
 

@@ -15,7 +15,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .graphops import transitive_dependent_counts
+from .graphops import _closure_sizes, _edge_list
 from .ingest import Dataset, _micros
 from .snapshot import SnapshotGraph, check_instant, in_degrees
 
@@ -32,23 +32,16 @@ class IndexReport:
 def h_index(counts: Iterable[int]) -> int:
     """Largest n such that at least n entries are >= n.
 
-    Counting pass over value buckets, O(len(counts)).
+    One count of the entries capped at n, then its suffix sums; an int64
+    array goes in as it is, O(len(counts)).
     """
-    items = list(counts)
-    n = len(items)
-    if n == 0:
-        return 0
-    buckets = [0] * (n + 1)
-    for c in items:
-        if c < 0:
-            raise ValueError("h_index requires non-negative counts")
-        buckets[c if c < n else n] += 1
-    seen = 0
-    for h in range(n, -1, -1):
-        seen += buckets[h]
-        if seen >= h:
-            return h
-    return 0
+    counts = counts if isinstance(counts, np.ndarray) else np.fromiter(counts, np.int64)
+    n = len(counts)
+    if n and counts.min() < 0:
+        raise ValueError("h_index requires non-negative counts")
+    # at_least[h] is the number of entries >= h, for h in 0..n.
+    at_least = np.cumsum(np.bincount(np.minimum(counts, n), minlength=n + 1)[::-1])[::-1]
+    return int(np.flatnonzero(at_least >= np.arange(n + 1))[-1])
 
 
 def _package_counts(d: Dataset, positions: np.ndarray) -> dict[str, int]:
@@ -85,7 +78,7 @@ def changeability_index(d: Dataset, t: datetime, window_days: int = 30) -> Index
         ecosystem=d.ecosystem,
         at=t,
         index_name="changeability",
-        value=h_index(counts.tolist()),
+        value=h_index(counts),
         parameter=float(window_days),
     )
 
@@ -97,24 +90,15 @@ def reusability_index(g: SnapshotGraph, transitive: bool = False) -> IndexReport
     to transitive dependent counts.
     """
     if transitive:
-        value = h_index(c for c in transitive_dependent_counts(g).values() if c > 0)
+        counts = _closure_sizes(*_edge_list(g), reverse=True)
     else:
-        value = _in_degree_h_index(g)
+        counts = in_degrees(*g.edge_arrays())
     return IndexReport(
         ecosystem=g.ecosystem,
         at=g.at,
         index_name="reusability",
-        value=value,
+        value=h_index(counts),
     )
-
-
-def _in_degree_h_index(g: SnapshotGraph) -> int:
-    """:func:`h_index` of the in-degrees of ``g``'s nodes, from the number
-    of nodes with each in-degree: the largest h such that at least h nodes
-    have an in-degree of h or more."""
-    nodes_with = np.bincount(in_degrees(*g.edge_arrays()), minlength=1)
-    at_least = np.cumsum(nodes_with[::-1])[::-1]
-    return int(np.flatnonzero(at_least >= np.arange(len(at_least)))[-1])
 
 
 def _p_impact_count(sizes: np.ndarray, p_percent: float, n_nodes: int) -> int:
@@ -147,14 +131,13 @@ def p_impact_index(
     if g.n_nodes == 0:
         raise ValueError("p_impact_index requires a non-empty snapshot")
     if dependent_counts is None:
-        dependent_counts = transitive_dependent_counts(g)
+        sizes = _closure_sizes(*_edge_list(g), reverse=True)
+    else:
+        sizes = np.fromiter(dependent_counts.values(), np.int64, len(dependent_counts))
     return IndexReport(
         ecosystem=g.ecosystem,
         at=g.at,
         index_name="p_impact",
-        value=_p_impact_count(
-            np.fromiter(dependent_counts.values(), np.int64, len(dependent_counts)),
-            p_percent, g.n_nodes,
-        ),
+        value=_p_impact_count(sizes, p_percent, g.n_nodes),
         parameter=p_percent,
     )

@@ -127,9 +127,9 @@ class _DatasetIndex:
       ``update_times_us[k]``.
 
     The index is built with numpy sorts; ``version_sort_key`` runs only on
-    the entries that tie on (position, timestamp). Each name in the table
-    of the dataset's target codes is resolved once, unless that table is
-    the package name table itself, as after :func:`filter_dependencies`.
+    the entries that tie on (position, timestamp). A target code is a
+    package id or, past the package ids, a name that is no package (see
+    :class:`Dataset`), so ``row_targets`` is one lookup of the codes.
 
     :meth:`updates_during` reads the updates in a half-open span of
     microseconds, [start, end), so that consecutive spans tile without
@@ -148,9 +148,10 @@ class _DatasetIndex:
         first_rows.sort()
         self.packages = packages = release_package[first_rows]
         unreleased = len(packages)
-        # The position of every package id, and of one id past them, which
-        # stands for a name that is no package: ``unreleased`` where none.
-        place = np.full(len(dataset.names) + 1, unreleased, np.int64)
+        # The position of every target code, so of every package id too:
+        # ``unreleased`` for a package without releases and for a name that
+        # is no package.
+        place = np.full(len(dataset.dependency_target.table), unreleased, np.int64)
         place[packages] = np.arange(unreleased)
         position = place[release_package]
 
@@ -179,15 +180,7 @@ class _DatasetIndex:
         rows = np.argsort(row_entries, kind="stable")
         self.row_entries = row_entries[rows]
         del row_entries
-        codes, table = dataset.dependency_target
-        if table is dataset.names:
-            # Filtered targets are coded by package id already.
-            target_place = place[:-1]
-        else:
-            ids, missing = dataset.package_ids, len(dataset.names)
-            pid = np.fromiter((ids.get(name, missing) for name in table), np.int64, len(table))
-            target_place = place[pid]
-        self.row_targets = target_place.astype(np.int32)[codes[rows]]
+        self.row_targets = place.astype(np.int32)[dataset.dependency_target.codes[rows]]
         del rows, place
 
         # The non-first entries, sorted stably by time.
@@ -313,7 +306,10 @@ class Dataset:
       microseconds since the epoch;
     * dependency row i has its source release id ``dependency_source[i]``
       and, in row i of ``dependency_target``, ``dependency_constraint`` and
-      ``dependency_kind``, its target package name, constraint and kind.
+      ``dependency_kind``, its target package name, constraint and kind;
+    * a target code below ``len(names)`` is that package id: the target
+      table is ``names`` followed by the target names that are no
+      package, in order of first appearance.
 
     Releases and dependency rows keep the order in which they were given.
     ``packages``, ``releases`` and ``dependencies`` are record views, built
@@ -364,14 +360,15 @@ class Dataset:
         except KeyError as exc:
             raise DatasetError(f"no package or release {exc}") from None
         versions, times = [r.version for r in releases], [r.timestamp for r in releases]
-        coded = (
-            _encoded([getattr(dep, field) for dep in dependencies])
+        targets, constraints, kinds = (
+            [getattr(dep, field) for dep in dependencies]
             for field in ("target_package", "constraint", "kind")
         )
         self._set(
             names, package_ids,
             (np.array(release_package, np.int64), _encoded(versions), _micros(times)),
-            (np.array(source, np.int64), *coded),
+            (np.array(source, np.int64), _encoded(targets, package_ids),
+             _encoded(constraints), _encoded(kinds)),
             cutoff, ecosystem, filter_report,
         )
 
@@ -653,7 +650,7 @@ def parse_dataset(
     names, package_ids = _parse_packages(packages_path)
     releases, release_ids = _parse_releases(releases_path, package_ids)
     cutoff = _checked_cutoff(cutoff, _last_time(releases[2]), releases_path)
-    dependencies = _parse_dependencies(dependencies_path, release_ids)
+    dependencies = _parse_dependencies(dependencies_path, release_ids, package_ids)
     del release_ids
     return Dataset._from_columns(names, package_ids, releases, dependencies, cutoff, ecosystem)
 
@@ -715,12 +712,15 @@ def _parse_releases(path: Path, package_ids: dict[str, int]):
     return (release_package, release_version.column(), _micros(release_time)), release_ids
 
 
-def _parse_dependencies(path: Path, release_ids: dict[tuple[str, str], int]):
+def _parse_dependencies(
+    path: Path, release_ids: dict[tuple[str, str], int], package_ids: dict[str, int]
+):
     """The dependency columns (source release id, and the coded target,
     constraint and kind); checks: an unknown source release, an empty
-    target. Kinds are lowercased."""
+    target. Targets are coded by package id, and past the ids in order of
+    first appearance. Kinds are lowercased."""
     source: list[int] = []
-    targets, constraints, kinds = _Coder(), _Coder(), _Coder()
+    targets, constraints, kinds = _Coder(package_ids), _Coder(), _Coder()
     required = ["source_package", "source_version", "target_package", "constraint", "kind"]
     for start, (packages, versions, target, constraint, kind) in _blocks(path, required):
         rids = list(map(release_ids.get, zip(packages, versions)))
@@ -746,12 +746,13 @@ def _parse_dependencies(path: Path, release_ids: dict[tuple[str, str], int]):
 
 class _Coder:
     """Codes a string column as it is read, a block of values at a time:
-    each value gets the next free code when it first appears."""
+    each value gets the next free code when it first appears. ``known``
+    gives the first codes, 0 to len(known) - 1, as a table does."""
 
     __slots__ = ("code", "codes")
 
-    def __init__(self):
-        self.code: dict[str, int] = {}
+    def __init__(self, known: dict[str, int] = {}):
+        self.code: dict[str, int] = dict(known)
         self.codes: list[int] = []
 
     def add(self, values: Sequence[str]) -> None:
@@ -874,15 +875,18 @@ def filter_dependencies(
     the registry never had them. Filtering is total and idempotent.
 
     The rules are numpy masks over the rows' source releases, kind codes
-    and target codes. When no package is excluded, the filtered dataset
-    shares the package table and the release columns with ``d``. The kept
-    targets are coded by their package ids into the package table.
+    and target codes: a target resolves when its code is the id of a
+    package that is kept. When no package is excluded, the filtered
+    dataset shares the package table and the release columns with ``d``.
+    Its target table is its package table, and every target code is the
+    target's package id.
     """
     include = {k.strip().lower() for k in included_kinds}
     excluded = set(excluded_packages)
     source = d.dependency_source
     if excluded.isdisjoint(d.package_ids):
         names, package_ids = d.names, d.package_ids
+        new_pid = np.arange(len(names))
         releases = (d.release_package, d.release_version, d.release_time)
         report = FilterReport()
     else:
@@ -905,7 +909,9 @@ def filter_dependencies(
 
     kind, kind_table = d.dependency_kind
     codes, table = d.dependency_target
-    resolved = np.fromiter((package_ids.get(name, -1) for name in table), np.int64, len(table))
+    # The new id of each target code; -1 past the package ids.
+    resolved = np.full(len(table), -1, np.int64)
+    resolved[: len(new_pid)] = new_pid
     target = resolved[codes]
     # The rows left after each of rules 1 to 3, which count what each drops.
     keep = np.array([k in include for k in kind_table], bool)[kind]
@@ -983,18 +989,15 @@ def _dataset_digest(directory: Path) -> tuple[str, list[Optional[int]]]:
 # it runs no code. Each column is stored in its in-memory form: ids and
 # release times as int64, each string column as its int64 codes and its
 # table, one UTF-8 blob with int64 offsets into the decoded text (package
-# names are coded by their ids). The target column, whose table
-# :func:`filter_dependencies` makes the names table, stores its codes
-# alone when it is that table. A table that repeats a value is refused,
-# so that equal codes mean equal strings. The ``meta`` member is JSON: the
+# names are coded by their ids). The target column is stored as its codes
+# alone, read back as package ids: every target of a filtered dataset is
+# a package. A table that repeats a value is refused, so that equal codes
+# mean equal strings. The ``meta`` member is JSON: the
 # key, the filter report and the raw dataset's last release timestamp,
 # which the cutoff rule needs. The cutoff and the ecosystem are not stored.
 COLUMN_FILE = ".depnet-columns.npz"
-_COLUMN_FORMAT = 3
-_STRING_COLUMNS = (
-    "names", "release_version",
-    "dependency_target", "dependency_constraint", "dependency_kind",
-)
+_COLUMN_FORMAT = 4
+_STRING_COLUMNS = ("names", "release_version", "dependency_constraint", "dependency_kind")
 _EPOCH = datetime(1970, 1, 1)
 _MICROSECOND = timedelta(microseconds=1)
 # Stored release times lie in this range, which datetime can hold.
@@ -1022,10 +1025,10 @@ def _month_indices(times_us: np.ndarray) -> np.ndarray:
     return months
 
 
-def _encoded(values: Sequence[str]) -> Coded:
-    """``values`` coded into the table of their distinct values, in order
-    of first appearance."""
-    coder = _Coder()
+def _encoded(values: Sequence[str], known: dict[str, int] = {}) -> Coded:
+    """``values`` coded into the table of the ``known`` codes followed by
+    their other distinct values, in order of first appearance."""
+    coder = _Coder(known)
     coder.add(values)
     return coder.column()
 
@@ -1082,14 +1085,13 @@ def _column_arrays(d: Dataset, meta: dict):
         else:
             codes, table = getattr(d, name)
         yield name + "_codes", codes
-        if name == "dependency_target" and table is d.names:
-            continue
         yield name, np.frombuffer("".join(table).encode("utf-8"), np.uint8)
         offsets = np.zeros(len(table) + 1, np.int64)
         np.cumsum(np.fromiter(map(len, table), np.int64, len(table)), out=offsets[1:])
         yield name + "_offsets", offsets
     yield "release_package", d.release_package
     yield "dependency_source", d.dependency_source
+    yield "dependency_target", d.dependency_target.codes
     yield "release_time", d.release_time
 
 
@@ -1101,7 +1103,7 @@ def _read_columns(
     :func:`load_dataset_dir` resolves them, and the same ``DatasetError``
     for a cutoff before the last release. ``None`` when the file is
     missing or unreadable, holds another key, or fails a check of its
-    lengths and id ranges."""
+    lengths and id ranges: a target that is no package is out of range."""
     cutoff, ecosystem = _dataset_settings(directory, cutoff, ecosystem)
     try:
         # np.load leaves a file it opened itself open when the archive is
@@ -1117,11 +1119,7 @@ def _read_columns(
                 _stored_coded(archive, name)
                 for name in ("release_version", "dependency_constraint", "dependency_kind")
             )
-            if "dependency_target" in archive:
-                targets = _stored_coded(archive, "dependency_target")
-            else:
-                # As :func:`filter_dependencies` leaves it: one shared table.
-                targets = Coded(_in_range(archive["dependency_target_codes"], 0, len(names)), names)
+            targets = Coded(_in_range(archive["dependency_target"], 0, len(names)), names)
             release_package = _in_range(archive["release_package"], 0, len(names))
             source = _in_range(archive["dependency_source"], 0, len(release_package))
             times = _in_range(archive["release_time"], *_TIME_RANGE)

@@ -109,6 +109,13 @@ class TestExitCodes:
         assert code == 1
         assert "depnet:" in err
 
+    def test_message_quoting_a_line_break_is_one_line(self, capsys, tmp_path):
+        data = write_dataset_csvs(tmp_path / "d", ['"a\nb"', '"a\nb"'], [], [])
+        code, out, err = invoke(capsys, "validate", "--dataset", data, "--cutoff", "2020-01")
+        assert (code, out) == (1, "")
+        assert err.endswith(": duplicate package 'a\\nb' (lines 3 and 5)\n")
+        assert err.count("\n") == 1
+
     def test_inverted_range_is_data_error(self, capsys, tiny_dir):
         code, _, err = invoke(
             capsys,
@@ -873,17 +880,17 @@ class TestColumnFile:
             path.mkdir()
         else:
             d = ingest._read_columns(tiny_dir, key, None, None)
-            codes, table = d.dependency_target
             if damage == "code out of range":
-                codes = codes.copy()
-                codes[-1] = len(table)
+                codes = d.dependency_target.codes.copy()
+                codes[-1] = len(d.names)
+                d.dependency_target = ingest.Coded(codes, d.names)
             elif damage == "repeated table value":
-                table = [*table, table[0]]
+                codes, table = d.dependency_constraint
+                d.dependency_constraint = ingest.Coded(codes, [*table, table[0]])
             else:
                 packages = d.release_package.copy()
                 packages[-1] = len(d.names)
                 d.release_package = packages
-            d.dependency_target = ingest.Coded(codes, table)
             ingest._write_columns(tiny_dir, key, d, ingest._last_time(d.release_time))
         assert path.exists()
         assert ingest._read_columns(tiny_dir, key, None, None) is None
@@ -891,20 +898,37 @@ class TestColumnFile:
         assert self.listing(tiny_dir) == sorted([*self.DATASET, COLUMN_FILE])
 
     @pytest.mark.parametrize("filtered", [True, False])
-    def test_file_reads_back_the_dataset(self, tiny_dir, filtered):
-        """A filtered dataset's target column is stored as its codes alone,
-        read back into the names table; any other target table is stored."""
+    def test_file_reads_back_the_dataset(self, capsys, tiny_dir, filtered):
+        """The target column is stored as its codes alone and read back as
+        package ids into the names table. A filtered dataset reads back, as
+        does an unfiltered one whose targets are all packages; one with a
+        target that is no package is unusable, and the command parses the
+        CSVs."""
         cutoff = datetime(2020, 4, 1)
         d = load_dataset_dir(tiny_dir, cutoff=cutoff)
         if filtered:
             d = filter_dependencies(d)
         key = self.key(tiny_dir)
         ingest._write_columns(tiny_dir, key, d, ingest._last_time(d.release_time))
-        with zipfile.ZipFile(tiny_dir / COLUMN_FILE) as archive:
-            stored = "dependency_target.npy" in archive.namelist()
+        with np.load(tiny_dir / COLUMN_FILE) as archive:
+            assert [f for f in archive.files if f.startswith("dependency_target")] == [
+                "dependency_target"
+            ]
+            assert archive["dependency_target"].tolist() == d.dependency_target.codes.tolist()
         back = ingest._read_columns(tiny_dir, key, cutoff, None)
-        assert (stored, back.dependency_target.table is back.names) == (not filtered, filtered)
-        assert back == d
+        assert back == d and back.dependency_target.table is back.names
+        if filtered:
+            return
+        with open(tiny_dir / "dependencies.csv", "a", encoding="utf-8") as handle:
+            handle.write("a,1.1.0,ghost,*,runtime\n")
+        argv = [*self.GROWTH, *tiny_args(tiny_dir)]
+        expected = invoke(capsys, *argv)
+        d = load_dataset_dir(tiny_dir, cutoff=cutoff)
+        assert d.dependency_target.codes[-1] == len(d.names)
+        key = self.key(tiny_dir)
+        ingest._write_columns(tiny_dir, key, d, ingest._last_time(d.release_time))
+        assert ingest._read_columns(tiny_dir, key, cutoff, None) is None
+        assert invoke(capsys, *argv) == expected
 
     @pytest.mark.parametrize("failing", [(os, "replace"), (np.lib.format, "write_array")])
     def test_failed_write_leaves_no_file(self, capsys, tiny_dir, monkeypatch, failing):

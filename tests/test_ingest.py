@@ -861,6 +861,33 @@ class TestDatasetRecords:
                 assert len(set(table)) == len(table)
                 assert codes.dtype == np.int64 and all(0 <= c < len(table) for c in codes.tolist())
 
+    def test_every_constructor_codes_targets_by_package_id(self, tmp_path):
+        # A target code below len(names) is that package id, and a target
+        # that is no package has a code past them; the package rows are
+        # given out of name order, so ids and name order differ.
+        packages, releases, deps = tiny_rows()
+        packages.reverse()
+        deps += ["d,1.0.0,ghost,*,runtime", "a,1.1.0,e,*,dev", "c,2.0.0,phantom,*,runtime",
+                 "a,1.0.0,ghost,*,runtime"]
+        parsed = parse_tiny(tmp_path, packages, releases, deps)
+        built = Dataset(parsed.packages, parsed.releases, parsed.dependencies, parsed.cutoff)
+        generated = generate(GeneratorConfig(n_packages=50, months=6, seed=1))
+        filtered = filter_dependencies(parsed, included_kinds={"runtime", "dev"})
+        excluded = filter_dependencies(parsed, excluded_packages={"b"})
+        directory = tmp_path / "data"
+        ingest._write_columns(directory, "key", excluded, ingest._last_time(parsed.release_time))
+        warm = ingest._read_columns(directory, "key", parsed.cutoff, parsed.ecosystem)
+        assert warm == excluded
+        for d in (parsed, built, generated, filtered, excluded, warm):
+            n = len(d.names)
+            for code, name in zip(d.dependency_target.codes.tolist(), d.dependency_target.decode()):
+                assert (code < n) == (name in d.package_ids), name
+                if code < n:
+                    assert d.names[code] == name
+        assert parsed.names != built.names
+        for d in (parsed, built):
+            assert d.dependency_target.table == [*d.names, "ghost", "phantom"]
+
 
 class TestValidate:
     def test_tiny_clean(self, tiny):
