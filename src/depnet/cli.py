@@ -31,6 +31,7 @@ import numpy as np
 from . import __version__
 from .evolution import (
     TimeSeries,
+    _inequality,
     dependency_ratio_series,
     depth_distribution,
     growth_series,
@@ -42,7 +43,7 @@ from .evolution import (
     update_inequality,
 )
 from .fixtures import GeneratorConfig, generate, write_dataset, write_tiny
-from .graphops import _transitive_counts, dependency_depths
+from .graphops import _closures, _edge_list, dependency_depths
 from .indices import changeability_index, p_impact_index, reusability_index
 from .ingest import (
     DEFAULT_INCLUDED_KINDS,
@@ -58,16 +59,8 @@ from .ingest import (
     validate_dataset,
     write_csv,
 )
-from .snapshot import build_snapshot
-from .stats import (
-    _product_limit,
-    fit_exponential,
-    fit_linear,
-    gini,
-    log_rank,
-    lorenz_points,
-    normalized_gini,
-)
+from .snapshot import build_snapshot, in_degrees
+from .stats import _product_limit, fit_exponential, fit_linear, log_rank
 from .timeutil import format_month, month_of, parse_instant, parse_month
 
 
@@ -332,14 +325,15 @@ def _cmd_distribution(args) -> Table:
     metric = f"distribution_{args.what}"
     if args.what == "deps":
         g = build_snapshot(d, at)
-        forward, reverse = _transitive_counts(g)
-        depths = dependency_depths(g)
-        rows = [
-            (pkg, g.out_degree(pkg), forward[pkg], g.in_degree(pkg), reverse[pkg], depths[pkg])
-            for pkg in sorted(g.nodes)
-        ]
+        # Each count column in node id order, then every column in name order.
+        offsets, targets = g.edge_arrays()
+        forward, reverse = _closures(*_edge_list(g), (False, True))
+        depths = np.fromiter(dependency_depths(g).values(), np.int64)
+        columns = [np.diff(offsets), forward, in_degrees(offsets, targets), reverse, depths]
+        names = g.names
+        order = sorted(range(len(names)), key=names.__getitem__)
         header = ["package", "n_direct", "n_transitive", "n_rev_direct", "n_rev_transitive", "depth"]
-        return _table(d.ecosystem, metric, header, rows)
+        return d.ecosystem, metric, header, [[names[i] for i in order], *(c[order] for c in columns)]
     if args.what == "updates":
         bins = update_distribution(d, at)
         counts = [("0", bins.never), ("1-4", bins.low), ("5+", bins.high)]
@@ -385,30 +379,21 @@ def _cmd_inequality(args) -> Table:
     if args.what == "updates":
         if not args.window:
             raise ValueError("inequality updates requires --window START END")
-        start = parse_instant(args.window[0])
-        end = parse_instant(args.window[1])
-        result = update_inequality(d, start, end)
-        values = list(result.counts.values())
-        curve = result.lorenz
-        gini_value = result.gini
-        norm_value = result.normalized_gini
+        result = update_inequality(d, parse_instant(args.window[0]), parse_instant(args.window[1]))
     else:  # dependents
         if not args.at:
             raise ValueError("inequality dependents requires --at DATE")
-        g = build_snapshot(d, parse_instant(args.at))
-        values = list(g.in_degree_counts().values())
-        if not values:
+        counts = build_snapshot(d, parse_instant(args.at)).in_degree_counts()
+        if not counts:
             raise ValueError("no required packages in the snapshot")
-        curve = lorenz_points(values, inverted=True)
-        gini_value = gini(values)
-        norm_value = normalized_gini(values) if len(values) >= 2 else 0.0
+        result = _inequality(counts)
     name = f"inequality_{args.what}"
     if args.lorenz:
-        return _table(d.ecosystem, f"{name}_lorenz", ["cum_pop", "cum_val"], curve.points)
+        return _table(d.ecosystem, f"{name}_lorenz", ["cum_pop", "cum_val"], result.lorenz.points)
     rows = [
-        ("n", len(values)),
-        ("gini", gini_value),
-        ("normalized_gini", norm_value),
+        ("n", len(result.counts)),
+        ("gini", result.gini),
+        ("normalized_gini", result.normalized_gini),
     ]
     return _table(d.ecosystem, name, ["metric", "value"], rows)
 

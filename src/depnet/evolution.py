@@ -28,7 +28,7 @@ from .indices import (
     changeability_index,
     reusability_index,
 )
-from .ingest import _OPEN, Dataset, _micros, _month_indices
+from .ingest import _DAY_US, _OPEN, Dataset, _micros, _month_indices
 from .snapshot import (
     SnapshotGraph,
     _edge_spans,
@@ -41,8 +41,6 @@ from .snapshot import (
 )
 from .stats import LorenzCurve, SurvivalSample, gini, lorenz_points, normalized_gini
 from .timeutil import DAYS_PER_MONTH, Month, month_index, month_start
-
-_DAY_US = 86_400_000_000  # microseconds in a day
 
 
 @dataclass
@@ -96,7 +94,9 @@ class AgeHistogram:
 
 @dataclass
 class UpdateInequality:
-    """Inverted Lorenz curve and Gini over update counts of active packages."""
+    """Inverted Lorenz curve and Gini over a dict of counts: the update
+    counts of active packages, or the direct dependent counts of required
+    ones."""
 
     lorenz: LorenzCurve
     gini: float
@@ -318,6 +318,12 @@ def update_inequality(
     counts = _package_counts(d, _updates_during(d, window_start, window_end)[1])
     if not counts:
         raise ValueError("no active packages in the window")
+    return _inequality(counts)
+
+
+def _inequality(counts: dict[str, int]) -> UpdateInequality:
+    """The inverted Lorenz curve, the Gini and the normalized Gini of the
+    values of ``counts``; the normalized Gini is 0.0 below two values."""
     values = list(counts.values())
     return UpdateInequality(
         lorenz=lorenz_points(values, inverted=True),

@@ -616,10 +616,3 @@ def transitive_dependent_counts(g: SnapshotGraph) -> dict[str, int]:
     """|transitive_dependents(p)| for every node, in one batch pass over
     the same edges, walked against them."""
     return dict(zip(g.names, _closure_sizes(*_edge_list(g), reverse=True).tolist()))
-
-
-def _transitive_counts(g: SnapshotGraph) -> tuple[dict[str, int], dict[str, int]]:
-    """``transitive_dependency_counts(g)`` and
-    ``transitive_dependent_counts(g)``, from one SCC pass."""
-    forward, reverse = _closures(*_edge_list(g), (False, True))
-    return dict(zip(g.names, forward.tolist())), dict(zip(g.names, reverse.tolist()))

@@ -10,13 +10,13 @@ given share of the ecosystem through transitive dependents.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import datetime, timedelta
+from datetime import datetime
 from typing import Iterable, Optional
 
 import numpy as np
 
 from .graphops import _closure_sizes, _edge_list
-from .ingest import Dataset, _micros
+from .ingest import _DAY_US, Dataset
 from .snapshot import SnapshotGraph, check_instant, in_degrees
 
 
@@ -53,10 +53,14 @@ def _package_counts(d: Dataset, positions: np.ndarray) -> dict[str, int]:
 
 
 def _window_updates(d: Dataset, t: datetime, window_days: int) -> np.ndarray:
-    """The package positions of the updates in (t - window_days, t]."""
-    # Times are whole microseconds, so (start, t] is [start + 1, t + 1).
-    start, end = (_micros([t - timedelta(days=window_days), t]) + 1).tolist()
-    return d.index().updates_during(start, end)[1]
+    """The package positions of the updates in (t - window_days, t];
+    ``ValueError`` when t is after the dataset cutoff."""
+    # Both bounds are on the int64 microsecond timeline, the start clamped
+    # at its earliest instant, so no window overflows. Times are whole
+    # microseconds, so (start, t] is [start + 1, t + 1).
+    end = check_instant(d, t)
+    start = max(end - window_days * _DAY_US, int(np.iinfo(np.int64).min))
+    return d.index().updates_during(start + 1, end + 1)[1]
 
 
 def update_counts_in_window(d: Dataset, t: datetime, window_days: int) -> dict[str, int]:
@@ -72,7 +76,6 @@ def changeability_index(d: Dataset, t: datetime, window_days: int = 30) -> Index
     """h-index of per-package update counts in the trailing window."""
     if window_days <= 0:
         raise ValueError("window_days must be positive")
-    check_instant(d, t)
     counts = np.unique(_window_updates(d, t, window_days), return_counts=True)[1]
     return IndexReport(
         ecosystem=d.ecosystem,

@@ -144,9 +144,7 @@ class _DatasetIndex:
     def __init__(self, dataset: "Dataset"):
         n_releases = len(dataset.release_time)
         times_us, release_package = dataset.release_time, dataset.release_package
-        first_rows = np.unique(release_package, return_index=True)[1]
-        first_rows.sort()
-        self.packages = packages = release_package[first_rows]
+        self.packages = packages = release_package[_first_of_each_key(release_package)]
         unreleased = len(packages)
         # The position of every target code, so of every package id too:
         # ``unreleased`` for a package without releases and for a name that
@@ -942,17 +940,26 @@ def filter_dependencies(
     )
 
 
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """For each value of the sorted array ``ordered``, whether it starts a
+    run of equal values: the first value, and each one unequal to the value
+    before it (a neighbour mask)."""
+    starts = np.empty(len(ordered), bool)
+    starts[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    return starts
+
+
 def _first_of_each_key(*columns: np.ndarray) -> np.ndarray:
     """For each row, whether no earlier row has its values in all
-    ``columns``: one stable sort by them and a neighbour mask."""
+    ``columns``: one stable sort by them, and a run of equal keys starts
+    where any column's run starts."""
     order = np.lexsort(columns[::-1])
-    repeat = np.ones(len(order), bool)
-    repeat[:1] = False
+    starts = np.zeros(len(order), bool)
     for column in columns:
-        ordered = column[order]
-        repeat[1:] &= ordered[1:] == ordered[:-1]
-    first = np.ones(len(order), bool)
-    first[order[repeat]] = False
+        starts |= _run_starts(column[order])
+    first = np.zeros(len(order), bool)
+    first[order[starts]] = True
     return first
 
 
@@ -1000,6 +1007,7 @@ _COLUMN_FORMAT = 4
 _STRING_COLUMNS = ("names", "release_version", "dependency_constraint", "dependency_kind")
 _EPOCH = datetime(1970, 1, 1)
 _MICROSECOND = timedelta(microseconds=1)
+_DAY_US = 86_400_000_000  # microseconds in a day
 # Stored release times lie in this range, which datetime can hold.
 _TIME_RANGE = (
     (datetime.min - _EPOCH) // _MICROSECOND,

@@ -32,6 +32,7 @@ import numpy as np
 
 from .ingest import (
     _OPEN, Coded, Dataset, RecordView, ReleaseRecord, _DatasetIndex, _gc_paused, _micros,
+    _run_starts,
 )
 from .timeutil import Month, format_month, iter_months, month_of, month_start
 
@@ -234,17 +235,15 @@ class SnapshotSeries:
 
 def checked_months(d: Dataset, first: Month, last: Month) -> list[Month]:
     """Months first..last, endpoints included; ``ValueError`` when the
-    range is inverted or ends after the dataset cutoff's month."""
-    if first > last:
-        raise ValueError(
-            f"inverted month range: {format_month(first)} > {format_month(last)}"
-        )
+    range is inverted (``iter_months`` reports that first) or ends after
+    the dataset cutoff's month."""
+    months = list(iter_months(first, last))
     if last > month_of(d.cutoff):
         raise ValueError(
             f"month {format_month(last)} is beyond the dataset cutoff "
             f"{d.cutoff.isoformat()}"
         )
-    return list(iter_months(first, last))
+    return months
 
 
 def check_instant(d: Dataset, t: datetime) -> int:
@@ -351,15 +350,14 @@ def _declared_targets(idx: _DatasetIndex) -> tuple[np.ndarray, np.ndarray]:
     # A stable sort of the (entry, target) keys puts every repeat after the
     # row it repeats, so the first row of each run of equal keys is kept.
     # (``np.unique`` finds the same rows, but its copies of the keys nearly
-    # double the peak of the build.)
+    # double the peak of the build; the unsorted keys are freed before the
+    # mask is made for the same reason.)
     key = entry.astype(np.int64)
     key *= n
     key += target
     order = np.argsort(key, kind="stable")
     key = key[order]
-    first = np.empty(len(key), bool)
-    first[:1] = True
-    np.not_equal(key[1:], key[:-1], out=first[1:])
+    first = _run_starts(key)
     del key
     keep = np.zeros(len(entry), bool)
     keep[order[first]] = True
@@ -404,13 +402,10 @@ def build_snapshot(d: Dataset, t: datetime) -> SnapshotGraph:
 def _sorted_unique(keys: np.ndarray) -> np.ndarray:
     """The distinct values of ``keys`` in ascending order, as ``np.unique``
     returns them; ``keys`` is sorted in place. On a few hundred thousand
-    int64 keys a sort and a neighbour mask take milliseconds, where
+    int64 keys a sort and its run starts take milliseconds, where
     ``np.unique`` takes tens of them."""
     keys.sort()
-    distinct = np.empty(len(keys), dtype=bool)
-    distinct[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
-    return keys[distinct]
+    return keys[_run_starts(keys)]
 
 
 def _snapshot_sizes(d: Dataset, instants: Sequence[datetime]) -> tuple[list[int], list[int]]:

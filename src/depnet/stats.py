@@ -12,6 +12,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from .ingest import _run_starts
 from .timeutil import month_index
 
 # Chi-square critical values, df=1, at the two supported significance levels.
@@ -74,12 +75,10 @@ class LogRankResult(NamedTuple):
 
 def _grouped(durations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct durations ascending, and the place of each duration
-    among them: one sort and a neighbour mask."""
+    among them: one sort and its run starts."""
     order = np.argsort(durations, kind="stable")
     ordered = durations[order]
-    distinct = np.empty(len(ordered), dtype=bool)
-    distinct[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=distinct[1:])
+    distinct = _run_starts(ordered)
     group = np.empty(len(ordered), dtype=np.int64)
     group[order] = np.cumsum(distinct) - 1
     return ordered[distinct], group
@@ -161,17 +160,24 @@ def log_rank(a: SurvivalSample, b: SurvivalSample, alpha: float = 0.01) -> LogRa
     )
 
 
+def _checked_values(values: Sequence[float], caller: str) -> np.ndarray:
+    """``values`` as a float64 array; ``ValueError`` naming ``caller`` when
+    there are none or one is negative."""
+    arr = np.asarray(list(values), dtype=float)
+    if arr.size == 0:
+        raise ValueError(f"{caller} requires at least one value")
+    if np.any(arr < 0):
+        raise ValueError(f"{caller} requires non-negative values")
+    return arr
+
+
 def lorenz_points(values: Sequence[float], inverted: bool = False) -> LorenzCurve:
     """Cumulative (population fraction, value fraction) curve.
 
     Standard orientation sorts ascending (curve under the diagonal);
     inverted sorts descending (curve above it).
     """
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
-        raise ValueError("lorenz_points requires at least one value")
-    if np.any(arr < 0):
-        raise ValueError("lorenz_points requires non-negative values")
+    arr = _checked_values(values, "lorenz_points")
     total = float(arr.sum())
     if total <= 0.0:
         raise ValueError("lorenz_points requires a positive total")
@@ -192,11 +198,7 @@ def gini(values: Sequence[float]) -> float:
     Mean-absolute-difference definition, computed via the sorted
     prefix-sum identity in O(n log n). All-zero input yields 0.
     """
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
-        raise ValueError("gini requires at least one value")
-    if np.any(arr < 0):
-        raise ValueError("gini requires non-negative values")
+    arr = _checked_values(values, "gini")
     total = float(arr.sum())
     if total == 0.0:
         return 0.0

@@ -124,6 +124,15 @@ class TestExitCodes:
         )
         assert code == 1
 
+    def test_inverted_range_past_the_cutoff_is_reported_as_inverted(self, capsys, tiny_dir):
+        code, out, err = invoke(
+            capsys,
+            "series", "growth", "--from", "2021-05", "--to", "2021-02",
+            *tiny_args(tiny_dir),
+        )
+        assert (code, out) == (1, "")
+        assert err == "depnet: inverted month range: 2021-05 > 2021-02\n"
+
     @pytest.mark.parametrize("window", ["0", "-3"])
     def test_series_changeability_rejects_non_positive_window(self, capsys, tiny_dir, window):
         code, out, err = invoke(
@@ -290,6 +299,28 @@ class TestIndex:
             capsys, "index", "reusability", "--at", "2020-04-01", *tiny_args(tiny_dir)
         )
         assert out.splitlines()[1] == "2020-04,reusability,,1"
+
+    @pytest.mark.parametrize(
+        "argv, rows",
+        [
+            (
+                ("index", "changeability", "--at", "0001-01-15"),
+                ["0001-01,changeability,30.0,0"],
+            ),
+            (
+                ("series", "index", "--index", "changeability", "--from", "0001-01", "--to", "0001-02"),
+                ["0001-01,changeability,30.0,0", "0001-02,changeability,30.0,0"],
+            ),
+            (
+                ("index", "changeability", "--at", "2020-03", "--window-days", "999999999"),
+                ["2020-03,changeability,999999999.0,1"],
+            ),
+        ],
+    )
+    def test_changeability_window_past_the_earliest_instant(self, capsys, tiny_dir, argv, rows):
+        code, out, err = invoke(capsys, *argv, *tiny_args(tiny_dir))
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1:] == rows
 
 
 class TestSnapshotAndDistributions:

@@ -440,7 +440,8 @@ class TestClosureOracle:
             g = make_graph(nodes, edges)
             fwd = transitive_dependency_counts(g)
             rev = transitive_dependent_counts(g)
-            assert graphops._transitive_counts(g) == (fwd, rev)
+            both = graphops._closures(*graphops._edge_list(g), (False, True))
+            assert [dict(zip(g.names, sizes.tolist())) for sizes in both] == [fwd, rev]
             for p in nodes:
                 assert fwd[p] == len(transitive_dependencies(g, p))
                 assert rev[p] == len(transitive_dependents(g, p))

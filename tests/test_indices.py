@@ -10,7 +10,9 @@ from depnet.indices import (
     h_index,
     p_impact_index,
     reusability_index,
+    update_counts_in_window,
 )
+from depnet.ingest import Dataset, PackageRecord, ReleaseRecord
 from depnet.snapshot import build_snapshot
 
 from conftest import make_graph, random_graph
@@ -78,6 +80,29 @@ class TestChangeability:
     def test_invalid_window(self, tiny):
         with pytest.raises(ValueError):
             changeability_index(tiny, TINY_CUTOFF, 0)
+
+    def test_window_past_the_earliest_instant(self, tiny):
+        # A window that starts before datetime.min counts every update up
+        # to t, as one reaching back to the first release does.
+        t = datetime(2020, 3, 31)
+        full = changeability_index(tiny, t, (t - datetime(1900, 1, 1)).days).value
+        assert changeability_index(tiny, t, 999_999_999).value == full == 1
+        assert changeability_index(tiny, datetime(1, 1, 15), 30).value == 0
+        with pytest.raises(ValueError, match="after the dataset cutoff"):
+            changeability_index(tiny, datetime(2020, 4, 2), 999_999_999)
+
+    def test_update_at_the_earliest_instant_counts(self):
+        # Two updates of one package at datetime.min itself, after its
+        # first release there.
+        earliest = datetime.min
+        d = Dataset(
+            packages={PackageRecord("a", "default")},
+            releases=[ReleaseRecord("a", v, earliest) for v in ("1.0", "1.1", "1.2")],
+            dependencies=[],
+            cutoff=datetime(1, 2, 1),
+        )
+        assert update_counts_in_window(d, datetime(1, 1, 2), 30) == {"a": 2}
+        assert changeability_index(d, datetime(1, 1, 2), 10**6).value == 1
 
 
 class TestReusability:

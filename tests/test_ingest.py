@@ -32,7 +32,8 @@ from depnet.ingest import (
 )
 from depnet import ingest
 from depnet.fixtures import GeneratorConfig, generate, write_dataset
-from depnet.snapshot import build_snapshot
+from depnet.snapshot import _sorted_unique, build_snapshot
+from depnet.stats import _grouped
 from depnet.timeutil import iter_months, month_of, parse_timestamp
 
 from conftest import constructed_and_reloaded, edge_case_dataset, write_dataset_csvs
@@ -807,6 +808,43 @@ class TestIndex:
                     assert array.dtype == (np.int32 if name.startswith("row_") else np.int64)
                     got[name] = array.tolist()
                 assert got == expected, d
+
+
+class TestRunStarts:
+    """The users of ``ingest._run_starts`` against plain oracles, on seeded
+    random arrays with repeats, of lengths 0 and 1 among others."""
+
+    @staticmethod
+    def arrays(rng: random.Random, width: int = 1):
+        for length in (0, 1, 2, *(rng.randint(3, 60) for _ in range(150))):
+            high = rng.choice((1, 3, 10, 1000))
+            yield [np.array([rng.randint(-high, high) for _ in range(length)]) for _ in range(width)]
+
+    def test_first_of_each_key_matches_a_seen_set(self):
+        rng = random.Random(1)
+        for width in (1, 2, 3):
+            for columns in self.arrays(rng, width):
+                seen, expected = set(), []
+                for key in zip(*(c.tolist() for c in columns)):
+                    expected.append(key not in seen)
+                    seen.add(key)
+                got = ingest._first_of_each_key(*columns)
+                assert got.dtype == bool
+                assert got.tolist() == expected, columns
+
+    def test_sorted_unique_matches_np_unique(self):
+        rng = random.Random(2)
+        for (keys,) in self.arrays(rng):
+            assert _sorted_unique(keys.copy()).tolist() == np.unique(keys).tolist()
+
+    def test_grouped_matches_np_unique_inverse(self):
+        rng = random.Random(3)
+        for (values,) in self.arrays(rng):
+            durations = values / 4.0
+            times, group = _grouped(durations)
+            expected_times, expected_group = np.unique(durations, return_inverse=True)
+            assert times.tolist() == expected_times.tolist()
+            assert group.tolist() == expected_group.tolist()
 
 
 class TestDatasetRecords:

@@ -27,6 +27,7 @@ from depnet.snapshot import (
     IntView,
     _snapshot_sizes,
     build_snapshot,
+    checked_months,
     latest_releases_at,
     monthly_snapshots,
 )
@@ -164,6 +165,14 @@ class TestMonthlySeries:
     def test_inverted_range(self, tiny):
         with pytest.raises(ValueError):
             monthly_snapshots(tiny, (2020, 5), (2020, 2))
+
+    def test_inverted_range_is_reported_before_the_cutoff(self, tiny):
+        # Both ends are past the cutoff month (2020-04); the inversion wins.
+        with pytest.raises(ValueError, match=r"^inverted month range: 2021-05 > 2021-02$"):
+            checked_months(tiny, (2021, 5), (2021, 2))
+        with pytest.raises(ValueError, match="beyond the dataset cutoff"):
+            checked_months(tiny, (2021, 2), (2021, 5))
+        assert checked_months(tiny, (2020, 3), (2020, 4)) == [(2020, 3), (2020, 4)]
 
     def test_node_sets_grow(self, tiny):
         series = monthly_snapshots(tiny, (2020, 1), (2020, 4))
