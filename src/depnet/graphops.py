@@ -13,21 +13,28 @@ which serves both directions, then each component's reach is merged from its
 successors' in reverse topological order (Nuutila, "Efficient transitive
 closure computation in large digraphs", 1995). The SCC pass first peels
 off, in numpy and round by round, the nodes left without in-edges or
-without out-edges, each a component of its own, and runs Tarjan only on
-the core that remains (Hong et al., SC 2013); on the 100k-package fixture
-at 2020-01 that core is exactly the giant component, 14,204 of 100,000
-nodes. The peel rounds are levels on both sides of the core, so the
-merge splits every component, in both directions, by one rule. Each
+without out-edges, each a component of its own (Hong et al., SC 2013). A
+forward and a backward search from one node of the core that remains,
+each level gathered in numpy, confirm a core that is one component, and
+only a core they do not confirm goes to Tarjan; on the 100k-package
+fixture at 2020-01 the core is exactly the giant component, 14,204 of
+100,000 nodes. The peel rounds are levels on both sides of the core, so
+the merge splits every component, in both directions, by one rule. Each
 direction's near side (the in-peeled nodes for dependents, the
 out-peeled ones for dependencies) has its successors in earlier rounds
 of that side, and its far side, taken in reverse peel order, has them on
-the near side, in the core or in rounds already merged. So a peeled
-node's reach is merged in numpy a round at a time, as sorted unique ids
-in one flat buffer, while its bound stays under n // _SPARSE_RATIO ids
-and its successors were merged the same way. The rest, the core among
-them, are merged one component at a time as int bitsets, each released
-by its last consumer, keeping peak memory proportional to the frontier,
-not the whole closure.
+the near side, in the core or in rounds already merged. The merge takes
+four steps: the near rounds in numpy, a round at a time, as sorted unique
+ids in one flat buffer, for every node whose bound stays under
+n // _SPARSE_RATIO ids and whose successors were merged the same way;
+the core and the near nodes left over, one component at a time as int
+bitsets; the far rounds in numpy; and the far nodes left over. The giant
+component G, the core's largest, is merged in the first loop, so the far
+side knows its closure cl(G): a far node with G, or such a node, as a
+successor keeps only its reach outside cl(G) and adds |cl(G)| to its
+size, which leaves the loop almost nothing in either direction. Every
+bitset but G's is released by its last consumer, keeping peak memory
+proportional to the frontier, not the whole closure.
 The closure runs with the cyclic garbage collector paused.
 Batch depths run one breadth-first search for many sources at once, one
 bit per source, over the derived adjacency rows.
@@ -45,7 +52,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .ingest import _gc_paused
-from .snapshot import SnapshotGraph, _sorted_unique, edge_sources, in_degrees
+from .snapshot import SnapshotGraph, _rows, _sorted_unique, edge_sources, in_degrees
 
 
 @dataclass(frozen=True, slots=True)
@@ -387,16 +394,16 @@ def _trimmed_sccs(
     Trimming first (Hong et al., "On Fast Parallel Detection of Strongly
     Connected Components (SCC) in Small-World Graphs", SC 2013): round by
     round, the nodes left without out-edges or without in-edges are peeled
-    off as components of their own, and Tarjan runs on the core that
-    remains. Out-peeled nodes come first, in peel order; then the core's
-    components, in Tarjan's order; then the in-peeled nodes, in reverse
-    peel order. A node that has neither kind of edge left is out-peeled.
-    Every out-edge of an out-peeled node leads to one out-peeled in an
-    earlier round, and every in-edge of an in-peeled node comes from one
-    in-peeled in an earlier round, so the order is reverse topological.
-    With the bounds ``out`` and ``in_`` returned, round r out-peeled the
-    labels ``out[r]:out[r + 1]`` and in-peeled the labels that
-    ``last - label`` puts in ``in_[r]:in_[r + 1]``, for ``last`` the
+    off as components of their own, and :func:`_core_sccs` splits the core
+    that remains. Out-peeled nodes come first, in peel order; then the
+    core's components, in Tarjan's order; then the in-peeled nodes, in
+    reverse peel order. A node that has neither kind of edge left is
+    out-peeled. Every out-edge of an out-peeled node leads to one
+    out-peeled in an earlier round, and every in-edge of an in-peeled node
+    comes from one in-peeled in an earlier round, so the order is reverse
+    topological. With the bounds ``out`` and ``in_`` returned, round r
+    out-peeled the labels ``out[r]:out[r + 1]`` and in-peeled the labels
+    that ``last - label`` puts in ``in_[r]:in_[r + 1]``, for ``last`` the
     highest label; either may be empty.
     """
     alive = np.ones(n, dtype=bool)
@@ -421,21 +428,62 @@ def _trimmed_sccs(
         live &= alive[dst]
         src, dst = src[live], dst[live]
 
-    # Tarjan on the core, renumbered 0..k-1; its edges are still grouped by
-    # source in id order.
+    # The core, renumbered 0..k-1; its edges are still grouped by source in
+    # id order.
     core = np.flatnonzero(alive)
     label = np.cumsum(alive) - 1
-    flat = label[dst].tolist()
-    bounds = [0, *np.cumsum(np.bincount(label[src], minlength=len(core))).tolist()]
+    core_sccs = _core_sccs(len(core), label[src], label[dst])
     del label, src, dst
-    core_sccs = _tarjan_sccs([flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])])
-    del flat, bounds
     members = np.fromiter(chain.from_iterable(core_sccs), np.int64, len(core))
     sizes = np.fromiter(map(len, core_sccs), np.int64, len(core_sccs))
     comp[core[members]] = out_bounds[-1] + np.repeat(np.arange(len(core_sccs)), sizes)
     n_comp = out_bounds[-1] + len(core_sccs) + in_bounds[-1]
     comp[comp < 0] += n_comp
     return comp, n_comp, out_bounds, in_bounds
+
+
+# A search that confirms a one-component core gives up after this many
+# levels, each a few numpy calls, and leaves the core to Tarjan, which is
+# linear whatever the core's diameter.
+_SEARCH_LEVELS = 256
+
+
+def _core_sccs(k: int, src: np.ndarray, dst: np.ndarray) -> list[list[int]]:
+    """The strongly connected components of the graph on ids 0..k-1 with
+    edges ``src`` -> ``dst``, grouped by source, in the order of
+    :func:`_tarjan_sccs`. A trimmed core is often one component: when a
+    search from node 0 reaches every node, forwards and then backwards, it
+    is, and Tarjan does not run (the forward-backward step of Hong et al.)."""
+    if k and _reaches_all(k, src, dst):
+        order = np.argsort(dst)
+        if _reaches_all(k, dst[order], src[order]):
+            return [list(range(k))]
+    bounds = [0, *np.cumsum(np.bincount(src, minlength=k)).tolist()]
+    return _tarjan_sccs(_rows(dst.tolist(), bounds))
+
+
+def _reaches_all(k: int, src: np.ndarray, dst: np.ndarray) -> bool:
+    """Whether a breadth-first search from node 0 along the edges ``src``
+    -> ``dst``, grouped by source, reaches all of 0..k-1 within
+    _SEARCH_LEVELS levels; each level is gathered in numpy."""
+    count = np.bincount(src, minlength=k)
+    start = np.cumsum(count) - count
+    seen = np.zeros(k, dtype=bool)
+    seen[0] = True
+    slot = np.empty(k, dtype=np.int64)
+    frontier = np.zeros(1, dtype=np.int64)
+    for _ in range(_SEARCH_LEVELS):
+        reached = _gathered(dst, start, count, frontier)
+        reached = reached[~seen[reached]]
+        if not len(reached):
+            return bool(seen.all())
+        # Whichever write to a node's slot lands, exactly one of the node's
+        # entries matches it, so the frontier holds each node once.
+        at = np.arange(len(reached))
+        slot[reached] = at
+        frontier = reached[slot[reached] == at]
+        seen[frontier] = True
+    return False
 
 
 @_gc_paused()
@@ -480,114 +528,195 @@ def _merged_reach_sizes(
     edges, source * n_comp + target, sorted.
 
     ``near`` and ``far`` bound the peel rounds on each side of the core,
-    in label order, and :func:`_peeled_reaches` merges most of them in
-    numpy a round at a time. The rest, the core among them, are merged one
-    at a time, in order, as int bitsets: from their successors' bitsets
-    and one list of ids gathered in numpy, the reaches of their successors
-    merged there and their own members. A use count per target lets its
-    bitset be dropped once the last predecessor has merged it."""
-    src, succ = np.divmod(pairs, n_comp)
-    looped, start, count, buf = _peeled_reaches(comp, n_comp, src, succ, near, far)
+    in label order. Every successor of a near round lies in an earlier
+    one; every successor of a far round lies on the near side, in the core
+    or in an earlier far round: an in-peeled node's out-neighbours are
+    out-peeled, in the core or in-peeled in a later round, and an
+    out-peeled node's in-neighbours are in-peeled, in the core or
+    out-peeled in a later round. So the merge runs in four steps, each on
+    reaches already merged: the near rounds in numpy, the core and the
+    near components left to the loop, the far rounds in numpy, and the far
+    components left to the loop (:class:`_Reaches`).
 
-    # The ids from numpy, grouped by looped component in order: a
-    # component's own members come last, and end its group.
-    loop = np.flatnonzero(looped)
-    into = looped[src] & ~looped[succ]
-    owner = np.concatenate((src[into], loop))
-    at = np.concatenate((succ[into], loop))
-    grouped = np.argsort(owner, kind="stable")
-    at = at[grouped]
-    ids = _gathered(buf, start, count, at)
-    bounds = [0, *np.cumsum(count[at])[at == owner[grouped]].tolist()]
-    del buf, start, into, owner, grouped, at
+    G, the core's largest component, is merged in the first loop, so its
+    closure cl(G), G and all it reaches, is known for the far side. There
+    most components that reach G reach little else (the bow-tie of Broder
+    et al., "Graph structure in the Web", 2000). A far component is via
+    when one of its successors is G or via: it drops its successors inside
+    cl(G), whose reaches lie in cl(G), keeps only the ids outside cl(G),
+    and counts |cl(G)| on top of them. Which component is G changes the
+    work, never a size."""
+    reaches = _Reaches(comp, n_comp, *np.divmod(pairs, n_comp))
+    reaches.looped[near[-1]:far[0]] = True
+    reaches.rounds(near)
+    core = reaches.count[near[-1]:far[0]]
+    if len(core):
+        reaches.hold(near[-1] + int(np.argmax(core)))
+    reaches.loop(0, far[0])
+    reaches.factor()
+    reaches.rounds(far)
+    reaches.loop(far[0], n_comp)
+    return reaches.sizes()[comp]
 
-    inner = looped[succ]
-    src, succ = src[inner], succ[inner]
-    flat_succ = succ.tolist()
-    offsets = np.searchsorted(src, np.arange(n_comp + 1)).tolist()
-    pending_uses = np.bincount(succ, minlength=n_comp).tolist()
-    del src, succ, inner, looped
 
-    reach: list = [None] * n_comp
-    counts = []
-    for ci, lo, hi in zip(loop.tolist(), bounds, bounds[1:]):
-        bits = 0
-        for cw in flat_succ[offsets[ci]:offsets[ci + 1]]:
-            bits |= reach[cw]
-            pending_uses[cw] -= 1
-            if not pending_uses[cw]:
+class _Reaches:
+    """The reaches of the components of :func:`_merged_reach_sizes`, from
+    their distinct edges ``src`` -> ``succ``, sorted by source.
+
+    A component merged in numpy holds its sorted reach, itself included,
+    in ``buf[start[c]:start[c] + count[c]]``; a via one, only the part of
+    it outside cl(G). A component left to the loop (``looped``) holds its
+    members there until the loop merges it, sets ``count[c]`` to the size
+    of its reach and keeps the reach as an int bitset in ``bits[c]`` while
+    ``uses[c]``, its consumers still to merge, is above 0. An int costs
+    its highest set bit whatever its population, so the loop only takes
+    what numpy cannot merge in a few ids. Once G (``giant``) is merged,
+    ``in_cl`` and ``cl_comp`` mark cl(G) by node and by component, ``via``
+    marks G and the via components, and ``kept`` the edges not dropped."""
+
+    def __init__(self, comp: np.ndarray, n_comp: int, src: np.ndarray, succ: np.ndarray):
+        self.n, self.src, self.succ = len(comp), src, succ
+        self.comp = comp
+        self.count = np.bincount(comp, minlength=n_comp)
+        self.start = np.cumsum(self.count) - self.count
+        self.buf = np.argsort(comp)  # members grouped by component, in any order
+        self.used = self.n
+        self.looped = np.zeros(n_comp, dtype=bool)
+        self.bits: list = [None] * n_comp
+        # Every edge into a looped component is a use by a looped consumer,
+        # or one that a via consumer drops, which gives it back.
+        self.uses = np.bincount(succ, minlength=n_comp).tolist()
+        self.kept = np.ones(len(src), dtype=bool)
+        self.via = np.zeros(n_comp, dtype=bool)
+        self.giant = -1
+        self.in_cl = self.cl_comp = None
+
+    def hold(self, giant: int) -> None:
+        """Make ``giant`` G, whose bitset is kept to the end."""
+        self.giant = giant
+        self.uses[giant] += 1
+
+    def factor(self) -> None:
+        """Mark cl(G), from G's bitset, by node and by component, if there
+        is a G."""
+        if self.giant < 0:
+            return
+        bits, n = self.bits[self.giant], self.n
+        flags = np.frombuffer(bits.to_bytes((n + 7) // 8, "little"), np.uint8)
+        self.in_cl = np.unpackbits(flags, count=n, bitorder="little").view(bool)
+        self.cl_comp = np.zeros(len(self.via), dtype=bool)
+        self.cl_comp[self.comp[self.in_cl]] = True
+        self.via[self.giant] = True
+
+    def rounds(self, bounds: list[int]) -> None:
+        """Merge the components of the peel rounds ``bounds`` in numpy, a
+        round at a time: gather the successors' reaches, add each
+        component's own members and drop repeats from the sorted keys
+        component * n + id. A component is left to the loop instead when
+        its bound on the union, 1 + the summed sizes of its successors'
+        reaches, passes n // _SPARSE_RATIO, or when one of its successors
+        was left to the loop. Once cl(G) is marked, a via component drops
+        its successors inside cl(G) first, and its ids inside cl(G) after
+        the gather."""
+        n, src, succ, count, looped = self.n, self.src, self.succ, self.count, self.looped
+        limit = n // _SPARSE_RATIO
+        rounds = list(zip(bounds, bounds[1:]))
+        for (lo, hi), (e_lo, e_hi) in zip(rounds, np.searchsorted(src, rounds).tolist()):
+            s, t = src[e_lo:e_hi], succ[e_lo:e_hi]
+            if self.in_cl is not None:
+                self.via[s[self.via[t]]] = True
+                inside = self.via[s] & self.cl_comp[t]
+                self.kept[e_lo:e_hi] = ~inside
+                s, t = s[~inside], t[~inside]
+            # Counts and bounds are exact in float64 below 2**53.
+            off = np.bincount(s - lo, weights=count[t], minlength=hi - lo) >= limit
+            off[s[looped[t]] - lo] = True
+            looped[lo:hi] = off
+            merged = ~off[s - lo]
+            own = np.flatnonzero(~off) + lo
+            at = np.concatenate((t[merged], own))
+            owner = np.repeat(np.concatenate((s[merged], own)), count[at])
+            ids = _gathered(self.buf, self.start, count, at)
+            if self.in_cl is not None:
+                outside = ~(self.via[owner] & self.in_cl[ids])
+                owner, ids = owner[outside], ids[outside]
+            keys = _sorted_unique(owner * n + ids)
+            owner = keys // n
+            sizes = np.bincount(owner - lo, minlength=hi - lo)[~off]
+            count[own] = sizes
+            self.start[own] = np.cumsum(sizes) - sizes + self.used
+            if self.used + len(keys) > len(self.buf):
+                grown = np.empty(max(self.used, len(keys)), np.int64)
+                self.buf = np.concatenate((self.buf[:self.used], grown))
+            self.buf[self.used:self.used + len(keys)] = keys - owner * n
+            self.used += len(keys)
+
+    def loop(self, lo: int, hi: int) -> None:
+        """Merge the looped components with labels lo..hi-1 one at a time,
+        in order, as int bitsets: each ORs its looped successors' bitsets,
+        one list of ids gathered in numpy (the reaches of its other
+        successors and its own members, repeats included) and, when it is
+        via, G's bitset. A bitset is dropped once its last consumer has
+        merged it."""
+        e_lo, e_hi = np.searchsorted(self.src, (lo, hi)).tolist()
+        src, succ, kept = self.src[e_lo:e_hi], self.succ[e_lo:e_hi], self.kept[e_lo:e_hi]
+        looped, uses, reach = self.looped, self.uses, self.bits
+        # Via components give back the uses of the edges they dropped.
+        dropped, times = np.unique(succ[~kept & looped[succ]], return_counts=True)
+        for cw, k in zip(dropped.tolist(), times.tolist()):
+            uses[cw] -= k
+            if not uses[cw]:
                 reach[cw] = None
-        bits = _or_ids(bits, ids[lo:hi])
-        counts.append(bits.bit_count())
-        if pending_uses[ci]:
-            reach[ci] = bits
-    count[loop] = counts
-    return (count - 1)[comp]
+        kept = kept & looped[src]
+        src, succ = src[kept], succ[kept]
+        del dropped, times, kept
 
+        # The ids from numpy, grouped by looped component in order: a
+        # component's own members come last, and end its group.
+        loop = np.flatnonzero(looped[lo:hi]) + lo
+        into = ~looped[succ]
+        owner = np.concatenate((src[into], loop))
+        at = np.concatenate((succ[into], loop))
+        grouped = np.argsort(owner, kind="stable")
+        at = at[grouped]
+        ids = _gathered(self.buf, self.start, self.count, at)
+        bounds = [0, *np.cumsum(self.count[at])[at == owner[grouped]].tolist()]
+        src, succ = src[~into], succ[~into]
+        del into, owner, at, grouped
+        flat_succ = succ.tolist()
+        firsts = np.searchsorted(src, loop).tolist()
+        ends = np.searchsorted(src, loop + 1).tolist()
+        del src, succ
+        giant = reach[self.giant] if self.giant >= 0 else None
+        counts = []
+        rows = zip(loop.tolist(), self.via[loop].tolist(), firsts, ends, bounds, bounds[1:])
+        for ci, via, first, end, a, b in rows:
+            bits = giant if via else 0
+            for cw in flat_succ[first:end]:
+                bits |= reach[cw]
+                uses[cw] -= 1
+                if not uses[cw]:
+                    reach[cw] = None
+            bits = _or_ids(bits, ids[a:b])
+            counts.append(bits.bit_count())
+            if uses[ci]:
+                reach[ci] = bits
+        self.count[loop] = counts
 
-def _peeled_reaches(
-    comp: np.ndarray, n_comp: int, src: np.ndarray, succ: np.ndarray,
-    near: list[int], far: list[int],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The reaches of the peeled components, merged in numpy a peel round
-    at a time, for the components and the edges ``src`` -> ``succ`` of
-    :func:`_merged_reach_sizes`.
-
-    The rounds ``near`` come first, and every successor of theirs lies in
-    an earlier one. Every successor of a round of ``far`` lies on the near
-    side, in the core or in an earlier round of ``far``: an in-peeled
-    node's out-neighbours are out-peeled, in the core or in-peeled in a
-    later round, and an out-peeled node's in-neighbours are in-peeled, in
-    the core or out-peeled in a later round. A round gathers its
-    successors' reaches, adds each component's own id and drops repeats
-    from the sorted keys component * n + id. A component is left to the
-    loop instead, marked in the first array returned, when it is in the
-    core, when its bound on the union, 1 + the summed sizes of its
-    successors' reaches, passes n // _SPARSE_RATIO, or when one of its
-    successors was left to the loop. With ``start``, ``count`` and ``buf``
-    returned after it, ``buf[start[c]:start[c] + count[c]]`` holds the
-    sorted reach of every other component c, itself included, and the
-    members of a looped one."""
-    n = len(comp)
-    limit = n // _SPARSE_RATIO
-    looped = np.zeros(n_comp, dtype=bool)
-    looped[near[-1]:far[0]] = True
-    count = np.bincount(comp, minlength=n_comp)
-    start = np.cumsum(count) - count
-    buf = np.argsort(comp, kind="stable")
-    used = n
-    rounds = [*zip(near, near[1:]), *zip(far, far[1:])]
-    edge_bounds = np.searchsorted(src, rounds).tolist()
-    for (lo, hi), (e_lo, e_hi) in zip(rounds, edge_bounds):
-        s, t = src[e_lo:e_hi], succ[e_lo:e_hi]
-        # Counts and bounds are exact in float64 below 2**53.
-        off = np.bincount(s - lo, weights=count[t], minlength=hi - lo) >= limit
-        off[s[looped[t]] - lo] = True
-        looped[lo:hi] = off
-        kept = ~off[s - lo]
-        own = np.flatnonzero(~off) + lo
-        at = np.concatenate((t[kept], own))
-        keys = _sorted_unique(
-            np.repeat(np.concatenate((s[kept], own)) * n, count[at])
-            + _gathered(buf, start, count, at)
-        )
-        owner = keys // n
-        sizes = np.bincount(owner - lo, minlength=hi - lo)[~off]
-        count[own] = sizes
-        start[own] = np.cumsum(sizes) - sizes + used
-        if used + len(keys) > len(buf):
-            buf = np.concatenate((buf[:used], np.empty(max(used, len(keys)), np.int64)))
-        buf[used:used + len(keys)] = keys - owner * n
-        used += len(keys)
-    return looped, start, count, buf
+    def sizes(self) -> np.ndarray:
+        """The closure size of every component, itself excluded."""
+        sizes = self.count - 1
+        if self.giant >= 0:
+            sizes += self.count[self.giant] * (self.via & ~self.looped)
+        return sizes
 
 
 def _gathered(
     buf: np.ndarray, start: np.ndarray, count: np.ndarray, at: np.ndarray
 ) -> np.ndarray:
-    """The slices of ``buf`` of the components ``at``, one after another:
-    their reaches, or a looped one's members, as :func:`_peeled_reaches`
-    returns them."""
+    """The slices ``buf[start[c]:start[c] + count[c]]`` of the c in ``at``,
+    one after another: their reaches, or a looped one's members, in
+    :class:`_Reaches`, and their out-neighbours in :func:`_reaches_all`."""
     lengths = count[at]
     ends = np.cumsum(lengths)
     first = np.repeat(start[at] - ends + lengths, lengths)

@@ -131,8 +131,6 @@ def p_impact_index(
     closure with other per-month metrics.
     """
     _check_p_percent(p_percent)
-    if g.n_nodes == 0:
-        raise ValueError("p_impact_index requires a non-empty snapshot")
     if dependent_counts is None:
         sizes = _closure_sizes(*_edge_list(g), reverse=True)
     else:

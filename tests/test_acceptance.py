@@ -13,6 +13,7 @@ import os
 import random
 import resource
 import time
+import tracemalloc
 from contextlib import contextmanager
 from datetime import datetime
 from pathlib import Path
@@ -22,6 +23,9 @@ import pytest
 from depnet.evolution import ecosystem_scan, transitive_ratio_series, update_distribution
 from depnet.fixtures import GeneratorConfig, generate, tiny_dataset
 from depnet.graphops import (
+    _closure_sizes,
+    _closures,
+    _edge_list,
     connected_packages,
     dependency_depth,
     top_level_packages,
@@ -269,6 +273,26 @@ def test_performance_at_scale():
         assert observed > 0.5
         assert observed == pytest.approx(PERF_IN_DEGREE_GINI, rel=1e-9)
 
+        # The batch closure at the cutoff: both directions count the same
+        # pairs, seeded sample nodes match a plain search, and the
+        # dependencies direction, whose reaches nearly all hold the giant
+        # component's closure, stays small in memory.
+        edges = _edge_list(g)
+        forward, backward = _closures(*edges, (False, True))
+        assert int(forward.sum()) == int(backward.sum())
+        rng = random.Random(20200101)
+        searches = ((forward, transitive_dependencies), (backward, transitive_dependents))
+        for sizes, search in searches:
+            for v in rng.sample(range(g.n_nodes), 20):
+                assert sizes[v] == len(search(g, g.names[v])), (search.__name__, v)
+        tracemalloc.start()
+        try:
+            _closure_sizes(*edges)
+            closure_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert closure_peak < 64 * 2**20, f"dependencies closure peaked at {closure_peak} B"
+
         max_rss_self = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         max_rss_child = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
         for label, kb in (("self", max_rss_self), ("worker", max_rss_child)):
@@ -277,6 +301,7 @@ def test_performance_at_scale():
         print(
             f"\n  generate={gen_elapsed:.1f}s scan(jobs=1)={serial_elapsed:.1f}s "
             f"scan(jobs=4)={parallel_elapsed:.1f}s "
+            f"dependencies closure peak={closure_peak / 2**20:.1f}MiB "
             f"rss self={max_rss_self / 1e6:.2f}GB worker={max_rss_child / 1e6:.2f}GB"
         )
 

@@ -300,6 +300,20 @@ class TestIndex:
         )
         assert out.splitlines()[1] == "2020-04,reusability,,1"
 
+    @pytest.mark.parametrize("name", ["impact", "reusability", "changeability"])
+    def test_empty_snapshot_matches_the_series(self, capsys, tiny_dir, name):
+        # No package exists in 1990-01: the index is 0 at that month, and
+        # the series over that one month prints the same row.
+        code, out, err = invoke(capsys, "index", name, "--at", "1990-01", *tiny_args(tiny_dir))
+        assert (code, err) == (0, "")
+        code, series, _ = invoke(
+            capsys, "series", "index", "--index", name,
+            "--from", "1990-01", "--to", "1990-01", *tiny_args(tiny_dir),
+        )
+        assert code == 0
+        assert out == series
+        assert out.splitlines()[1].endswith(",0")
+
     @pytest.mark.parametrize(
         "argv, rows",
         [

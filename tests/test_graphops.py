@@ -124,6 +124,63 @@ def shaped_adjacency(shape, n=2500, seed=0):
     return adj
 
 
+def cycle(lo, hi):
+    """The edges of a cycle through the nodes lo..hi-1."""
+    return [(v, v + 1 if v + 1 < hi else lo) for v in range(lo, hi)]
+
+
+def with_periphery(n, edges, into, outof, rng, k=40):
+    """Integer adjacency of ``edges`` on nodes 0..n-1, with k sink-side
+    nodes that nodes of ``outof`` point to, each also pointing to up to two
+    earlier sink-side ones, and then k source-side nodes, each pointing to
+    two of ``into``, the sink-side nodes and the earlier source-side ones.
+    Neither adds a cycle, so both are peeled."""
+    edges = list(edges)
+    sinks = []
+    for x in range(n, n + k):
+        edges.append((rng.choice(outof), x))
+        edges += [(x, w) for w in rng.sample(sinks, min(len(sinks), rng.randint(0, 2)))]
+        sinks.append(x)
+    for x in range(n + k, n + 2 * k):
+        edges += [(x, w) for w in rng.sample([*into, *sinks, *range(n + k, x)], 2)]
+    adj = [[] for _ in range(n + 2 * k)]
+    for v, w in sorted(set(edges)):
+        adj[v].append(w)
+    return adj
+
+
+def giant_cases():
+    """Graphs around a largest strongly connected component G, by what
+    they test, each with peeled nodes on both sides of its core."""
+    rng = random.Random(25)
+    return [
+        # A (0-29) reaches B (30-49).
+        ("two large SCCs",
+         with_periphery(50, [*cycle(0, 30), *cycle(30, 50), (5, 35)], range(50), range(50), rng)),
+        # H (30-39) reaches G (0-29), and only H reaches the sink side.
+        ("G reaches nothing",
+         with_periphery(40, [*cycle(0, 30), *cycle(30, 40), (31, 3)],
+                        range(40), range(30, 40), rng)),
+        # G reaches H, and the source side points only into H.
+        ("nothing reaches G",
+         with_periphery(40, [*cycle(0, 30), *cycle(30, 40), (3, 31)],
+                        range(30, 40), range(40), rng)),
+        # B (30-34) reaches the whole sink side; G reaches nothing.
+        ("largest SCC, not the largest closure",
+         with_periphery(35, [*cycle(0, 30), *cycle(30, 35)], range(35), range(30, 35), rng)),
+        # B (30-39) reaches G, G reaches C (40-44), D (45-49) is apart; 50
+        # reaches G and D, 51 reaches G, and 52 reaches 51 and D.
+        ("core of several SCCs",
+         with_periphery(53, [*cycle(0, 30), *cycle(30, 40), *cycle(40, 45), *cycle(45, 50),
+                             (31, 1), (2, 41), (50, 1), (50, 46), (51, 1), (52, 51), (52, 47)],
+                        range(53), range(50), rng)),
+        # G (0-19) reaches 20; 21 reaches 20 and 22; 23 reaches G and 21.
+        ("via node with successors inside and outside cl(G)",
+         with_periphery(24, [*cycle(0, 20), (0, 20), (21, 20), (21, 22), (23, 0), (23, 21)],
+                        range(24), range(20, 23), rng)),
+    ]
+
+
 class UnionFind:
     def __init__(self, items):
         self.parent = {x: x for x in items}
@@ -310,16 +367,20 @@ class TestWcc:
 
 
 def trimmed_sccs(adj, monkeypatch=None):
-    """``graphops._trimmed_sccs`` of ``adj``, and the node count of the core
-    that Tarjan was run on when ``monkeypatch`` is given."""
-    core = []
+    """``graphops._trimmed_sccs`` of ``adj``; with ``monkeypatch``, also the
+    node count of the core left by the peel, and the node count of each
+    graph that Tarjan was run on."""
+    core, tarjan = [], []
     if monkeypatch is not None:
-        tarjan = graphops._tarjan_sccs
+        core_sccs, tarjan_sccs = graphops._core_sccs, graphops._tarjan_sccs
         monkeypatch.setattr(
-            graphops, "_tarjan_sccs", lambda sub: core.append(len(sub)) or tarjan(sub)
+            graphops, "_core_sccs", lambda k, *edges: core.append(k) or core_sccs(k, *edges)
+        )
+        monkeypatch.setattr(
+            graphops, "_tarjan_sccs", lambda sub: tarjan.append(len(sub)) or tarjan_sccs(sub)
         )
     sccs = member_lists(*graphops._trimmed_sccs(*edge_list(adj))[:2])
-    return (sccs, core[0]) if monkeypatch is not None else sccs
+    return (sccs, core[0], tarjan) if monkeypatch is not None else sccs
 
 
 def member_lists(comp, n_comp):
@@ -359,15 +420,40 @@ class TestTrimmedSccs:
 
     def test_dag_is_peeled_whole(self, monkeypatch):
         adj = shaped_adjacency("dag")
-        sccs, core = trimmed_sccs(adj, monkeypatch)
+        sccs, core, _ = trimmed_sccs(adj, monkeypatch)
         assert core == 0
         assert_sccs_of(adj, sccs)
 
     def test_pure_cycle_is_all_core(self, monkeypatch):
+        # The search from node 0 reaches every node both ways, so the core
+        # is one component without Tarjan.
         adj = [[(i + 1) % 50] for i in range(50)]
-        sccs, core = trimmed_sccs(adj, monkeypatch)
-        assert core == 50
+        sccs, core, tarjan = trimmed_sccs(adj, monkeypatch)
+        assert core == 50 and tarjan == []
         assert [sorted(members) for members in sccs] == [list(range(50))]
+
+    # The search from node 0 needs 49 levels to reach the whole 50-cycle,
+    # and one more to find nothing new; with fewer it leaves the core to
+    # Tarjan, which finds the same component.
+    @pytest.mark.parametrize("levels, runs_tarjan", [(49, True), (50, False)])
+    def test_long_search_falls_back_to_tarjan(self, monkeypatch, levels, runs_tarjan):
+        monkeypatch.setattr(graphops, "_SEARCH_LEVELS", levels)
+        adj = [[(i + 1) % 50] for i in range(50)]
+        sccs, core, tarjan = trimmed_sccs(adj, monkeypatch)
+        assert core == 50 and tarjan == ([50] if runs_tarjan else [])
+        assert [sorted(members) for members in sccs] == [list(range(50))]
+
+    # Cycles 0 <-> 1 and 2 <-> 3, joined by one edge: from 2 to 0, so the
+    # forward search from 0 stops at 1; or from 0 to 2, so it reaches every
+    # node and the backward search stops at 1. The tail 4 -> 5 -> 6 -> 0
+    # peels off.
+    @pytest.mark.parametrize("join", [(2, 0), (0, 2)])
+    def test_core_of_several_components_runs_tarjan(self, monkeypatch, join):
+        adj = [[1], [0], [3], [2], [5], [6], [0]]
+        adj[join[0]].append(join[1])
+        sccs, core, tarjan = trimmed_sccs(adj, monkeypatch)
+        assert core == 4 and tarjan == [4]
+        assert_sccs_of(adj, sccs)
 
     def test_empty_and_edgeless(self):
         assert trimmed_sccs([]) == []
@@ -491,11 +577,13 @@ class TestClosureOracle:
         # are left to the loop, and with the chains so are far-side ones.
         monkeypatch.setattr(graphops, "_SPARSE_RATIO", 600)
         calls = []
-        peeled_reaches = graphops._peeled_reaches
-        monkeypatch.setattr(
-            graphops, "_peeled_reaches",
-            lambda *args: calls.append((args, out := peeled_reaches(*args))) or out,
-        )
+        rounds = graphops._Reaches.rounds
+
+        def spy(reaches, bounds):
+            rounds(reaches, bounds)
+            calls.append(reaches.looped[bounds[0]:bounds[-1]].copy())
+
+        monkeypatch.setattr(graphops._Reaches, "rounds", spy)
         giant = shaped_adjacency("one_giant")
         chains = [row for i in range(300) for row in ([len(giant) + 2 * i + 1], [])]
         cases = (
@@ -509,14 +597,89 @@ class TestClosureOracle:
             backward = bfs_closure_sizes(reversed_adjacency(adj))
             both = graphops._closures(*edge_list(adj), (False, True))
             assert [sizes.tolist() for sizes in both] == [forward, backward], shape
-            assert len(calls) == 2
-            for (_, _, _, _, near, far), (looped, *_) in calls:
-                sides = [looped[near[0]:near[-1]]]
-                if shape == "one_giant and chains":
-                    sides.append(looped[far[0]:far[-1]])
-                for flags in sides:
-                    assert 0 < flags.sum() < len(flags), shape
+            # The near rounds, then the far rounds, in each direction.
+            assert len(calls) == 4
+            sides = calls[0::2]
+            if shape == "one_giant and chains":
+                sides += calls[1::2]
+            for flags in sides:
+                assert 0 < flags.sum() < len(flags), shape
             calls.clear()
+
+    @pytest.mark.parametrize("ratio", [None, 1, 10**9])
+    def test_giant_cases_match_bfs_oracle(self, monkeypatch, ratio):
+        if ratio is not None:
+            monkeypatch.setattr(graphops, "_SPARSE_RATIO", ratio)
+        for name, adj in giant_cases():
+            expected = [bfs_closure_sizes(adj), bfs_closure_sizes(reversed_adjacency(adj))]
+            both = graphops._closures(*edge_list(adj), (False, True))
+            assert [sizes.tolist() for sizes in both] == expected, name
+
+    @pytest.mark.parametrize("ratio", [None, 1, 10**9])
+    def test_any_core_component_as_g_gives_the_same_sizes(self, monkeypatch, ratio):
+        # Each core component in turn stands in for the largest as G: the
+        # looped components with more than one member are the core's.
+        if ratio is not None:
+            monkeypatch.setattr(graphops, "_SPARSE_RATIO", ratio)
+        hold, pick = graphops._Reaches.hold, [0]
+
+        def hold_another(reaches, _):
+            core = np.flatnonzero(reaches.looped & (reaches.count > 1))
+            hold(reaches, int(core[pick[0] % len(core)]))
+
+        monkeypatch.setattr(graphops._Reaches, "hold", hold_another)
+        for name, adj in giant_cases():
+            expected = [bfs_closure_sizes(adj), bfs_closure_sizes(reversed_adjacency(adj))]
+            for pick[0] in range(4):
+                both = graphops._closures(*edge_list(adj), (False, True))
+                assert [sizes.tolist() for sizes in both] == expected, (name, pick)
+
+    def test_giant_cases_take_their_paths(self, monkeypatch):
+        # At a ratio of 1 every peeled node is merged in numpy unless a
+        # successor is looped. The dependencies direction is checked.
+        monkeypatch.setattr(graphops, "_SPARSE_RATIO", 1)
+        tarjan_sccs, rounds = graphops._tarjan_sccs, graphops._Reaches.rounds
+        tarjan, far = [], []
+
+        def far_rounds(reaches, bounds):
+            rounds(reaches, bounds)
+            if reaches.in_cl is not None and not far:
+                far.append(reaches)
+
+        monkeypatch.setattr(
+            graphops, "_tarjan_sccs", lambda sub: tarjan.append(len(sub)) or tarjan_sccs(sub)
+        )
+        monkeypatch.setattr(graphops._Reaches, "rounds", far_rounds)
+        paths = {}
+        for name, adj in giant_cases():
+            tarjan.clear()
+            far.clear()
+            graphops._closures(*edge_list(adj), (False,))
+            (r,) = far
+            s, t = r.src[r.kept], r.succ[r.kept]
+            numpy_via = r.via & ~r.looped
+            # A via component merged in numpy, one of whose successors
+            # merged in numpy is not via and reaches into cl(G).
+            masked = [
+                c for c in t[numpy_via[s] & ~r.looped[t] & ~r.via[t]].tolist()
+                if r.in_cl[r.buf[r.start[c]:r.start[c] + r.count[c]]].any()
+            ]
+            paths[name] = (
+                bool(tarjan),
+                bool((~r.kept).any()),
+                bool(masked),
+                bool((r.looped[s] & r.via[s] & numpy_via[t]).any()),
+            )
+        # Tarjan ran; a via component dropped a successor inside cl(G); ids
+        # were masked by cl(G); a looped via component had a via successor.
+        assert paths == {
+            "two large SCCs": (True, True, False, False),
+            "G reaches nothing": (True, True, False, True),
+            "nothing reaches G": (True, False, False, False),
+            "largest SCC, not the largest closure": (True, True, False, False),
+            "core of several SCCs": (True, True, False, True),
+            "via node with successors inside and outside cl(G)": (False, True, True, False),
+        }
 
     def test_closure_symmetry(self):
         rng = random.Random(9)

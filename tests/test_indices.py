@@ -179,10 +179,11 @@ class TestPImpact:
             with pytest.raises(ValueError):
                 p_impact_index(g, p)
 
-    def test_empty_graph_rejected(self):
+    def test_empty_graph_is_zero(self):
+        # No package reaches any share of none, as in the month series.
         g = make_graph([], [])
-        with pytest.raises(ValueError):
-            p_impact_index(g, 5)
+        assert p_impact_index(g, 5).value == 0
+        assert p_impact_index(g, 5, dependent_counts={}).value == 0
 
 
 class TestRelabelInvariance:
