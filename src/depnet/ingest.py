@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import gc
 import hashlib
+import io
 import json
 import os
 import statistics
@@ -458,11 +459,19 @@ class Dataset:
         )
 
 
-# Data rows that the parse reads, checks and converts at a time, a column
-# at a time. Larger blocks are slower: at 16,384 rows a block's row lists
-# and strings outgrow the CPU caches, and the 100k-package fixture parsed
-# in 2.0 s against 1.5 s (in process, 2-vCPU machine).
+# Rows that the csv.reader path reads, checks and converts at a time, a
+# column at a time, and that a CSV write joins at a time. Larger blocks are
+# slower: at 16,384 rows a block's row lists and strings outgrow the CPU
+# caches, and the 100k-package fixture parsed in 2.0 s against 1.5 s (in
+# process, 2-vCPU machine).
 _BLOCK_ROWS = 4096
+# Bytes of a CSV file that the parse reads at a time and splits without
+# ``csv.reader`` when they are plain (see ``_plain_lines``), about 1,800
+# dependency rows. A chunk and its text stay under glibc's 128 KiB mmap
+# threshold: one 100k-package load peaked at 150.8 MiB with 64 KiB chunks,
+# 156.7 with 256 KiB and 158.8 with 1 MiB, against 148.9 for csv.reader
+# alone, at equal parse times (2-vCPU machine).
+_CHUNK_BYTES = 1 << 16
 
 
 @contextmanager
@@ -485,76 +494,164 @@ def _gc_paused() -> Iterator[None]:
             gc.enable()
 
 
-@contextmanager
-def _csv_file(path: Path, required: list[str]):
-    """A ``csv.reader`` over the CSV file at ``path`` past its header, the
-    header's width and the places of the ``required`` columns in it; the
-    file is open only inside the block."""
+def _plain_lines(data: bytes, width: int) -> int:
+    """The number of lines of ``data`` when it is plain, else 0. Plain
+    ``data`` is whole lines, each ended by a newline, that read as rows of
+    ``width`` fields by cutting the text at every comma and newline: it
+    holds no quote and no carriage return, no line is empty or longer than
+    ``csv.field_size_limit()``, and every line has exactly ``width - 1``
+    commas. Such text is what ``csv.writer`` writes for its rows and what
+    ``csv.reader`` reads from it, so ``write_csv`` writes it as one text
+    and the parse splits it without ``csv.reader``."""
+    if width < 1 or not data.endswith(b"\n") or b'"' in data or b"\r" in data:
+        return 0
+    buf = np.frombuffer(data, np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    # Each line's length with its newline.
+    spans = np.diff(ends, prepend=-1)
+    if spans.min() < 2 or spans.max() > csv.field_size_limit() + 1:
+        return 0
+    commas = np.flatnonzero(buf == ord(","))
+    if len(commas) != len(ends) * (width - 1):
+        return 0
+    if width > 1:
+        # With as many commas as the lines need, each line has its own when
+        # the first and the last of each line's share fall inside it.
+        commas = commas.reshape(-1, width - 1)
+        if not ((commas[:, -1] < ends).all() and (commas[1:, 0] > ends[:-1]).all()):
+            return 0
+    return len(ends)
+
+
+def _open(path: Path):
+    """The CSV file at ``path`` opened for reading bytes."""
     try:
-        handle = open(path, newline="", encoding="utf-8")
+        return open(path, "rb")
     except FileNotFoundError:
         raise DatasetError(f"{path}: file not found") from None
-    with handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise DatasetError(f"{path}: missing header row")
-        missing = [col for col in required if col not in header]
-        if missing:
-            raise DatasetError(f"{path}: missing column(s) {', '.join(missing)}")
-        yield reader, len(header), [header.index(col) for col in required]
 
 
-def _rows(path: Path, required: list[str]):
-    """Each data row of the CSV file at ``path`` as (line, values of the
-    ``required`` columns). A row whose field count differs from the
-    header's is an error, never shifted into other columns; blank lines
-    are skipped. The parse reads blocks; this reader finds the lines of a
-    fault."""
-    with _csv_file(path, required) as (reader, width, columns):
-        # line_num counts physical lines, so a quoted field holding a newline
-        # does not shift the line numbers of later rows.
-        for row in reader:
-            if len(row) != width:
-                if not row:  # a blank line
-                    continue
-                raise DatasetError(
-                    f"{path}, line {reader.line_num}: {len(row)} fields, the header has {width}"
-                )
-            yield reader.line_num, [row[i] for i in columns]
+def _decoded(path: Path, data: bytes) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+
+
+def _not_utf8(path: Path) -> DatasetError:
+    """The error for the CSV file at ``path``, which is not UTF-8: it names
+    the physical line of the first byte that does not decode, found by a
+    re-read that runs only on failure."""
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        data = data[:exc.start]
+    line = 1 + data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
+    return DatasetError(f"{path}, line {line}: not valid UTF-8")
+
+
+def _columns(path: Path, header: Optional[list[str]], required: list[str]):
+    """The width of the ``header`` row of the CSV file at ``path`` and the
+    places of the ``required`` columns in it."""
+    if header is None:
+        raise DatasetError(f"{path}: missing header row")
+    missing = [col for col in required if col not in header]
+    if missing:
+        raise DatasetError(f"{path}: missing column(s) {', '.join(missing)}")
+    return len(header), [header.index(col) for col in required]
+
+
+def _chunk(handle) -> bytes:
+    """The next bytes of ``handle``, up to ``_CHUNK_BYTES`` cut after their
+    last newline, the handle moved back to the cut; empty at the end of the
+    file and when no whole line fits. The last line of the file gets a newline if it has none (a
+    short read is the end of the file)."""
+    data = handle.read(_CHUNK_BYTES)
+    if len(data) < _CHUNK_BYTES:
+        return data if data.endswith(b"\n") or not data else data + b"\n"
+    cut = data.rfind(b"\n") + 1
+    handle.seek(cut - len(data), 1)
+    return data[:cut]
 
 
 def _blocks(path: Path, required: list[str]):
-    """The data rows of the CSV file at ``path`` in blocks of up to
-    ``_BLOCK_ROWS``, each as (number of rows before it, a tuple of values
-    per ``required`` column). Blank lines are skipped, as :func:`_rows`
-    skips them. A row whose field count differs from the header's ends the
-    blocks: the rows before it come first, and once the caller has found
-    no fault in them, the field-count error is raised."""
-    with _csv_file(path, required) as (reader, width, columns):
-        start = 0
-        while block := list(islice(reader, _BLOCK_ROWS)):
-            cut = None
-            if set(map(len, block)) != {width}:
-                block = [row for row in block if row]
-                cut = next((k for k, row in enumerate(block) if len(row) != width), None)
-            values = list(zip(*(block if cut is None else block[:cut]))) or [()] * width
-            yield start, [values[i] for i in columns]
-            if cut is not None:
-                text = f"{len(block[cut])} fields, the header has {width}"
-                raise _fault(path, required, [(start + cut, 0, text)])
-            start += len(block)
+    """The data rows of the CSV file at ``path`` in blocks, each as (number
+    of rows before it, a list of values per ``required`` column). Blank
+    lines are skipped.
+
+    The file is read in chunks of whole lines. A chunk that is plain (see
+    ``_plain_lines``) is split at its commas and newlines, and a column is one
+    stride slice. From the first chunk that is not, or from the start when
+    the header line is not, one ``csv.reader`` reads the rest in blocks of
+    ``_BLOCK_ROWS``, so a quoted field is never cut. A row whose field
+    count differs from the header's ends the blocks: the rows before it
+    come first, and once the caller has found no fault in them, the
+    field-count error is raised. A field longer than
+    ``csv.field_size_limit()`` and bytes that are not UTF-8 fail with their
+    line when the read reaches them."""
+    with _open(path) as handle:
+        first = handle.readline()
+        if not first.endswith(b"\n"):
+            first += b"\n"
+        # Rows read and lines past them; no line is read until the header is.
+        start = lines = 0
+        if _plain_lines(first, first.count(b",") + 1):
+            header = _decoded(path, first)[:-1].split(",")
+            width, columns = _columns(path, header, required)
+            lines = 1
+            at = handle.tell()
+            while rows := _plain_lines(data := _chunk(handle), width):
+                fields = _decoded(path, data).replace("\n", ",").split(",")
+                del fields[-1]  # the empty text after the last newline
+                yield start, [fields[i::width] for i in columns]
+                start += rows
+                lines += rows
+                at = handle.tell()
+            handle.seek(at)
+        else:
+            handle.seek(0)
+        with io.TextIOWrapper(handle, encoding="utf-8", newline="") as text:
+            reader = csv.reader(text)
+
+            def read(count: int) -> list[list[str]]:
+                try:
+                    return list(islice(reader, count))
+                except csv.Error as exc:
+                    raise DatasetError(f"{path}, line {lines + reader.line_num}: {exc}") from None
+                except UnicodeDecodeError:
+                    raise _not_utf8(path) from None
+
+            if not lines:
+                width, columns = _columns(path, (read(1) or [None])[0], required)
+            while block := read(_BLOCK_ROWS):
+                cut = None
+                if set(map(len, block)) != {width}:
+                    block = [row for row in block if row]
+                    cut = next((k for k, row in enumerate(block) if len(row) != width), None)
+                values = list(zip(*(block if cut is None else block[:cut]))) or [()] * width
+                yield start, [values[i] for i in columns]
+                if cut is not None:
+                    message = f"{len(block[cut])} fields, the header has {width}"
+                    raise _fault(path, [(start + cut, 0, message)])
+                start += len(block)
 
 
-def _fault(path: Path, required: list[str], faults: list[tuple]) -> DatasetError:
+def _fault(path: Path, faults: list[tuple]) -> DatasetError:
     """The error for the first of ``faults`` found in the CSV file at
     ``path``, each (row, rule, text) or (row, rule, text, earlier row)
     for a row that repeats an earlier one. Rows count data rows from 0,
     blank lines skipped; the earliest row wins, and the lowest rule among
-    the faults of one row. A re-read with :func:`_rows` gives the lines;
-    it runs only on failure."""
+    the faults of one row. A re-read with ``csv.reader`` gives the physical
+    lines; it runs only on failure, and reads bytes that are not UTF-8
+    past the fault as replacement characters."""
     row, _, text, *earlier = min(faults)
-    lines = [line for line, _ in islice(_rows(path, required), row + 1)]
+    with _open(path) as handle, io.TextIOWrapper(
+        handle, encoding="utf-8", errors="replace", newline=""
+    ) as stream:
+        reader = csv.reader(stream)
+        next(reader)  # the header
+        lines = [reader.line_num for _ in islice(filter(None, reader), row + 1)]
     if not earlier:
         return DatasetError(f"{path}, line {lines[row]}: {text}")
     return DatasetError(f"{path}: {text} (lines {lines[earlier[0]]} and {lines[row]})")
@@ -598,11 +695,10 @@ def write_csv(handle, header: list[str], rows: Iterable[Sequence[str]]) -> None:
     holding a bare carriage return, where ``csv.reader`` would split the
     row, so a row with a carriage return is written with every field quoted.
 
-    Rows go out ``_BLOCK_ROWS`` at a time. A block in which no row needs
-    quoting (no field holds a comma, a quote, a carriage return or a
-    newline, and no row is one empty field) is written as one text, each
-    row its fields joined by commas, the text ``csv.writer`` gives; any
-    other block is written by ``csv.writer`` a row at a time.
+    Rows go out ``_BLOCK_ROWS`` at a time. A block of rows of one width
+    whose joined text is plain (see ``_plain_lines``) is written as that one
+    text, each row its fields joined by commas, the text ``csv.writer``
+    gives; any other block is written by ``csv.writer`` a row at a time.
     """
     plain = csv.writer(handle, lineterminator="\n")
     quoted = csv.writer(handle, lineterminator="\n", quoting=csv.QUOTE_ALL)
@@ -610,13 +706,11 @@ def write_csv(handle, header: list[str], rows: Iterable[Sequence[str]]) -> None:
     rows = iter(rows)
     while block := list(islice(rows, _BLOCK_ROWS)):
         lines = list(map(",".join, block))
-        text = "\n".join(lines)
-        # Every comma and newline in the text is a separator the joins put
-        # there, and no line is empty.
-        if (text.count(",") == sum(map(len, block)) - len(block)
-                and text.count("\n") == len(block) - 1 and "" not in lines
-                and '"' not in text and "\r" not in text):
-            handle.write(text + "\n")
+        text = "\n".join(lines) + "\n"
+        widths = set(map(len, block))
+        data = text.encode("utf-8", "surrogatepass")
+        if len(widths) == 1 and _plain_lines(data, widths.pop()) == len(block):
+            handle.write(text)
         else:
             for row, line in zip(block, lines):
                 (quoted if "\r" in line else plain).writerow(row)
@@ -668,7 +762,7 @@ def _parse_packages(path: Path) -> tuple[list[str], dict[str, int]]:
             earlier, row = _first_repeat(chain(names, block))
             faults.append((row, 1, f"duplicate package '{block[row - start]}'", earlier))
         if faults:
-            raise _fault(path, required, faults)
+            raise _fault(path, faults)
         names += block
     return names, package_ids
 
@@ -702,7 +796,7 @@ def _parse_releases(path: Path, package_ids: dict[str, int]):
             text = f"duplicate release {packages[row - start]} {versions[row - start]}"
             faults.append((row, 3, text, earlier))
         if faults:
-            raise _fault(path, required, faults)
+            raise _fault(path, faults)
         release_package += pids
         release_version.add(versions)
         release_time += times
@@ -730,7 +824,7 @@ def _parse_dependencies(
         if "" in target:
             faults.append((start + target.index(""), 1, "empty value in column 'target_package'"))
         if faults:
-            raise _fault(path, required, faults)
+            raise _fault(path, faults)
         source += rids
         targets.add(target)
         constraints.add(constraint)

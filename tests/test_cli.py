@@ -116,6 +116,21 @@ class TestExitCodes:
         assert err.endswith(": duplicate package 'a\\nb' (lines 3 and 5)\n")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("version, message", [
+        ("v" * 200_000, "field larger than field limit (131072)"),
+        ("1.\udcff", "not valid UTF-8"),
+    ], ids=["field limit", "not utf-8"])
+    def test_unreadable_field_is_one_line_naming_file_and_line(
+        self, capsys, tmp_path, version, message
+    ):
+        data = write_dataset_csvs(tmp_path / "d", ["a"], [], [])
+        (data / "releases.csv").write_bytes(
+            f"package,version,timestamp\na,{version},2020-01-01\n".encode("utf-8", "surrogateescape")
+        )
+        code, out, err = invoke(capsys, "validate", "--dataset", data, "--cutoff", "2020-01")
+        assert (code, out) == (1, "")
+        assert err == f"depnet: {data / 'releases.csv'}, line 2: {message}\n"
+
     def test_inverted_range_is_data_error(self, capsys, tiny_dir):
         code, _, err = invoke(
             capsys,

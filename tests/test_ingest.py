@@ -367,18 +367,23 @@ def _reference_parse(directory) -> tuple:
 
 def _random_csvs(rng: random.Random, directory) -> None:
     """The three CSV files of a small random dataset in which, now and then,
-    a row breaks a check, a line is blank or a field holds a newline."""
+    a row breaks a check, a line is blank or a field holds a newline. In
+    about a quarter of the datasets no field holds a newline or a quote and
+    no line is blank, so that whole files are plain."""
 
     def maybe(p):
         return rng.random() < p
 
-    names = [f"p{i}" if not maybe(0.01) else rng.choice(["", "p0", 'p"\n"x']) for i in range(8)]
+    plain = maybe(0.25)
+    names = [f"p{i}" if not maybe(0.01) else rng.choice(["", "p0", "p0" if plain else 'p"\n"x'])
+             for i in range(8)]
     stamps = ["2020-01-01", "2020-01-02T03:04:05", " 2020-01-03", "2020-01-04T00:00:00Z",
               "2020-01-05T10:00:00+02:00", "2020-13-01", "nope"]
     releases = []
     for _ in range(rng.randint(0, 14)):
         pkg = rng.choice(names + ["ghost"] * maybe(0.05))
-        version = rng.choice(["1.0", "1.0\n1", ""]) if maybe(0.05) else f"1.{rng.randrange(40)}"
+        odd = ["1.0", "1.0" if plain else "1.0\n1", ""]
+        version = rng.choice(odd) if maybe(0.05) else f"1.{rng.randrange(40)}"
         stamp = rng.choice(stamps if maybe(0.05) else stamps[:5])
         releases.append([pkg, version, stamp])
     deps = []
@@ -387,7 +392,8 @@ def _random_csvs(rng: random.Random, directory) -> None:
         if maybe(0.02):
             version = "9.9"
         target = "" if maybe(0.02) else rng.choice(names + ["ghost"])
-        deps.append([pkg, version, target, rng.choice(["*", "^1\n"]), rng.choice(["runtime", "DEV"])])
+        constraint = rng.choice(["*", "^1" if plain else "^1\n"])
+        deps.append([pkg, version, target, constraint, rng.choice(["runtime", "DEV"])])
     headers = (["name"], ["package", "version", "timestamp"],
                ["source_package", "source_version", "target_package", "constraint", "kind"])
     directory.mkdir(parents=True, exist_ok=True)
@@ -396,7 +402,7 @@ def _random_csvs(rng: random.Random, directory) -> None:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(header)
             for row in rows:
-                if maybe(0.05):
+                if maybe(0.05) and not plain:
                     handle.write("\n")
                 writer.writerow(row[:-1] if maybe(0.01) else row)
 
@@ -486,11 +492,17 @@ class TestParseErrors:
             f"D/packages.csv: duplicate package 'p17' (lines 19 and {n + 2 + 1})"
         )
 
-    @pytest.mark.parametrize("block_rows", [1, 2, 3, 4096])
-    def test_matches_row_by_row_reference(self, tmp_path, monkeypatch, block_rows):
-        # Blocks of a few rows put faults and repeats on both sides of a
-        # block boundary.
+    @pytest.mark.parametrize("block_rows, chunk_bytes", [
+        pytest.param(rows, chunk, id=str(rows) if chunk is None else f"{rows}-chunk{chunk}")
+        for rows, chunk in [(1, None), (2, None), (3, None), (4096, None),
+                            (4096, 5), (4096, 16), (3, 40), (4096, 40), (4096, 128)]
+    ])
+    def test_matches_row_by_row_reference(self, tmp_path, monkeypatch, block_rows, chunk_bytes):
+        # Blocks of a few rows, and chunks of a few bytes, put faults and
+        # repeats on both sides of a block boundary and cut lines.
         monkeypatch.setattr(ingest, "_BLOCK_ROWS", block_rows)
+        if chunk_bytes is not None:
+            monkeypatch.setattr(ingest, "_CHUNK_BYTES", chunk_bytes)
         rng = random.Random(20170402)
         failures = 0
         for k in range(300):
@@ -530,6 +542,196 @@ class TestParseErrors:
         assert gc.isenabled() is collector
         filter_dependencies(d, {"runtime"}, {"c"})
         assert gc.isenabled() is collector
+
+
+def _csv_only(monkeypatch) -> None:
+    """Make the parse read every file with ``csv.reader``: no chunk is plain."""
+    monkeypatch.setattr(ingest, "_plain_lines", lambda data, width: 0)
+
+
+def parse_both_ways(tmp_path, monkeypatch, files: dict[str, bytes], chunk_bytes=None):
+    """The dataset, or the message of its error with the directory as ``D``,
+    parsed from ``files`` (name -> bytes, TINY's files for the rest) with
+    plain chunks of ``chunk_bytes``, checked equal to the parse by
+    ``csv.reader`` alone."""
+    directory = write_dataset_csvs(tmp_path / "data", *tiny_rows())
+    for name, data in files.items():
+        (directory / name).write_bytes(data)
+    paths = [directory / name for name in _DATASET_FILES]
+    results = []
+    for csv_only in (False, True):
+        with monkeypatch.context() as patch:
+            if chunk_bytes is not None:
+                patch.setattr(ingest, "_CHUNK_BYTES", chunk_bytes)
+            if csv_only:
+                _csv_only(patch)
+            try:
+                d = parse_dataset(*paths, TINY_CUTOFF)
+                results.append((d.names, list(d.releases), list(d.dependencies)))
+            except DatasetError as exc:
+                results.append(str(exc).replace(str(directory), "D"))
+    assert results[0] == results[1]
+    return results[0]
+
+
+def _lines(*lines: str) -> bytes:
+    return "".join(line + "\n" for line in lines).encode()
+
+
+RELEASES_HEADER = "package,version,timestamp"
+DEPENDENCIES_HEADER = "source_package,source_version,target_package,constraint,kind"
+
+
+class TestPlainChunks:
+    @pytest.mark.parametrize("data, width, lines", [
+        (b"a,b\nc,d\n", 2, 2),
+        (b"a\n\0\n", 1, 2),
+        (b",\n", 2, 1),
+        (b"a,b\nc,d", 2, 0),  # no final newline
+        (b"", 1, 0),
+        (b"a,b\n\nc,d\n", 2, 0),  # an empty line
+        (b"\na\n", 1, 0),
+        (b'a,"b"\n', 2, 0),
+        (b"a,b\r\n", 2, 0),
+        (b"a,b,c\nd\n", 2, 0),  # as many commas as two rows need, not one per line
+        (b"a\nb,c,d\n", 2, 0),
+        (b"a,b\n", 3, 0),
+        (b"a,b\n", 0, 0),
+    ])
+    def test_plain_lines(self, data, width, lines):
+        assert ingest._plain_lines(data, width) == lines
+
+    def test_line_over_the_field_limit_is_not_plain(self):
+        limit = csv.field_size_limit()
+        assert ingest._plain_lines(b"v" * limit + b"\n", 1) == 1
+        assert ingest._plain_lines(b"v" * (limit + 1) + b"\n", 1) == 0
+
+    def test_quoted_block_between_plain_chunks(self, tmp_path, monkeypatch):
+        """Plain chunks, then a field holding a newline, then plain rows: the
+        rows from that chunk on are read by csv.reader, and a fault after
+        them names its physical line."""
+        seen = []
+        plain_lines = ingest._plain_lines
+        monkeypatch.setattr(ingest, "_plain_lines",
+                            lambda data, width: seen.append(plain_lines(data, width)) or seen[-1])
+        n = 2000
+        packages = [f"p{i}" for i in range(n)]
+        releases = [f"p{i},1.0,2020-01-01" for i in range(n)]
+        releases[1000] = 'p1000,"1.0\nx",2020-01-01'  # lines 1002 and 1003
+        files = {"packages.csv": _lines("name", *packages),
+                 "releases.csv": _lines(RELEASES_HEADER, *releases),
+                 "dependencies.csv": _lines(DEPENDENCIES_HEADER)}
+        names, got, _ = parse_both_ways(tmp_path, monkeypatch, files, chunk_bytes=4096)
+        assert names == packages
+        assert [r.version for r in got[999:1002]] == ["1.0", "1.0\nx", "1.0"]
+        assert len(got) == n
+        assert seen[1] > 0 and 0 in seen  # the first release chunk was plain, a later one not
+        files["releases.csv"] = _lines(RELEASES_HEADER, *releases, "p1,1.0,2020-01-01")
+        message = parse_both_ways(tmp_path, monkeypatch, files, chunk_bytes=4096)
+        assert message == f"D/releases.csv: duplicate release p1 1.0 (lines 3 and {n + 3})"
+
+    @pytest.mark.parametrize("chunk_bytes", [None, 8, 20])
+    def test_no_final_newline(self, tmp_path, monkeypatch, chunk_bytes):
+        packages, releases, deps = tiny_rows()
+        files = {name: _lines(header, *rows)[:-1] for name, header, rows in zip(
+            _DATASET_FILES, ("name", RELEASES_HEADER, DEPENDENCIES_HEADER),
+            (packages, releases, deps))}
+        expected = parse_both_ways(tmp_path / "a", monkeypatch, {})
+        assert parse_both_ways(tmp_path / "b", monkeypatch, files, chunk_bytes) == expected
+        files["packages.csv"] = b"name"
+        assert parse_both_ways(tmp_path / "c", monkeypatch, files, chunk_bytes) == (
+            "D/releases.csv, line 2: release of unknown package 'e'"
+        )
+
+    @pytest.mark.parametrize("at", [0, 2, 5])
+    def test_blank_line_in_the_packages_file(self, tmp_path, monkeypatch, at):
+        packages = tiny_rows()[0]
+        packages.insert(at, "")
+        files = {"packages.csv": _lines("name", *packages)}
+        names, _, _ = parse_both_ways(tmp_path, monkeypatch, files)
+        assert names == ["a", "b", "c", "d", "e"]
+        packages.append('""')  # an empty name, line 8
+        message = parse_both_ways(tmp_path / "e", monkeypatch, {"packages.csv": _lines(
+            "name", *packages)})
+        assert message == "D/packages.csv, line 8: empty value in column 'name'"
+
+    def test_blank_line_inside_a_plain_chunk(self, tmp_path, monkeypatch):
+        deps = [f"{source},{version},a,*,runtime"
+                for source, version in [("c", "1.0.0"), ("c", "2.0.0")] * 50]
+        deps.insert(60, "")
+        deps.append("c,9.9,a,*,runtime")
+        message = parse_both_ways(tmp_path, monkeypatch, {
+            "dependencies.csv": _lines(DEPENDENCIES_HEADER, *deps)})
+        assert message == "D/dependencies.csv, line 103: dependency of unknown release c 9.9"
+        del deps[-1]
+        _, _, got = parse_both_ways(tmp_path / "ok", monkeypatch, {
+            "dependencies.csv": _lines(DEPENDENCIES_HEADER, *deps)})
+        assert len(got) == 100
+
+    def test_nul_bytes_are_data(self, tmp_path, monkeypatch):
+        releases = tiny_rows()[1]
+        releases[0] = "e,1.0\0,2020-01-05"
+        _, got, _ = parse_both_ways(tmp_path, monkeypatch, {
+            "releases.csv": _lines(RELEASES_HEADER, *releases)})
+        assert got[0].version == "1.0\0"
+
+    @pytest.mark.parametrize("quoted", [False, True])
+    def test_field_over_the_limit_names_its_line(self, tmp_path, monkeypatch, quoted):
+        releases = tiny_rows()[1]
+        version = "v" * 200_000
+        releases[1] = f'a,"{version}",2020-01-10' if quoted else f"a,{version},2020-01-10"
+        message = parse_both_ways(tmp_path, monkeypatch, {
+            "releases.csv": _lines(RELEASES_HEADER, *releases)})
+        limit = csv.field_size_limit()
+        assert message == f"D/releases.csv, line 3: field larger than field limit ({limit})"
+
+    @pytest.mark.parametrize("name, data, line", [
+        ("releases.csv", _lines(RELEASES_HEADER, "e,1.0.0,2020-01-05", "a,1.\xff,2020-01-10"), 3),
+        ("packages.csv", _lines("na\xffme", "a"), 1),
+        ("dependencies.csv", _lines(DEPENDENCIES_HEADER, 'a,1.1.0,b,"*\n",runtime',
+                                    "c,1.0.0,a,\xff,runtime"), 4),
+        ("packages.csv", b"name\r\na\r\nb\rc\n\xff\n", 5),
+    ])
+    @pytest.mark.parametrize("chunk_bytes", [None, 8])
+    def test_bytes_that_are_not_utf8_name_their_line(
+        self, tmp_path, monkeypatch, name, data, line, chunk_bytes
+    ):
+        data = data.replace("\xff".encode(), b"\xff")
+        message = parse_both_ways(tmp_path, monkeypatch, {name: data}, chunk_bytes)
+        assert message == f"D/{name}, line {line}: not valid UTF-8"
+
+    def test_fallback_handle_is_closed_when_the_caller_stops(self, tmp_path):
+        directory = write_dataset_csvs(tmp_path, *tiny_rows())
+        path = directory / "dependencies.csv"
+        path.write_bytes(_lines(DEPENDENCIES_HEADER, 'a,1.1.0,b,"*\n",runtime'))
+        blocks = ingest._blocks(path, ["kind"])
+        assert next(blocks) == (0, [("runtime",)])
+        blocks.close()  # a ResourceWarning here is an error
+
+
+@pytest.mark.perf
+def test_plain_chunks_parse_the_perf_fixture_as_csv_reader_does(tmp_path, monkeypatch):
+    """The 100k-package fixture parsed with plain chunks equals its parse by
+    ``csv.reader`` alone, and the column files written from the two are
+    byte-identical."""
+    config = GeneratorConfig(n_packages=100_000, months=60, seed=20170401,
+                             attachment_bias=1.0, mean_deps=2.5, update_rate=0.03)
+    write_dataset(generate(config), tmp_path / "data", config)
+    parsed = []
+    for csv_only in (False, True):
+        with monkeypatch.context() as patch:
+            if csv_only:
+                _csv_only(patch)
+            parsed.append(ingest.load_dataset_dir(tmp_path / "data"))
+    assert parsed[0] == parsed[1]
+    files = []
+    for k, d in enumerate(parsed):
+        directory = tmp_path / str(k)
+        directory.mkdir()
+        ingest._write_columns(directory, "key", filter_dependencies(d), ingest._last_time(
+            d.release_time))
+        files.append((directory / ingest.COLUMN_FILE).read_bytes())
+    assert files[0] == files[1]
 
 
 class TestFilter:
