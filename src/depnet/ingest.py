@@ -18,6 +18,7 @@ import io
 import json
 import os
 import statistics
+import sys
 import zipfile
 from collections.abc import Callable, Iterable, Iterator, Sequence, Set as AbstractSet
 from contextlib import contextmanager
@@ -472,6 +473,9 @@ _BLOCK_ROWS = 4096
 # 156.7 with 256 KiB and 158.8 with 1 MiB, against 148.9 for csv.reader
 # alone, at equal parse times (2-vCPU machine).
 _CHUNK_BYTES = 1 << 16
+# ``csv.reader`` keeps a NUL byte as data from Python 3.11 on and rejects
+# its line before, so only from 3.11 on is text with NUL plain.
+_NUL_IS_DATA = sys.version_info >= (3, 11)
 
 
 @contextmanager
@@ -498,12 +502,15 @@ def _plain_lines(data: bytes, width: int) -> int:
     """The number of lines of ``data`` when it is plain, else 0. Plain
     ``data`` is whole lines, each ended by a newline, that read as rows of
     ``width`` fields by cutting the text at every comma and newline: it
-    holds no quote and no carriage return, no line is empty or longer than
+    holds no quote and no carriage return (nor NUL where ``csv.reader``
+    rejects it, see ``_NUL_IS_DATA``), no line is empty or longer than
     ``csv.field_size_limit()``, and every line has exactly ``width - 1``
     commas. Such text is what ``csv.writer`` writes for its rows and what
     ``csv.reader`` reads from it, so ``write_csv`` writes it as one text
     and the parse splits it without ``csv.reader``."""
     if width < 1 or not data.endswith(b"\n") or b'"' in data or b"\r" in data:
+        return 0
+    if not _NUL_IS_DATA and b"\0" in data:
         return 0
     buf = np.frombuffer(data, np.uint8)
     ends = np.flatnonzero(buf == ord("\n"))
@@ -644,14 +651,18 @@ def _fault(path: Path, faults: list[tuple]) -> DatasetError:
     blank lines skipped; the earliest row wins, and the lowest rule among
     the faults of one row. A re-read with ``csv.reader`` gives the physical
     lines; it runs only on failure, and reads bytes that are not UTF-8
-    past the fault as replacement characters."""
+    past the fault as replacement characters. A row that ``csv.reader``
+    rejects before the fault fails with its own line, as in ``_blocks``."""
     row, _, text, *earlier = min(faults)
     with _open(path) as handle, io.TextIOWrapper(
         handle, encoding="utf-8", errors="replace", newline=""
     ) as stream:
         reader = csv.reader(stream)
-        next(reader)  # the header
-        lines = [reader.line_num for _ in islice(filter(None, reader), row + 1)]
+        try:
+            next(reader)  # the header
+            lines = [reader.line_num for _ in islice(filter(None, reader), row + 1)]
+        except csv.Error as exc:
+            raise DatasetError(f"{path}, line {reader.line_num}: {exc}") from None
     if not earlier:
         return DatasetError(f"{path}, line {lines[row]}: {text}")
     return DatasetError(f"{path}: {text} (lines {lines[earlier[0]]} and {lines[row]})")

@@ -585,7 +585,7 @@ DEPENDENCIES_HEADER = "source_package,source_version,target_package,constraint,k
 class TestPlainChunks:
     @pytest.mark.parametrize("data, width, lines", [
         (b"a,b\nc,d\n", 2, 2),
-        (b"a\n\0\n", 1, 2),
+        (b"a\n\0\n", 1, 2 if ingest._NUL_IS_DATA else 0),
         (b",\n", 2, 1),
         (b"a,b\nc,d", 2, 0),  # no final newline
         (b"", 1, 0),
@@ -600,6 +600,11 @@ class TestPlainChunks:
     ])
     def test_plain_lines(self, data, width, lines):
         assert ingest._plain_lines(data, width) == lines
+
+    def test_nul_is_not_plain_where_csv_reader_rejects_it(self, monkeypatch):
+        monkeypatch.setattr(ingest, "_NUL_IS_DATA", False)
+        assert ingest._plain_lines(b"a\n\0\n", 1) == 0
+        assert ingest._plain_lines(b"a\nb\n", 1) == 2
 
     def test_line_over_the_field_limit_is_not_plain(self):
         limit = csv.field_size_limit()
@@ -669,11 +674,26 @@ class TestPlainChunks:
         assert len(got) == 100
 
     def test_nul_bytes_are_data(self, tmp_path, monkeypatch):
+        """As ``csv.reader`` reads them: data from Python 3.11 on, and
+        before that a fault on their line."""
         releases = tiny_rows()[1]
         releases[0] = "e,1.0\0,2020-01-05"
-        _, got, _ = parse_both_ways(tmp_path, monkeypatch, {
+        got = parse_both_ways(tmp_path, monkeypatch, {
             "releases.csv": _lines(RELEASES_HEADER, *releases)})
-        assert got[0].version == "1.0\0"
+        if ingest._NUL_IS_DATA:
+            assert got[1][0].version == "1.0\0"
+        else:
+            assert got == "D/releases.csv, line 2: line contains NUL"
+
+    def test_fault_reread_names_a_line_csv_reader_rejects(self, tmp_path):
+        """A row that ``csv.reader`` cannot read before a fault's row fails
+        the re-read with its own line, not a ``csv.Error``."""
+        path = tmp_path / "packages.csv"
+        path.write_bytes(_lines("name", "a", "v" * (csv.field_size_limit() + 1), "b"))
+        limit = csv.field_size_limit()
+        with pytest.raises(DatasetError) as raised:
+            ingest._fault(path, [(2, 0, "a fault")])
+        assert str(raised.value) == f"{path}, line 3: field larger than field limit ({limit})"
 
     @pytest.mark.parametrize("quoted", [False, True])
     def test_field_over_the_limit_names_its_line(self, tmp_path, monkeypatch, quoted):

@@ -7,15 +7,18 @@ Both sides run from this checkout's path, so that the path cannot tell
 them apart. The parent's ``src/`` is extracted with ``git archive`` and
 swapped with the working ``src/`` in place for each of its runs; the
 working ``src/`` is put back in a ``finally``, also when a run fails or
-the tool is interrupted. Each pair runs the unchanged
-``perfbench/run.py --workload W --seed S --seconds N --trace 0`` once per
-side, pair k on seed k of ``--seeds`` (cycled), and the side that runs
-first alternates from pair to pair (Kalibera and Jones, "Rigorous
-benchmarking in reasonable time", ISMM 2013).
+the tool is interrupted. Each pair runs the benchmark command of
+``BENCHMARK.json`` (the unchanged ``perfbench/run.py``) with
+``--workload W --seed S --seconds N --trace 0``, N being its
+``run_seconds``, once per side, pair k on seed k of ``--seeds`` (cycled),
+and the side that runs first alternates from pair to pair (Kalibera and
+Jones, "Rigorous benchmarking in reasonable time", ISMM 2013).
 
 The output file holds every run's last stdout line (its JSON result), and
-per workload, metric and side the median, the quartiles and the number of
-pairs in which that side was better (the direction comes from
+per workload the runs per side that were not correct and their failed
+operations, and per metric and side, over the pairs in which both runs
+were correct with no failed operation, the median, the quartiles and the
+number of pairs in which that side was better (the direction comes from
 ``BENCHMARK.json``), with the host's CPU count, the Python and numpy
 versions and the load average before and after. Standard library only.
 """
@@ -89,28 +92,37 @@ def _quartiles(values: list[float]) -> list[float]:
     return statistics.quantiles(values, n=4, method="inclusive")
 
 
+def _sound(run: dict) -> bool:
+    """Whether ``run`` checked correct with no failed operation."""
+    return run.get("correct") is True and run.get("failed") == 0
+
+
 def summarise(pairs: list[dict], better: dict[str, str]) -> dict:
-    """Per metric, per side: the values, their median and quartiles, and the
-    wins, the pairs in which that side's value was the better one
-    (``better[metric]`` is ``"lower"`` or ``"higher"``, lower when the
-    metric is not listed). ``pairs`` map each side to its run's result; a pair in
-    which either run has no value for a metric is left out of it."""
-    names = sorted({name for pair in pairs for side in SIDES
-                    for name in pair[side].get("metrics", {})})
-    summary = {}
+    """Per side, the runs that were not correct and the failed operations
+    of all runs; per metric, over the pairs in which both runs were sound
+    and report it, per side the values, their median and quartiles, and
+    the wins, the pairs in which that side's value was the better one
+    (``better[metric]`` is ``"lower"`` or ``"higher"``). ``pairs`` map each
+    side to its run's result."""
+    runs = {side: {"not_correct": sum(pair[side].get("correct") is not True for pair in pairs),
+                   "failed": sum(pair[side].get("failed", 0) for pair in pairs)}
+            for side in SIDES}
+    sound = [pair for pair in pairs if all(_sound(pair[side]) for side in SIDES)]
+    names = sorted({name for pair in sound for side in SIDES for name in pair[side]["metrics"]})
+    metrics = {}
     for name in names:
-        kept = [pair for pair in pairs
-                if all(name in pair[side].get("metrics", {}) for side in SIDES)]
+        kept = [pair for pair in sound if all(name in pair[side]["metrics"] for side in SIDES)]
         values = {side: [pair[side]["metrics"][name]["value"] for pair in kept] for side in SIDES}
-        sign = -1 if better.get(name, "lower") == "higher" else 1
-        entry = {"better": better.get(name, "lower"), "pairs": len(kept)}
+        sign = -1 if better[name] == "higher" else 1
+        entry = {"better": better[name], "pairs": len(kept)}
         for side, other in (SIDES, SIDES[::-1]):
             low, median, high = _quartiles(values[side]) if kept else (None, None, None)
             wins = sum(sign * a < sign * b for a, b in zip(values[side], values[other]))
             entry[side] = {"values": values[side], "median": median, "q1": low, "q3": high,
                            "wins": wins}
-        summary[name] = entry
-    return summary
+        metrics[name] = entry
+    return {"pairs": len(pairs), "left_out": len(pairs) - len(sound), "runs": runs,
+            "metrics": metrics}
 
 
 def _host() -> dict:
@@ -128,7 +140,6 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--workload", required=True, help="workloads, comma-separated")
     parser.add_argument("--seeds", required=True, help="perfbench seeds, comma-separated")
     parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seconds", type=int, default=5)
     parser.add_argument("--out", type=Path, default=Path("BENCH.json"))
     args = parser.parse_args(argv)
     seeds = [int(seed) for seed in args.seeds.split(",")]
@@ -142,8 +153,8 @@ def main(argv: list[str]) -> int:
             pairs = []
             for k in range(args.pairs):
                 seed = seeds[k % len(seeds)]
-                command = [sys.executable, "perfbench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", str(args.seconds), "--trace", "0"]
+                command = [*benchmark["command"], "--workload", workload, "--seed", str(seed),
+                           "--seconds", str(benchmark["run_seconds"]), "--trace", "0"]
                 order = SIDES if k % 2 == 0 else SIDES[::-1]
                 pair = {side: _run_side(side, parent, command) for side in order}
                 pair["seed"], pair["first"] = seed, order[0]
