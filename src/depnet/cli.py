@@ -167,8 +167,7 @@ def _emit(args, header: list[str], columns: list, metric: str = "output",
         out = Path(out) / name
     with open(out, "w", encoding="utf-8") if out else nullcontext(sys.stdout) as handle:
         if args.format == "json":
-            payload = [dict(zip(header, row)) for row in zip(*columns)]
-            handle.write(json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n")
+            _write_json(handle, header, columns)
         else:
             # A block of rows at a time, each column of a block formatted at once.
             write_csv(handle, header, chain.from_iterable(
@@ -176,6 +175,46 @@ def _emit(args, header: list[str], columns: list, metric: str = "output",
                 for start in range(0, len(columns[0]), _BLOCK_ROWS)))
     if args.manifest:
         _write_manifest(args, out)
+
+
+# The types whose values ``json`` writes as one token each, compared
+# exactly: a column of these alone is encoded in one call.
+_JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def _json_values(column: list) -> list[str]:
+    """Each value of ``column`` as ``json.dumps(..., indent=2,
+    sort_keys=True, default=str)`` writes it for a field of a row, two
+    levels deep. A column of ``_JSON_SCALARS`` is one encoding of the list
+    with a newline between items, which no encoded scalar holds; any other
+    value is encoded alone, its lines indented by those two levels."""
+    if not column:
+        return []
+    if set(map(type, column)) <= _JSON_SCALARS:
+        return json.dumps(column, separators=("\n", ": "))[1:-1].split("\n")
+    return [json.dumps(value, indent=2, sort_keys=True, default=str).replace("\n", "\n    ")
+            for value in column]
+
+
+def _write_json(handle, header: list[str], columns: list) -> None:
+    """Write the table as ``json.dumps(rows, indent=2, sort_keys=True,
+    default=str) + "\\n"`` writes the list of its rows, each a dict from
+    ``header`` to the row's values, ``_BLOCK_ROWS`` rows at a time: a
+    block's values are encoded a column at a time and put into one row
+    template, its fields in name order. A repeated name takes its last
+    column, as a dict does."""
+    fields = sorted(dict(zip(header, range(len(header)))).items())
+    rows = len(columns[0]) if fields else 0
+    if not rows:
+        handle.write("[]\n")
+        return
+    names = (json.dumps(name).replace("%", "%%") for name, _ in fields)
+    template = "  {\n" + ",\n".join(f"    {name}: %s" for name in names) + "\n  }"
+    handle.write("[\n")
+    for start in range(0, rows, _BLOCK_ROWS):
+        values = [_json_values(columns[k][start:start + _BLOCK_ROWS]) for _, k in fields]
+        handle.write((",\n" if start else "") + ",\n".join(map(template.__mod__, zip(*values))))
+    handle.write("\n]\n")
 
 
 def _write_manifest(args, target) -> None:

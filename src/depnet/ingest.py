@@ -319,7 +319,10 @@ class Dataset:
     another ecosystem, a release of an unlisted package and a dependency of
     an unknown release. Releases may repeat a (package, version), which
     :func:`validate_dataset` reports; a dependency row then belongs to the
-    first of them, and the later ones have none.
+    first of them, and the later ones have none. Dependency records find
+    their release through the integer join that :func:`parse_dataset`
+    uses (:class:`_ReleaseJoin`), whose stable sort puts the first
+    release of a repeated pair first.
 
     Immutable by convention after construction; the lazy index makes
     concurrent read access safe (rebuilding it is idempotent).
@@ -350,25 +353,29 @@ class Dataset:
         names = sorted({p.name for p in packages})
         package_ids = {name: pid for pid, name in enumerate(names)}
         releases = list(releases)
-        release_ids: dict[tuple[str, str], int] = {}
-        for rid, rel in enumerate(releases):
-            release_ids.setdefault((rel.package, rel.version), rid)
-        dependencies = list(dependencies)
         try:
-            release_package = [package_ids[rel.package] for rel in releases]
-            source = [release_ids[dep.source_package, dep.source_version] for dep in dependencies]
+            release_package = np.array([package_ids[rel.package] for rel in releases], np.int64)
         except KeyError as exc:
             raise DatasetError(f"no package or release {exc}") from None
-        versions, times = [r.version for r in releases], [r.timestamp for r in releases]
-        targets, constraints, kinds = (
+        versions = _Coder()
+        versions.add([r.version for r in releases])
+        version = versions.column()
+        join = _ReleaseJoin(package_ids, versions.code, release_package, version.codes)
+        dependencies = list(dependencies)
+        sources, targets, constraints, kinds = (
             [getattr(dep, field) for dep in dependencies]
-            for field in ("target_package", "constraint", "kind")
+            for field in ("source_package", "target_package", "constraint", "kind")
         )
+        source = join.find(sources, [dep.source_version for dep in dependencies])
+        if (source < 0).any():
+            dep = dependencies[int(np.argmax(source < 0))]
+            raise DatasetError(
+                f"no package or release {(dep.source_package, dep.source_version)!r}"
+            )
         self._set(
             names, package_ids,
-            (np.array(release_package, np.int64), _encoded(versions), _micros(times)),
-            (np.array(source, np.int64), _encoded(targets, package_ids),
-             _encoded(constraints), _encoded(kinds)),
+            (release_package, version, _micros([r.timestamp for r in releases])),
+            (source, _encoded(targets, package_ids), _encoded(constraints), _encoded(kinds)),
             cutoff, ecosystem, filter_report,
         )
 
@@ -538,11 +545,15 @@ def _open(path: Path):
         raise DatasetError(f"{path}: file not found") from None
 
 
-def _decoded(path: Path, data: bytes) -> str:
+def _utf8_lines(path: Path, data: bytes) -> tuple[str, Optional[DatasetError]]:
+    """The text of the whole lines of ``data`` before its first byte that
+    is not UTF-8, and the error for that byte; all of ``data`` and ``None``
+    when it decodes. No byte of a multi-byte character is a newline, so the
+    cut after a newline falls between characters."""
     try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError:
-        raise _not_utf8(path) from None
+        return data.decode("utf-8"), None
+    except UnicodeDecodeError as exc:
+        return data[:data.rfind(b"\n", 0, exc.start) + 1].decode("utf-8"), _not_utf8(path)
 
 
 def _not_utf8(path: Path) -> DatasetError:
@@ -556,6 +567,19 @@ def _not_utf8(path: Path) -> DatasetError:
         data = data[:exc.start]
     line = 1 + data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
     return DatasetError(f"{path}, line {line}: not valid UTF-8")
+
+
+def _is_utf8(text: str) -> bool:
+    """Whether ``text``, decoded with ``errors="surrogateescape"``, came
+    from UTF-8: a byte that is not UTF-8 decodes to a lone surrogate, which
+    UTF-8 text never does. ASCII text is told apart in constant time."""
+    if text.isascii():
+        return True
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def _columns(path: Path, header: Optional[list[str]], required: list[str]):
@@ -582,7 +606,7 @@ def _chunk(handle) -> bytes:
     return data[:cut]
 
 
-def _blocks(path: Path, required: list[str]):
+def _blocks(path: Path, required: list[str], unchecked: Callable[[], list] = list):
     """The data rows of the CSV file at ``path`` in blocks, each as (number
     of rows before it, a list of values per ``required`` column). Blank
     lines are skipped.
@@ -591,12 +615,25 @@ def _blocks(path: Path, required: list[str]):
     ``_plain_lines``) is split at its commas and newlines, and a column is one
     stride slice. From the first chunk that is not, or from the start when
     the header line is not, one ``csv.reader`` reads the rest in blocks of
-    ``_BLOCK_ROWS``, so a quoted field is never cut. A row whose field
-    count differs from the header's ends the blocks: the rows before it
-    come first, and once the caller has found no fault in them, the
-    field-count error is raised. A field longer than
-    ``csv.field_size_limit()`` and bytes that are not UTF-8 fail with their
-    line when the read reaches them."""
+    ``_BLOCK_ROWS``, so a quoted field is never cut.
+
+    A row that cannot be read ends the blocks: one whose field count
+    differs from the header's, one that ``csv.reader`` rejects (a field
+    longer than ``csv.field_size_limit()``) and one with bytes that are not
+    UTF-8. The rows before it come first, and once the caller has found no
+    fault in them, its error is raised, unless ``unchecked()``, the faults
+    of the rows given so far that the caller checks only at the end of the
+    file, names one; then the error is the earliest of those (see
+    ``_fault``)."""
+    error = yield from _read_blocks(path, required)
+    if error is not None:
+        faults = unchecked()
+        raise _fault(path, faults) if faults else error
+
+
+def _read_blocks(path: Path, required: list[str]):
+    """The blocks of ``_blocks``, and at the end the error of the row that
+    ended them, ``None`` at the end of the file."""
     with _open(path) as handle:
         first = handle.readline()
         if not first.endswith(b"\n"):
@@ -604,44 +641,67 @@ def _blocks(path: Path, required: list[str]):
         # Rows read and lines past them; no line is read until the header is.
         start = lines = 0
         if _plain_lines(first, first.count(b",") + 1):
-            header = _decoded(path, first)[:-1].split(",")
-            width, columns = _columns(path, header, required)
+            header, error = _utf8_lines(path, first)
+            if error is not None:
+                return error
+            width, columns = _columns(path, header[:-1].split(","), required)
             lines = 1
             at = handle.tell()
-            while rows := _plain_lines(data := _chunk(handle), width):
-                fields = _decoded(path, data).replace("\n", ",").split(",")
-                del fields[-1]  # the empty text after the last newline
-                yield start, [fields[i::width] for i in columns]
-                start += rows
-                lines += rows
+            while _plain_lines(data := _chunk(handle), width):
+                text, error = _utf8_lines(path, data)
+                if text:
+                    fields = text.replace("\n", ",").split(",")
+                    del fields[-1]  # the empty text after the last newline
+                    yield start, [fields[i::width] for i in columns]
+                    rows = len(fields) // width
+                    start += rows
+                    lines += rows
+                if error is not None:
+                    return error
                 at = handle.tell()
             handle.seek(at)
         else:
             handle.seek(0)
-        with io.TextIOWrapper(handle, encoding="utf-8", newline="") as text:
-            reader = csv.reader(text)
+        with io.TextIOWrapper(
+            handle, encoding="utf-8", errors="surrogateescape", newline=""
+        ) as stream:
+            reader = csv.reader(stream)
 
-            def read(count: int) -> list[list[str]]:
+            def read(count: int) -> tuple[list[list[str]], Optional[DatasetError]]:
+                """Up to ``count`` rows, cut before the first that cannot be
+                read, and the error of that one."""
+                rows: list[list[str]] = []
+                error = None
                 try:
-                    return list(islice(reader, count))
+                    rows.extend(islice(reader, count))
                 except csv.Error as exc:
-                    raise DatasetError(f"{path}, line {lines + reader.line_num}: {exc}") from None
-                except UnicodeDecodeError:
-                    raise _not_utf8(path) from None
+                    error = DatasetError(f"{path}, line {lines + reader.line_num}: {exc}")
+                if not _is_utf8("".join(chain.from_iterable(rows))):
+                    cut = next(k for k, row in enumerate(rows) if not _is_utf8("".join(row)))
+                    return rows[:cut], _not_utf8(path)
+                return rows, error
 
             if not lines:
-                width, columns = _columns(path, (read(1) or [None])[0], required)
-            while block := read(_BLOCK_ROWS):
-                cut = None
+                rows, error = read(1)
+                if error is not None:
+                    return error
+                width, columns = _columns(path, (rows or [None])[0], required)
+            while True:
+                block, error = read(_BLOCK_ROWS)
+                end = error is not None or len(block) < _BLOCK_ROWS
                 if set(map(len, block)) != {width}:
                     block = [row for row in block if row]
                     cut = next((k for k, row in enumerate(block) if len(row) != width), None)
-                values = list(zip(*(block if cut is None else block[:cut]))) or [()] * width
-                yield start, [values[i] for i in columns]
-                if cut is not None:
-                    message = f"{len(block[cut])} fields, the header has {width}"
-                    raise _fault(path, [(start + cut, 0, message)])
-                start += len(block)
+                    if cut is not None:
+                        message = f"{len(block[cut])} fields, the header has {width}"
+                        error = _fault(path, [(start + cut, 0, message)])
+                        block, end = block[:cut], True
+                if block:
+                    values = list(zip(*block))
+                    yield start, [values[i] for i in columns]
+                    start += len(block)
+                if end:
+                    return error
 
 
 def _fault(path: Path, faults: list[tuple]) -> DatasetError:
@@ -746,15 +806,23 @@ def parse_dataset(
     faults on one row, the first in the order the checks are listed in.
     Package ids follow the order of the package rows. The string columns
     are coded as they are read, each table in order of first appearance.
+
+    A dependency row finds its source release by integer keys, not by a
+    dict of string pairs: each release's key is its package id times the
+    number of distinct versions plus its version's code, and one stable
+    sort of the keys, made after the last release row, is both the lookup
+    array and the check for a repeated release. A block of dependency rows
+    takes its package ids and version codes from the two tables and its
+    release ids from one ``np.searchsorted`` (see :class:`_ReleaseJoin`).
     """
     packages_path = Path(packages_path)
     releases_path = Path(releases_path)
     dependencies_path = Path(dependencies_path)
     names, package_ids = _parse_packages(packages_path)
-    releases, release_ids = _parse_releases(releases_path, package_ids)
+    releases, join = _parse_releases(releases_path, names, package_ids)
     cutoff = _checked_cutoff(cutoff, _last_time(releases[2]), releases_path)
-    dependencies = _parse_dependencies(dependencies_path, release_ids, package_ids)
-    del release_ids
+    dependencies = _parse_dependencies(dependencies_path, join, package_ids)
+    del join
     return Dataset._from_columns(names, package_ids, releases, dependencies, cutoff, ecosystem)
 
 
@@ -778,65 +846,82 @@ def _parse_packages(path: Path) -> tuple[list[str], dict[str, int]]:
     return names, package_ids
 
 
-def _parse_releases(path: Path, package_ids: dict[str, int]):
-    """The release columns (package id, coded version, time) and the id of
-    each (package, version); checks: an unknown package, an empty version,
-    an unparseable timestamp, a repeated (package, version)."""
-    release_package: list[int] = []
-    release_time: list[datetime] = []
-    release_version = _Coder()
-    release_ids: dict[tuple[str, str], int] = {}
+def _parse_releases(path: Path, names: list[str], package_ids: dict[str, int]):
+    """The release columns (package id, coded version, time) and their
+    join; checks: an unknown package, an empty version, an unparseable
+    timestamp, a repeated (package, version).
+
+    A repeat is looked for once, in the join made after the last row; a
+    fault of another kind, and a row that ends the file's blocks, first
+    look for one in the rows before them, so that the earliest row wins."""
+    release_package = [np.empty(0, np.int64)]
+    release_time = [np.empty(0, np.int64)]
+    versions = _Coder()
+
+    def joined() -> tuple[_ReleaseJoin, list[tuple]]:
+        """The join of the rows so far, and the fault of its first repeated
+        release, none when no release repeats."""
+        package, version = np.concatenate(release_package), np.array(versions.codes, np.int64)
+        join = _ReleaseJoin(package_ids, versions.code, package, version)
+        repeat = join.repeat()
+        if repeat is None:
+            return join, []
+        earlier, row = repeat
+        text = f"duplicate release {names[package[row]]} {list(versions.code)[version[row]]}"
+        return join, [(row, 3, text, earlier)]
+
     required = ["package", "version", "timestamp"]
-    for start, (packages, versions, stamps) in _blocks(path, required):
-        pids = list(map(package_ids.get, packages))
+    for start, (packages, block, stamps) in _blocks(path, required, lambda: joined()[1]):
+        pids = _ids(package_ids, packages)
         times, bad = _timestamps(stamps)
-        release_ids.update(zip(zip(packages, versions), range(start, start + len(pids))))
         faults = []
-        if None in pids:
-            k = pids.index(None)
+        unknown = np.flatnonzero(pids < 0)
+        if len(unknown):
+            k = int(unknown[0])
             faults.append((start + k, 0, f"release of unknown package '{packages[k]}'"))
-        if "" in versions:
-            faults.append((start + versions.index(""), 1, "empty value in column 'version'"))
+        if "" in block:
+            faults.append((start + block.index(""), 1, "empty value in column 'version'"))
         if bad is not None:
             text = f"column 'timestamp' has unparseable value {stamps[bad]!r}"
             faults.append((start + bad, 2, text))
-        if len(release_ids) != start + len(pids):
-            # No earlier row repeats another, so the first keys are theirs.
-            earlier_keys = islice(release_ids, start)
-            earlier, row = _first_repeat(chain(earlier_keys, zip(packages, versions)))
-            text = f"duplicate release {packages[row - start]} {versions[row - start]}"
-            faults.append((row, 3, text, earlier))
         if faults:
-            raise _fault(path, faults)
-        release_package += pids
-        release_version.add(versions)
-        release_time += times
-    release_package = np.array(release_package, np.int64)
-    return (release_package, release_version.column(), _micros(release_time)), release_ids
+            # The rows before the first fault pass every check but the last.
+            k = min(faults)[0] - start
+            release_package.append(pids[:k])
+            versions.add(block[:k])
+            raise _fault(path, faults + joined()[1])
+        release_package.append(pids)
+        versions.add(block)
+        release_time.append(_micros(times))
+    join, faults = joined()
+    if faults:
+        raise _fault(path, faults)
+    columns = (np.concatenate(release_package), versions.column(), np.concatenate(release_time))
+    return columns, join
 
 
-def _parse_dependencies(
-    path: Path, release_ids: dict[tuple[str, str], int], package_ids: dict[str, int]
-):
+def _parse_dependencies(path: Path, join: _ReleaseJoin, package_ids: dict[str, int]):
     """The dependency columns (source release id, and the coded target,
     constraint and kind); checks: an unknown source release, an empty
-    target. Targets are coded by package id, and past the ids in order of
-    first appearance. Kinds are lowercased."""
-    source: list[int] = []
+    target. Sources are found through ``join``. Targets are coded by
+    package id, and past the ids in order of first appearance. Kinds are
+    lowercased."""
+    source = [np.empty(0, np.int64)]
     targets, constraints, kinds = _Coder(package_ids), _Coder(), _Coder()
     required = ["source_package", "source_version", "target_package", "constraint", "kind"]
     for start, (packages, versions, target, constraint, kind) in _blocks(path, required):
-        rids = list(map(release_ids.get, zip(packages, versions)))
+        rids = join.find(packages, versions)
         faults = []
-        if None in rids:
-            k = rids.index(None)
+        unknown = np.flatnonzero(rids < 0)
+        if len(unknown):
+            k = int(unknown[0])
             text = f"dependency of unknown release {packages[k]} {versions[k]}"
             faults.append((start + k, 0, text))
         if "" in target:
             faults.append((start + target.index(""), 1, "empty value in column 'target_package'"))
         if faults:
             raise _fault(path, faults)
-        source += rids
+        source.append(rids)
         targets.add(target)
         constraints.add(constraint)
         kinds.add(kind)
@@ -844,7 +929,61 @@ def _parse_dependencies(
     kind, lowered = kinds.column(), _Coder()
     lowered.add([value.lower() for value in kind.table])
     kinds = lowered.column().select(kind.codes)
-    return np.array(source, np.int64), targets.column(), constraints.column(), kinds
+    return np.concatenate(source), targets.column(), constraints.column(), kinds
+
+
+def _ids(codes: dict[str, int], values: Sequence[str]) -> np.ndarray:
+    """The code of each of ``values`` in ``codes`` as int64, -1 for a value
+    that has none."""
+    return np.fromiter(map(codes.get, values, repeat(-1)), np.int64, len(values))
+
+
+class _ReleaseJoin:
+    """The release id of a (package, version) pair, found by integer keys.
+
+    Release r's key is ``package * width + version``: its package id, its
+    version's code in ``version_codes`` and ``width``, the number of those
+    codes, so that two releases share a key exactly when they share their
+    pair. ``keys`` holds the keys sorted, stably, and ``rids`` the release
+    id of each, so the first release of a repeated pair comes first."""
+
+    __slots__ = ("package_ids", "version_codes", "keys", "rids")
+
+    def __init__(
+        self, package_ids: dict[str, int], version_codes: dict[str, int],
+        release_package: np.ndarray, release_version: np.ndarray,
+    ):
+        self.package_ids = package_ids
+        self.version_codes = version_codes
+        keys = release_package * len(version_codes) + release_version
+        self.rids = np.argsort(keys, kind="stable")
+        self.keys = keys[self.rids]
+
+    def repeat(self) -> Optional[tuple[int, int]]:
+        """(earlier, row) for the first release, in release order, whose
+        pair an earlier release has, and the first release of that pair;
+        ``None`` when no pair repeats."""
+        later = np.flatnonzero(self.keys[1:] == self.keys[:-1]) + 1
+        if not len(later):
+            return None
+        at = later[np.argmin(self.rids[later])]
+        return int(self.rids[np.searchsorted(self.keys, self.keys[at])]), int(self.rids[at])
+
+    def find(self, packages: Sequence[str], versions: Sequence[str]) -> np.ndarray:
+        """The release id of each pair (``packages[i]``, ``versions[i]``), of
+        the first release of a repeated pair, and -1 for a pair that no
+        release has, as int64."""
+        package = _ids(self.package_ids, packages)
+        version = _ids(self.version_codes, versions)
+        keys = package * len(self.version_codes) + version
+        keys[(package < 0) | (version < 0)] = -1
+        if not len(self.keys):
+            return np.full(len(keys), -1, np.int64)
+        at = np.searchsorted(self.keys, keys)
+        at[at == len(self.keys)] = 0
+        rids = self.rids[at]
+        rids[self.keys[at] != keys] = -1
+        return rids
 
 
 class _Coder:

@@ -70,3 +70,87 @@ def test_no_sound_pair_leaves_no_metric():
     pairs = [{"parent": run_line(1.0, 1.0, 1.0, correct=False), "head": run_line(1.0, 1.0, 1.0)}]
     summary = tool.summarise(pairs, BETTER)
     assert (summary["left_out"], summary["metrics"]) == (1, {})
+
+
+BOUNDS = {"wall_s": 0.25, "setup_s": 0.25, "peak_rss_mb": 0.1}
+
+
+def peak_pairs(parent: list[float], head: list[float]) -> list[dict]:
+    return [{"parent": run_line(1.0, 1.0, a), "head": run_line(1.0, 1.0, b)}
+            for a, b in zip(parent, head)]
+
+
+@pytest.mark.parametrize("head, verdict", [
+    # Better in all ten pairs, by more than the parent's quartile spread.
+    ([110.0] * 10, "gain"),
+    # Better in eight pairs of ten: no claim, and within the bound.
+    ([110.0] * 8 + [160.0] * 2, "unchanged"),
+    # Better in nine pairs, but by less than the parent's quartile spread (1.75).
+    ([150.0] * 9 + [152.0], "unchanged"),
+    ([151.0, 151.5] * 5, "unchanged"),
+    # Worse by more than 10 % of the parent's median.
+    ([167.0] * 10, "regression"),
+])
+def test_verdict_against_the_bound(head, verdict):
+    tool = load_tool()
+    parent = [150.0, 152.0, 151.0, 149.0, 153.0, 150.5, 151.5, 152.5, 149.5, 151.0]
+    summary = tool.summarise(peak_pairs(parent, head), BETTER, BOUNDS)
+    entry = summary["metrics"]["peak_rss_mb"]
+    assert (entry["bound"], entry["verdict"]) == (0.1, verdict)
+    # Ten equal pairs of the other metrics change nothing.
+    assert summary["metrics"]["wall_s"]["verdict"] == "unchanged"
+
+
+def test_spread_wider_than_the_bound_is_unresolved():
+    tool = load_tool()
+    parent = [100.0, 140.0, 100.0, 140.0, 120.0, 120.0, 100.0, 140.0, 100.0, 140.0]
+    summary = tool.summarise(peak_pairs(parent, [120.0] * 10), BETTER, BOUNDS)
+    assert summary["metrics"]["peak_rss_mb"]["verdict"] == "unresolved"
+    # Unless every run of the tree reads better than every run of the parent.
+    summary = tool.summarise(peak_pairs(parent, [99.0] * 10), BETTER, BOUNDS)
+    assert summary["metrics"]["peak_rss_mb"]["verdict"] == "unchanged"
+
+
+def test_gain_counts_every_pair_run():
+    # Nine wins among ten sound pairs, but eleven pairs run: no gain.
+    tool = load_tool()
+    pairs = peak_pairs([150.0, 151.0] * 5, [110.0] * 9 + [155.0])
+    assert tool.summarise(pairs, BETTER, BOUNDS)["metrics"]["peak_rss_mb"]["verdict"] == "gain"
+    pairs.append({"parent": run_line(1.0, 1.0, 150.0), "head": run_line(1.0, 1.0, 1.0, failed=1)})
+    assert tool.summarise(pairs, BETTER, BOUNDS)["metrics"]["peak_rss_mb"]["verdict"] == "unchanged"
+
+
+def test_higher_is_better_verdicts():
+    tool = load_tool()
+    better = {**BETTER, "peak_rss_mb": "higher"}
+    parent = [150.0, 151.0] * 5
+    for head, verdict in (([170.0] * 10, "gain"), ([130.0] * 10, "regression")):
+        summary = tool.summarise(peak_pairs(parent, head), better, BOUNDS)
+        assert summary["metrics"]["peak_rss_mb"]["verdict"] == verdict
+
+
+def test_no_verdict_without_bounds():
+    tool = load_tool()
+    entry = tool.summarise(peak_pairs([150.0] * 10, [110.0] * 10), BETTER)["metrics"]["wall_s"]
+    assert "verdict" not in entry and "bound" not in entry
+
+
+def test_each_run_gets_the_mode_environment(monkeypatch, tmp_path):
+    tool = load_tool()
+    seen = []
+
+    def fake_run(command, cwd, capture_output, text, env):
+        seen.append((command[command.index("--seed") + 1], env.get("MALLOC_MMAP_THRESHOLD_")))
+        line = json.dumps({"correct": True, "failed": 0, "metrics": {}})
+        return type("Done", (), {"stdout": line + "\n", "returncode": 0})()
+
+    monkeypatch.setattr(tool.subprocess, "run", fake_run)
+    monkeypatch.setattr(tool, "_run_side", lambda side, parent, command, env: tool._run(
+        command, env))
+    benchmark = {"command": ["bench"], "run_seconds": 5}
+    pairs = tool._pairs("cli", 3, [1, 2], benchmark, tmp_path, tool.FIXED_MMAP)
+    assert [pair["first"] for pair in pairs] == ["parent", "head", "parent"]
+    assert seen == [("1", "131072")] * 2 + [("2", "131072")] * 2 + [("1", "131072")] * 2
+    seen.clear()
+    tool._pairs("cli", 1, [1], benchmark, tmp_path, {})
+    assert seen == [("1", None)] * 2

@@ -630,6 +630,36 @@ class TestFormatsAndDeterminism:
             assert len(out.written) == 3 + n - 2 * ingest._BLOCK_ROWS
             assert [text.count("\n") for text in out.written[1:3]] == [ingest._BLOCK_ROWS] * 2
 
+    @pytest.mark.parametrize("rows", [0, 1, 2 * ingest._BLOCK_ROWS + 100])
+    def test_json_matches_json_dumps(self, monkeypatch, rows):
+        """Written a block of rows at a time, the text is what one
+        ``json.dumps`` of the list of row dicts gives: floats that are not
+        finite, bools, strings that need escapes, values that are no JSON
+        scalar, and a repeated name, which keeps its last column."""
+        rng = np.random.default_rng(20170402)
+        survival = np.linspace(1.0, 0.0, rows)
+        survival[-4:] = [-0.0, np.nan, np.inf, -np.inf][-rows:] if rows else []
+        words = [f"pkg-{k}" for k in rng.integers(1000, size=rows)]
+        mixed = rng.integers(10, size=rows).tolist()
+        for k, special in enumerate(['say "hi"', "tab\tline\nbreak", "caf\u00e9 \u2603",
+                                     "back\\slash %s", "\x00\x1f", ""][:rows]):
+            words[-1 - k] = special
+            mixed[k] = [(3, 4), None, {"b": [1.5], "a": "x"}, datetime(2020, 1, 2), True, 2.5][k]
+        columns = [words, np.arange(rows), survival, mixed,
+                   rng.integers(2, size=rows).astype(bool), words[::-1]]
+        header = ["label", "time", "sur%vival", 'a "pair"', "flag", "label"]
+        payload = [dict(zip(header, row)) for row in zip(*(
+            c.tolist() if isinstance(c, np.ndarray) else c for c in columns))]
+        args = cli.build_parser().parse_args(["validate", "--dataset", "unused", "--format", "json"])
+        out = _Recorder()
+        monkeypatch.setattr(sys, "stdout", out)
+        cli._emit(args, header, columns)
+        assert "".join(out.written) == json.dumps(
+            payload, indent=2, sort_keys=True, default=str) + "\n"
+        # The opening bracket, one write per block and the closing one.
+        blocks = -(-rows // ingest._BLOCK_ROWS)
+        assert len(out.written) == (2 + blocks if rows else 1)
+
     def test_json_format(self, capsys, tiny_dir):
         code, out, _ = invoke(
             capsys,

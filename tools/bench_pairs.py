@@ -1,7 +1,7 @@
 """Alternating pairs of benchmark runs: a parent revision against the working tree.
 
     python tools/bench_pairs.py --parent REV --workload scan,cli --seeds 1,2,3 \\
-        --pairs 6 --out BENCH.json
+        --pairs 10 [--fixed-mmap-pairs 4] --out BENCH.json
 
 Both sides run from this checkout's path, so that the path cannot tell
 them apart. The parent's ``src/`` is extracted with ``git archive`` and
@@ -20,7 +20,14 @@ operations, and per metric and side, over the pairs in which both runs
 were correct with no failed operation, the median, the quartiles and the
 number of pairs in which that side was better (the direction comes from
 ``BENCHMARK.json``), with the host's CPU count, the Python and numpy
-versions and the load average before and after. Standard library only.
+versions and the load average before and after.
+
+Each metric that ``BENCHMARK.json`` gives a bound gets a verdict (see
+``verdict``). ``--fixed-mmap-pairs N`` runs N more pairs per workload with
+``MALLOC_MMAP_THRESHOLD_=131072``, which fixes glibc's otherwise dynamic
+mmap threshold, and summarises them apart under ``fixed_mmap_threshold``
+with no verdict: where the two modes disagree, the allocator moved the
+metric, not the work. Standard library only.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ import statistics
 import subprocess
 import sys
 import tarfile
+from fractions import Fraction
 from importlib import metadata
 from pathlib import Path
 
@@ -42,6 +50,10 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "head")
 # The parent's sources while the tool runs; listed in .gitignore.
 WORK = ROOT / ".bench-pairs"
+# The environment of the second, labelled set of pairs.
+FIXED_MMAP = {"MALLOC_MMAP_THRESHOLD_": "131072"}
+# The share of all pairs run that the working tree must win to claim a gain.
+GAIN_WINS = Fraction(9, 10)
 
 
 def _git(*args: str) -> bytes:
@@ -57,9 +69,11 @@ def _extract_parent(rev: str) -> Path:
     return WORK / "parent"
 
 
-def _run(command: list[str]) -> dict:
-    """One benchmark run: its last stdout line parsed, or what went wrong."""
-    done = subprocess.run(command, cwd=ROOT, capture_output=True, text=True)
+def _run(command: list[str], env: dict[str, str]) -> dict:
+    """One benchmark run with ``env`` added to the environment: its last
+    stdout line parsed, or what went wrong."""
+    done = subprocess.run(command, cwd=ROOT, capture_output=True, text=True,
+                          env={**os.environ, **env})
     lines = done.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
@@ -69,16 +83,16 @@ def _run(command: list[str]) -> dict:
     return result
 
 
-def _run_side(side: str, parent: Path, command: list[str]) -> dict:
+def _run_side(side: str, parent: Path, command: list[str], env: dict[str, str]) -> dict:
     """``command`` run with the ``side``'s sources in ``src/``."""
     if side == "head":
-        return _run(command)
+        return _run(command, env)
     held = WORK / "head-src"
     os.rename(ROOT / "src", held)
     try:
         os.rename(parent / "src", ROOT / "src")
         try:
-            return _run(command)
+            return _run(command, env)
         finally:
             os.rename(ROOT / "src", parent / "src")
     finally:
@@ -97,13 +111,44 @@ def _sound(run: dict) -> bool:
     return run.get("correct") is True and run.get("failed") == 0
 
 
-def summarise(pairs: list[dict], better: dict[str, str]) -> dict:
+def verdict(entry: dict, pairs: int, bound: float) -> str:
+    """The verdict on one metric's summary ``entry`` over ``pairs`` pairs
+    run, for a metric whose median may be worse than the parent's by at
+    most ``bound``, a share of the parent's median:
+
+    * ``gain``: the working tree won at least ``GAIN_WINS`` of all pairs
+      run, ties counting for neither side, and its median is better than
+      the parent's by more than the parent's quartile spread;
+    * ``regression``: its median is worse by more than the bound;
+    * ``unresolved``: the parent's quartile spread is wider than the bound,
+      and not every run of the working tree reads better than every run
+      of the parent;
+    * ``unchanged`` otherwise."""
+    parent, head = entry["parent"], entry["head"]
+    if not entry["pairs"]:
+        return "unresolved"
+    sign = -1 if entry["better"] == "higher" else 1
+    gap = sign * (parent["median"] - head["median"])  # > 0 when the tree is better
+    spread = parent["q3"] - parent["q1"]
+    if head["wins"] >= GAIN_WINS * pairs and gap > spread:
+        return "gain"
+    if -gap > bound * abs(parent["median"]):
+        return "regression"
+    apart = max(sign * v for v in head["values"]) < min(sign * v for v in parent["values"])
+    if spread > bound * abs(parent["median"]) and not apart:
+        return "unresolved"
+    return "unchanged"
+
+
+def summarise(pairs: list[dict], better: dict[str, str],
+              bounds: dict[str, float] | None = None) -> dict:
     """Per side, the runs that were not correct and the failed operations
     of all runs; per metric, over the pairs in which both runs were sound
     and report it, per side the values, their median and quartiles, and
     the wins, the pairs in which that side's value was the better one
-    (``better[metric]`` is ``"lower"`` or ``"higher"``). ``pairs`` map each
-    side to its run's result."""
+    (``better[metric]`` is ``"lower"`` or ``"higher"``), and the
+    ``verdict`` of each metric that ``bounds`` gives a bound. ``pairs`` map
+    each side to its run's result."""
     runs = {side: {"not_correct": sum(pair[side].get("correct") is not True for pair in pairs),
                    "failed": sum(pair[side].get("failed", 0) for pair in pairs)}
             for side in SIDES}
@@ -120,6 +165,9 @@ def summarise(pairs: list[dict], better: dict[str, str]) -> dict:
             wins = sum(sign * a < sign * b for a, b in zip(values[side], values[other]))
             entry[side] = {"values": values[side], "median": median, "q1": low, "q3": high,
                            "wins": wins}
+        if bounds and name in bounds:
+            entry["bound"] = bounds[name]
+            entry["verdict"] = verdict(entry, len(pairs), bounds[name])
         metrics[name] = entry
     return {"pairs": len(pairs), "left_out": len(pairs) - len(sound), "runs": runs,
             "metrics": metrics}
@@ -134,35 +182,51 @@ def _host() -> dict:
     }
 
 
+def _pairs(workload: str, count: int, seeds: list[int], benchmark: dict, parent: Path,
+           env: dict[str, str]) -> list[dict]:
+    """``count`` alternating pairs of runs of ``workload`` with ``env``."""
+    pairs = []
+    for k in range(count):
+        seed = seeds[k % len(seeds)]
+        command = [*benchmark["command"], "--workload", workload, "--seed", str(seed),
+                   "--seconds", str(benchmark["run_seconds"]), "--trace", "0"]
+        order = SIDES if k % 2 == 0 else SIDES[::-1]
+        pair = {side: _run_side(side, parent, command, env) for side in order}
+        pair["seed"], pair["first"] = seed, order[0]
+        pairs.append(pair)
+        print(f"{workload} {env or 'default'} pair {k + 1}/{count} seed {seed}: " + ", ".join(
+            f"{side} {pair[side].get('metrics', {}).get('peak_rss_mb', {}).get('value')} MiB"
+            for side in SIDES), flush=True)
+    return pairs
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="the git revision to compare against")
     parser.add_argument("--workload", required=True, help="workloads, comma-separated")
     parser.add_argument("--seeds", required=True, help="perfbench seeds, comma-separated")
     parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--fixed-mmap-pairs", type=int, default=0,
+                        help="pairs per workload run again with a fixed mmap threshold")
     parser.add_argument("--out", type=Path, default=Path("BENCH.json"))
     args = parser.parse_args(argv)
     seeds = [int(seed) for seed in args.seeds.split(",")]
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"] + benchmark["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
     commit = _git("rev-parse", args.parent).decode().strip()
     report = {"parent": commit, "host_before": _host(), "workloads": {}}
     parent = _extract_parent(args.parent)
     try:
         for workload in args.workload.split(","):
-            pairs = []
-            for k in range(args.pairs):
-                seed = seeds[k % len(seeds)]
-                command = [*benchmark["command"], "--workload", workload, "--seed", str(seed),
-                           "--seconds", str(benchmark["run_seconds"]), "--trace", "0"]
-                order = SIDES if k % 2 == 0 else SIDES[::-1]
-                pair = {side: _run_side(side, parent, command) for side in order}
-                pair["seed"], pair["first"] = seed, order[0]
-                pairs.append(pair)
-                print(f"{workload} pair {k + 1}/{args.pairs} seed {seed}: " + ", ".join(
-                    f"{side} {pair[side].get('metrics', {}).get('setup_s', {}).get('value')}"
-                    for side in SIDES), flush=True)
-            report["workloads"][workload] = {"pairs": pairs, "summary": summarise(pairs, better)}
+            pairs = _pairs(workload, args.pairs, seeds, benchmark, parent, {})
+            result = report["workloads"][workload] = {
+                "pairs": pairs, "summary": summarise(pairs, better, bounds)}
+            if args.fixed_mmap_pairs:
+                pairs = _pairs(workload, args.fixed_mmap_pairs, seeds, benchmark, parent,
+                               FIXED_MMAP)
+                result["fixed_mmap_threshold"] = {
+                    "env": FIXED_MMAP, "pairs": pairs, "summary": summarise(pairs, better)}
     finally:
         if not (WORK / "head-src").exists():  # the working src/ is back in place
             shutil.rmtree(WORK, ignore_errors=True)
