@@ -357,24 +357,22 @@ class Dataset:
             release_package = np.array([package_ids[rel.package] for rel in releases], np.int64)
         except KeyError as exc:
             raise DatasetError(f"no package or release {exc}") from None
-        versions = _Coder()
-        versions.add([r.version for r in releases])
-        version = versions.column()
-        join = _ReleaseJoin(package_ids, versions.code, release_package, version.codes)
+        coder = _Coder()
+        coder.add([r.version for r in releases])
+        versions = coder.column()
+        join = _ReleaseJoin(package_ids, coder.code, release_package, versions.codes)
         dependencies = list(dependencies)
-        sources, targets, constraints, kinds = (
-            [getattr(dep, field) for dep in dependencies]
-            for field in ("source_package", "target_package", "constraint", "kind")
+        sources, source_versions, targets, constraints, kinds = (
+            [getattr(dep, field) for dep in dependencies] for field in (
+                "source_package", "source_version", "target_package", "constraint", "kind")
         )
-        source = join.find(sources, [dep.source_version for dep in dependencies])
+        source = join.find(sources, source_versions)
         if (source < 0).any():
-            dep = dependencies[int(np.argmax(source < 0))]
-            raise DatasetError(
-                f"no package or release {(dep.source_package, dep.source_version)!r}"
-            )
+            k = int(np.argmax(source < 0))
+            raise DatasetError(f"no package or release {(sources[k], source_versions[k])!r}")
         self._set(
             names, package_ids,
-            (release_package, version, _micros([r.timestamp for r in releases])),
+            (release_package, versions, _micros([r.timestamp for r in releases])),
             (source, _encoded(targets, package_ids), _encoded(constraints), _encoded(kinds)),
             cutoff, ecosystem, filter_report,
         )
@@ -960,9 +958,9 @@ class _ReleaseJoin:
         self.keys = keys[self.rids]
 
     def repeat(self) -> Optional[tuple[int, int]]:
-        """(earlier, row) for the first release, in release order, whose
-        pair an earlier release has, and the first release of that pair;
-        ``None`` when no pair repeats."""
+        """(earlier, row): ``row`` is the first release, in release order,
+        whose pair an earlier release has, and ``earlier`` the first
+        release of that pair; ``None`` when no pair repeats."""
         later = np.flatnonzero(self.keys[1:] == self.keys[:-1]) + 1
         if not len(later):
             return None

@@ -650,7 +650,8 @@ class TestFormatsAndDeterminism:
         header = ["label", "time", "sur%vival", 'a "pair"', "flag", "label"]
         payload = [dict(zip(header, row)) for row in zip(*(
             c.tolist() if isinstance(c, np.ndarray) else c for c in columns))]
-        args = cli.build_parser().parse_args(["validate", "--dataset", "unused", "--format", "json"])
+        args = cli.build_parser().parse_args(
+            ["validate", "--dataset", "unused", "--format", "json"])
         out = _Recorder()
         monkeypatch.setattr(sys, "stdout", out)
         cli._emit(args, header, columns)

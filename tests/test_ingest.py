@@ -762,7 +762,8 @@ class TestReleaseJoin:
             "dependencies.csv": _lines(DEPENDENCIES_HEADER, *deps)})
         assert message == "D/dependencies.csv, line 7: dependency of unknown release a 2.0.0"
 
-    @pytest.mark.parametrize("late", ["p8,1,2020-13-01", "p8,1", "p8,\xff,2020-01-01", "q,1,2020-01-01"])
+    @pytest.mark.parametrize("late", [
+        "p8,1,2020-13-01", "p8,1", "p8,\xff,2020-01-01", "q,1,2020-01-01"])
     @pytest.mark.parametrize("chunk_bytes, n", [(None, 6000), (16, 9)])
     def test_repeat_before_a_fault_in_a_later_block(
         self, tmp_path, monkeypatch, chunk_bytes, n, late
