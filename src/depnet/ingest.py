@@ -16,6 +16,7 @@ import gc
 import hashlib
 import io
 import json
+import math
 import os
 import statistics
 import sys
@@ -317,7 +318,8 @@ class Dataset:
     The constructor takes records and converts them once, with package ids
     in name order. It raises ``DatasetError`` for a package record of
     another ecosystem, a release of an unlisted package and a dependency of
-    an unknown release. Releases may repeat a (package, version), which
+    an unknown release. Kinds are lowercased, as :func:`parse_dataset`
+    lowercases them. Releases may repeat a (package, version), which
     :func:`validate_dataset` reports; a dependency row then belongs to the
     first of them, and the later ones have none. Dependency records find
     their release through the integer join that :func:`parse_dataset`
@@ -370,10 +372,11 @@ class Dataset:
         if (source < 0).any():
             k = int(np.argmax(source < 0))
             raise DatasetError(f"no package or release {(sources[k], source_versions[k])!r}")
+        kinds = _lowered(_encoded(kinds))
         self._set(
             names, package_ids,
             (release_package, versions, _micros([r.timestamp for r in releases])),
-            (source, _encoded(targets, package_ids), _encoded(constraints), _encoded(kinds)),
+            (source, _encoded(targets, package_ids), _encoded(constraints), kinds),
             cutoff, ecosystem, filter_report,
         )
 
@@ -543,17 +546,6 @@ def _open(path: Path):
         raise DatasetError(f"{path}: file not found") from None
 
 
-def _utf8_lines(path: Path, data: bytes) -> tuple[str, Optional[DatasetError]]:
-    """The text of the whole lines of ``data`` before its first byte that
-    is not UTF-8, and the error for that byte; all of ``data`` and ``None``
-    when it decodes. No byte of a multi-byte character is a newline, so the
-    cut after a newline falls between characters."""
-    try:
-        return data.decode("utf-8"), None
-    except UnicodeDecodeError as exc:
-        return data[:data.rfind(b"\n", 0, exc.start) + 1].decode("utf-8"), _not_utf8(path)
-
-
 def _not_utf8(path: Path) -> DatasetError:
     """The error for the CSV file at ``path``, which is not UTF-8: it names
     the physical line of the first byte that does not decode, found by a
@@ -604,58 +596,50 @@ def _chunk(handle) -> bytes:
     return data[:cut]
 
 
-def _blocks(path: Path, required: list[str], unchecked: Callable[[], list] = list):
+def _plain_text(data: bytes, width: int) -> Optional[str]:
+    """``data`` decoded when it is plain (see ``_plain_lines``) and UTF-8,
+    else ``None``."""
+    try:
+        return data.decode("utf-8") if _plain_lines(data, width) else None
+    except UnicodeDecodeError:
+        return None
+
+
+def _blocks(path: Path, required: list[str]):
     """The data rows of the CSV file at ``path`` in blocks, each as (number
     of rows before it, a list of values per ``required`` column). Blank
     lines are skipped.
 
     The file is read in chunks of whole lines. A chunk that is plain (see
-    ``_plain_lines``) is split at its commas and newlines, and a column is one
-    stride slice. From the first chunk that is not, or from the start when
-    the header line is not, one ``csv.reader`` reads the rest in blocks of
-    ``_BLOCK_ROWS``, so a quoted field is never cut.
+    ``_plain_lines``) and UTF-8 is split at its commas and newlines, and a
+    column is one stride slice. From the first chunk that is not, or from
+    the start when the header line is not, one ``csv.reader`` reads the
+    rest in blocks of ``_BLOCK_ROWS``, so a quoted field is never cut.
 
     A row that cannot be read ends the blocks: one whose field count
     differs from the header's, one that ``csv.reader`` rejects (a field
     longer than ``csv.field_size_limit()``) and one with bytes that are not
-    UTF-8. The rows before it come first, and once the caller has found no
-    fault in them, its error is raised, unless ``unchecked()``, the faults
-    of the rows given so far that the caller checks only at the end of the
-    file, names one; then the error is the earliest of those (see
-    ``_fault``)."""
-    error = yield from _read_blocks(path, required)
-    if error is not None:
-        faults = unchecked()
-        raise _fault(path, faults) if faults else error
-
-
-def _read_blocks(path: Path, required: list[str]):
-    """The blocks of ``_blocks``, and at the end the error of the row that
-    ended them, ``None`` at the end of the file."""
+    UTF-8. The rows before it are given first, and its error is raised
+    when the caller asks for the next block, so a fault that the caller
+    finds in those rows comes first."""
     with _open(path) as handle:
         first = handle.readline()
         if not first.endswith(b"\n"):
             first += b"\n"
         # Rows read and lines past them; no line is read until the header is.
         start = lines = 0
-        if _plain_lines(first, first.count(b",") + 1):
-            header, error = _utf8_lines(path, first)
-            if error is not None:
-                return error
+        header = _plain_text(first, first.count(b",") + 1)
+        if header is not None:
             width, columns = _columns(path, header[:-1].split(","), required)
             lines = 1
             at = handle.tell()
-            while _plain_lines(data := _chunk(handle), width):
-                text, error = _utf8_lines(path, data)
-                if text:
-                    fields = text.replace("\n", ",").split(",")
-                    del fields[-1]  # the empty text after the last newline
-                    yield start, [fields[i::width] for i in columns]
-                    rows = len(fields) // width
-                    start += rows
-                    lines += rows
-                if error is not None:
-                    return error
+            while (text := _plain_text(_chunk(handle), width)) is not None:
+                fields = text.replace("\n", ",").split(",")
+                del fields[-1]  # the empty text after the last newline
+                yield start, [fields[i::width] for i in columns]
+                rows = len(fields) // width
+                start += rows
+                lines += rows
                 at = handle.tell()
             handle.seek(at)
         else:
@@ -682,7 +666,7 @@ def _read_blocks(path: Path, required: list[str]):
             if not lines:
                 rows, error = read(1)
                 if error is not None:
-                    return error
+                    raise error
                 width, columns = _columns(path, (rows or [None])[0], required)
             while True:
                 block, error = read(_BLOCK_ROWS)
@@ -698,8 +682,10 @@ def _read_blocks(path: Path, required: list[str]):
                     values = list(zip(*block))
                     yield start, [values[i] for i in columns]
                     start += len(block)
+                if error is not None:
+                    raise error
                 if end:
-                    return error
+                    return
 
 
 def _fault(path: Path, faults: list[tuple]) -> DatasetError:
@@ -724,17 +710,6 @@ def _fault(path: Path, faults: list[tuple]) -> DatasetError:
     if not earlier:
         return DatasetError(f"{path}, line {lines[row]}: {text}")
     return DatasetError(f"{path}: {text} (lines {lines[earlier[0]]} and {lines[row]})")
-
-
-def _first_repeat(keys: Iterable) -> tuple[int, int]:
-    """(earlier, row) for the first of ``keys`` equal to an earlier one,
-    which there must be."""
-    seen: dict = {}
-    for row, key in enumerate(keys):
-        earlier = seen.setdefault(key, row)
-        if earlier != row:
-            return earlier, row
-    raise AssertionError("no repeated key")
 
 
 def _timestamps(values: Sequence[str]) -> tuple[list[datetime], Optional[int]]:
@@ -826,22 +801,20 @@ def parse_dataset(
 
 def _parse_packages(path: Path) -> tuple[list[str], dict[str, int]]:
     """The names of the package rows and the id of each; checks: an empty
-    name, a repeated name."""
-    names: list[str] = []
-    package_ids: dict[str, int] = {}
-    required = ["name"]
-    for start, (block,) in _blocks(path, required):
-        package_ids.update(zip(block, range(start, start + len(block))))
+    name, a repeated name. Names are coded as they are read, so a row whose
+    code is not its own row number repeats the row that its code names."""
+    names = _Coder()
+    for start, (block,) in _blocks(path, ["name"]):
+        names.add(block)
         faults = []
         if "" in block:
             faults.append((start + block.index(""), 0, "empty value in column 'name'"))
-        if len(package_ids) != start + len(block):
-            earlier, row = _first_repeat(chain(names, block))
-            faults.append((row, 1, f"duplicate package '{block[row - start]}'", earlier))
+        if len(names.code) != start + len(block):
+            row = next(row for row, code in enumerate(names.codes[start:], start) if code != row)
+            faults.append((row, 1, f"duplicate package '{block[row - start]}'", names.codes[row]))
         if faults:
             raise _fault(path, faults)
-        names += block
-    return names, package_ids
+    return list(names.code), names.code
 
 
 def _parse_releases(path: Path, names: list[str], package_ids: dict[str, int]):
@@ -849,51 +822,53 @@ def _parse_releases(path: Path, names: list[str], package_ids: dict[str, int]):
     join; checks: an unknown package, an empty version, an unparseable
     timestamp, a repeated (package, version).
 
-    A repeat is looked for once, in the join made after the last row; a
-    fault of another kind, and a row that ends the file's blocks, first
-    look for one in the rows before them, so that the earliest row wins."""
+    A repeat is looked for once, in the join of the rows read. That join is
+    made after the last row, and also when a row fails another check or
+    cannot be read, of the rows before it, so that the earliest row wins."""
     release_package = [np.empty(0, np.int64)]
     release_time = [np.empty(0, np.int64)]
     versions = _Coder()
 
-    def joined() -> tuple[_ReleaseJoin, list[tuple]]:
-        """The join of the rows so far, and the fault of its first repeated
-        release, none when no release repeats."""
+    def joined() -> _ReleaseJoin:
+        """The join of the rows so far; raises the fault of their first
+        repeated release."""
         package, version = np.concatenate(release_package), np.array(versions.codes, np.int64)
         join = _ReleaseJoin(package_ids, versions.code, package, version)
         repeat = join.repeat()
-        if repeat is None:
-            return join, []
-        earlier, row = repeat
-        text = f"duplicate release {names[package[row]]} {list(versions.code)[version[row]]}"
-        return join, [(row, 3, text, earlier)]
+        if repeat is not None:
+            earlier, row = repeat
+            text = f"duplicate release {names[package[row]]} {list(versions.code)[version[row]]}"
+            raise _fault(path, [(row, 3, text, earlier)]) from None
+        return join
 
     required = ["package", "version", "timestamp"]
-    for start, (packages, block, stamps) in _blocks(path, required, lambda: joined()[1]):
-        pids = _ids(package_ids, packages)
-        times, bad = _timestamps(stamps)
-        faults = []
-        unknown = np.flatnonzero(pids < 0)
-        if len(unknown):
-            k = int(unknown[0])
-            faults.append((start + k, 0, f"release of unknown package '{packages[k]}'"))
-        if "" in block:
-            faults.append((start + block.index(""), 1, "empty value in column 'version'"))
-        if bad is not None:
-            text = f"column 'timestamp' has unparseable value {stamps[bad]!r}"
-            faults.append((start + bad, 2, text))
-        if faults:
-            # The rows before the first fault pass every check but the last.
-            k = min(faults)[0] - start
-            release_package.append(pids[:k])
-            versions.add(block[:k])
-            raise _fault(path, faults + joined()[1])
-        release_package.append(pids)
-        versions.add(block)
-        release_time.append(_micros(times))
-    join, faults = joined()
-    if faults:
-        raise _fault(path, faults)
+    try:
+        for start, (packages, block, stamps) in _blocks(path, required):
+            pids = _ids(package_ids, packages)
+            times, bad = _timestamps(stamps)
+            faults = []
+            unknown = np.flatnonzero(pids < 0)
+            if len(unknown):
+                k = int(unknown[0])
+                faults.append((start + k, 0, f"release of unknown package '{packages[k]}'"))
+            if "" in block:
+                faults.append((start + block.index(""), 1, "empty value in column 'version'"))
+            if bad is not None:
+                text = f"column 'timestamp' has unparseable value {stamps[bad]!r}"
+                faults.append((start + bad, 2, text))
+            if faults:
+                # The rows before the first fault pass every check but the last.
+                k = min(faults)[0] - start
+                release_package.append(pids[:k])
+                versions.add(block[:k])
+                raise _fault(path, faults)
+            release_package.append(pids)
+            versions.add(block)
+            release_time.append(_micros(times))
+    except DatasetError:
+        joined()
+        raise
+    join = joined()
     columns = (np.concatenate(release_package), versions.column(), np.concatenate(release_time))
     return columns, join
 
@@ -903,7 +878,7 @@ def _parse_dependencies(path: Path, join: _ReleaseJoin, package_ids: dict[str, i
     constraint and kind); checks: an unknown source release, an empty
     target. Sources are found through ``join``. Targets are coded by
     package id, and past the ids in order of first appearance. Kinds are
-    lowercased."""
+    lowercased (see ``_lowered``)."""
     source = [np.empty(0, np.int64)]
     targets, constraints, kinds = _Coder(package_ids), _Coder(), _Coder()
     required = ["source_package", "source_version", "target_package", "constraint", "kind"]
@@ -923,11 +898,16 @@ def _parse_dependencies(path: Path, join: _ReleaseJoin, package_ids: dict[str, i
         targets.add(target)
         constraints.add(constraint)
         kinds.add(kind)
-    # Kinds are coded as given; their table is then lowercased and coded again.
-    kind, lowered = kinds.column(), _Coder()
-    lowered.add([value.lower() for value in kind.table])
-    kinds = lowered.column().select(kind.codes)
-    return np.concatenate(source), targets.column(), constraints.column(), kinds
+    return np.concatenate(source), targets.column(), constraints.column(), _lowered(kinds.column())
+
+
+def _lowered(kinds: Coded) -> Coded:
+    """The coded kind column ``kinds`` lowercased, as both constructors of
+    a Dataset store it: its table is lowercased and coded again, so each
+    distinct value is lowercased once."""
+    lowered = _Coder()
+    lowered.add([value.lower() for value in kinds.table])
+    return lowered.column().select(kinds.codes)
 
 
 def _ids(codes: dict[str, int], values: Sequence[str]) -> np.ndarray:
@@ -1194,12 +1174,36 @@ def _run_starts(ordered: np.ndarray) -> np.ndarray:
 
 def _first_of_each_key(*columns: np.ndarray) -> np.ndarray:
     """For each row, whether no earlier row has its values in all
-    ``columns``: one stable sort by them, and a run of equal keys starts
-    where any column's run starts."""
-    order = np.lexsort(columns[::-1])
-    starts = np.zeros(len(order), bool)
-    for column in columns:
-        starts |= _run_starts(column[order])
+    ``columns``, integer arrays of one length.
+
+    Each column, offset by its minimum, is one digit of a mixed-radix int64
+    key, the first column the most significant; one stable sort of the keys
+    puts every repeat after the row it repeats, so the first row of each
+    run of equal keys is kept. The key is exact while the product of the
+    columns' ranges (max - min + 1) is below 2**63, and ``ValueError`` is
+    raised past that. The peak is three int64 arrays of the rows' length:
+    the keys, their order and the sorted keys, which replace the unsorted
+    ones before the mask is made. (``np.lexsort`` over the columns finds
+    the same rows, several times slower; ``np.unique`` copies the keys.)
+    """
+    if not len(columns[0]):
+        return np.zeros(0, bool)
+    lows = [int(column.min()) for column in columns]
+    ranges = [int(column.max()) - low + 1 for column, low in zip(columns, lows)]
+    if math.prod(ranges) >= 1 << 63:
+        raise ValueError(f"key ranges {ranges} overflow an int64 key")
+    key = columns[0].astype(np.int64)
+    key -= lows[0]
+    for column, low, size in zip(columns[1:], lows[1:], ranges[1:]):
+        # A partial sum may wrap around int64; the sums are exact modulo
+        # 2**64, and every finished key lies in [0, 2**63).
+        key *= size
+        key += column
+        key -= low
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = _run_starts(key)
+    del key
     first = np.zeros(len(order), bool)
     first[order[starts]] = True
     return first

@@ -31,8 +31,8 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .ingest import (
-    _OPEN, Coded, Dataset, RecordView, ReleaseRecord, _DatasetIndex, _gc_paused, _micros,
-    _run_starts,
+    _OPEN, Coded, Dataset, RecordView, ReleaseRecord, _DatasetIndex, _first_of_each_key,
+    _gc_paused, _micros, _run_starts,
 )
 from .timeutil import Month, format_month, iter_months, month_of, month_start
 
@@ -342,25 +342,11 @@ def _declared_targets(idx: _DatasetIndex) -> tuple[np.ndarray, np.ndarray]:
     entry's own package, and those that repeat an earlier row of their
     entry; the rest keep their order.
     """
-    n = len(idx.packages)
     entry, target = idx.row_entries, idx.row_targets
-    keep = target != n
+    keep = target != len(idx.packages)
     keep &= target != idx.entry_positions[entry]
     entry, target = entry[keep], target[keep]
-    # A stable sort of the (entry, target) keys puts every repeat after the
-    # row it repeats, so the first row of each run of equal keys is kept.
-    # (``np.unique`` finds the same rows, but its copies of the keys nearly
-    # double the peak of the build; the unsorted keys are freed before the
-    # mask is made for the same reason.)
-    key = entry.astype(np.int64)
-    key *= n
-    key += target
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    first = _run_starts(key)
-    del key
-    keep = np.zeros(len(entry), bool)
-    keep[order[first]] = True
+    keep = _first_of_each_key(entry, target)
     return entry[keep], target[keep]
 
 

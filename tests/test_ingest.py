@@ -1130,6 +1130,52 @@ class TestRunStarts:
                 assert got.dtype == bool
                 assert got.tolist() == expected, columns
 
+    @staticmethod
+    def seen_set(columns) -> list[bool]:
+        seen, expected = set(), []
+        for key in zip(*(c.tolist() for c in columns)):
+            expected.append(key not in seen)
+            seen.add(key)
+        return expected
+
+    def test_first_of_each_key_mixes_int32_and_int64_columns(self):
+        rng = random.Random(4)
+        for a, b, c in self.arrays(rng, 3):
+            columns = (a.astype(np.int32), b, c.astype(np.int32))
+            assert ingest._first_of_each_key(*columns).tolist() == self.seen_set(columns)
+
+    def test_first_of_each_key_with_a_column_of_one_value(self):
+        rng = random.Random(5)
+        for a, b in self.arrays(rng, 2):
+            for columns in ((np.full(len(a), 7), b), (a, np.full(len(a), -3, np.int32))):
+                assert ingest._first_of_each_key(*columns).tolist() == self.seen_set(columns)
+
+    @pytest.mark.parametrize("low", [0, -(1 << 40), 1 << 40])
+    def test_first_of_each_key_just_under_the_int64_bound(self, low):
+        # Ranges 2**32 and 2**31 - 1: their product is 2**63 - 2**32, and
+        # the keys reach the top of int64.
+        rng = random.Random(6)
+        top = (1 << 32) - 1, (1 << 31) - 2
+        a = np.array([low + rng.choice((0, 1, top[0] - 1, top[0])) for _ in range(200)] + [low])
+        b = np.array([low + rng.choice((0, 1, top[1] - 1, top[1])) for _ in range(200)] + [low])
+        a[-2], b[-2] = low + top[0], low + top[1]
+        assert ingest._first_of_each_key(a, b).tolist() == self.seen_set((a, b))
+        # One column of range 2**63 - 1.
+        one = np.array([-(1 << 62), 0, (1 << 62) - 2, 0, -(1 << 62)])
+        assert ingest._first_of_each_key(one).tolist() == [True, True, True, False, False]
+
+    def test_first_of_each_key_refuses_ranges_past_the_int64_bound(self):
+        a, b = np.array([0, (1 << 32) - 1]), np.array([5, 5 + (1 << 31) - 1], np.int64)
+        with pytest.raises(ValueError, match="overflow"):
+            ingest._first_of_each_key(a, b)
+        extremes = np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max])
+        with pytest.raises(ValueError, match="overflow"):
+            ingest._first_of_each_key(extremes)
+        with pytest.raises(ValueError, match="overflow"):
+            ingest._first_of_each_key(np.array([-1, (1 << 63) - 1]))
+        # An empty key is no key at all: nothing to overflow.
+        assert ingest._first_of_each_key(np.array([], np.int64)).tolist() == []
+
     def test_sorted_unique_matches_np_unique(self):
         rng = random.Random(2)
         for (keys,) in self.arrays(rng):
@@ -1177,6 +1223,23 @@ class TestDatasetRecords:
         assert d.dependency_source.tolist() == [1]
         assert build_snapshot(d, datetime(2020, 1, 2)).out_degree("p") == 1
         assert build_snapshot(d, datetime(2020, 1, 3)).out_degree("p") == 0
+
+    def test_records_lowercase_kinds_as_the_parse_does(self, tmp_path):
+        # A kind given as "Runtime" passes the default filter and reads back
+        # equal from the CSVs that write_dataset makes of it.
+        d = Dataset(
+            packages={PackageRecord("p", "default"), PackageRecord("q", "default")},
+            releases=[
+                ReleaseRecord("q", "1", datetime(2020, 1, 1)),
+                ReleaseRecord("p", "1", datetime(2020, 1, 2)),
+            ],
+            dependencies=[DependencyRecord("p", "1", "q", "*", "Runtime")],
+            cutoff=datetime(2020, 2, 1),
+        )
+        assert [dep.kind for dep in d.dependencies] == ["runtime"]
+        assert len(filter_dependencies(d).dependencies) == 1
+        write_dataset(d, tmp_path / "d")
+        assert load_dataset_dir(tmp_path / "d") == d
 
     def test_every_constructor_keeps_coded_tables_distinct(self, tmp_path):
         # Equal codes must mean equal strings: kinds that differ only in

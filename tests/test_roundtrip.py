@@ -40,8 +40,6 @@ def _text(min_size: int) -> st.SearchStrategy[str]:
     return st.text(_CHARS, min_size=min_size, max_size=6)
 
 
-# The parser lowercases kinds, so a valid Dataset holds lowercase ones.
-_KINDS = _text(0).filter(lambda k: k == k.lower())
 _TIMES = st.datetimes(min_value=datetime(2000, 1, 1), max_value=datetime(2019, 12, 31))
 
 
@@ -61,7 +59,7 @@ def datasets(draw) -> Dataset:
             st.sampled_from(releases),
             st.one_of(st.sampled_from(names), _text(1)),
             _text(0),
-            _KINDS,
+            _text(0),
         )
         for rel, target, constraint, kind in draw(st.lists(rows, max_size=6)):
             dependencies.append(DependencyRecord(rel.package, rel.version, target, constraint, kind))
