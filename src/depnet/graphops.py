@@ -3,9 +3,11 @@
 Per-package queries (direct/transitive dependencies and dependents, tree
 depth) run on demand, as one level-by-level BFS over the integer adjacency
 rows that the graph derives from its CSR arrays on first use: forward, or
-on the reverse adjacency, derived on the first in-neighbour query. The
-role counts (top-level, connected, classification) read the CSR arrays
-themselves, with one count of the targets for the in-degrees. The batch
+on the reverse adjacency, derived on the first in-neighbour query. A depth
+query keeps its answer on the graph, and a later query may stop its BFS
+at a level that is one node already answered. The role counts
+(top-level, connected, classification) read the CSR arrays themselves,
+with one count of the targets for the in-degrees. The batch
 closure used by the longitudinal drivers takes the edges as source and
 target arrays and computes reachable-set sizes for every node at once:
 nodes are condensed into strongly connected components by one SCC pass,
@@ -163,9 +165,45 @@ def dependency_depth(g: SnapshotGraph, package: str) -> int:
 
     Levels are shortest-path distances, which keeps the depth well defined
     on cyclic graphs; a package with no dependencies has depth 0.
+
+    Each answer is kept in the graph's :meth:`SnapshotGraph.depth_memo`,
+    together with one node ``far`` at that distance. When a level L >= 1
+    of the BFS is a single node x already answered as ``(e, f)``, every
+    node first met after level L is at distance L + d(x, w), so the depth
+    is L + e if ``f`` is not yet seen (the funnel rule); otherwise the BFS
+    goes on. A sink is its own ``far``, so behind a sink the BFS ends at
+    the next level with depth L. The BFS is :func:`_bfs_levels` inline,
+    so that each level is checked as it is made.
     """
     _, ids, adj = g.int_view()
-    return len(_bfs_levels(adj, ids[package]))
+    memo = g.depth_memo()
+    start = ids[package]
+    known = memo.get(start)
+    if known is not None:
+        return known[0]
+    seen = bytearray(len(adj))
+    seen[start] = 1
+    frontier = [start]
+    depth = 0
+    while True:
+        nxt: list[int] = []
+        for u in frontier:
+            for w in adj[u]:
+                if not seen[w]:
+                    seen[w] = 1
+                    nxt.append(w)
+        if not nxt:
+            known = (depth, frontier[0])
+            break
+        depth += 1
+        frontier = nxt
+        if len(nxt) == 1:
+            hit = memo.get(nxt[0])
+            if hit is not None and not seen[hit[1]]:
+                known = (depth + hit[0], hit[1])
+                break
+    memo[start] = known
+    return known[0]
 
 
 # Sources per multi-source BFS pass. Each node holds a seen-bitset of up to

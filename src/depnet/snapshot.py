@@ -85,12 +85,14 @@ class SnapshotGraph:
     ``targets[lo:hi]`` for ``lo, hi = offsets[i], offsets[i + 1]``, in
     declaration order. The names list, the adjacency rows of
     :meth:`int_view` and the reverse adjacency are derived from them on
-    first use and cached.
+    first use and cached, and so is the memo of :meth:`depth_memo`, which
+    holds the per-package depths that queries have found.
     """
 
     __slots__ = (
         "at", "ecosystem", "dropped_deps", "n_edges", "_releases", "_latest_ids",
         "_names", "_offsets", "_targets", "_latest", "_name_list", "_view", "_preds",
+        "_depths",
     )
 
     def __init__(
@@ -118,6 +120,7 @@ class SnapshotGraph:
         self._name_list: Optional[list[str]] = None
         self._view: Optional[IntView] = None
         self._preds: Optional[list[tuple[int, ...]]] = None
+        self._depths: Optional[dict[int, tuple[int, int]]] = None
 
     # Benign data races: a second build of a derived view yields an equal
     # one, so no lock is needed for concurrent readers.
@@ -165,6 +168,17 @@ class SnapshotGraph:
                 adj = _rows(self._targets.tolist(), self._offsets.tolist())
                 view = self._view = IntView(names, dict(zip(names, range(len(names)))), adj)
         return view
+
+    def depth_memo(self) -> dict[int, tuple[int, int]]:
+        """Node id to the ``(depth, far)`` pair that
+        :func:`depnet.graphops.dependency_depth` found for it, ``far`` being
+        one node at exactly that distance; created empty on first use and
+        filled only by those queries. Every entry is exact, so a write lost
+        between concurrent queries costs only a later hit."""
+        depths = self._depths
+        if depths is None:
+            depths = self._depths = {}
+        return depths
 
     def in_adjacency(self) -> list[tuple[int, ...]]:
         """In-neighbour ids of every node, each in id order; built on first

@@ -16,13 +16,33 @@ from depnet.ingest import (
     load_dataset_dir,
 )
 from depnet.snapshot import SnapshotGraph
-from depnet.fixtures import tiny_dataset, write_dataset
+from depnet.fixtures import GeneratorConfig, tiny_dataset, write_dataset
 from depnet.stats import SurvivalSample
+
+
+# Perf fixture: 100k packages over 60 months, ~471k dependency rows.
+PERF_CFG = GeneratorConfig(
+    n_packages=100_000,
+    months=60,
+    seed=20170401,
+    attachment_bias=1.0,
+    mean_deps=2.5,
+    update_rate=0.03,
+)
 
 
 @pytest.fixture(scope="session")
 def tiny():
     return tiny_dataset()
+
+
+def skip_unless_perf_selected(request, reason: str) -> None:
+    """Skip a test marked ``perf`` unless the run selects that marker
+    (``-m perf``)."""
+    if request.node.get_closest_marker("perf") and "perf" not in request.config.getoption(
+        "markexpr"
+    ):
+        pytest.skip(reason)
 
 
 def csr_arrays(adj) -> tuple[np.ndarray, np.ndarray]:

@@ -45,7 +45,7 @@ from depnet.stats import (
     normalized_gini,
 )
 
-from conftest import make_graph, random_graph, survival_sample
+from conftest import PERF_CFG, make_graph, random_graph, survival_sample
 from test_graphops import UnionFind, closure_matrix
 from test_indices import h_index_sorted_scan
 from test_stats import gini_pairwise
@@ -63,15 +63,6 @@ def criterion(name: str):
 
 TINY_CUTOFF = datetime(2020, 4, 1)
 
-# Perf fixture: 100k packages over 60 months, ~471k dependency rows.
-PERF_CFG = GeneratorConfig(
-    n_packages=100_000,
-    months=60,
-    seed=20170401,
-    attachment_bias=1.0,
-    mean_deps=2.5,
-    update_rate=0.03,
-)
 # Regression baseline measured once at the fixed seed.
 PERF_IN_DEGREE_GINI = 0.8513781112328933
 

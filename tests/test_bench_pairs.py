@@ -90,6 +90,10 @@ def peak_pairs(parent: list[float], head: list[float]) -> list[dict]:
     ([151.0, 151.5] * 5, "unchanged"),
     # Worse by more than 10 % of the parent's median.
     ([167.0] * 10, "regression"),
+    # Better in every pair, but in 4 pairs or 1 pair (the first of the
+    # parent's), not the ten a claim needs.
+    ([110.0] * 4, "unchanged"),
+    ([110.0], "unchanged"),
 ])
 def test_verdict_against_the_bound(head, verdict):
     tool = load_tool()
@@ -97,7 +101,7 @@ def test_verdict_against_the_bound(head, verdict):
     summary = tool.summarise(peak_pairs(parent, head), BETTER, BOUNDS)
     entry = summary["metrics"]["peak_rss_mb"]
     assert (entry["bound"], entry["verdict"]) == (0.1, verdict)
-    # Ten equal pairs of the other metrics change nothing.
+    # Equal pairs of the other metrics change nothing.
     assert summary["metrics"]["wall_s"]["verdict"] == "unchanged"
 
 

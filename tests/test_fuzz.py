@@ -23,6 +23,8 @@ from depnet import cli
 from depnet.fixtures import GeneratorConfig, generate, write_dataset
 from depnet.ingest import COLUMN_FILE
 
+from conftest import skip_unless_perf_selected
+
 CSV_FILES = ("packages.csv", "releases.csv", "dependencies.csv")
 COMMANDS = (
     ("validate",),
@@ -85,10 +87,7 @@ def _mutated(rng: random.Random, data: bytes) -> tuple[str, bytes]:
 def _seeds(request, seeds: range) -> range:
     """``seeds``; a test marked ``perf`` runs only when the run selects
     that marker."""
-    if request.node.get_closest_marker("perf") and "perf" not in request.config.getoption(
-        "markexpr"
-    ):
-        pytest.skip("more trials: run with -m perf")
+    skip_unless_perf_selected(request, "more trials: run with -m perf")
     return seeds
 
 

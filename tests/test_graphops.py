@@ -1,13 +1,18 @@
 from __future__ import annotations
 
 import random
+import sys
+import threading
+import time
 from collections import deque
 from datetime import datetime
+from itertools import chain
 
 import numpy as np
 import pytest
 
 from depnet import graphops
+from depnet.fixtures import generate
 from depnet.graphops import (
     classify,
     connected_packages,
@@ -24,7 +29,7 @@ from depnet.graphops import (
 )
 from depnet.snapshot import build_snapshot
 
-from conftest import make_graph, random_graph
+from conftest import PERF_CFG, make_graph, random_graph, skip_unless_perf_selected
 
 TINY_CUTOFF = datetime(2020, 4, 1)
 
@@ -66,6 +71,58 @@ def bfs_eccentricity(g, start):
                 dist[nxt] = dist[node] + 1
                 queue.append(nxt)
     return max(dist.values())
+
+
+QUERY_ORDERS = ("ids", "reversed", "shuffled", "repeats")
+
+
+def query_order(order: str, nodes: list[str], rng: random.Random) -> list[str]:
+    """``nodes`` in id order, reversed, shuffled with ``rng``, or as many
+    picks with ``rng`` as there are nodes followed by every node."""
+    if order == "ids":
+        return list(nodes)
+    if order == "reversed":
+        return nodes[::-1]
+    if order == "shuffled":
+        return rng.sample(nodes, len(nodes))
+    return [rng.choice(nodes) for _ in nodes] + list(nodes)
+
+
+def assert_depths_in_order(g, order: list[str], want: dict[str, int]) -> None:
+    """``dependency_depth`` on ``g`` for each of ``order`` in turn, against
+    ``want``."""
+    assert [(p, dependency_depth(g, p)) for p in order] == [(p, want[p]) for p in order]
+
+
+def _funnel_cases() -> dict[str, tuple[list[str], list[tuple[str, str]]]]:
+    """Named graphs on which a depth query meets a level of one node."""
+    cycle = [f"c{i}" for i in range(8)]
+    tail_in = [f"t{i}" for i in range(4)]
+    tail_out = [f"u{i}" for i in range(3)]
+    dependents = [f"d{i:02d}" for i in range(40)]
+    return {
+        "2-cycle": (["a", "b"], [("a", "b"), ("b", "a")]),
+        # A path into the cycle at c0, and one out of it at c5.
+        "long cycle with tails": (
+            tail_in + cycle + tail_out,
+            [*zip(cycle, cycle[1:] + cycle[:1]), *zip(tail_in, tail_in[1:] + ["c0"]),
+             *zip(["c5"] + tail_out, tail_out)],
+        ),
+        # Every dependent needs the hub, which needs a short chain; every
+        # fifth one also needs the chain's sink directly.
+        "hub with many dependents": (
+            ["hub", "x", "y", *dependents],
+            [("hub", "x"), ("x", "y"), *((d, "hub") for d in dependents),
+             *((d, "y") for d in dependents[::5])],
+        ),
+        # The sink s is the single node at level 1 of p and at level 2 of q.
+        "sink as the single frontier node": (
+            ["q", "p", "s", "r"], [("q", "p"), ("p", "s"), ("r", "p"), ("r", "s")],
+        ),
+    }
+
+
+FUNNEL_CASES = _funnel_cases()
 
 
 def bfs_closure_sizes(adj):
@@ -282,12 +339,85 @@ class TestDepth:
         if batch is not None:
             monkeypatch.setattr(graphops, "_DEPTH_BATCH", batch)
         rng = random.Random(19)
-        for _ in range(500):
-            nodes, edges = random_graph(rng)
+        order_rng = random.Random(29)
+        graphs = chain(FUNNEL_CASES.values(), (random_graph(rng) for _ in range(500)))
+        for nodes, edges in graphs:
             g = make_graph(nodes, edges)
             want = {p: bfs_eccentricity(g, p) for p in nodes}
             assert dependency_depths(g) == want
-            assert {p: dependency_depth(g, p) for p in nodes} == want
+            for order in QUERY_ORDERS:
+                queries = query_order(order, nodes, order_rng)
+                assert_depths_in_order(make_graph(nodes, edges), queries, want)
+
+    def test_known_level_whose_far_node_is_seen_falls_back(self):
+        # b's BFS meets a alone at level 1, and a's far node is b itself.
+        g = make_graph(["a", "b"], [("a", "b"), ("b", "a")])
+        assert [dependency_depth(g, "a"), dependency_depth(g, "b")] == [1, 1]
+        assert g.depth_memo() == {0: (1, 1), 1: (1, 0)}
+
+    def test_known_level_takes_the_far_node_of_its_answer(self):
+        nodes = ["p", "q", "r", "s"]
+        g = make_graph(nodes, list(zip(nodes, nodes[1:])))
+        assert [dependency_depth(g, p) for p in reversed(nodes)] == [0, 1, 2, 3]
+        assert g.depth_memo() == {3: (0, 3), 2: (1, 3), 1: (2, 3), 0: (3, 3)}
+
+    def test_memo_holds_only_what_was_asked(self):
+        nodes = [f"p{i}" for i in range(6)]
+        g = make_graph(nodes, list(zip(nodes, nodes[1:])))
+        assert g.depth_memo() == {}
+        assert dependency_depths(g)["p0"] == 5
+        assert g.depth_memo() == {}
+        assert dependency_depth(g, "p2") == 3
+        assert g.depth_memo() == {2: (3, 5)}
+
+    def test_path_from_the_sink_end_is_linear(self):
+        # One BFS per query would walk n * (n - 1) / 2 edges: about a minute.
+        n = 20_000
+        nodes = [f"p{i:05d}" for i in range(n)]
+        g = make_graph(nodes, list(zip(nodes, nodes[1:])))
+        g.int_view()
+        start = time.perf_counter()
+        depths = [dependency_depth(g, p) for p in reversed(nodes)]
+        elapsed = time.perf_counter() - start
+        assert depths == list(range(n))
+        assert elapsed < 5.0, f"{n} queries took {elapsed:.1f} s"
+
+    def test_concurrent_queries_match_bfs_oracle(self):
+        rng = random.Random(23)
+        graphs = [random_graph(rng, max_nodes=300, density=0.01) for _ in range(20)]
+        graphs.append(FUNNEL_CASES["hub with many dependents"])
+        # Threads switch every microsecond, so that the queries interleave.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for nodes, edges in graphs:
+                want = {p: bfs_eccentricity(make_graph(nodes, edges), p) for p in nodes}
+                g = make_graph(nodes, edges)
+                g.int_view()
+                orders = [query_order(order, nodes, rng) for order in QUERY_ORDERS]
+                barrier = threading.Barrier(len(orders), timeout=60)
+                got: list[list[int]] = [[] for _ in orders]
+
+                def query(k: int) -> None:
+                    barrier.wait()
+                    got[k] = [dependency_depth(g, p) for p in orders[k]]
+
+                threads = [threading.Thread(target=query, args=(k,)) for k in range(len(orders))]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert got == [[want[p] for p in order] for order in orders]
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.perf
+    def test_every_package_at_scale_matches_the_batch(self, request):
+        skip_unless_perf_selected(request, "the 100k-package fixture: run with -m perf")
+        g = build_snapshot(generate(PERF_CFG), datetime(2015, 10, 1))
+        want = dependency_depths(g)
+        assert {p: dependency_depth(g, p) for p in sorted(g.names)} == want
 
 
 class TestRoles:

@@ -54,6 +54,8 @@ WORK = ROOT / ".bench-pairs"
 FIXED_MMAP = {"MALLOC_MMAP_THRESHOLD_": "131072"}
 # The share of all pairs run that the working tree must win to claim a gain.
 GAIN_WINS = Fraction(9, 10)
+# The fewest pairs run on which a gain can be claimed.
+GAIN_PAIRS = 10
 
 
 def _git(*args: str) -> bytes:
@@ -116,9 +118,10 @@ def verdict(entry: dict, pairs: int, bound: float) -> str:
     run, for a metric whose median may be worse than the parent's by at
     most ``bound``, a share of the parent's median:
 
-    * ``gain``: the working tree won at least ``GAIN_WINS`` of all pairs
-      run, ties counting for neither side, and its median is better than
-      the parent's by more than the parent's quartile spread;
+    * ``gain``: at least ``GAIN_PAIRS`` pairs were run, the working tree
+      won at least ``GAIN_WINS`` of them, ties counting for neither side,
+      and its median is better than the parent's by more than the
+      parent's quartile spread;
     * ``regression``: its median is worse by more than the bound;
     * ``unresolved``: the parent's quartile spread is wider than the bound,
       and not every run of the working tree reads better than every run
@@ -130,7 +133,7 @@ def verdict(entry: dict, pairs: int, bound: float) -> str:
     sign = -1 if entry["better"] == "higher" else 1
     gap = sign * (parent["median"] - head["median"])  # > 0 when the tree is better
     spread = parent["q3"] - parent["q1"]
-    if head["wins"] >= GAIN_WINS * pairs and gap > spread:
+    if pairs >= GAIN_PAIRS and head["wins"] >= GAIN_WINS * pairs and gap > spread:
         return "gain"
     if -gap > bound * abs(parent["median"]):
         return "regression"
