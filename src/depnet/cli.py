@@ -48,14 +48,10 @@ from .indices import changeability_index, p_impact_index, reusability_index
 from .ingest import (
     DEFAULT_INCLUDED_KINDS,
     _BLOCK_ROWS,
-    _column_key,
     _dataset_digest,
-    _last_time,
-    _read_columns,
-    _write_columns,
-    filter_dependencies,
-    load_dataset_dir,
     load_exclusions,
+    load_filtered,
+    parse_filtered,
     validate_dataset,
     write_csv,
 )
@@ -94,43 +90,13 @@ def _add_output_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _dataset_options(args):
-    """The dataset directory, the cutoff, the kinds and the excluded names
-    that the dataset options give, and the key of the column file for them."""
-    directory = Path(args.dataset)
+def _dataset_arguments(args) -> tuple:
+    """The arguments of ``load_filtered`` and ``parse_filtered`` that the
+    dataset options give; a blank item of --kinds names no kind."""
     cutoff = parse_instant(args.cutoff) if args.cutoff else None
-    kinds = (
-        {k.strip().lower() for k in args.kinds.split(",") if k.strip()}
-        if args.kinds
-        else DEFAULT_INCLUDED_KINDS
-    )
-    excluded = load_exclusions(args.exclude_file) if args.exclude_file else set()
-    return directory, cutoff, kinds, excluded, _column_key(directory, kinds, excluded)
-
-
-def _load_raw_and_filtered(args):
-    """The dataset as parsed, and as filtered by --kinds and --exclude-file.
-    Writes the column file that later commands load."""
-    directory, cutoff, kinds, excluded, key = _dataset_options(args)
-    dataset = load_dataset_dir(directory, cutoff=cutoff, ecosystem=args.ecosystem)
-    filtered = filter_dependencies(dataset, kinds, excluded)
-    _write_columns(directory, key, filtered, _last_time(dataset.release_time))
-    return dataset, filtered
-
-
-def _load(args):
-    """The dataset as filtered by --kinds and --exclude-file: from the
-    column file when its key matches, else parsed and filtered, which
-    writes the column file."""
-    directory, cutoff, kinds, excluded, key = _dataset_options(args)
-    filtered = _read_columns(directory, key, cutoff, args.ecosystem)
-    if filtered is None:
-        dataset = load_dataset_dir(directory, cutoff=cutoff, ecosystem=args.ecosystem)
-        filtered = filter_dependencies(dataset, kinds, excluded)
-        last_release = _last_time(dataset.release_time)
-        del dataset  # so that the write adds no memory to the parse's peak
-        _write_columns(directory, key, filtered, last_release)
-    return filtered
+    kinds = [k for k in args.kinds.split(",") if k.strip()] if args.kinds else DEFAULT_INCLUDED_KINDS
+    excluded = load_exclusions(args.exclude_file) if args.exclude_file else ()
+    return args.dataset, cutoff, args.ecosystem, kinds, excluded
 
 
 def _fmt(value) -> str:
@@ -260,7 +226,7 @@ def _index_table(ecosystem: str, name: str, parameter, month_rows) -> Table:
 
 
 def _cmd_validate(args) -> Table:
-    dataset, filtered = _load_raw_and_filtered(args)
+    dataset, filtered = parse_filtered(*_dataset_arguments(args))
     report = validate_dataset(dataset, burst_factor=args.burst_factor)
     fr = filtered.filter_report
 
@@ -293,14 +259,14 @@ def _cmd_validate(args) -> Table:
 
 
 def _cmd_snapshot(args) -> Table:
-    d = _load(args)
+    d = load_filtered(*_dataset_arguments(args))
     g = build_snapshot(d, parse_instant(args.at))
     row = (g.at.isoformat(), g.n_nodes, g.n_edges, g.dropped_deps)
     return _table(d.ecosystem, "snapshot", ["at", "packages", "dependencies", "dropped_deps"], [row])
 
 
 def _cmd_series(args) -> Table:
-    d = _load(args)
+    d = load_filtered(*_dataset_arguments(args))
     first = parse_month(getattr(args, "from"))
     last = parse_month(args.to)
     if args.what == "growth":
@@ -359,7 +325,7 @@ def _index_parameter(name: str, args):
 
 
 def _cmd_distribution(args) -> Table:
-    d = _load(args)
+    d = load_filtered(*_dataset_arguments(args))
     at = parse_instant(args.at)
     metric = f"distribution_{args.what}"
     if args.what == "deps":
@@ -385,7 +351,7 @@ def _cmd_distribution(args) -> Table:
 
 
 def _cmd_survival(args) -> Table:
-    d = _load(args)
+    d = load_filtered(*_dataset_arguments(args))
     split = args.split_required or args.logrank
     samples = survival_dataset(d, split_by_required=split)
     if not split:
@@ -414,7 +380,7 @@ def _cmd_survival(args) -> Table:
 
 
 def _cmd_inequality(args) -> Table:
-    d = _load(args)
+    d = load_filtered(*_dataset_arguments(args))
     if args.what == "updates":
         if not args.window:
             raise ValueError("inequality updates requires --window START END")
@@ -438,7 +404,7 @@ def _cmd_inequality(args) -> Table:
 
 
 def _cmd_index(args) -> Table:
-    d = _load(args)
+    d = load_filtered(*_dataset_arguments(args))
     at = parse_instant(args.at)
     name = _index_name(args.name)
     if name == "changeability":

@@ -1101,7 +1101,7 @@ def filter_dependencies(
     Its target table is its package table, and every target code is the
     target's package id.
     """
-    include = {k.strip().lower() for k in included_kinds}
+    include = _included_kinds(included_kinds)
     excluded = set(excluded_packages)
     source = d.dependency_source
     if excluded.isdisjoint(d.package_ids):
@@ -1160,6 +1160,12 @@ def filter_dependencies(
         ),
         d.cutoff, d.ecosystem, report,
     )
+
+
+def _included_kinds(kinds: Iterable[str]) -> frozenset[str]:
+    """The dependency kinds that a filter by ``kinds`` keeps: each one
+    stripped and lowercased, as the parse lowercases the kind column."""
+    return frozenset(k.strip().lower() for k in kinds)
 
 
 def _run_starts(ordered: np.ndarray) -> np.ndarray:
@@ -1235,9 +1241,9 @@ def _dataset_digest(directory: Path) -> tuple[str, list[Optional[int]]]:
     return digest.hexdigest(), sizes
 
 
-# The column file holds a filtered Dataset's columns beside its CSVs; the
-# CLI writes it after a parse and reads it in place of the next parse and
-# filter. It is laid out as an uncompressed ``np.savez`` archive of plain
+# The column file holds a filtered Dataset's columns beside its CSVs;
+# :func:`load_filtered` reads it in place of a parse and filter, and writes
+# it after one. It is laid out as an uncompressed ``np.savez`` archive of plain
 # arrays, read back with ``np.load(..., allow_pickle=False)``, so loading
 # it runs no code. Each column is stored in its in-memory form: ids and
 # release times as int64, each string column as its int64 codes and its
@@ -1423,6 +1429,39 @@ def _stored_coded(archive, name: str) -> Coded:
     if len(set(table)) != len(table):
         raise ValueError(f"the table of {name} repeats a value")
     return Coded(_in_range(archive[name + "_codes"], 0, len(table)), table)
+
+
+def load_filtered(directory, cutoff=None, ecosystem=None, kinds=DEFAULT_INCLUDED_KINDS,
+                  excluded=()) -> Dataset:
+    """The dataset in ``directory``, as :func:`load_dataset_dir` loads it
+    with ``cutoff`` and ``ecosystem`` and :func:`filter_dependencies`
+    filters it by ``kinds`` and ``excluded``. It is read from the column
+    file when the file's key matches, and otherwise parsed and filtered,
+    which writes the column file for the next load."""
+    directory, kinds, excluded = Path(directory), _included_kinds(kinds), frozenset(excluded)
+    key = _column_key(directory, kinds, excluded)
+    filtered = _read_columns(directory, key, cutoff, ecosystem)
+    if filtered is None:
+        filtered = _parse_filtered(directory, key, cutoff, ecosystem, kinds, excluded)[1]
+    return filtered
+
+
+def parse_filtered(directory, cutoff=None, ecosystem=None, kinds=DEFAULT_INCLUDED_KINDS,
+                   excluded=()) -> tuple[Dataset, Dataset]:
+    """The dataset as parsed, and as filtered, by the arguments of
+    :func:`load_filtered`. It always parses, and writes the column file."""
+    directory, kinds, excluded = Path(directory), _included_kinds(kinds), frozenset(excluded)
+    key = _column_key(directory, kinds, excluded)
+    return _parse_filtered(directory, key, cutoff, ecosystem, kinds, excluded)
+
+
+def _parse_filtered(directory, key, cutoff, ecosystem, kinds, excluded):
+    """The dataset parsed and filtered, after the filtered one is written
+    to the column file under ``key``."""
+    dataset = load_dataset_dir(directory, cutoff=cutoff, ecosystem=ecosystem)
+    filtered = filter_dependencies(dataset, kinds, excluded)
+    _write_columns(directory, key, filtered, _last_time(dataset.release_time))
+    return dataset, filtered
 
 
 @dataclass(frozen=True, slots=True)

@@ -910,11 +910,13 @@ class TestColumnFile:
     DATASET = ["dependencies.csv", "manifest.json", "packages.csv", "releases.csv"]
 
     @staticmethod
-    def key(tiny_dir, *options) -> str:
-        args = cli.build_parser().parse_args(
-            [*TestColumnFile.GROWTH, *map(str, options), "--dataset", str(tiny_dir)]
-        )
-        return cli._dataset_options(args)[-1]
+    def key(tiny_dir, kinds=ingest.DEFAULT_INCLUDED_KINDS, excluded=()) -> str:
+        return ingest._column_key(tiny_dir, ingest._included_kinds(kinds), frozenset(excluded))
+
+    @staticmethod
+    def stored_key(tiny_dir) -> str:
+        with np.load(tiny_dir / COLUMN_FILE) as archive:
+            return json.loads(archive["meta"].tobytes())["key"]
 
     @staticmethod
     def listing(directory) -> list[str]:
@@ -927,17 +929,20 @@ class TestColumnFile:
         exclude = tiny_dir.parent / "exclude.txt"
         exclude.write_text("b\n", encoding="utf-8")
         options = ["--kinds", "runtime", "--exclude-file", exclude]
+        kinds, excluded = {"runtime"}, {"b"}
         argv = [*self.GROWTH, *tiny_args(tiny_dir)]
         invoke(capsys, *argv, *options)
-        old_key = self.key(tiny_dir, *options)
+        old_key = self.key(tiny_dir, kinds, excluded)
         assert ingest._read_columns(tiny_dir, old_key, None, None) is not None
         if change == "kinds":
             options[1] = "runtime,dev"
+            kinds = {"runtime", "dev"}
         elif change == "exclusions":
             exclude.write_text("c\n", encoding="utf-8")
+            excluded = {"c"}
         else:
             _increment_last_value_byte(tiny_dir / change)
-        new_key = self.key(tiny_dir, *options)
+        new_key = self.key(tiny_dir, kinds, excluded)
         assert new_key != old_key
         assert ingest._read_columns(tiny_dir, new_key, None, None) is None
         stale = invoke(capsys, *argv, *options)
@@ -1047,7 +1052,7 @@ class TestColumnFile:
         snapshot = ("snapshot", "--at", "2020-01-15", "--dataset", data)
         assert invoke(capsys, *snapshot, *written)[0] == 0
         with monkeypatch.context() as patch:
-            patch.setattr(cli, "load_dataset_dir", _no_parse)
+            patch.setattr(ingest, "load_dataset_dir", _no_parse)
             warm = invoke(capsys, *snapshot, *wrong)
         (data / COLUMN_FILE).unlink()
         assert invoke(capsys, *snapshot, *wrong) == warm

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from depnet import cli
+from depnet import ingest
 from depnet.cli import build_parser, run
 from depnet.fixtures import GeneratorConfig, generate, write_dataset, write_tiny
 from depnet.ingest import COLUMN_FILE
@@ -189,7 +189,7 @@ def test_cli_output_matches_golden_warm(fixture_dirs, golden, case, jobs, monkey
     every command but validate, which needs the raw rows, skips the parse."""
     outcome(fixture_dirs, case, jobs)
     if not case.split("/")[1].startswith("validate"):
-        monkeypatch.setattr(cli, "load_dataset_dir", _no_parse)
+        monkeypatch.setattr(ingest, "load_dataset_dir", _no_parse)
     check_case(fixture_dirs, golden, case, jobs)
 
 

@@ -1,6 +1,6 @@
 """Property tests: a Dataset written by ``write_dataset`` loads back equal,
-and the CLI's load gives equal Datasets from the CSVs and from the column
-file.
+and ``load_filtered`` gives equal Datasets from the CSVs and from the
+column file.
 
 Every string column draws on commas, quotes, newlines, carriage returns,
 padding and non-ASCII text. Examples are derandomized so that the suite
@@ -19,7 +19,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from depnet import cli  # noqa: E402
+from depnet import ingest  # noqa: E402
 from depnet.fixtures import write_dataset  # noqa: E402
 from depnet.ingest import (  # noqa: E402
     COLUMN_FILE,
@@ -28,6 +28,7 @@ from depnet.ingest import (  # noqa: E402
     PackageRecord,
     ReleaseRecord,
     load_dataset_dir,
+    load_filtered,
 )
 
 _CHARS = st.one_of(
@@ -95,33 +96,23 @@ def _columns(d: Dataset) -> dict:
     }
 
 
-def _option_value(value: str) -> bool:
-    """True when ``value`` reads back unchanged from --kinds or an
-    exclusion file line."""
-    return value != "" and value == value.strip() and not any(c in value for c in ",\n\r")
-
-
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
 @given(datasets(), st.booleans(), st.booleans(), st.sampled_from([None, "2020-06-01"]))
 def test_cold_and_warm_loads_are_equal(d, filter_kinds, exclude, cutoff):
     with tempfile.TemporaryDirectory() as tmp:
         directory = Path(tmp) / "d"
         write_dataset(d, directory)
-        argv = ["snapshot", "--at", "2019-01", "--dataset", str(directory)]
+        options = {}
         if filter_kinds:
-            kinds = sorted({dep.kind for dep in d.dependencies if _option_value(dep.kind)})
-            argv.append("--kinds=" + (",".join(kinds) or "runtime"))
+            options["kinds"] = sorted({dep.kind for dep in d.dependencies}) or ["runtime"]
         if exclude:
-            names = [name for name in d.names if _option_value(name)][:1]
-            (Path(tmp) / "exclude.txt").write_text("".join(n + "\n" for n in names), "utf-8")
-            argv += ["--exclude-file", str(Path(tmp) / "exclude.txt")]
+            options["excluded"] = d.names[:1]
         if cutoff:
-            argv += ["--cutoff", cutoff]
-        args = cli.build_parser().parse_args(argv)
-        cold = cli._load(args)
+            options["cutoff"] = datetime.fromisoformat(cutoff)
+        cold = load_filtered(directory, **options)
         assert (directory / COLUMN_FILE).is_file()
-        with mock.patch.object(cli, "load_dataset_dir", side_effect=AssertionError):
-            warm = cli._load(args)
+        with mock.patch.object(ingest, "load_dataset_dir", side_effect=AssertionError):
+            warm = load_filtered(directory, **options)
         assert _columns(warm) == _columns(cold)
         # Filtered targets are coded into the package table, cold and warm.
         assert cold.dependency_target.table is cold.names
