@@ -22,7 +22,7 @@ import statistics
 import sys
 import zipfile
 from collections.abc import Callable, Iterable, Iterator, Sequence, Set as AbstractSet
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timedelta
 from itertools import chain, islice, repeat
@@ -547,7 +547,7 @@ def _open(path: Path):
 
 
 def _not_utf8(path: Path) -> DatasetError:
-    """The error for the CSV file at ``path``, which is not UTF-8: it names
+    """The error for the text file at ``path``, which is not UTF-8: it names
     the physical line of the first byte that does not decode, found by a
     re-read that runs only on failure."""
     data = path.read_bytes()
@@ -988,7 +988,11 @@ class _Coder:
         self.codes += map(code.setdefault, values, map(len, repeat(code)))
 
     def column(self) -> Coded:
-        return Coded(np.array(self.codes, np.int64), list(self.code))
+        """The codes as an int64 array, with the table. The list of codes
+        is let go as the array is made, so that the two do not outlive
+        this call together."""
+        codes, self.codes = self.codes, []
+        return Coded(np.array(codes, np.int64), list(self.code))
 
 
 def _checked_cutoff(
@@ -1049,10 +1053,16 @@ def _read_manifest(path: Path) -> tuple[Optional[datetime], Optional[str]]:
         text = path.read_text(encoding="utf-8")
     except FileNotFoundError:
         return None, None
+    except UnicodeDecodeError:
+        raise DatasetError(f"{path}: not valid UTF-8") from None
     try:
         manifest = json.loads(text)
+        if not isinstance(manifest, dict):
+            raise DatasetError(f"{path}: not a JSON object")
         raw = manifest.get("cutoff")
         cutoff = None if raw is None else parse_timestamp(raw)
+    except DatasetError:
+        raise
     except (ValueError, AttributeError, TypeError) as exc:
         raise DatasetError(f"{path}: unreadable cutoff: {exc}") from None
     ecosystem = manifest.get("ecosystem")
@@ -1064,11 +1074,14 @@ def _read_manifest(path: Path) -> tuple[Optional[datetime], Optional[str]]:
 def load_exclusions(path) -> set[str]:
     """Read an exclusion list: one package name per line, blanks ignored."""
     names = set()
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            name = line.strip()
-            if name:
-                names.add(name)
+    try:
+        with open(path, encoding="utf-8") as handle:
+            for line in handle:
+                name = line.strip()
+                if name:
+                    names.add(name)
+    except UnicodeDecodeError:
+        raise _not_utf8(Path(path)) from None
     return names
 
 
@@ -1314,7 +1327,9 @@ def _write_columns(
 ) -> None:
     """Store the columns of ``d`` in the column file of ``directory`` under
     ``key``. The file is written under a temporary name and then moved into
-    place; a write that fails leaves no file behind and raises nothing.
+    place; a write that fails leaves no file behind and raises nothing,
+    and one that is interrupted re-raises after removing its temporary
+    file.
     Members are made and written one at a time, as ``np.savez`` would lay
     them out, so that at most one column's arrays exist at once."""
     meta = {
@@ -1330,10 +1345,10 @@ def _write_columns(
                     np.lib.format.write_array(member, array, allow_pickle=False)
         os.replace(tmp, directory / COLUMN_FILE)
     except (OSError, ValueError):
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+        pass
+    finally:
+        with suppress(OSError):
+            os.unlink(tmp)  # gone after the replace
 
 
 def _column_arrays(d: Dataset, meta: dict):

@@ -131,6 +131,28 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err == f"depnet: {data / 'releases.csv'}, line 2: {message}\n"
 
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("text, message", [
+        (b"\xff\xfe{}", "not valid UTF-8"),
+        (b'["cutoff", "2020-04-01"]', "not a JSON object"),
+    ], ids=["not utf-8", "array"])
+    def test_unreadable_manifest_is_one_line_naming_it(self, capsys, tiny_dir, text, message,
+                                                       warm):
+        snapshot = ("snapshot", "--at", "2020-01-15", "--dataset", tiny_dir)
+        if warm:
+            assert invoke(capsys, *snapshot)[0] == 0
+        (tiny_dir / "manifest.json").write_bytes(text)
+        code, out, err = invoke(capsys, *snapshot)
+        assert (code, out) == (1, "")
+        assert err == f"depnet: {tiny_dir / 'manifest.json'}: {message}\n"
+
+    def test_exclusion_file_not_utf8_names_file_and_line(self, capsys, tiny_dir):
+        exclude = tiny_dir.parent / "exclude.txt"
+        exclude.write_bytes(b"b\n\xff\n")
+        code, out, err = invoke(capsys, "validate", *tiny_args(tiny_dir), "--exclude-file", exclude)
+        assert (code, out) == (1, "")
+        assert err == f"depnet: {exclude}, line 2: not valid UTF-8\n"
+
     def test_inverted_range_is_data_error(self, capsys, tiny_dir):
         code, _, err = invoke(
             capsys,
@@ -897,6 +919,10 @@ def _refuse(*args, **kwargs):
     raise PermissionError(13, "Permission denied")
 
 
+def _interrupt(*args, **kwargs):
+    raise KeyboardInterrupt
+
+
 def _no_parse(*args, **kwargs):
     raise AssertionError("the CSVs were parsed")
 
@@ -948,6 +974,22 @@ class TestColumnFile:
         stale = invoke(capsys, *argv, *options)
         (tiny_dir / COLUMN_FILE).unlink(missing_ok=True)
         assert invoke(capsys, *argv, *options) == stale
+
+    def test_padded_kinds_share_the_key(self, capsys, tiny_dir, monkeypatch):
+        """--kinds ' Runtime ,' filters by the kinds of --kinds runtime, so
+        each reads the column file that the other wrote, and both print
+        one table, cold and warm."""
+        argv = [*self.GROWTH, *tiny_args(tiny_dir)]
+        outputs, keys = [], []
+        for cold, warm in ((" Runtime ,", "runtime"), ("runtime", " Runtime ,")):
+            (tiny_dir / COLUMN_FILE).unlink(missing_ok=True)
+            outputs.append(invoke(capsys, *argv, "--kinds", cold))
+            keys.append(self.stored_key(tiny_dir))
+            with monkeypatch.context() as patch:
+                patch.setattr(ingest, "load_dataset_dir", _no_parse)
+                outputs.append(invoke(capsys, *argv, "--kinds", warm))
+        assert keys == [self.key(tiny_dir, {"runtime"})] * 2
+        assert outputs[0][0] == 0 and outputs[0][1] and outputs == [outputs[0]] * 4
 
     @pytest.mark.parametrize(
         "damage",
@@ -1026,15 +1068,28 @@ class TestColumnFile:
         assert ingest._read_columns(tiny_dir, key, cutoff, None) is None
         assert invoke(capsys, *argv) == expected
 
-    @pytest.mark.parametrize("failing", [(os, "replace"), (np.lib.format, "write_array")])
+    @pytest.mark.parametrize("failing", [
+        (os, "replace", _refuse), (np.lib.format, "write_array", _refuse),
+        (np.lib.format, "write_array", _interrupt),
+    ])
     def test_failed_write_leaves_no_file(self, capsys, tiny_dir, monkeypatch, failing):
+        """A write that fails leaves no file and the command prints its
+        table; one that is interrupted leaves no file either, and the
+        interrupt reaches the caller."""
         argv = [*self.GROWTH, *tiny_args(tiny_dir)]
+        expected = invoke(capsys, *argv)
+        assert expected[0] == 0 and expected[2] == ""
+        (tiny_dir / COLUMN_FILE).unlink()
         with monkeypatch.context() as patch:
-            patch.setattr(*failing, _refuse)
-            failed = invoke(capsys, *argv)
-        assert failed[0] == 0 and failed[2] == ""
+            patch.setattr(*failing)
+            if failing[2] is _interrupt:
+                with pytest.raises(KeyboardInterrupt):
+                    run([str(a) for a in argv])
+                capsys.readouterr()
+            else:
+                assert invoke(capsys, *argv) == expected
         assert self.listing(tiny_dir) == self.DATASET
-        assert invoke(capsys, *argv) == failed
+        assert invoke(capsys, *argv) == expected
         assert self.listing(tiny_dir) == sorted([*self.DATASET, COLUMN_FILE])
 
     @pytest.mark.parametrize("empty", [False, True])

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from depnet.ingest import (
+    DEFAULT_INCLUDED_KINDS,
     BurstWarning,
     Dataset,
     DatasetError,
@@ -545,6 +546,10 @@ class TestParseErrors:
         assert gc.isenabled() is collector
 
 
+def _no_parse(*args, **kwargs):
+    raise AssertionError("the CSVs were parsed")
+
+
 def _csv_only(monkeypatch) -> None:
     """Make the parse read every file with ``csv.reader``: no chunk is plain."""
     monkeypatch.setattr(ingest, "_plain_lines", lambda data, width: 0)
@@ -925,6 +930,38 @@ class TestFilter:
         f = tmp_path / "excl.txt"
         f.write_text("noise-pkg\n\nother-pkg\n", encoding="utf-8")
         assert load_exclusions(f) == {"noise-pkg", "other-pkg"}
+
+
+class TestLoadFiltered:
+    """``load_filtered`` and ``parse_filtered`` give what
+    ``filter_dependencies(load_dataset_dir(...))`` gives, from the CSVs and
+    from the column file that the parse leaves."""
+
+    @pytest.mark.parametrize("kinds, excluded", [
+        (DEFAULT_INCLUDED_KINDS, ()),
+        ([" Runtime", "DEV "], {"b"}),
+        ((), ["a", "nobody"]),
+    ], ids=["default", "padded kinds and an exclusion", "no kinds"])
+    def test_both_paths_equal_the_filtered_parse(self, tmp_path, monkeypatch, kinds, excluded):
+        packages, releases, deps = tiny_rows()
+        deps += ["d,1.0.0,ghost,*,runtime", "a,1.1.0,e,*,Dev", "c,2.0.0,b,*,test",
+                 "a,1.1.0,b,*,runtime"]
+        directory = write_dataset_csvs(tmp_path / "data", packages, releases, deps)
+        options = {"cutoff": TINY_CUTOFF, "kinds": kinds, "excluded": excluded}
+        raw = load_dataset_dir(directory, cutoff=TINY_CUTOFF)
+        expected = filter_dependencies(raw, kinds, excluded)
+        parsed, cold = ingest.parse_filtered(directory, **options)
+        loaded = [cold, ingest.load_filtered(directory, **options)]
+        (directory / ingest.COLUMN_FILE).unlink()
+        loaded.append(ingest.load_filtered(directory, **options))
+        with monkeypatch.context() as patch:
+            patch.setattr(ingest, "load_dataset_dir", _no_parse)
+            loaded.append(ingest.load_filtered(directory, **options))
+        assert parsed == raw
+        for d in loaded:
+            assert d == expected
+            assert asdict(d.filter_report) == asdict(expected.filter_report)
+            assert d.dependency_target.table is d.names
 
 
 class TestRoundTrip:
