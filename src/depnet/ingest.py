@@ -988,9 +988,9 @@ class _Coder:
         self.codes += map(code.setdefault, values, map(len, repeat(code)))
 
     def column(self) -> Coded:
-        """The codes as an int64 array, with the table. The list of codes
-        is let go as the array is made, so that the two do not outlive
-        this call together."""
+        """The codes as an int64 array, with the table. The coder lets go
+        of its list of codes, so that a parse making several columns does
+        not hold each list beside its array until it returns."""
         codes, self.codes = self.codes, []
         return Coded(np.array(codes, np.int64), list(self.code))
 
@@ -1255,10 +1255,10 @@ def _dataset_digest(directory: Path) -> tuple[str, list[Optional[int]]]:
 
 
 # The column file holds a filtered Dataset's columns beside its CSVs;
-# :func:`load_filtered` reads it in place of a parse and filter, and writes
-# it after one. It is laid out as an uncompressed ``np.savez`` archive of plain
-# arrays, read back with ``np.load(..., allow_pickle=False)``, so loading
-# it runs no code. Each column is stored in its in-memory form: ids and
+# :func:`load_filtered` reads it in place of a parse and filter, and
+# writes it after one. It is laid out as an uncompressed ``np.savez``
+# archive of plain arrays, read back with ``np.load(...,
+# allow_pickle=False)``, so loading it runs no code. Each column is stored in its in-memory form: ids and
 # release times as int64, each string column as its int64 codes and its
 # table, one UTF-8 blob with int64 offsets into the decoded text (package
 # names are coded by their ids). The target column is stored as its codes
@@ -1328,8 +1328,7 @@ def _write_columns(
     """Store the columns of ``d`` in the column file of ``directory`` under
     ``key``. The file is written under a temporary name and then moved into
     place; a write that fails leaves no file behind and raises nothing,
-    and one that is interrupted re-raises after removing its temporary
-    file.
+    and one that is interrupted removes its temporary file and re-raises.
     Members are made and written one at a time, as ``np.savez`` would lay
     them out, so that at most one column's arrays exist at once."""
     meta = {
