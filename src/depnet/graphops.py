@@ -37,7 +37,6 @@ successor keeps only its reach outside cl(G) and adds |cl(G)| to its
 size, which leaves the loop almost nothing in either direction. Every
 bitset but G's is released by its last consumer, keeping peak memory
 proportional to the frontier, not the whole closure.
-The closure runs with the cyclic garbage collector paused.
 Batch depths run one breadth-first search for many sources at once, one
 bit per source, over the derived adjacency rows.
 
@@ -53,7 +52,6 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .ingest import _gc_paused
 from .snapshot import SnapshotGraph, _rows, _sorted_unique, edge_sources, in_degrees
 
 
@@ -524,7 +522,6 @@ def _reaches_all(k: int, src: np.ndarray, dst: np.ndarray) -> bool:
     return False
 
 
-@_gc_paused()
 def _closures(
     n: int, src: np.ndarray, dst: np.ndarray, directions: tuple[bool, ...]
 ) -> list[np.ndarray]:

@@ -12,7 +12,6 @@ references to packages hosted outside the registry.
 from __future__ import annotations
 
 import csv
-import gc
 import hashlib
 import io
 import json
@@ -21,8 +20,8 @@ import os
 import statistics
 import sys
 import zipfile
-from collections.abc import Callable, Iterable, Iterator, Sequence, Set as AbstractSet
-from contextlib import contextmanager, suppress
+from collections.abc import Callable, Iterable, Sequence, Set as AbstractSet
+from contextlib import suppress
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timedelta
 from itertools import chain, islice, repeat
@@ -486,26 +485,6 @@ _CHUNK_BYTES = 1 << 16
 _NUL_IS_DATA = sys.version_info >= (3, 11)
 
 
-@contextmanager
-def _gc_paused() -> Iterator[None]:
-    """Keep the cyclic garbage collector from running inside the block, and
-    restore the state it had on entry, also when the block raises; nested
-    uses keep it paused to the outermost exit. The state is process-wide.
-
-    The parse and the graph kernels allocate many containers that form no
-    cycle (rows, keys, lists of ints), so a collection there frees
-    nothing; a loaded dataset and its index are arrays and string tables,
-    which a full collection does not walk element by element.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
 def _plain_lines(data: bytes, width: int) -> int:
     """The number of lines of ``data`` when it is plain, else 0. Plain
     ``data`` is whole lines, each ended by a newline, that read as rows of
@@ -760,7 +739,6 @@ def write_csv(handle, header: list[str], rows: Iterable[Sequence[str]]) -> None:
                 (quoted if "\r" in line else plain).writerow(row)
 
 
-@_gc_paused()
 def parse_dataset(
     packages_path, releases_path, dependencies_path,
     cutoff: Optional[datetime],
@@ -1085,7 +1063,6 @@ def load_exclusions(path) -> set[str]:
     return names
 
 
-@_gc_paused()
 def filter_dependencies(
     d: Dataset,
     included_kinds: Iterable[str] = DEFAULT_INCLUDED_KINDS,

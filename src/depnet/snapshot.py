@@ -16,10 +16,7 @@ of every snapshot with the span on which it is alive, and every dropped
 dependency row with the span on which it is dropped. A build is the slice
 of that table at t, so it reads no dependency row and makes no Python
 object per node or edge; growth, the dependency ratio and the required
-split of survival read the table for many instants at once. The derived
-views are built with the cyclic garbage collector paused, as the batch
-closure in ``graphops`` is: both allocate many int-only containers, and a
-collection would walk every object of the loaded dataset for nothing.
+split of survival read the table for many instants at once.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ import numpy as np
 
 from .ingest import (
     _OPEN, Coded, Dataset, RecordView, ReleaseRecord, _DatasetIndex, _first_of_each_key,
-    _gc_paused, _micros, _run_starts,
+    _micros, _run_starts,
 )
 from .timeutil import Month, format_month, iter_months, month_of, month_start
 
@@ -163,10 +160,9 @@ class SnapshotGraph:
         """Names, ids and out-adjacency rows; built on first use and cached."""
         view = self._view
         if view is None:
-            with _gc_paused():
-                names = self.names
-                adj = _rows(self._targets.tolist(), self._offsets.tolist())
-                view = self._view = IntView(names, dict(zip(names, range(len(names)))), adj)
+            names = self.names
+            adj = _rows(self._targets.tolist(), self._offsets.tolist())
+            view = self._view = IntView(names, dict(zip(names, range(len(names)))), adj)
         return view
 
     def depth_memo(self) -> dict[int, tuple[int, int]]:
@@ -189,8 +185,7 @@ class SnapshotGraph:
             order = np.argsort(self._targets, kind="stable")
             flat = edge_sources(self._offsets)[order].tolist()
             bounds = [0, *np.cumsum(in_degrees(self._offsets, self._targets)).tolist()]
-            with _gc_paused():
-                preds = self._preds = _rows(flat, bounds)
+            preds = self._preds = _rows(flat, bounds)
         return preds
 
     def out_neighbors(self, package: str) -> tuple[str, ...]:

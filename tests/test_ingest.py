@@ -526,25 +526,6 @@ class TestParseErrors:
                 assert len(set(table)) == len(table) and codes.dtype == np.int64
         assert 100 < failures < 250
 
-    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
-    def collector(self, request):
-        was = gc.isenabled()
-        (gc.enable if request.param else gc.disable)()
-        yield request.param
-        (gc.enable if was else gc.disable)()
-
-    def test_collector_state_kept(self, tmp_path, collector):
-        packages, releases, deps = tiny_rows()
-        releases[3] = "c,1.0.0,nope"
-        with pytest.raises(DatasetError):
-            parse_tiny(tmp_path, packages, releases, deps)
-        assert gc.isenabled() is collector
-        packages, releases, deps = tiny_rows()
-        d = parse_tiny(tmp_path, packages, releases, deps)
-        assert gc.isenabled() is collector
-        filter_dependencies(d, {"runtime"}, {"c"})
-        assert gc.isenabled() is collector
-
 
 def _no_parse(*args, **kwargs):
     raise AssertionError("the CSVs were parsed")

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import gc
 import random
 from datetime import datetime, timedelta
 
@@ -13,7 +12,6 @@ from depnet.ingest import (
     DependencyRecord,
     PackageRecord,
     ReleaseRecord,
-    _gc_paused,
     version_sort_key,
 )
 from depnet.graphops import (
@@ -21,7 +19,6 @@ from depnet.graphops import (
     classify,
     connected_packages,
     top_level_packages,
-    transitive_dependent_counts,
 )
 from depnet.snapshot import (
     IntView,
@@ -354,36 +351,3 @@ class TestEdgeSpansOracle:
                     assert g.names == list(latest), (d, t)
                     assert {p: g.out_neighbors(p) for p in latest} == out, (d, t)
                     assert g.dropped_deps == dropped, (d, t)
-
-
-class TestGcPause:
-    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
-    def collector(self, request):
-        was = gc.isenabled()
-        (gc.enable if request.param else gc.disable)()
-        yield request.param
-        (gc.enable if was else gc.disable)()
-
-    def test_pauses_and_restores(self, collector):
-        with _gc_paused():
-            assert not gc.isenabled()
-            with _gc_paused():
-                assert not gc.isenabled()
-            assert not gc.isenabled()
-        assert gc.isenabled() is collector
-
-    def test_restores_on_exception(self, collector):
-        with pytest.raises(RuntimeError):
-            with _gc_paused():
-                raise RuntimeError
-        assert gc.isenabled() is collector
-
-    def test_kernels_restore(self, collector, tiny):
-        g = build_snapshot(tiny, TINY_CUTOFF)
-        transitive_dependent_counts(g)
-        g.int_view()
-        g.in_adjacency()
-        assert gc.isenabled() is collector
-        with pytest.raises(ValueError):
-            build_snapshot(tiny, datetime(2021, 1, 1))
-        assert gc.isenabled() is collector
