@@ -1035,18 +1035,18 @@ def _read_manifest(path: Path) -> tuple[Optional[datetime], Optional[str]]:
         raise DatasetError(f"{path}: not valid UTF-8") from None
     try:
         manifest = json.loads(text)
-        if not isinstance(manifest, dict):
-            raise DatasetError(f"{path}: not a JSON object")
-        raw = manifest.get("cutoff")
-        cutoff = None if raw is None else parse_timestamp(raw)
-    except DatasetError:
-        raise
-    except (ValueError, AttributeError, TypeError) as exc:
+    except ValueError:
+        raise DatasetError(f"{path}: not valid JSON") from None
+    if not isinstance(manifest, dict):
+        raise DatasetError(f"{path}: not a JSON object")
+    raw, ecosystem = manifest.get("cutoff"), manifest.get("ecosystem")
+    for key, value in (("cutoff", raw), ("ecosystem", ecosystem)):
+        if value is not None and not isinstance(value, str):
+            raise DatasetError(f"{path}: {key} is not a string: {value!r}")
+    try:
+        return None if raw is None else parse_timestamp(raw), ecosystem
+    except ValueError as exc:
         raise DatasetError(f"{path}: unreadable cutoff: {exc}") from None
-    ecosystem = manifest.get("ecosystem")
-    if ecosystem is not None and not isinstance(ecosystem, str):
-        raise DatasetError(f"{path}: ecosystem is not a string: {ecosystem!r}")
-    return cutoff, ecosystem
 
 
 def load_exclusions(path) -> set[str]:

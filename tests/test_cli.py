@@ -135,7 +135,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("text, message", [
         (b"\xff\xfe{}", "not valid UTF-8"),
         (b'["cutoff", "2020-04-01"]', "not a JSON object"),
-    ], ids=["not utf-8", "array"])
+        (b"{", "not valid JSON"),
+        (b'{"cutoff": 5}', "cutoff is not a string: 5"),
+    ], ids=["not utf-8", "array", "not json", "cutoff not a string"])
     def test_unreadable_manifest_is_one_line_naming_it(self, capsys, tiny_dir, text, message,
                                                        warm):
         snapshot = ("snapshot", "--at", "2020-01-15", "--dataset", tiny_dir)
@@ -169,6 +171,7 @@ class TestExitCodes:
         )
         assert (code, out) == (1, "")
         assert err == "depnet: inverted month range: 2021-05 > 2021-02\n"
+
 
     @pytest.mark.parametrize("window", ["0", "-3"])
     def test_series_changeability_rejects_non_positive_window(self, capsys, tiny_dir, window):
