@@ -301,7 +301,9 @@ def update_distribution(d: Dataset, t: datetime) -> UpdateBins:
 
 def _updates_during(d: Dataset, start: datetime, end: datetime) -> tuple[np.ndarray, np.ndarray]:
     """The times and positions of the updates in [start, end); ``ValueError``
-    when end is after the dataset cutoff or before start."""
+    when start is after end, or else when end is after the dataset cutoff."""
+    if start > end:
+        raise ValueError(f"inverted window: {start.isoformat()} > {end.isoformat()}")
     return d.index().updates_during(int(_micros([start])[0]), check_instant(d, end))
 
 

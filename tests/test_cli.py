@@ -172,6 +172,14 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err == "depnet: inverted month range: 2021-05 > 2021-02\n"
 
+    @pytest.mark.parametrize("start, end", [("2021-05", "2021-02"), ("2020-03", "2020-01")],
+                             ids=["past the cutoff", "before the cutoff"])
+    def test_inverted_window_names_both_instants(self, capsys, tiny_dir, start, end):
+        code, out, err = invoke(
+            capsys, "inequality", "updates", "--window", start, end, *tiny_args(tiny_dir),
+        )
+        assert (code, out) == (1, "")
+        assert err == f"depnet: inverted window: {start}-01T00:00:00 > {end}-01T00:00:00\n"
 
     @pytest.mark.parametrize("window", ["0", "-3"])
     def test_series_changeability_rejects_non_positive_window(self, capsys, tiny_dir, window):

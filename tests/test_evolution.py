@@ -215,6 +215,17 @@ class TestActivePackages:
         with pytest.raises(ValueError):
             active_packages(tiny, datetime(2021, 1, 1), datetime(2020, 1, 1))
 
+    @pytest.mark.parametrize("query", [active_packages, update_inequality, updates_by_age])
+    @pytest.mark.parametrize("start, end", [
+        (datetime(2021, 5, 1), datetime(2021, 2, 1)),
+        (datetime(2020, 3, 1), datetime(2020, 1, 1)),
+    ], ids=["past the cutoff", "before the cutoff"])
+    def test_inverted_window_names_both_instants(self, tiny, query, start, end):
+        # The order is checked before the cutoff, as for a month range.
+        message = f"^inverted window: {start.isoformat()} > {end.isoformat()}$"
+        with pytest.raises(ValueError, match=message):
+            query(tiny, start, end)
+
 
 class TestUpdateInequality:
     def test_tiny_equal_counts(self, tiny):
