@@ -32,11 +32,18 @@ from depnet.ingest import (
     version_sort_key,
     write_csv,
 )
-from depnet import ingest
-from depnet.fixtures import GeneratorConfig, generate, write_dataset
+from depnet import cli, ingest
+from depnet.evolution import ecosystem_scan
+from depnet.fixtures import GeneratorConfig, generate, write_dataset, write_tiny
+from depnet.graphops import (
+    dependency_depth,
+    dependency_depths,
+    transitive_dependency_counts,
+    transitive_dependent_counts,
+)
 from depnet.snapshot import _sorted_unique, build_snapshot
 from depnet.stats import _grouped
-from depnet.timeutil import iter_months, month_of, parse_timestamp
+from depnet.timeutil import add_months, format_month, iter_months, month_of, parse_timestamp
 
 from conftest import constructed_and_reloaded, edge_case_dataset, write_dataset_csvs
 
@@ -1049,6 +1056,41 @@ class TestLoadFootprint:
         d = filter_dependencies(load_dataset_dir(tmp_path / "d"))
         d.index()
         assert len(gc.get_objects()) - before < cfg.n_packages
+
+
+class TestCollectorUntouched:
+    @pytest.mark.parametrize("source", ["tiny", "generated"])
+    def test_depnet_never_switches_the_collector(self, tmp_path, monkeypatch, capsys, source):
+        # The collector's state is process-wide; a library that switched it
+        # could undo a host thread's own setting.
+        directory = tmp_path / source
+        if source == "tiny":
+            write_tiny(directory)
+        else:
+            cfg = GeneratorConfig(n_packages=300, months=12, seed=5, mean_deps=2.5)
+            write_dataset(generate(cfg), directory, cfg)
+
+        def switched():
+            raise AssertionError("the cyclic garbage collector was switched")
+
+        monkeypatch.setattr(gc, "disable", switched)
+        monkeypatch.setattr(gc, "enable", switched)
+        d = filter_dependencies(load_dataset_dir(directory))
+        d.index()
+        g = build_snapshot(d, d.cutoff)
+        g.int_view()
+        g.in_adjacency()
+        transitive_dependency_counts(g)
+        transitive_dependent_counts(g)
+        last = month_of(d.cutoff)
+        ecosystem_scan(d, add_months(last, -1), last, jobs=1)
+        for package in g.names:
+            dependency_depth(g, package)
+        dependency_depths(g)
+        at = ["--at", format_month(last)]
+        # distribution deps runs twice: parsing cold, then from the column file.
+        for argv in (["validate"], ["distribution", "deps", *at], ["distribution", "deps", *at]):
+            assert cli.run([*argv, "--dataset", str(directory)]) == 0, capsys.readouterr().err
 
 
 def reference_index(d: Dataset) -> dict:
