@@ -158,3 +158,52 @@ def test_each_run_gets_the_mode_environment(monkeypatch, tmp_path):
     seen.clear()
     tool._pairs("cli", 1, [1], benchmark, tmp_path, {})
     assert seen == [("1", None)] * 2
+
+
+def test_verdict_lines_of_canned_runs():
+    tool = load_tool()
+    parent = [150.0, 152.0, 151.0, 149.0, 153.0, 150.5, 151.5, 152.5, 149.5, 151.0]
+    report = {"workloads": {"scan": {
+        "summary": tool.summarise(peak_pairs(parent, [167.0] * 10), BETTER, BOUNDS),
+        "fixed_mmap_threshold": {"summary": tool.summarise(peak_pairs(parent[:4], [110.0] * 4),
+                                                           BETTER)},
+    }}}
+    assert tool.verdict_lines(report, BOUNDS) == [
+        "scan wall_s: 1 -> 1, head better in 0 of 10, unchanged",
+        "scan setup_s: 1 -> 1, head better in 0 of 10, unchanged",
+        "scan peak_rss_mb: 151 -> 167, head better in 0 of 10, regression",
+        "scan fixed-mmap wall_s: 1 -> 1, head better in 0 of 4, no verdict",
+        "scan fixed-mmap setup_s: 1 -> 1, head better in 0 of 4, no verdict",
+        "scan fixed-mmap peak_rss_mb: 150.5 -> 110, head better in 4 of 4, no verdict",
+    ]
+    # A metric no sound pair reports gets no line; one no pair kept has no median.
+    report["workloads"]["scan"]["summary"]["metrics"].pop("wall_s")
+    report["workloads"]["scan"]["summary"]["metrics"]["setup_s"].update(
+        pairs=0, parent={"median": None, "wins": 0}, head={"median": None, "wins": 0})
+    assert tool.verdict_lines(report, ["wall_s", "setup_s"])[0] == (
+        "scan setup_s: - -> -, head better in 0 of 0, unchanged")
+
+
+def test_main_prints_the_verdicts_and_writes_the_report(monkeypatch, tmp_path, capsys):
+    tool = load_tool()
+    monkeypatch.setattr(tool, "WORK", tmp_path / "work")
+    monkeypatch.setattr(tool, "_git", lambda *args: b"abc123\n")
+    monkeypatch.setattr(tool, "_extract_parent", lambda rev: tmp_path)
+    monkeypatch.setattr(tool, "_host", lambda: {"nproc": 1})
+    walls = {"parent": iter([2.0, 2.2, 2.1, 2.3]), "head": iter([1.9, 2.0, 2.4, 2.2])}
+    monkeypatch.setattr(tool, "_run_side", lambda side, parent, command, env: run_line(
+        next(walls[side]), 1.0, 100.0))
+    out = tmp_path / "BENCH.json"
+    argv = ["--parent", "HEAD~1", "--workload", "cli", "--seeds", "1,2", "--pairs", "3",
+            "--fixed-mmap-pairs", "1", "--out", str(out)]
+    assert tool.main(argv) == 0
+    report = json.loads(out.read_text())
+    assert list(report) == ["parent", "host_before", "workloads", "host_after"]
+    assert report["parent"] == "abc123" and list(report["workloads"]) == ["cli"]
+    result = report["workloads"]["cli"]
+    assert [pair["seed"] for pair in result["pairs"]] == [1, 2, 1]
+    assert result["fixed_mmap_threshold"]["env"] == tool.FIXED_MMAP
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[-6:] == tool.verdict_lines(report, BOUNDS)
+    assert printed[-6:][0] == "cli wall_s: 2.1 -> 2, head better in 2 of 3, unchanged"
+    assert printed[-1] == "cli fixed-mmap peak_rss_mb: 100 -> 100, head better in 0 of 1, no verdict"

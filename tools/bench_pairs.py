@@ -27,7 +27,9 @@ Each metric that ``BENCHMARK.json`` gives a bound gets a verdict (see
 ``MALLOC_MMAP_THRESHOLD_=131072``, which fixes glibc's otherwise dynamic
 mmap threshold, and summarises them apart under ``fixed_mmap_threshold``
 with no verdict: where the two modes disagree, the allocator moved the
-metric, not the work. Standard library only.
+metric, not the work. When it is done, the tool prints one line per
+workload and bounded metric (see ``verdict_lines``). Standard library
+only.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ import statistics
 import subprocess
 import sys
 import tarfile
+from collections.abc import Iterable
 from fractions import Fraction
 from importlib import metadata
 from pathlib import Path
@@ -176,6 +179,33 @@ def summarise(pairs: list[dict], better: dict[str, str],
             "metrics": metrics}
 
 
+def verdict_lines(report: dict, bounds: Iterable[str]) -> list[str]:
+    """One line per workload and metric of ``bounds`` in ``report``: the
+    parent's and the working tree's medians, the pairs the working tree
+    won out of the pairs summarised, and the verdict; the pairs run with a
+    fixed mmap threshold are labelled, and have no verdict."""
+    lines = []
+    for workload, result in report["workloads"].items():
+        modes = [(workload, result["summary"])]
+        if "fixed_mmap_threshold" in result:
+            modes.append((f"{workload} fixed-mmap", result["fixed_mmap_threshold"]["summary"]))
+        for label, summary in modes:
+            for name in bounds:
+                entry = summary["metrics"].get(name)
+                if entry is not None:
+                    parent, head = (entry[side]["median"] for side in SIDES)
+                    lines.append(
+                        f"{label} {name}: {_figure(parent)} -> {_figure(head)}, head better in "
+                        f"{entry['head']['wins']} of {entry['pairs']}, "
+                        f"{entry.get('verdict', 'no verdict')}"
+                    )
+    return lines
+
+
+def _figure(value: float | None) -> str:
+    return "-" if value is None else f"{value:.4g}"
+
+
 def _host() -> dict:
     return {
         "nproc": len(os.sched_getaffinity(0)),
@@ -235,6 +265,7 @@ def main(argv: list[str]) -> int:
             shutil.rmtree(WORK, ignore_errors=True)
     report["host_after"] = _host()
     args.out.write_text(json.dumps(report, indent=1) + "\n")
+    print("\n".join(verdict_lines(report, bounds)))
     return 0
 
 
