@@ -9,7 +9,8 @@ Each subcommand computes one table and returns it as equal-length
 columns; ``run`` writes it through ``_emit``, the one output path, which
 formats CSV or JSON, names the file under ``--out DIR`` and writes the
 ``--manifest`` record. ``fixture`` writes dataset files instead and
-returns no table.
+returns no table. A subcommand imports the analysis modules it runs when
+it runs, so that a command does not compile the modules of the others.
 """
 
 from __future__ import annotations
@@ -20,31 +21,15 @@ import math
 import os
 import sys
 from collections.abc import Iterable, Sequence
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from dataclasses import fields
 from itertools import chain, repeat
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
-from .evolution import (
-    TimeSeries,
-    _inequality,
-    dependency_ratio_series,
-    depth_distribution,
-    growth_series,
-    index_series,
-    survival_dataset,
-    transitive_ratio_series,
-    update_counts_series,
-    update_distribution,
-    update_inequality,
-)
-from .fixtures import GeneratorConfig, generate, write_dataset, write_tiny
-from .graphops import _closures, _edge_list, dependency_depths
-from .indices import changeability_index, p_impact_index, reusability_index
 from .ingest import (
     DEFAULT_INCLUDED_KINDS,
     _BLOCK_ROWS,
@@ -52,12 +37,13 @@ from .ingest import (
     load_exclusions,
     load_filtered,
     parse_filtered,
-    validate_dataset,
     write_csv,
 )
-from .snapshot import build_snapshot, in_degrees
-from .stats import _product_limit, fit_exponential, fit_linear, log_rank
 from .timeutil import format_month, month_of, parse_instant, parse_month
+
+if TYPE_CHECKING:
+    from .evolution import TimeSeries
+    from .fixtures import GeneratorConfig
 
 
 def _add_dataset_options(parser: argparse.ArgumentParser) -> None:
@@ -226,8 +212,7 @@ def _index_table(ecosystem: str, name: str, parameter, month_rows) -> Table:
 
 
 def _cmd_validate(args) -> Table:
-    dataset, filtered = parse_filtered(*_dataset_arguments(args))
-    report = validate_dataset(dataset, burst_factor=args.burst_factor)
+    report, filtered = parse_filtered(*_dataset_arguments(args), burst_factor=args.burst_factor)
     fr = filtered.filter_report
 
     rows = [
@@ -255,10 +240,12 @@ def _cmd_validate(args) -> Table:
                 f"{format_month(warn.month)} count={warn.count} median={warn.trailing_median:g}",
             )
         )
-    return _table(dataset.ecosystem, "validate", ["check", "value"], rows)
+    return _table(filtered.ecosystem, "validate", ["check", "value"], rows)
 
 
 def _cmd_snapshot(args) -> Table:
+    from .snapshot import build_snapshot
+
     d = load_filtered(*_dataset_arguments(args))
     g = build_snapshot(d, parse_instant(args.at))
     row = (g.at.isoformat(), g.n_nodes, g.n_edges, g.dropped_deps)
@@ -266,12 +253,19 @@ def _cmd_snapshot(args) -> Table:
 
 
 def _cmd_series(args) -> Table:
+    from .evolution import (
+        dependency_ratio_series, growth_series, index_series, transitive_ratio_series,
+        update_counts_series,
+    )
+
     d = load_filtered(*_dataset_arguments(args))
     first = parse_month(getattr(args, "from"))
     last = parse_month(args.to)
     if args.what == "growth":
         packages, deps = growth_series(d, first, last)
         if args.fit:
+            from .stats import fit_exponential, fit_linear
+
             rows = []
             header = ["series", "model", "a", "b", "r2"]
             if args.log_r2:
@@ -325,10 +319,15 @@ def _index_parameter(name: str, args):
 
 
 def _cmd_distribution(args) -> Table:
+    from .evolution import depth_distribution, update_distribution
+    from .snapshot import build_snapshot, in_degrees
+
     d = load_filtered(*_dataset_arguments(args))
     at = parse_instant(args.at)
     metric = f"distribution_{args.what}"
     if args.what == "deps":
+        from .graphops import _closures, _edge_list, dependency_depths
+
         g = build_snapshot(d, at)
         # Each count column in node id order, then every column in name order.
         offsets, targets = g.edge_arrays()
@@ -351,6 +350,9 @@ def _cmd_distribution(args) -> Table:
 
 
 def _cmd_survival(args) -> Table:
+    from .evolution import survival_dataset
+    from .stats import _product_limit, log_rank
+
     d = load_filtered(*_dataset_arguments(args))
     split = args.split_required or args.logrank
     samples = survival_dataset(d, split_by_required=split)
@@ -380,6 +382,9 @@ def _cmd_survival(args) -> Table:
 
 
 def _cmd_inequality(args) -> Table:
+    from .evolution import _inequality, update_inequality
+    from .snapshot import build_snapshot
+
     d = load_filtered(*_dataset_arguments(args))
     if args.what == "updates":
         if not args.window:
@@ -404,6 +409,9 @@ def _cmd_inequality(args) -> Table:
 
 
 def _cmd_index(args) -> Table:
+    from .indices import changeability_index, p_impact_index, reusability_index
+    from .snapshot import build_snapshot
+
     d = load_filtered(*_dataset_arguments(args))
     at = parse_instant(args.at)
     name = _index_name(args.name)
@@ -418,6 +426,8 @@ def _cmd_index(args) -> Table:
 
 
 def _cmd_fixture(args) -> None:
+    from .fixtures import generate, write_dataset, write_tiny
+
     out_dir = Path(args.out_dir)
     if args.action == "tiny":
         write_tiny(out_dir)
@@ -429,6 +439,8 @@ def _cmd_fixture(args) -> None:
 
 def _generator_config(args) -> GeneratorConfig:
     """The settings of ``fixture generate``, whose options bear their names."""
+    from .fixtures import GeneratorConfig
+
     names = [field.name for field in fields(GeneratorConfig)]
     return GeneratorConfig(**{name: getattr(args, name) for name in names})
 
@@ -546,7 +558,12 @@ def run(argv: list[str]) -> int:
         _discard_stdout()
         sys.stderr.write("depnet: output closed before it was fully written\n")
         return 1
-    except BrokenProcessPool as exc:
+    except RuntimeError as exc:
+        # A dead worker: only a command that fans out loads the pool's
+        # module, and only its pool raises BrokenProcessPool.
+        pool = sys.modules.get("concurrent.futures.process")
+        if pool is None or not isinstance(exc, pool.BrokenProcessPool):
+            raise
         sys.stderr.write(f"depnet: a worker process died: {exc}\n")
         return 1
     except (ValueError, KeyError, OSError) as exc:  # DatasetError is a ValueError

@@ -6,28 +6,20 @@ snapshot. For the rest, months are mutually independent, so the heavy
 series (anything touching the transitive closure) can fan out over worker
 processes; results are merged back in month order and are bit-identical
 regardless of the worker count. Forked workers share the parsed dataset
-read-only.
+read-only. The closure kernels, the indices, the statistics and the
+process pool are imported where they are used, so that a series that
+reads only the edge spans does not load them.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime
 from functools import partial
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
-from .graphops import _closure_sizes, _edge_list, dependency_depths, top_level_packages
-from .indices import (
-    _check_p_percent,
-    _p_impact_count,
-    _package_counts,
-    changeability_index,
-    reusability_index,
-)
 from .ingest import _DAY_US, _OPEN, Dataset, _micros, _month_indices
 from .snapshot import (
     SnapshotGraph,
@@ -39,8 +31,10 @@ from .snapshot import (
     check_instant,
     checked_months,
 )
-from .stats import LorenzCurve, SurvivalSample, gini, lorenz_points, normalized_gini
 from .timeutil import DAYS_PER_MONTH, Month, month_index, month_start
+
+if TYPE_CHECKING:
+    from .stats import LorenzCurve
 
 
 @dataclass
@@ -141,18 +135,23 @@ def _map_months(
     per month, that inherit ``d``; ``measure`` then has to pickle, so it is
     a module-level function or a ``functools.partial`` of one.
     """
-    if jobs > 1 and len(months) > 1 and "fork" in multiprocessing.get_all_start_methods():
-        _edge_spans(d)  # build the index and the table once, for every worker
-        ctx = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(months)), mp_context=ctx,
-            initializer=_share_dataset, initargs=(d,),
-        ) as pool:
-            return list(pool.map(partial(_measure_month, measure), months, chunksize=1))
+    if jobs > 1 and len(months) > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            _edge_spans(d)  # build the index and the table once, for every worker
+            with ProcessPoolExecutor(
+                max_workers=min(jobs, len(months)), mp_context=multiprocessing.get_context("fork"),
+                initializer=_share_dataset, initargs=(d,),
+            ) as pool:
+                return list(pool.map(partial(_measure_month, measure), months, chunksize=1))
     return [measure(build_snapshot(d, month_start(m))) for m in months]
 
 
 def _reusability(g: SnapshotGraph) -> int:
+    from .indices import reusability_index
+
     return reusability_index(g).value
 
 
@@ -160,6 +159,9 @@ def _graph_metrics(g: SnapshotGraph, p_percent: float = 5.0) -> tuple[int, int, 
     # One batch closure over the graph's edge arrays, read as an array of
     # sizes, serves the transitive total and p_impact of every month series;
     # nothing here builds the graph's adjacency rows.
+    from .graphops import _closure_sizes, _edge_list
+    from .indices import _p_impact_count
+
     sizes = _closure_sizes(*_edge_list(g), reverse=True)
     return (
         g.n_nodes,
@@ -172,6 +174,8 @@ def _graph_metrics(g: SnapshotGraph, p_percent: float = 5.0) -> tuple[int, int, 
 
 def _changeability(d: Dataset, months: list[Month], window_days: int) -> list[int]:
     # Computed from the dataset alone, so no snapshot and no worker needed.
+    from .indices import changeability_index
+
     return [changeability_index(d, month_start(m), window_days).value for m in months]
 
 
@@ -227,6 +231,8 @@ def index_series(
     (default 30) and the percentage threshold for p_impact (default 5).
     Months where the network is empty yield 0.
     """
+    from .indices import _check_p_percent
+
     months = checked_months(d, first, last)
     if which == "changeability":
         window_days = int(parameter) if parameter is not None else 30
@@ -252,6 +258,8 @@ def ecosystem_scan(
 ) -> list[MonthlyMetrics]:
     """Single pass computing sizes, closure totals, and all three indices
     per month, sharing one snapshot and one batch closure per month."""
+    from .indices import _check_p_percent
+
     months = checked_months(d, first, last)
     _check_p_percent(p_percent)
     graph = _map_months(d, months, partial(_graph_metrics, p_percent=p_percent), jobs)
@@ -309,6 +317,8 @@ def _updates_during(d: Dataset, start: datetime, end: datetime) -> tuple[np.ndar
 
 def active_packages(d: Dataset, window_start: datetime, window_end: datetime) -> set[str]:
     """Packages with at least one update in [window_start, window_end)."""
+    from .indices import _package_counts
+
     return set(_package_counts(d, _updates_during(d, window_start, window_end)[1]))
 
 
@@ -317,6 +327,8 @@ def update_inequality(
 ) -> UpdateInequality:
     """Inequality of update counts across packages active in
     [window_start, window_end)."""
+    from .indices import _package_counts
+
     counts = _package_counts(d, _updates_during(d, window_start, window_end)[1])
     if not counts:
         raise ValueError("no active packages in the window")
@@ -326,6 +338,8 @@ def update_inequality(
 def _inequality(counts: dict[str, int]) -> UpdateInequality:
     """The inverted Lorenz curve, the Gini and the normalized Gini of the
     values of ``counts``; the normalized Gini is 0.0 below two values."""
+    from .stats import gini, lorenz_points, normalized_gini
+
     values = list(counts.values())
     return UpdateInequality(
         lorenz=lorenz_points(values, inverted=True),
@@ -376,6 +390,8 @@ def survival_dataset(d: Dataset, split_by_required: bool = False):
     2**53 microseconds (285 years), so each quotient is the correctly
     rounded one that ``days_between`` gives.
     """
+    from .stats import SurvivalSample
+
     idx = d.index()
     durations = (np.minimum(idx.end_us, _micros([d.cutoff])[0]) - idx.times_us) / _DAY_US
     censored = idx.end_us == _OPEN
@@ -394,6 +410,8 @@ def survival_dataset(d: Dataset, split_by_required: bool = False):
 
 def depth_distribution(g: SnapshotGraph) -> dict[int, int]:
     """Dependency-tree depth histogram over top-level packages."""
+    from .graphops import dependency_depths, top_level_packages
+
     hist: dict[int, int] = {}
     for depth in dependency_depths(g, top_level_packages(g)).values():
         hist[depth] = hist.get(depth, 0) + 1

@@ -16,12 +16,15 @@ import hashlib
 import io
 import json
 import math
+import mmap
 import os
 import statistics
+import struct
 import sys
 import zipfile
-from collections.abc import Callable, Iterable, Sequence, Set as AbstractSet
-from contextlib import suppress
+import zlib
+from collections.abc import Callable, Iterable, Iterator, Sequence, Set as AbstractSet
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timedelta
 from itertools import chain, islice, repeat
@@ -139,9 +142,29 @@ class _DatasetIndex:
     (start, end] that counts an update at its very end is the span
     [start + 1, end + 1).
 
-    ``spans`` holds the edge-span table that ``snapshot`` builds from these
-    arrays on first use; ``None`` until then.
+    ``spans`` holds the :class:`_EdgeSpans` table that ``snapshot`` builds
+    from these arrays on first use; ``None`` until then.
+
+    A dataset read from the column file gets its index and table from the
+    file (see :meth:`_stored`): read-only arrays of the mapped file, equal
+    to the ones a build gives, so that no warm command sorts the timeline.
     """
+
+    # The index's arrays, as the column file stores them.
+    ARRAYS = (
+        "packages", "releases", "entry_positions", "times_us", "offset_array",
+        "row_entries", "row_targets", "update_times_us", "update_positions", "end_us",
+    )
+
+    @classmethod
+    def _stored(cls, arrays: dict[str, np.ndarray], spans: "_EdgeSpans") -> "_DatasetIndex":
+        """The index whose arrays are ``arrays``, one per name of
+        ``ARRAYS``, with the edge-span table ``spans``."""
+        idx = cls.__new__(cls)
+        for name in cls.ARRAYS:
+            setattr(idx, name, arrays[name])
+        idx.spans = spans
+        return idx
 
     def __init__(self, dataset: "Dataset"):
         n_releases = len(dataset.release_time)
@@ -193,7 +216,8 @@ class _DatasetIndex:
 
         # Each entry's interval end, made last: the row sort's temporaries
         # are freed by then, so it adds nothing to the peak of the build.
-        self.end_us = end = np.append(times_us[1:], _OPEN)
+        self.end_us = end = np.empty_like(times_us)
+        end[:-1] = times_us[1:]
         end[offsets[1:] - 1] = _OPEN
         self.spans = None
 
@@ -207,6 +231,35 @@ class _DatasetIndex:
             raise ValueError("inverted window")
         lo, hi = np.searchsorted(self.update_times_us, (start_us, end_us))
         return self.update_times_us[lo:hi], self.update_positions[lo:hi]
+
+
+class _EdgeSpans(NamedTuple):
+    """Every edge of every snapshot of a dataset, with the span of time on
+    which it is alive, and every dependency row that a snapshot drops, with
+    the span on which it is dropped; ``snapshot._edge_spans`` builds it.
+
+    Index entry j, a release of the package at position p made at t_j, is
+    p's latest release on [t_j, end_j), ``end_j`` being the index's
+    ``end_us``. Each distinct target q of that release that resolves and is
+    not p gives the edge p -> q, alive on [max(t_j, first(q)), end_j),
+    where first(q) is q's first release time: edge i is ``source[i] ->
+    target[i]``, alive on [``start[i]``, ``end[i]``), in entry order and,
+    within an entry, in declaration order. An edge whose span is empty has
+    ``end[i] == start[i]``: no instant is in it, and a count of the bounds
+    at or before an instant takes both of its bounds or neither. A row of
+    entry j whose target q does not exist yet is dropped on
+    [t_j, min(end_j, first(q))), first(q) being open for a target without
+    release; ``drop_start`` and ``drop_end`` hold the bounds of the
+    non-empty ones, each sorted. Times are int64 microseconds since the
+    epoch; positions are int32.
+    """
+
+    source: np.ndarray
+    target: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+    drop_start: np.ndarray
+    drop_end: np.ndarray
 
 
 class RecordView(Sequence):
@@ -326,7 +379,10 @@ class Dataset:
     release of a repeated pair first.
 
     Immutable by convention after construction; the lazy index makes
-    concurrent read access safe (rebuilding it is idempotent).
+    concurrent read access safe (rebuilding it is idempotent). A dataset
+    that :func:`load_filtered` reads from the column file is immutable in
+    fact: its arrays are read-only views of the mapped file, and its index
+    and edge-span table come from the file with it.
     """
 
     __slots__ = (
@@ -1035,7 +1091,7 @@ def _read_manifest(path: Path) -> tuple[Optional[datetime], Optional[str]]:
         raise DatasetError(f"{path}: not valid UTF-8") from None
     try:
         manifest = json.loads(text)
-    except ValueError:
+    except (ValueError, RecursionError):  # RecursionError: nesting too deep to decode
         raise DatasetError(f"{path}: not valid JSON") from None
     if not isinstance(manifest, dict):
         raise DatasetError(f"{path}: not a JSON object")
@@ -1231,21 +1287,36 @@ def _dataset_digest(directory: Path) -> tuple[str, list[Optional[int]]]:
     return digest.hexdigest(), sizes
 
 
-# The column file holds a filtered Dataset's columns beside its CSVs;
-# :func:`load_filtered` reads it in place of a parse and filter, and
-# writes it after one. It is laid out as an uncompressed ``np.savez``
-# archive of plain arrays, read back with ``np.load(...,
-# allow_pickle=False)``, so loading it runs no code. Each column is stored in its in-memory form: ids and
-# release times as int64, each string column as its int64 codes and its
-# table, one UTF-8 blob with int64 offsets into the decoded text (package
-# names are coded by their ids). The target column is stored as its codes
-# alone, read back as package ids: every target of a filtered dataset is
-# a package. A table that repeats a value is refused, so that equal codes
-# mean equal strings. The ``meta`` member is JSON: the
-# key, the filter report and the raw dataset's last release timestamp,
-# which the cutoff rule needs. The cutoff and the ecosystem are not stored.
+# The column file holds a filtered Dataset's columns beside its CSVs, with
+# its index and edge-span table; :func:`load_filtered` reads it in place of
+# a parse, a filter and the index and span builds, and writes it after
+# them. It is laid out as an uncompressed ``np.savez`` archive of plain
+# 1-D arrays, so ``np.load(..., allow_pickle=False)`` reads it too. Each
+# member's local header is padded so that its ``.npy`` payload starts at a
+# multiple of ``_ALIGN`` bytes, and a read maps the file once and views
+# each payload in place (see ``_mapped_members``), so loading it runs no
+# code and copies no column. Each column is stored in its in-memory form:
+# ids and release times as int64, each string column as its int64 codes
+# and its table, one UTF-8 blob with int64 offsets into the decoded text
+# (package names are coded by their ids). The target column is stored as
+# its codes alone, read back as package ids: every target of a filtered
+# dataset is a package. A table that repeats a value is refused, so that
+# equal codes mean equal strings. The index arrays are the members
+# ``index_<name>`` and the span table's ``spans_<field>``. The ``meta``
+# member is JSON: the key, the filter report and the raw dataset's last
+# release timestamp, which the cutoff rule needs. The cutoff and the
+# ecosystem are not stored.
 COLUMN_FILE = ".depnet-columns.npz"
-_COLUMN_FORMAT = 4
+_COLUMN_FORMAT = 5
+_ALIGN = 64
+# The extra field that pads a member's local header: the ID that Android's
+# zipalign gives its alignment padding, and the field's own 4-byte header.
+_PAD_ID = 0xD935
+# A member's local header: its signature, and past 22 bytes, the lengths
+# of its name and of its extra field; the name and that field follow it.
+_LOCAL_HEADER = struct.Struct("<4s22xHH")
+# The ZIP64 extra field that ``force_zip64`` adds to a local header.
+_ZIP64_EXTRA = 20
 _STRING_COLUMNS = ("names", "release_version", "dependency_constraint", "dependency_kind")
 _EPOCH = datetime(1970, 1, 1)
 _MICROSECOND = timedelta(microseconds=1)
@@ -1286,7 +1357,7 @@ def _encoded(values: Sequence[str], known: dict[str, int] = {}) -> Coded:
 # Reading a column file that is damaged, truncated or not a column file at
 # all fails with one of these, and the caller parses the CSVs instead.
 _UNUSABLE = (OSError, ValueError, KeyError, TypeError, zipfile.BadZipFile, EOFError,
-             NotImplementedError)
+             NotImplementedError, struct.error, RecursionError)
 
 
 def _column_key(directory: Path, kinds: AbstractSet[str], excluded: AbstractSet[str]) -> str:
@@ -1302,12 +1373,17 @@ def _column_key(directory: Path, kinds: AbstractSet[str], excluded: AbstractSet[
 def _write_columns(
     directory: Path, key: str, d: Dataset, last_release: Optional[datetime]
 ) -> None:
-    """Store the columns of ``d`` in the column file of ``directory`` under
-    ``key``. The file is written under a temporary name and then moved into
-    place; a write that fails leaves no file behind and raises nothing,
-    and one that is interrupted removes its temporary file and re-raises.
-    Members are made and written one at a time, as ``np.savez`` would lay
-    them out, so that at most one column's arrays exist at once."""
+    """Store the columns of ``d``, its index and its edge-span table in the
+    column file of ``directory`` under ``key``; the index and the table are
+    built first when ``d`` has none, and kept by ``d``. The file is written
+    under a temporary name and then moved into place; a write that fails
+    leaves no file behind and raises nothing, and one that is interrupted
+    removes its temporary file and re-raises. Members are made and written
+    one at a time, each array straight from its own buffer, so that at
+    most one string column's table and offsets exist at once."""
+    from .snapshot import _edge_spans  # snapshot imports this module
+
+    spans = _edge_spans(d)
     meta = {
         "key": key,
         "filter_report": asdict(d.filter_report),
@@ -1315,9 +1391,10 @@ def _write_columns(
     }
     tmp = directory / f"{COLUMN_FILE}.{os.getpid()}.tmp"
     try:
-        with zipfile.ZipFile(tmp, "w") as archive:
-            for name, array in _column_arrays(d, meta):
-                with archive.open(name + ".npy", "w", force_zip64=True) as member:
+        with open(tmp, "wb") as handle, zipfile.ZipFile(handle, "w") as archive:
+            for name, array in _column_arrays(d, spans, meta):
+                info = _aligned_member(name + ".npy", handle.tell())
+                with archive.open(info, "w", force_zip64=True) as member:
                     np.lib.format.write_array(member, array, allow_pickle=False)
         os.replace(tmp, directory / COLUMN_FILE)
     except (OSError, ValueError):
@@ -1327,8 +1404,21 @@ def _write_columns(
             os.unlink(tmp)  # gone after the replace
 
 
-def _column_arrays(d: Dataset, meta: dict):
-    """(member name, array) of each member of the column file of ``d``."""
+def _aligned_member(name: str, offset: int) -> zipfile.ZipInfo:
+    """A stored member ``name`` whose local header starts at ``offset``,
+    its extra field padded so that its data starts at a multiple of
+    ``_ALIGN``. ``np.lib.format`` pads an array's header to a multiple of
+    64 bytes, so the array's payload starts at one too."""
+    info = zipfile.ZipInfo(name, date_time=(1980, 1, 1, 0, 0, 0))
+    end = offset + _LOCAL_HEADER.size + len(name.encode()) + 4 + _ZIP64_EXTRA
+    pad = -end % _ALIGN
+    info.extra = struct.pack("<HH", _PAD_ID, pad) + bytes(pad)
+    return info
+
+
+def _column_arrays(d: Dataset, spans: _EdgeSpans, meta: dict):
+    """(member name, array) of each member of the column file of ``d``,
+    whose edge-span table is ``spans``."""
     yield "meta", np.frombuffer(json.dumps(meta).encode(), np.uint8)
     for name in _STRING_COLUMNS:
         if name == "names":
@@ -1344,24 +1434,81 @@ def _column_arrays(d: Dataset, meta: dict):
     yield "dependency_source", d.dependency_source
     yield "dependency_target", d.dependency_target.codes
     yield "release_time", d.release_time
+    idx = d.index()
+    for name in _DatasetIndex.ARRAYS:
+        yield "index_" + name, getattr(idx, name)
+    for name, array in zip(_EdgeSpans._fields, spans):
+        yield "spans_" + name, array
+
+
+@contextmanager
+def _mapped_members(path: Path) -> Iterator[dict[str, np.ndarray]]:
+    """Each member of the column file at ``path``, by its name without
+    ``.npy``, as a read-only array over the file mapped into memory once.
+
+    Raises one of ``_UNUSABLE`` for a file that is no zip archive and for a
+    member that is compressed or encrypted, whose bytes do not match their
+    CRC-32, or that is not one plain 1-D array of the ``.npy`` format 1.0:
+    its header is read with ``np.lib.format``, and one that asks for Python
+    objects is refused, so that reading it runs no code.
+
+    On exit the mapped pages leave the process's resident set (where the
+    platform has ``MADV_DONTNEED``). They stay in the page cache, and an
+    array read later maps its pages again: the CRC and the checks of a
+    read touch every page, and a command reads a few arrays again."""
+    with open(path, "rb") as handle:
+        with zipfile.ZipFile(handle) as archive:
+            infos = archive.infolist()
+        mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+    try:
+        yield _member_arrays(mapped, infos)
+    finally:
+        if hasattr(mmap, "MADV_DONTNEED"):
+            mapped.madvise(mmap.MADV_DONTNEED)
+
+
+def _member_arrays(mapped: mmap.mmap, infos: list[zipfile.ZipInfo]) -> dict[str, np.ndarray]:
+    """The arrays of the members ``infos`` of the mapped column file
+    ``mapped``, checked as :func:`_mapped_members` describes."""
+    members = {}
+    for info in infos:
+        signature, name_length, extra_length = _LOCAL_HEADER.unpack_from(mapped, info.header_offset)
+        start = info.header_offset + _LOCAL_HEADER.size + name_length + extra_length
+        end = start + info.file_size
+        if (
+            signature != b"PK\x03\x04" or info.compress_type != zipfile.ZIP_STORED
+            or info.flag_bits & 1 or end > len(mapped) or not info.filename.endswith(".npy")
+        ):
+            raise ValueError(f"{info.filename}: not a stored .npy member")
+        with memoryview(mapped) as data:
+            if zlib.crc32(data[start:end]) != info.CRC:
+                raise ValueError(f"{info.filename}: CRC-32 mismatch")
+        mapped.seek(start)
+        if np.lib.format.read_magic(mapped) != (1, 0):
+            raise ValueError(f"{info.filename}: not .npy format 1.0")
+        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(mapped)
+        if (
+            len(shape) != 1 or fortran_order or dtype.hasobject
+            or mapped.tell() + shape[0] * dtype.itemsize != end
+        ):
+            raise ValueError(f"{info.filename}: not a plain 1-D array")
+        members[info.filename[:-4]] = np.frombuffer(mapped, dtype, shape[0], mapped.tell())
+    return members
 
 
 def _read_columns(
     directory: Path, key: str, cutoff: Optional[datetime], ecosystem: Optional[str]
 ) -> Optional[Dataset]:
     """The Dataset stored by :func:`_write_columns` in the column file of
-    ``directory`` under ``key``, with its cutoff and ecosystem resolved as
-    :func:`load_dataset_dir` resolves them, and the same ``DatasetError``
-    for a cutoff before the last release. ``None`` when the file is
-    missing or unreadable, holds another key, or fails a check of its
-    lengths and id ranges: a target that is no package is out of range."""
+    ``directory`` under ``key``, with its index and edge-span table, and
+    with its cutoff and ecosystem resolved as :func:`load_dataset_dir`
+    resolves them, and the same ``DatasetError`` for a cutoff before the
+    last release. ``None`` when the file is missing or unreadable, holds
+    another key, or fails a check of its lengths and value ranges: a target
+    that is no package is out of range."""
     cutoff, ecosystem = _dataset_settings(directory, cutoff, ecosystem)
     try:
-        # np.load leaves a file it opened itself open when the archive is
-        # damaged, so it is given an open file.
-        with open(directory / COLUMN_FILE, "rb") as handle, np.load(
-            handle, allow_pickle=False
-        ) as archive:
+        with _mapped_members(directory / COLUMN_FILE) as archive:
             meta = json.loads(archive["meta"].tobytes())
             if meta["key"] != key:
                 return None
@@ -1374,6 +1521,7 @@ def _read_columns(
             release_package = _in_range(archive["release_package"], 0, len(names))
             source = _in_range(archive["dependency_source"], 0, len(release_package))
             times = _in_range(archive["release_time"], *_TIME_RANGE)
+            index = _stored_index(archive, len(names), len(release_package), len(source))
         report = FilterReport(**meta["filter_report"])
         last_release = meta["last_release"]
         if last_release is not None:
@@ -1387,20 +1535,66 @@ def _read_columns(
             return None
     except _UNUSABLE:
         return None
-    return Dataset._from_columns(
+    d = Dataset._from_columns(
         names, package_ids,
         (release_package, versions, times),
         (source, targets, constraints, kinds),
         _checked_cutoff(cutoff, last_release, directory / "releases.csv"),
         ecosystem, report,
     )
+    d._index = index
+    return d
 
 
-def _in_range(array: np.ndarray, low: int, high: int) -> np.ndarray:
-    """A stored int64 column whose values all lie in range(low, high);
-    ``ValueError`` otherwise."""
-    if array.dtype != np.int64 or array.ndim != 1:
-        raise ValueError("not an int64 column")
+def _stored_index(archive, n_names: int, n_releases: int, n_rows: int) -> _DatasetIndex:
+    """The index and edge-span table stored beside the columns of
+    ``n_names`` packages, ``n_releases`` releases and ``n_rows`` dependency
+    rows. ``ValueError`` for an array of another type or length, or with a
+    value out of its range: a position past the packages with a release, a
+    release id, an entry or an offset past the releases, a time that no
+    datetime holds (an interval end or a span bound may also be open), or
+    offsets that do not run from 0 up to the number of releases."""
+    n = len(archive["index_packages"])
+    edges, drops = len(archive["spans_source"]), len(archive["spans_drop_start"])
+    bound = (_TIME_RANGE[0], _OPEN + 1)
+    # Each array's type, length and range of values.
+    rules = {
+        "index_packages": (np.int64, n, 0, n_names),
+        "index_releases": (np.int64, n_releases, 0, n_releases),
+        "index_entry_positions": (np.int64, n_releases, 0, n),
+        "index_times_us": (np.int64, n_releases, *_TIME_RANGE),
+        "index_offset_array": (np.int64, n + 1, 0, n_releases + 1),
+        "index_row_entries": (np.int32, n_rows, 0, n_releases),
+        "index_row_targets": (np.int32, n_rows, 0, n + 1),
+        "index_update_times_us": (np.int64, n_releases - n, *_TIME_RANGE),
+        "index_update_positions": (np.int64, n_releases - n, 0, n),
+        "index_end_us": (np.int64, n_releases, *bound),
+        "spans_source": (np.int32, edges, 0, n),
+        "spans_target": (np.int32, edges, 0, n),
+        "spans_start": (np.int64, edges, *bound),
+        "spans_end": (np.int64, edges, *bound),
+        "spans_drop_start": (np.int64, drops, *bound),
+        "spans_drop_end": (np.int64, drops, *bound),
+    }
+    arrays = {
+        name.split("_", 1)[1]: _in_range(archive[name], low, high, dtype, length)
+        for name, (dtype, length, low, high) in rules.items()
+    }
+    offsets = arrays["offset_array"]
+    if offsets[0] != 0 or offsets[-1] != n_releases or (np.diff(offsets) < 0).any():
+        raise ValueError("index offsets do not fit the releases")
+    return _DatasetIndex._stored(arrays, _EdgeSpans(*(arrays[f] for f in _EdgeSpans._fields)))
+
+
+def _in_range(
+    array: np.ndarray, low: int, high: int, dtype=np.int64, length: Optional[int] = None
+) -> np.ndarray:
+    """A stored column of ``dtype`` (and of ``length`` values, when given)
+    whose values all lie in range(low, high); ``ValueError`` otherwise."""
+    if array.dtype != dtype or array.ndim != 1:
+        raise ValueError(f"not a {np.dtype(dtype)} column")
+    if length is not None and len(array) != length:
+        raise ValueError(f"{len(array)} values, not {length}")
     if len(array) and (array.min() < low or array.max() >= high):
         raise ValueError("value out of range")
     return array
@@ -1426,9 +1620,10 @@ def load_filtered(directory, cutoff=None, ecosystem=None, kinds=DEFAULT_INCLUDED
                   excluded=()) -> Dataset:
     """The dataset in ``directory``, as :func:`load_dataset_dir` loads it
     with ``cutoff`` and ``ecosystem`` and :func:`filter_dependencies`
-    filters it by ``kinds`` and ``excluded``. It is read from the column
-    file when the file's key matches, and otherwise parsed and filtered,
-    which writes the column file for the next load."""
+    filters it by ``kinds`` and ``excluded``, with its index and edge-span
+    table. It is read from the column file when the file's key matches,
+    and otherwise parsed and filtered, which writes the column file for
+    the next load."""
     directory, kinds, excluded = Path(directory), _included_kinds(kinds), frozenset(excluded)
     key = _column_key(directory, kinds, excluded)
     filtered = _read_columns(directory, key, cutoff, ecosystem)
@@ -1438,21 +1633,28 @@ def load_filtered(directory, cutoff=None, ecosystem=None, kinds=DEFAULT_INCLUDED
 
 
 def parse_filtered(directory, cutoff=None, ecosystem=None, kinds=DEFAULT_INCLUDED_KINDS,
-                   excluded=()) -> tuple[Dataset, Dataset]:
-    """The dataset as parsed, and as filtered, by the arguments of
+                   excluded=(), burst_factor: float = 10.0) -> tuple["ValidationReport", Dataset]:
+    """:func:`validate_dataset` of the dataset as parsed, with
+    ``burst_factor``, and the dataset as filtered, by the arguments of
     :func:`load_filtered`. It always parses, and writes the column file."""
     directory, kinds, excluded = Path(directory), _included_kinds(kinds), frozenset(excluded)
     key = _column_key(directory, kinds, excluded)
-    return _parse_filtered(directory, key, cutoff, ecosystem, kinds, excluded)
+    return _parse_filtered(directory, key, cutoff, ecosystem, kinds, excluded, burst_factor)
 
 
-def _parse_filtered(directory, key, cutoff, ecosystem, kinds, excluded):
-    """The dataset parsed and filtered, after the filtered one is written
-    to the column file under ``key``."""
+def _parse_filtered(directory, key, cutoff, ecosystem, kinds, excluded, burst_factor=None):
+    """The validation report of the parsed dataset (``None`` without a
+    ``burst_factor``) and the filtered dataset, after the filtered one is
+    written to the column file under ``key``. The parsed dataset is let go
+    before the index and the span table are built for the file, so that
+    the build does not add to the parse's peak."""
     dataset = load_dataset_dir(directory, cutoff=cutoff, ecosystem=ecosystem)
     filtered = filter_dependencies(dataset, kinds, excluded)
-    _write_columns(directory, key, filtered, _last_time(dataset.release_time))
-    return dataset, filtered
+    report = None if burst_factor is None else validate_dataset(dataset, burst_factor)
+    last_release = _last_time(dataset.release_time)
+    del dataset
+    _write_columns(directory, key, filtered, last_release)
+    return report, filtered
 
 
 @dataclass(frozen=True, slots=True)

@@ -11,7 +11,8 @@ per-package queries walk are views derived from them on first use.
 
 The dataset index owns the timeline: each entry is its package's latest
 release from its own time to the package's next entry. One table over
-that timeline, built on first use and kept by the index, holds every edge
+that timeline, built on first use and kept by the index (or read with it
+from the column file that a load leaves), holds every edge
 of every snapshot with the span on which it is alive, and every dropped
 dependency row with the span on which it is dropped. A build is the slice
 of that table at t, so it reads no dependency row and makes no Python
@@ -28,8 +29,8 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .ingest import (
-    _OPEN, Coded, Dataset, RecordView, ReleaseRecord, _DatasetIndex, _first_of_each_key,
-    _micros, _run_starts,
+    _OPEN, Coded, Dataset, RecordView, ReleaseRecord, _DatasetIndex, _EdgeSpans,
+    _first_of_each_key, _micros, _run_starts,
 )
 from .timeutil import Month, format_month, iter_months, month_of, month_start
 
@@ -292,38 +293,9 @@ def latest_releases_at(d: Dataset, t: datetime) -> dict[str, ReleaseRecord]:
     return {rel.package: rel for rel in d.releases.take(latest)}
 
 
-class _EdgeSpans(NamedTuple):
-    """Every edge of every snapshot of a dataset, with the span of time on
-    which it is alive, and every dependency row that a snapshot drops, with
-    the span on which it is dropped; :func:`_edge_spans` builds it.
-
-    Index entry j, a release of the package at position p made at t_j, is
-    p's latest release on [t_j, end_j), ``end_j`` being the index's
-    ``end_us``. Each distinct target q of that release that resolves and is
-    not p gives the edge p -> q, alive on [max(t_j, first(q)), end_j),
-    where first(q) is q's first release time: edge i is ``source[i] ->
-    target[i]``, alive on [``start[i]``, ``end[i]``), in entry order and,
-    within an entry, in declaration order. An edge whose span is empty has
-    ``end[i] == start[i]``: no instant is in it, and a count of the bounds
-    at or before an instant takes both of its bounds or neither. A row of
-    entry j whose target q does not exist yet is dropped on
-    [t_j, min(end_j, first(q))), first(q) being open for a target without
-    release; ``drop_start`` and ``drop_end`` hold the bounds of the
-    non-empty ones, each sorted. Times are int64 microseconds since the
-    epoch; positions are int32.
-    """
-
-    source: np.ndarray
-    target: np.ndarray
-    start: np.ndarray
-    end: np.ndarray
-    drop_start: np.ndarray
-    drop_end: np.ndarray
-
-
 def _edge_spans(d: Dataset) -> _EdgeSpans:
     """The edge-span table of ``d``, built on first use and kept by its
-    index."""
+    index; a dataset read from the column file has it from the file."""
     idx = d.index()
     if idx.spans is None:
         times, end_of = idx.times_us, idx.end_us

@@ -187,7 +187,7 @@ def lorenz_points(values: Sequence[float], inverted: bool = False) -> LorenzCurv
     cum_val = np.cumsum(arr) / total
     cum_pop = np.arange(1, arr.size + 1) / arr.size
     points = [(0.0, 0.0)]
-    points.extend((float(x), float(y)) for x, y in zip(cum_pop, cum_val))
+    points.extend(zip(cum_pop.tolist(), cum_val.tolist()))
     points[-1] = (1.0, 1.0)
     return LorenzCurve(points=points, orientation="inverted" if inverted else "standard")
 

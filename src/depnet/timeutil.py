@@ -16,13 +16,19 @@ Month = tuple[int, int]
 
 
 def parse_timestamp(text: str) -> datetime:
-    """Parse an ISO-8601 timestamp or date into a naive UTC datetime."""
+    """Parse an ISO-8601 timestamp or date into a naive UTC datetime.
+
+    Raises ``ValueError`` for text that is no such timestamp, and for one
+    whose UTC offset moves it out of the range of ``datetime``."""
     raw = text.strip()
     if raw.endswith(("Z", "z")):
         raw = raw[:-1] + "+00:00"
     dt = datetime.fromisoformat(raw)
     if dt.tzinfo is not None:
-        dt = dt.astimezone(timezone.utc).replace(tzinfo=None)
+        try:
+            dt = dt.astimezone(timezone.utc).replace(tzinfo=None)
+        except OverflowError:
+            raise ValueError(f"{text!r} in UTC is out of range") from None
     return dt
 
 

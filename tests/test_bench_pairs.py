@@ -184,6 +184,37 @@ def test_verdict_lines_of_canned_runs():
         "scan setup_s: - -> -, head better in 0 of 0, unchanged")
 
 
+def test_agreement_lines_of_canned_runs():
+    tool = load_tool()
+    parent = [150.0, 152.0, 151.0, 149.0, 153.0, 150.5, 151.5, 152.5, 149.5, 151.0]
+    pairs = peak_pairs(parent, [140.0] * 10)
+    for pair, wall in zip(pairs, [2.0, 2.2, 2.1, 2.3, 2.0, 2.2, 2.1, 2.3, 2.0, 2.2]):
+        pair["parent"]["metrics"]["wall_s"]["value"] = wall
+    fixed = peak_pairs(parent[:4], [160.0] * 4)
+    for pair in fixed:
+        pair["parent"]["metrics"]["wall_s"]["value"] = 2.0
+    report = {"workloads": {
+        "scan": {"summary": tool.summarise(pairs, BETTER, BOUNDS),
+                 "fixed_mmap_threshold": {"summary": tool.summarise(fixed, BETTER)}},
+        "depth": {"summary": tool.summarise(pairs, BETTER, BOUNDS)},
+    }}
+    assert tool.agreement_lines(report, BOUNDS) == [
+        "scan wall_s: fixed-mmap pairs move the median the same way as the default pairs "
+        "(default down, fixed-mmap down)",
+        "scan setup_s: fixed-mmap pairs move the median the same way as the default pairs "
+        "(default none, fixed-mmap none)",
+        "scan peak_rss_mb: fixed-mmap pairs move the median another way than the default pairs "
+        "(default down, fixed-mmap up)",
+    ]
+    # A metric that one mode does not report gets no line; one with no median moves "-".
+    report["workloads"]["scan"]["fixed_mmap_threshold"]["summary"]["metrics"].pop("wall_s")
+    report["workloads"]["scan"]["summary"]["metrics"]["setup_s"].update(
+        pairs=0, parent={"median": None, "wins": 0}, head={"median": None, "wins": 0})
+    assert tool.agreement_lines(report, ["wall_s", "setup_s"]) == [
+        "scan setup_s: fixed-mmap pairs move the median another way than the default pairs "
+        "(default -, fixed-mmap none)"]
+
+
 def test_main_prints_the_verdicts_and_writes_the_report(monkeypatch, tmp_path, capsys):
     tool = load_tool()
     monkeypatch.setattr(tool, "WORK", tmp_path / "work")
@@ -207,3 +238,24 @@ def test_main_prints_the_verdicts_and_writes_the_report(monkeypatch, tmp_path, c
     assert printed[-6:] == tool.verdict_lines(report, BOUNDS)
     assert printed[-6:][0] == "cli wall_s: 2.1 -> 2, head better in 2 of 3, unchanged"
     assert printed[-1] == "cli fixed-mmap peak_rss_mb: 100 -> 100, head better in 0 of 1, no verdict"
+
+
+def test_main_prints_the_agreement_of_the_modes_first(monkeypatch, tmp_path, capsys):
+    tool = load_tool()
+    monkeypatch.setattr(tool, "WORK", tmp_path / "work")
+    monkeypatch.setattr(tool, "_git", lambda *args: b"abc123\n")
+    monkeypatch.setattr(tool, "_extract_parent", lambda rev: tmp_path)
+    monkeypatch.setattr(tool, "_host", lambda: {"nproc": 1})
+    walls = {"parent": iter([2.0, 2.2, 2.1, 2.3]), "head": iter([1.9, 2.0, 2.4, 2.2])}
+    monkeypatch.setattr(tool, "_run_side", lambda side, parent, command, env: run_line(
+        next(walls[side]), 1.0, 100.0))
+    out = tmp_path / "BENCH.json"
+    argv = ["--parent", "HEAD~1", "--workload", "cli", "--seeds", "1,2", "--pairs", "3",
+            "--fixed-mmap-pairs", "1", "--out", str(out)]
+    assert tool.main(argv) == 0
+    report = json.loads(out.read_text())
+    assert "agreement" not in json.dumps(report)
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[-9:-6] == tool.agreement_lines(report, BOUNDS)
+    assert printed[-9] == ("cli wall_s: fixed-mmap pairs move the median the same way as the "
+                           "default pairs (default down, fixed-mmap down)")

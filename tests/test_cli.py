@@ -18,7 +18,7 @@ import pytest
 
 from depnet import cli, evolution, ingest
 from depnet.cli import run
-from depnet.fixtures import write_dataset, write_tiny
+from depnet.fixtures import GeneratorConfig, generate, write_dataset, write_tiny
 from depnet.graphops import (
     dependency_depth,
     top_level_packages,
@@ -34,7 +34,7 @@ from depnet.ingest import (
     filter_dependencies,
     load_dataset_dir,
 )
-from depnet.snapshot import build_snapshot
+from depnet.snapshot import _edge_spans, build_snapshot
 
 from conftest import write_dataset_csvs
 
@@ -137,7 +137,11 @@ class TestExitCodes:
         (b'["cutoff", "2020-04-01"]', "not a JSON object"),
         (b"{", "not valid JSON"),
         (b'{"cutoff": 5}', "cutoff is not a string: 5"),
-    ], ids=["not utf-8", "array", "not json", "cutoff not a string"])
+        (b"[" * 100_000, "not valid JSON"),
+        (b'{"cutoff": "0001-01-01T00:00:00+01:00"}',
+         "unreadable cutoff: '0001-01-01T00:00:00+01:00' in UTC is out of range"),
+    ], ids=["not utf-8", "array", "not json", "cutoff not a string", "nested too deep",
+            "cutoff out of range in UTC"])
     def test_unreadable_manifest_is_one_line_naming_it(self, capsys, tiny_dir, text, message,
                                                        warm):
         snapshot = ("snapshot", "--at", "2020-01-15", "--dataset", tiny_dir)
@@ -147,6 +151,27 @@ class TestExitCodes:
         code, out, err = invoke(capsys, *snapshot)
         assert (code, out) == (1, "")
         assert err == f"depnet: {tiny_dir / 'manifest.json'}: {message}\n"
+
+    @pytest.mark.parametrize("stamp", ["0001-01-01T00:00:00+01:00", "9999-12-31T23:30:00-01:00"],
+                             ids=["before year 1", "after year 9999"])
+    def test_timestamp_out_of_range_in_utc_is_one_line(self, capsys, tiny_dir, stamp):
+        """An offset that moves a timestamp out of ``datetime``'s range is a
+        data error: in a release row it names the file and line, and as
+        --cutoff it names the value."""
+        releases = tiny_dir / "releases.csv"
+        header, first, *rest = releases.read_text(encoding="utf-8").splitlines()
+        package, version, _ = first.split(",")
+        assert invoke(capsys, "snapshot", "--at", "2020-01-15", *tiny_args(tiny_dir))[0] == 0
+        code, out, err = invoke(capsys, "snapshot", "--at", "2020-01-15", "--dataset", tiny_dir,
+                                "--cutoff", stamp)
+        assert (code, out) == (1, "")
+        assert err == f"depnet: {stamp!r} in UTC is out of range\n"
+        releases.write_text("\n".join([header, f"{package},{version},{stamp}", *rest]) + "\n",
+                            encoding="utf-8")
+        code, out, err = invoke(capsys, "validate", *tiny_args(tiny_dir))
+        assert (code, out) == (1, "")
+        assert err == (f"depnet: {releases}, line 2: column 'timestamp' has unparseable value "
+                       f"{stamp!r}\n")
 
     def test_exclusion_file_not_utf8_names_file_and_line(self, capsys, tiny_dir):
         exclude = tiny_dir.parent / "exclude.txt"
@@ -246,6 +271,43 @@ def test_runs_as_a_module(tmp_path):
     assert (done.returncode, done.stdout) == (0, "")
     assert done.stderr == f"dataset written to {tmp_path / 't'}\n"
     assert (tmp_path / "t" / "packages.csv").is_file()
+
+
+def _loaded_modules(code: str) -> list[str]:
+    """The depnet, ``concurrent`` and ``multiprocessing`` modules loaded
+    after ``code`` runs in a new interpreter."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code += ("\nprint(' '.join(sorted(m for m in sys.modules"
+             " if m.startswith(('depnet', 'concurrent', 'multiprocessing')))))")
+    done = subprocess.run([sys.executable, "-c", "import sys\n" + code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split("\n")[-2].split()
+
+
+def test_import_and_commands_load_only_the_modules_they_run(tiny_dir):
+    """``import depnet`` loads the data model alone, every exported name
+    and submodule still resolves, and the warm commands of the benchmark
+    load no closure kernel, index, fixture or process pool."""
+    assert _loaded_modules("import depnet") == ["depnet", "depnet.ingest", "depnet.timeutil"]
+    import depnet
+
+    for name in depnet.__all__:
+        assert name in dir(depnet) and getattr(depnet, name) is not None
+    assert depnet.indices.h_index([3, 3, 3]) == 3
+    assert depnet.gini is depnet.stats.gini and depnet.Dataset is ingest.Dataset
+    with pytest.raises(AttributeError):
+        depnet.no_such_name
+    assert run(["snapshot", "--at", "2020-01", *map(str, tiny_args(tiny_dir))]) == 0
+    for command in (["series", "growth", "--from", "2020-01", "--to", "2020-04"],
+                    ["survival", "--km", "--split-required"],
+                    ["inequality", "dependents", "--at", "2020-04"]):
+        argv = [*command, *map(str, tiny_args(tiny_dir))]
+        loaded = _loaded_modules(f"from depnet import cli\nassert cli.run({argv!r}) == 0")
+        assert {"depnet.cli", "depnet.evolution", "depnet.snapshot"} <= set(loaded)
+        assert not any(m.startswith(("depnet.graphops", "depnet.indices", "depnet.fixtures",
+                                     "concurrent", "multiprocessing")) for m in loaded), loaded
 
 
 class TestFailureMessages:
@@ -906,15 +968,36 @@ def _increment_last_value_byte(path) -> None:
     path.write_bytes(bytes(data))
 
 
-def _flip_low_time_bit(path) -> None:
-    """Flip the lowest bit of the last stored release time: a value still
-    in range, which only the member's CRC tells from the one written."""
+def _flip_low_time_bit(path, member="release_time.npy") -> None:
+    """Flip the lowest bit of the last stored value of ``member``, by default
+    the last release time: a value still in range, which only the member's
+    CRC tells from the one written."""
     with zipfile.ZipFile(path) as archive:
-        info = archive.getinfo("release_time.npy")
+        info = archive.getinfo(member)
     data = bytearray(path.read_bytes())
     start = data.index(b"\x93NUMPY", info.header_offset)
     data[start + info.file_size - 8] ^= 0x01
     path.write_bytes(bytes(data))
+
+
+def _members(path) -> dict[str, bytes]:
+    """The data of each member of the column file at ``path``, by name."""
+    with zipfile.ZipFile(path) as archive:
+        return {name: archive.read(name) for name in archive.namelist()}
+
+
+def _rezip(path, members: dict[str, bytes]) -> None:
+    """Write ``members`` as a plain zip archive at ``path``: stored, with
+    their CRC-32s, and not aligned."""
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, data in members.items():
+            archive.writestr(name, data)
+
+
+def _npy(array) -> bytes:
+    buffer = io.BytesIO()
+    np.lib.format.write_array(buffer, array)
+    return buffer.getvalue()
 
 
 def _set_compression_method(path) -> None:
@@ -1005,7 +1088,9 @@ class TestColumnFile:
     @pytest.mark.parametrize(
         "damage",
         ["truncated", "flipped byte", "other format", "directory", "id out of range",
-         "code out of range", "repeated table value", "compression method"],
+         "code out of range", "repeated table value", "compression method", "format 4",
+         "no span table", "truncated member", "flipped span byte", "position out of range",
+         "span out of range"],
     )
     def test_unusable_file_falls_back_to_the_csvs(self, capsys, tiny_dir, monkeypatch, damage):
         argv = [*self.GROWTH, *tiny_args(tiny_dir)]
@@ -1027,9 +1112,37 @@ class TestColumnFile:
         elif damage == "directory":
             path.unlink()
             path.mkdir()
+        elif damage in ("format 4", "no span table", "truncated member"):
+            members = _members(path)
+            if damage == "truncated member":
+                members["spans_start.npy"] = members["spans_start.npy"][:-8]
+            else:
+                # The members of format 4: the columns without the index
+                # and the table; format 4 wrote them under its own key.
+                members = {name: data for name, data in members.items()
+                           if not name.startswith(("index_", "spans_"))}
+            if damage == "format 4":
+                meta = json.loads(np.load(io.BytesIO(members["meta.npy"])).tobytes())
+                with monkeypatch.context() as patch:
+                    patch.setattr(ingest, "_COLUMN_FORMAT", 4)
+                    meta["key"] = self.key(tiny_dir)
+                assert meta["key"] != key
+                members["meta.npy"] = _npy(np.frombuffer(json.dumps(meta).encode(), np.uint8))
+            _rezip(path, members)
+        elif damage == "flipped span byte":
+            _flip_low_time_bit(path, "spans_end.npy")
         else:
             d = ingest._read_columns(tiny_dir, key, None, None)
-            if damage == "code out of range":
+            idx = d.index()
+            if damage == "position out of range":
+                positions = idx.entry_positions.copy()
+                positions[-1] = len(idx.packages)
+                idx.entry_positions = positions
+            elif damage == "span out of range":
+                source = idx.spans.source.copy()
+                source[-1] = len(idx.packages)
+                idx.spans = idx.spans._replace(source=source)
+            elif damage == "code out of range":
                 codes = d.dependency_target.codes.copy()
                 codes[-1] = len(d.names)
                 d.dependency_target = ingest.Coded(codes, d.names)
@@ -1045,6 +1158,80 @@ class TestColumnFile:
         assert ingest._read_columns(tiny_dir, key, None, None) is None
         assert invoke(capsys, *argv) == expected
         assert self.listing(tiny_dir) == sorted([*self.DATASET, COLUMN_FILE])
+
+    @pytest.mark.parametrize("data", ["tiny", "generated"])
+    def test_stored_index_equals_a_fresh_build(self, tmp_path, monkeypatch, data):
+        """The index arrays and the edge-span table that a cold load builds
+        and a warm one reads from the column file equal, dtypes included, a
+        fresh build over the filtered columns. The generated dataset also
+        has rows of another kind, unresolved, repeated and self rows, rows
+        whose target is released after them, and an excluded package."""
+        directory = tmp_path / data
+        excluded = set()
+        if data == "tiny":
+            write_tiny(directory)
+        else:
+            write_dataset(generate(GeneratorConfig(n_packages=120, months=18, seed=7)), directory)
+            with open(directory / "releases.csv", encoding="utf-8") as handle:
+                releases = list(csv.reader(handle))[1:]
+            first = {}
+            for package, version, stamp in releases:
+                first[package] = min(first.get(package, stamp), stamp)
+            late = max(first, key=first.get)
+            excluded = {releases[0][0]}
+            rows = []
+            for package, version, _ in releases[:60]:
+                rows += [f"{package},{version},{late},*,runtime",
+                         f"{package},{version},ghost,*,runtime",
+                         f"{package},{version},{package},*,runtime",
+                         f"{package},{version},{late},*,dev"]
+            rows += rows[:8]
+            with open(directory / "dependencies.csv", "a", encoding="utf-8") as handle:
+                handle.write("\n".join(rows) + "\n")
+        cold = ingest.load_filtered(directory, excluded=excluded)
+        with monkeypatch.context() as patch:
+            patch.setattr(ingest, "load_dataset_dir", _no_parse)
+            warm = ingest.load_filtered(directory, excluded=excluded)
+        fresh = filter_dependencies(load_dataset_dir(directory), excluded_packages=excluded)
+        assert warm == cold == fresh
+        index, spans = ingest._DatasetIndex(fresh), _edge_spans(fresh)
+        if data == "generated":
+            report = fresh.filter_report
+            assert report.excluded_deps_dropped and report.unresolved_deps_dropped
+            assert report.kind_dropped and report.duplicate_deps_dropped
+            assert len(spans.drop_start) and (spans.end == spans.start).any()
+        for d in (cold, warm):
+            for name in ingest._DatasetIndex.ARRAYS:
+                got, expected = getattr(d.index(), name), getattr(index, name)
+                assert got.dtype == expected.dtype and got.tolist() == expected.tolist(), name
+            for got, expected in zip(_edge_spans(d), spans):
+                assert got.dtype == expected.dtype and got.tolist() == expected.tolist()
+
+    def test_warm_arrays_are_read_only_views_of_aligned_members(self, capsys, tiny_dir,
+                                                                monkeypatch):
+        """A warm dataset's columns, index and span table are read-only
+        views of the mapped file, each payload 64-byte aligned, and
+        ``np.load`` reads the same arrays."""
+        assert invoke(capsys, *self.GROWTH, *tiny_args(tiny_dir))[0] == 0
+        with monkeypatch.context() as patch:
+            patch.setattr(ingest, "load_dataset_dir", _no_parse)
+            d = ingest.load_filtered(tiny_dir, cutoff=datetime(2020, 4, 1))
+        idx = d.index()
+        coded = (d.release_version, d.dependency_target, d.dependency_constraint,
+                 d.dependency_kind)
+        arrays = [d.release_package, d.release_time, d.dependency_source,
+                  *(column.codes for column in coded),
+                  *(getattr(idx, name) for name in idx.ARRAYS), *idx.spans]
+        assert not any(array.flags.writeable for array in arrays)
+        with pytest.raises(ValueError):
+            d.release_time[0] = 0
+        with ingest._mapped_members(tiny_dir / COLUMN_FILE) as members:
+            assert all(array.ctypes.data % 64 == 0 for array in members.values())
+        with np.load(tiny_dir / COLUMN_FILE) as archive:
+            assert sorted(archive.files) == sorted(members)
+            for name in archive.files:
+                assert archive[name].dtype == members[name].dtype
+                assert archive[name].tolist() == members[name].tolist()
 
     @pytest.mark.parametrize("filtered", [True, False])
     def test_file_reads_back_the_dataset(self, capsys, tiny_dir, filtered):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import concurrent.futures
 import random
 from bisect import bisect_right
 from datetime import datetime, timedelta
@@ -682,7 +683,7 @@ class TestScanAndParallel:
             def map(self, fn, items, chunksize=1):
                 return map(fn, items)
 
-        monkeypatch.setattr(evolution, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(evolution, "_DATASET", None)
         scan = ecosystem_scan(tiny, (2020, 3), (2020, 4), jobs=64)
         assert started == [2]

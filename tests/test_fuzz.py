@@ -4,7 +4,8 @@
   or 2. A failure writes exactly one stderr line, starting ``depnet: ``,
   and no traceback; a fault in a data row names its file and line.
 * A damaged or truncated column file never changes what a command
-  writes: the command parses the CSVs instead.
+  writes: the command parses the CSVs instead. Some of the damage lands
+  in the data of one member, the index and span-table members included.
 
 Each trial damages one file of a small generated dataset and runs one
 command through ``cli.run`` in process. A plain run tries a bounded
@@ -14,8 +15,11 @@ number of damages; ten times as many more, from other seeds, are marked
 
 from __future__ import annotations
 
+import io
 import random
 import re
+import struct
+import zipfile
 
 import pytest
 
@@ -130,16 +134,36 @@ def _check_csv_damage(capsys, tmp_path, clean, seed) -> str:
     return "failed"
 
 
-def _check_column_damage(capsys, tmp_path, warm, expected, seed) -> None:
-    """Damage the warm column file ``warm`` with ``seed`` and check that
-    one command gives its clean result."""
+def _member_data(data: bytes) -> list[tuple[str, int, int]]:
+    """The name, and the first and the past-the-end byte of the data, of
+    each member of the column file ``data``: past the 30-byte local
+    header, whose last 4 bytes hold the lengths of the name and of the
+    extra field that follow it."""
+    with zipfile.ZipFile(io.BytesIO(data)) as archive:
+        infos = archive.infolist()
+    members = []
+    for info in infos:
+        name_length, extra_length = struct.unpack_from("<HH", data, info.header_offset + 26)
+        start = info.header_offset + 30 + name_length + extra_length
+        members.append((info.filename, start, start + info.file_size))
+    return members
+
+
+def _check_column_damage(capsys, tmp_path, warm, expected, seed) -> str | None:
+    """Damage the warm column file ``warm`` with ``seed``, check that one
+    command gives its clean result and return the name of the member
+    whose data alone was damaged, if any."""
     rng = random.Random(seed)
-    if rng.random() < 0.25:
+    roll, member = rng.random(), None
+    if roll < 0.25:
         data = warm[: rng.randrange(len(warm))]
     else:
         data = bytearray(warm)
+        lo, hi = 0, len(data)
+        if roll >= 0.6:
+            member, lo, hi = rng.choice(_member_data(warm))
         for _ in range(rng.randint(1, 4)):
-            data[rng.randrange(len(data))] = rng.randrange(256)
+            data[rng.randrange(lo, hi)] = rng.randrange(256)
         data = bytes(data)
     (tmp_path / COLUMN_FILE).write_bytes(data)
     command = rng.choice(COMMANDS)
@@ -148,6 +172,7 @@ def _check_column_damage(capsys, tmp_path, warm, expected, seed) -> None:
     except Exception as exc:
         pytest.fail(f"seed {seed}, {' '.join(command)}: raised {exc!r}")
     assert got == expected[command], f"seed {seed}, {' '.join(command)}"
+    return member
 
 
 @pytest.mark.parametrize("seeds", [CSV_SEEDS, _more(CSV_SEEDS)], ids=["bounded", "more"])
@@ -165,5 +190,7 @@ def test_damaged_column_file_gives_the_clean_output(capsys, tmp_path, clean, req
     expected = {command: _run(capsys, tmp_path, command) for command in COMMANDS}
     assert all(code == 0 for code, _, _ in expected.values())
     warm = (tmp_path / COLUMN_FILE).read_bytes()
-    for seed in _seeds(request, seeds):
-        _check_column_damage(capsys, tmp_path, warm, expected, seed)
+    damaged = {_check_column_damage(capsys, tmp_path, warm, expected, seed)
+               for seed in _seeds(request, seeds)}
+    assert any(name and name.startswith("index_") for name in damaged)
+    assert any(name and name.startswith("spans_") for name in damaged)

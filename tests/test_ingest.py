@@ -923,7 +923,8 @@ class TestFilter:
 class TestLoadFiltered:
     """``load_filtered`` and ``parse_filtered`` give what
     ``filter_dependencies(load_dataset_dir(...))`` gives, from the CSVs and
-    from the column file that the parse leaves."""
+    from the column file that the parse leaves; ``parse_filtered`` also
+    gives ``validate_dataset`` of the parsed dataset."""
 
     @pytest.mark.parametrize("kinds, excluded", [
         (DEFAULT_INCLUDED_KINDS, ()),
@@ -938,14 +939,14 @@ class TestLoadFiltered:
         options = {"cutoff": TINY_CUTOFF, "kinds": kinds, "excluded": excluded}
         raw = load_dataset_dir(directory, cutoff=TINY_CUTOFF)
         expected = filter_dependencies(raw, kinds, excluded)
-        parsed, cold = ingest.parse_filtered(directory, **options)
+        report, cold = ingest.parse_filtered(directory, **options)
         loaded = [cold, ingest.load_filtered(directory, **options)]
         (directory / ingest.COLUMN_FILE).unlink()
         loaded.append(ingest.load_filtered(directory, **options))
         with monkeypatch.context() as patch:
             patch.setattr(ingest, "load_dataset_dir", _no_parse)
             loaded.append(ingest.load_filtered(directory, **options))
-        assert parsed == raw
+        assert report == validate_dataset(raw)
         for d in loaded:
             assert d == expected
             assert asdict(d.filter_report) == asdict(expected.filter_report)

@@ -261,6 +261,21 @@ class TestLorenz:
         with pytest.raises(ValueError):
             lorenz_points([0.0, 0.0])
 
+    def test_points_are_python_floats_of_the_cumulative_sums(self):
+        # The points equal each numpy scalar of the cumulative fractions
+        # read as a float, as Python floats and not numpy scalars.
+        rng = random.Random(11)
+        values = [rng.randint(0, 1000) for _ in range(2000)]
+        for inverted in (False, True):
+            arr = np.sort(np.asarray(values, float))[:: -1 if inverted else 1]
+            cum_val = np.cumsum(arr) / arr.sum()
+            cum_pop = np.arange(1, arr.size + 1) / arr.size
+            expected = [(0.0, 0.0), *((float(x), float(y)) for x, y in zip(cum_pop, cum_val))]
+            expected[-1] = (1.0, 1.0)
+            points = lorenz_points(values, inverted=inverted).points
+            assert points == expected
+            assert {type(v) for point in points for v in point} == {float}
+
     def test_standard_below_diagonal_inverted_above(self):
         rng = random.Random(5)
         for _ in range(50):

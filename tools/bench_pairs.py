@@ -27,9 +27,10 @@ Each metric that ``BENCHMARK.json`` gives a bound gets a verdict (see
 ``MALLOC_MMAP_THRESHOLD_=131072``, which fixes glibc's otherwise dynamic
 mmap threshold, and summarises them apart under ``fixed_mmap_threshold``
 with no verdict: where the two modes disagree, the allocator moved the
-metric, not the work. When it is done, the tool prints one line per
-workload and bounded metric (see ``verdict_lines``). Standard library
-only.
+metric, not the work. When it is done, the tool prints, for each
+workload and bounded metric, whether the two modes move the median the
+same way (see ``agreement_lines``), then one line per workload and bounded
+metric and mode (see ``verdict_lines``). Standard library only.
 """
 
 from __future__ import annotations
@@ -202,6 +203,33 @@ def verdict_lines(report: dict, bounds: Iterable[str]) -> list[str]:
     return lines
 
 
+def _move(entry: dict) -> str:
+    """Which way the working tree moved the median of one metric's summary
+    ``entry``: ``up``, ``down`` or ``none``; ``-`` with no median."""
+    parent, head = (entry[side]["median"] for side in SIDES)
+    if parent is None or head is None:
+        return "-"
+    return "up" if head > parent else "down" if head < parent else "none"
+
+
+def agreement_lines(report: dict, bounds: Iterable[str]) -> list[str]:
+    """One line per workload run in both modes and metric of ``bounds``
+    that both report: whether the pairs with a fixed mmap threshold move
+    the median the same way as the default pairs, and each mode's way."""
+    lines = []
+    for workload, result in report["workloads"].items():
+        if "fixed_mmap_threshold" not in result:
+            continue
+        default, fixed = result["summary"], result["fixed_mmap_threshold"]["summary"]
+        for name in bounds:
+            if name in default["metrics"] and name in fixed["metrics"]:
+                moves = _move(default["metrics"][name]), _move(fixed["metrics"][name])
+                way = "the same way as" if moves[0] == moves[1] else "another way than"
+                lines.append(f"{workload} {name}: fixed-mmap pairs move the median {way} the "
+                             f"default pairs (default {moves[0]}, fixed-mmap {moves[1]})")
+    return lines
+
+
 def _figure(value: float | None) -> str:
     return "-" if value is None else f"{value:.4g}"
 
@@ -265,7 +293,7 @@ def main(argv: list[str]) -> int:
             shutil.rmtree(WORK, ignore_errors=True)
     report["host_after"] = _host()
     args.out.write_text(json.dumps(report, indent=1) + "\n")
-    print("\n".join(verdict_lines(report, bounds)))
+    print("\n".join(agreement_lines(report, bounds) + verdict_lines(report, bounds)))
     return 0
 
 
